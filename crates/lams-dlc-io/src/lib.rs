@@ -11,13 +11,13 @@
 //! [`proto_core::Clock`] for time — the wall clock in production, a
 //! [`proto_core::ManualClock`] in deterministic tests.
 //!
-//! The host is deliberately dumb: it moves datagrams, fires the
-//! machines' timers when their `poll_timeout` deadlines pass, and
-//! injects deterministic adversity (every `drop_every`-th information
-//! frame discarded before the socket send, every `corrupt_every`-th
-//! arriving information frame handed over as payload-corrupted) so the
-//! ARQ recovery paths are exercised on real I/O, not just under
-//! simulation.
+//! The host is deliberately dumb: it moves datagrams, sleeps until the
+//! earliest of the machines' `poll_timeout` deadlines, fires their
+//! timers, and injects deterministic adversity (every `drop_every`-th
+//! information frame discarded before the socket send, every
+//! `corrupt_every`-th arriving information frame handed over as
+//! payload-corrupted) so the ARQ recovery paths are exercised on real
+//! I/O, not just under simulation.
 //!
 //! ## Observability
 //!
@@ -44,7 +44,7 @@ use lams_dlc::{
 };
 use monitor::{LiveSnapshot, Monitor, MonitorConfig};
 use proto_core::Machine as _;
-use proto_core::{Clock, Duration, WallClock};
+use proto_core::{Clock, Duration, Instant, WallClock};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{BufWriter, ErrorKind, Write};
@@ -366,8 +366,8 @@ impl StatsNums {
 }
 
 /// Internal host state shared by the injection and stats paths.
+#[derive(Default)]
 struct HostCounters {
-    registry: Registry,
     drops: u64,
     corruptions: u64,
     datagrams: u64,
@@ -375,33 +375,26 @@ struct HostCounters {
 }
 
 impl HostCounters {
-    fn new() -> Self {
-        let mut registry = Registry::new();
-        // Register up front so a clean run still reports zeros.
-        for name in [
-            "io.inject.drops",
-            "io.inject.corruptions",
-            "io.tx.datagrams",
-            "io.rx.feedback",
-        ] {
-            registry.handle(name);
-        }
-        HostCounters {
-            registry,
-            drops: 0,
-            corruptions: 0,
-            datagrams: 0,
-            feedback: 0,
-        }
+    /// The canonical `io.*` counter names with their current values.
+    fn entries(&self) -> [(&'static str, u64); 4] {
+        [
+            ("io.inject.drops", self.drops),
+            ("io.inject.corruptions", self.corruptions),
+            ("io.tx.datagrams", self.datagrams),
+            ("io.rx.feedback", self.feedback),
+        ]
     }
 
     fn counters_json(&self) -> Json {
-        Json::obj([
-            ("io.inject.drops", self.drops.into()),
-            ("io.inject.corruptions", self.corruptions.into()),
-            ("io.tx.datagrams", self.datagrams.into()),
-            ("io.rx.feedback", self.feedback.into()),
-        ])
+        Json::obj(self.entries().map(|(name, v)| (name, v.into())))
+    }
+
+    fn registry(&self) -> Registry {
+        let mut registry = Registry::new();
+        for (name, v) in self.entries() {
+            registry.set(name, v as f64);
+        }
+        registry
     }
 }
 
@@ -526,9 +519,9 @@ pub fn run_transfer(
     sender.start(start);
     receiver.start(start);
 
-    let timeout = Duration::from_nanos(cfg.timeout.as_nanos() as u64);
+    let deadline = start + Duration::from_nanos(cfg.timeout.as_nanos() as u64);
     let mut next_stats = start + stats_interval;
-    let mut counters = HostCounters::new();
+    let mut counters = HostCounters::default();
     let mut next_id: u64 = 0; // next SDU to offer the sender
     let mut expected: u64 = 0; // next id the application must see
     let mut reseq = Resequencer::new(0);
@@ -540,6 +533,11 @@ pub fn run_transfer(
     let mut rx_info_seen: u64 = 0; // inbound info frames (corruptor)
     let mut buf = [0u8; 2048];
 
+    // One spin is one pass to quiescence at a single instant `t`,
+    // ordered so that everything the pass produces is also consumed in
+    // it: a frame sent is received, a Request-NAK received is answered,
+    // and the answer reaches the sender. The pump then sleeps until the
+    // earliest deadline of the machines, the stats stream and the run.
     let outcome = 'outcome: loop {
         let t = clock.now();
 
@@ -552,23 +550,18 @@ pub fn run_transfer(
             }
         }
 
-        // Fire due timers.
-        if sender.poll_timeout().is_some_and(|d| d <= t) {
-            sender.on_timeout(t);
-        }
-        if receiver.poll_timeout().is_some_and(|d| d <= t) {
-            receiver.on_timeout(t);
-        }
+        // Fire due timers (a no-op for a machine with nothing due).
+        sender.on_timeout(t);
+        receiver.on_timeout(t);
 
         // Data direction: sender → link, with loss injection.
-        while let Some(frame) = sender.poll_transmit(clock.now()) {
+        while let Some(frame) = sender.poll_transmit(t) {
             if let Frame::Info(ref info) = frame {
                 tx_reference = tx_reference.max(info.seq);
                 info_seen += 1;
                 if cfg.drop_every != 0 && info_seen % cfg.drop_every == 0 {
                     counters.drops += 1;
-                    counters.registry.inc("io.inject.drops");
-                    chan_trace.emit(clock.now(), || TraceEvent::ChannelDrop { dir: "fwd" });
+                    chan_trace.emit(t, || TraceEvent::ChannelDrop { dir: "fwd" });
                     continue;
                 }
             }
@@ -577,19 +570,6 @@ pub fn run_transfer(
                 break 'outcome Err(e);
             }
             counters.datagrams += 1;
-            counters.registry.inc("io.tx.datagrams");
-        }
-
-        // Feedback direction: receiver → link. Control frames ride the
-        // same lossy medium in principle, but the demo keeps the
-        // feedback channel clean (the simulator covers lossy feedback).
-        while let Some(frame) = receiver.poll_transmit(clock.now()) {
-            let datagram = wire::encode(&frame, modulus);
-            if let Err(e) = link.send_feedback(&datagram) {
-                break 'outcome Err(e);
-            }
-            counters.feedback += 1;
-            counters.registry.inc("io.rx.feedback");
         }
 
         // Inbound data at the receiver, with corruption injection.
@@ -605,23 +585,9 @@ pub fn run_transfer(
                             if cfg.corrupt_every != 0 && rx_info_seen % cfg.corrupt_every == 0 {
                                 status = RxStatus::PayloadCorrupted;
                                 counters.corruptions += 1;
-                                counters.registry.inc("io.inject.corruptions");
                             }
                         }
-                        receiver.handle_frame(clock.now(), frame, status);
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => break 'outcome Err(e),
-            }
-        }
-
-        // Inbound feedback at the sender.
-        loop {
-            match link.recv_feedback(&mut buf) {
-                Ok(Some(n)) => {
-                    if let Ok(frame) = wire::decode(&buf[..n], tx_reference, modulus) {
-                        sender.handle_frame(clock.now(), frame, RxStatus::Ok);
+                        receiver.handle_frame(t, frame, status);
                     }
                 }
                 Ok(None) => break,
@@ -630,9 +596,7 @@ pub fn run_transfer(
         }
 
         // Application delivery, resequenced and order-checked.
-        let mut delivered_now = false;
-        while let Some(d) = receiver.poll_deliver(clock.now()) {
-            delivered_now = true;
+        while let Some(d) = receiver.poll_deliver(t) {
             for (pid, _payload) in reseq.offer(d.packet_id, d.payload) {
                 if pid.0 != expected {
                     break 'outcome Err(format!(
@@ -644,6 +608,30 @@ pub fn run_transfer(
             }
         }
 
+        // Feedback direction: receiver → link. Control frames ride the
+        // same lossy medium in principle, but the demo keeps the
+        // feedback channel clean (the simulator covers lossy feedback).
+        while let Some(frame) = receiver.poll_transmit(t) {
+            let datagram = wire::encode(&frame, modulus);
+            if let Err(e) = link.send_feedback(&datagram) {
+                break 'outcome Err(e);
+            }
+            counters.feedback += 1;
+        }
+
+        // Inbound feedback at the sender.
+        loop {
+            match link.recv_feedback(&mut buf) {
+                Ok(Some(n)) => {
+                    if let Ok(frame) = wire::decode(&buf[..n], tx_reference, modulus) {
+                        sender.handle_frame(t, frame, RxStatus::Ok);
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => break 'outcome Err(e),
+            }
+        }
+
         // Keep the event queues drained (the demo has no consumer for
         // holding-time events).
         while sender.poll_event().is_some() {}
@@ -651,22 +639,17 @@ pub fn run_transfer(
 
         // Periodic live stats: snapshot the monitor mid-run. Missed
         // intervals (a host stall) collapse into one document.
-        if stats.is_some() && t >= next_stats {
-            let doc = {
-                let nums = StatsNums::from_snapshot(mon.borrow().live_snapshot());
-                stats_doc(
-                    domain,
-                    false,
-                    (t - start).as_secs_f64(),
-                    cfg.sdus,
-                    expected,
-                    &counters,
-                    &nums,
-                )
-            };
-            if let Some(out) = stats.as_mut() {
-                out.write_doc(&doc)?;
-            }
+        if let Some(out) = stats.as_mut().filter(|_| t >= next_stats) {
+            let nums = StatsNums::from_snapshot(mon.borrow().live_snapshot());
+            out.write_doc(&stats_doc(
+                domain,
+                false,
+                (t - start).as_secs_f64(),
+                cfg.sdus,
+                expected,
+                &counters,
+                &nums,
+            ))?;
             while next_stats <= t {
                 next_stats += stats_interval;
             }
@@ -681,18 +664,26 @@ pub fn run_transfer(
                 expected, cfg.sdus
             ));
         }
-        if t - start > timeout {
+        if t >= deadline {
             break 'outcome Err(format!(
                 "timeout: delivered {} of {} SDUs in {:?}",
                 expected, cfg.sdus, cfg.timeout
             ));
         }
-        if !delivered_now {
-            // Nothing happened this spin: yield briefly rather than
-            // burning a core. 200 µs keeps timer error far below the
-            // millisecond-scale protocol deadlines. (Manual clocks
-            // advance virtual time here instead of parking.)
-            clock.sleep(Duration::from_nanos(200_000));
+
+        // Sleep to the earliest deadline; a wall clock may already be
+        // past it, and then the next pass starts at once.
+        let wake = [
+            sender.poll_timeout(),
+            receiver.poll_timeout(),
+            stats.as_ref().map(|_| next_stats),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(deadline, Instant::min);
+        let now = clock.now();
+        if wake > now {
+            clock.sleep(wake - now);
         }
     };
 
@@ -734,7 +725,7 @@ pub fn run_transfer(
         retransmissions: stats_.retransmissions,
         audit_findings: report.total_findings,
         audit_records: report.records,
-        counters: counters.registry,
+        counters: counters.registry(),
         wall: std::time::Duration::from_nanos((end - start).as_nanos()),
     })
 }
@@ -765,5 +756,30 @@ mod tests {
         assert_eq!(summary.audit_findings, 0, "clean run must audit clean");
         assert_eq!(summary.counters.get("io.inject.drops"), Some(0.0));
         assert!(summary.counters.get("io.tx.datagrams").unwrap_or(0.0) > 0.0);
+    }
+
+    #[test]
+    fn summary_counters_match_the_typed_fields() {
+        let cfg = IoConfig {
+            sdus: 120,
+            drop_every: 6,
+            corrupt_every: 9,
+            ..IoConfig::default()
+        };
+        let s = run_transfer(
+            &cfg,
+            &proto_core::ManualClock::new(),
+            &mut MemTransport::new(),
+        )
+        .expect("lossy manual-clock transfer");
+        assert!(s.drops_injected > 0 && s.corruptions_injected > 0);
+        let expected = [
+            ("io.inject.drops", s.drops_injected),
+            ("io.inject.corruptions", s.corruptions_injected),
+            ("io.tx.datagrams", s.datagrams_sent),
+            ("io.rx.feedback", s.feedback_sent),
+        ]
+        .map(|(name, v)| (name, v as f64));
+        assert_eq!(s.counters.entries(), expected.as_slice());
     }
 }

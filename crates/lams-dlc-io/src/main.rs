@@ -115,11 +115,13 @@ fn main() -> ExitCode {
     }
     match run_loopback(&cfg) {
         Ok(s) => {
+            let secs = s.wall.as_secs_f64();
             let mut lines = format!(
-                "delivered {} SDUs in order in {:.1} ms \
+                "delivered {} SDUs in order in {:.1} ms, {:.0} SDUs/s \
                  (datagrams: {} data + {} feedback, retransmissions: {})\n",
                 s.delivered,
-                s.wall.as_secs_f64() * 1e3,
+                secs * 1e3,
+                s.delivered as f64 / secs,
                 s.datagrams_sent,
                 s.feedback_sent,
                 s.retransmissions,

@@ -7,9 +7,11 @@
 //! the *strict* audit bounds (no wall-jitter slack) and byte-identical
 //! traces.
 
-use lams_dlc_io::{loopback_config, run_transfer, IoConfig, MemTransport};
+use lams_dlc_io::{loopback_config, run_transfer, IoConfig, MemTransport, Transport};
 use monitor::{Monitor, MonitorConfig};
-use proto_core::ManualClock;
+use proto_core::{Clock, Duration, Instant, ManualClock};
+use std::cell::Cell;
+use std::collections::VecDeque;
 use telemetry::{parse_line, Json};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -19,9 +21,15 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 }
 
 fn run_traced(cfg: &IoConfig) -> (lams_dlc_io::IoSummary, String) {
-    let clock = ManualClock::new();
-    let mut link = MemTransport::new();
-    let summary = run_transfer(cfg, &clock, &mut link).expect("transfer must complete");
+    run_traced_over(cfg, &ManualClock::new(), &mut MemTransport::new())
+}
+
+fn run_traced_over(
+    cfg: &IoConfig,
+    clock: &dyn Clock,
+    link: &mut dyn Transport,
+) -> (lams_dlc_io::IoSummary, String) {
+    let summary = run_transfer(cfg, clock, link).expect("transfer must complete");
     let trace = std::fs::read_to_string(cfg.trace.as_ref().expect("trace configured"))
         .expect("trace file readable");
     (summary, trace)
@@ -83,8 +91,9 @@ fn checkpoint_timers_fire_on_exact_cadence_under_manual_time() {
     );
 
     // The receiver re-arms its checkpoint timer off the previous
-    // deadline, and the host's idle step (200 µs) divides W_cp (5 ms),
-    // so under manual time every checkpoint lands exactly W_cp apart.
+    // deadline, and the host sleeps until the earliest deadline, which
+    // includes the receiver's next checkpoint, so under manual time
+    // every checkpoint lands exactly W_cp apart.
     let w_cp_ns = loopback_config().w_cp.as_nanos();
     let cps: Vec<u64> = trace
         .lines()
@@ -108,6 +117,44 @@ fn checkpoint_timers_fire_on_exact_cadence_under_manual_time() {
     }
 }
 
+/// A medium that holds data-direction datagrams and releases them
+/// together at the next multiple of `period`, so I-frames the sender
+/// paces one `t_f` apart reach the receiver in bursts. Feedback passes
+/// straight through.
+struct BurstyLink<'a> {
+    clock: &'a ManualClock,
+    period: Duration,
+    held: VecDeque<(Instant, Vec<u8>)>,
+    medium: MemTransport,
+}
+
+impl Transport for BurstyLink<'_> {
+    fn send_data(&mut self, datagram: &[u8]) -> Result<(), String> {
+        let now = self.clock.now().as_nanos();
+        let period = self.period.as_nanos();
+        let release = Instant::from_nanos((now / period + 1) * period);
+        self.held.push_back((release, datagram.to_vec()));
+        Ok(())
+    }
+
+    fn recv_data(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
+        let now = self.clock.now();
+        while self.held.front().is_some_and(|(at, _)| *at <= now) {
+            let (_, datagram) = self.held.pop_front().expect("front");
+            self.medium.send_data(&datagram)?;
+        }
+        self.medium.recv_data(buf)
+    }
+
+    fn send_feedback(&mut self, datagram: &[u8]) -> Result<(), String> {
+        self.medium.send_feedback(datagram)
+    }
+
+    fn recv_feedback(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
+        self.medium.recv_feedback(buf)
+    }
+}
+
 #[test]
 fn flow_control_engages_under_tiny_receive_capacity() {
     let cfg = IoConfig {
@@ -118,12 +165,22 @@ fn flow_control_engages_under_tiny_receive_capacity() {
         trace: Some(temp_path("stop_go.jsonl")),
         ..IoConfig::default()
     };
-    let (summary, trace) = run_traced(&cfg);
+    // Paced I-frames never queue at the receiver (t_proc < t_f), so the
+    // congestion comes from the medium: bursts of about seven frames
+    // every 200 µs.
+    let clock = ManualClock::new();
+    let mut link = BurstyLink {
+        clock: &clock,
+        period: Duration::from_micros(200),
+        held: VecDeque::new(),
+        medium: MemTransport::new(),
+    };
+    let (summary, trace) = run_traced_over(&cfg, &clock, &mut link);
     assert_eq!(summary.delivered, 100, "Stop-Go must not lose SDUs");
     assert_eq!(summary.audit_findings, 0);
 
     // The Stop-Go machinery is driven by the receive-buffer watermark:
-    // a 4-deep queue behind an instant in-memory link must cross it
+    // a 4-deep queue behind a bursty in-memory link must cross it
     // (congestion onset) and drain back below it (cleared), both
     // visible in the trace as buffer_watermark events. Overflowed
     // frames must come back as NAKs rather than vanish.
@@ -181,4 +238,79 @@ fn offline_replay_of_the_trace_matches_the_live_audit() {
         report.total_findings, summary.audit_findings,
         "offline verdict must match the live audit"
     );
+}
+
+/// A manual clock that counts the pump's sleeps, and the zero-length
+/// ones among them: a pump that sleeps for nothing is busy-spinning.
+#[derive(Default)]
+struct CountingClock {
+    inner: ManualClock,
+    sleeps: Cell<u64>,
+    zero_sleeps: Cell<u64>,
+}
+
+impl Clock for CountingClock {
+    fn now(&self) -> Instant {
+        self.inner.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.sleeps.set(self.sleeps.get() + 1);
+        if d.is_zero() {
+            self.zero_sleeps.set(self.zero_sleeps.get() + 1);
+        }
+        self.inner.sleep(d);
+    }
+
+    fn domain(&self) -> proto_core::ClockDomain {
+        self.inner.domain()
+    }
+}
+
+/// Run `cfg` under a counting manual clock, check that the pump slept
+/// and never for zero time, and return the virtual time it took in ns.
+fn run_counted(cfg: &IoConfig) -> u64 {
+    let clock = CountingClock::default();
+    let summary =
+        run_transfer(cfg, &clock, &mut MemTransport::new()).expect("transfer must complete");
+    assert_eq!(summary.delivered, cfg.sdus);
+    assert!(
+        clock.sleeps.get() > 0,
+        "the pump must sleep between deadlines"
+    );
+    assert_eq!(
+        clock.zero_sleeps.get(),
+        0,
+        "a zero-length sleep is a busy spin"
+    );
+    summary.wall.as_nanos() as u64
+}
+
+#[test]
+fn pump_keeps_up_with_line_rate() {
+    let lossless = IoConfig {
+        sdus: 200,
+        payload_len: 64,
+        drop_every: 0,
+        ..IoConfig::default()
+    };
+    let took = run_counted(&lossless);
+
+    // Back-to-back I-frames one t_f apart, then C_depth + 1 checkpoint
+    // intervals and a round trip to resolve the tail.
+    let l = loopback_config();
+    let bound = l.t_f * lossless.sdus + l.w_cp * (l.c_depth as u64 + 1) + l.expected_rtt;
+    assert!(
+        took <= bound.as_nanos(),
+        "transfer took {took} ns of virtual time, line rate allows {} ns",
+        bound.as_nanos()
+    );
+
+    // Loss leaves retransmissions due at the instant a pass ends: the
+    // next pass must start at once, not after a zero-length sleep.
+    run_counted(&IoConfig {
+        drop_every: 7,
+        corrupt_every: 11,
+        ..lossless
+    });
 }
