@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 
@@ -133,6 +134,12 @@ pub struct IoSummary {
     /// Wall-clock duration of the transfer (virtual under a manual
     /// clock).
     pub wall: std::time::Duration,
+    /// Passes that followed a sleep of the pump (one per sleep).
+    pub wakes: u64,
+    /// Total over those passes of how late the pass's clock reading was
+    /// against the deadline the pump slept to: the OS's wake-up latency
+    /// on a wall clock, exactly zero under a manual clock.
+    pub wake_lateness: std::time::Duration,
 }
 
 /// A [`LamsConfig`] suited to a loopback link: the paper's checkpoint
@@ -532,6 +539,9 @@ pub fn run_transfer(
     let mut info_seen: u64 = 0; // outbound info frames (drop injector)
     let mut rx_info_seen: u64 = 0; // inbound info frames (corruptor)
     let mut buf = [0u8; 2048];
+    let mut slept_to: Option<Instant> = None; // wake target of the last sleep
+    let mut wakes: u64 = 0;
+    let mut wake_lateness = Duration::ZERO;
 
     // One spin is one pass to quiescence at a single instant `t`,
     // ordered so that everything the pass produces is also consumed in
@@ -540,6 +550,10 @@ pub fn run_transfer(
     // earliest deadline of the machines, the stats stream and the run.
     let outcome = 'outcome: loop {
         let t = clock.now();
+        if let Some(target) = slept_to.take() {
+            wakes += 1;
+            wake_lateness += t - target;
+        }
 
         // Offer fresh SDUs until the sender's queue refuses more.
         while next_id < cfg.sdus {
@@ -684,6 +698,7 @@ pub fn run_transfer(
         let now = clock.now();
         if wake > now {
             clock.sleep(wake - now);
+            slept_to = Some(wake);
         }
     };
 
@@ -727,6 +742,8 @@ pub fn run_transfer(
         audit_records: report.records,
         counters: counters.registry(),
         wall: std::time::Duration::from_nanos((end - start).as_nanos()),
+        wakes,
+        wake_lateness: std::time::Duration::from_nanos(wake_lateness.as_nanos()),
     })
 }
 

@@ -18,6 +18,8 @@
 //! `trace-tools` replay. Exits non-zero if the transfer fails, the
 //! order check trips, or the audit reports findings.
 
+#![forbid(unsafe_code)]
+
 use lams_dlc_io::{run_loopback, IoConfig};
 use std::process::ExitCode;
 
@@ -126,6 +128,11 @@ fn main() -> ExitCode {
                 s.feedback_sent,
                 s.retransmissions,
             );
+            let mean_late_us = s.wake_lateness.as_secs_f64() * 1e6 / s.wakes.max(1) as f64;
+            lines.push_str(&format!(
+                "wakes: {}, mean lateness {mean_late_us:.1} µs\n",
+                s.wakes
+            ));
             for (name, v) in s.counters.entries() {
                 lines.push_str(&format!("  {name} = {v}\n"));
             }

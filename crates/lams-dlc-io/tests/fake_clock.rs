@@ -7,7 +7,7 @@
 //! the *strict* audit bounds (no wall-jitter slack) and byte-identical
 //! traces.
 
-use lams_dlc_io::{loopback_config, run_transfer, IoConfig, MemTransport, Transport};
+use lams_dlc_io::{loopback_config, run_transfer, IoConfig, IoSummary, MemTransport, Transport};
 use monitor::{Monitor, MonitorConfig};
 use proto_core::{Clock, Duration, Instant, ManualClock};
 use std::cell::Cell;
@@ -267,22 +267,27 @@ impl Clock for CountingClock {
     }
 }
 
-/// Run `cfg` under a counting manual clock, check that the pump slept
-/// and never for zero time, and return the virtual time it took in ns.
-fn run_counted(cfg: &IoConfig) -> u64 {
+/// Run `cfg` under a counting manual clock, check that every SDU
+/// arrived and the pump never slept for zero time, and return the
+/// summary and the number of sleeps.
+fn run_with_counting_clock(cfg: &IoConfig) -> (IoSummary, u64) {
     let clock = CountingClock::default();
     let summary =
         run_transfer(cfg, &clock, &mut MemTransport::new()).expect("transfer must complete");
     assert_eq!(summary.delivered, cfg.sdus);
-    assert!(
-        clock.sleeps.get() > 0,
-        "the pump must sleep between deadlines"
-    );
     assert_eq!(
         clock.zero_sleeps.get(),
         0,
         "a zero-length sleep is a busy spin"
     );
+    (summary, clock.sleeps.get())
+}
+
+/// Run `cfg` under a counting manual clock, check that the pump slept
+/// and never for zero time, and return the virtual time it took in ns.
+fn run_counted(cfg: &IoConfig) -> u64 {
+    let (summary, sleeps) = run_with_counting_clock(cfg);
+    assert!(sleeps > 0, "the pump must sleep between deadlines");
     summary.wall.as_nanos() as u64
 }
 
@@ -313,4 +318,46 @@ fn pump_keeps_up_with_line_rate() {
         corrupt_every: 11,
         ..lossless
     });
+}
+
+#[test]
+fn manual_clock_wakes_are_exactly_on_time() {
+    let (summary, sleeps) = run_with_counting_clock(&IoConfig {
+        sdus: 300,
+        drop_every: 7,
+        corrupt_every: 11,
+        stats: Some(temp_path("wakes_stats.jsonl").display().to_string()),
+        stats_interval: std::time::Duration::from_millis(1),
+        ..IoConfig::default()
+    });
+    assert!(sleeps > 0);
+    assert_eq!(summary.wakes, sleeps, "every sleep is followed by a pass");
+    assert_eq!(
+        summary.wake_lateness,
+        std::time::Duration::ZERO,
+        "virtual time wakes exactly at the deadline"
+    );
+}
+
+#[test]
+fn pump_wakes_at_most_twice_per_sdu_plus_checkpoints() {
+    // Each SDU costs one wake for the sender's next pacing slot and
+    // one for the receiver's t_proc ready time; beyond those the pump
+    // may wake only for checkpoints. On the wall clock every extra wake
+    // costs real latency.
+    let w_cp = loopback_config().w_cp.as_nanos();
+    for sdus in [200, 2_000] {
+        let (summary, sleeps) = run_with_counting_clock(&IoConfig {
+            sdus,
+            payload_len: 64,
+            drop_every: 0,
+            ..IoConfig::default()
+        });
+        let checkpoints = (summary.wall.as_nanos() as u64).div_ceil(w_cp);
+        let budget = 2 * sdus + checkpoints + 2;
+        assert!(
+            sleeps <= budget,
+            "{sdus} SDUs took {sleeps} sleeps, budget {budget}"
+        );
+    }
 }

@@ -145,10 +145,11 @@ pub struct AttributionAgg {
     pub res_cycles: u64,
     /// Worst adjusted resolution cycle, nanoseconds.
     pub res_max_ns: u64,
-    /// Analytic resolving-period bound, nanoseconds (0 until a
-    /// `sender_config` was seen).
+    /// Resolving-period bound the cycles are checked against,
+    /// nanoseconds: the analytic period, plus `MonitorConfig::wall_slack`
+    /// on a wall-clock stream (0 until a `sender_config` was seen).
     pub res_bound_ns: u64,
-    /// Cycles that exceeded the analytic bound.
+    /// Cycles that exceeded the bound.
     pub res_violations: u64,
 }
 
@@ -283,8 +284,8 @@ pub struct LinkAttribution {
     experiment: &'static str,
     /// Sender node label (for findings); set by `sender_config`.
     cfg_node: &'static str,
-    /// Analytic resolving-period bound from the announced config;
-    /// `None` until armed.
+    /// Resolving-period bound from the announced config, slack
+    /// included; `None` until armed.
     bound_ns: Option<u64>,
     chains: HashMap<u64, Chain>,
     /// Checkpoint emission instants by index (receiver side).
@@ -323,13 +324,15 @@ impl LinkAttribution {
     }
 
     /// Sender announced its timing: arm attribution and fix the
-    /// analytic resolution bound.
+    /// resolution bound, the analytic resolving period plus `slack_ns`
+    /// (the monitor's wall-clock allowance; 0 on sim streams).
     pub fn on_sender_config(
         &mut self,
         node: &'static str,
         w_cp_ns: u64,
         rtt_ns: u64,
         c_depth: u64,
+        slack_ns: u64,
     ) {
         self.cfg_node = node;
         let bound = analysis::periods::resolving_period_raw(
@@ -337,7 +340,7 @@ impl LinkAttribution {
             w_cp_ns as f64 / 1e9,
             c_depth as u32,
         );
-        self.bound_ns = Some((bound * 1e9).round() as u64);
+        self.bound_ns = Some((bound * 1e9).round() as u64 + slack_ns);
         self.agg.res_bound_ns = self.bound_ns.unwrap_or(0);
     }
 
@@ -432,7 +435,7 @@ impl LinkAttribution {
                                 window: (Instant::from_nanos(err_t), t),
                                 detail: format!(
                                     "NAK resolution took {:.3} ms (adjusted; raw {:.3} ms) \
-                                     > analytic resolving period {:.3} ms for seq {seq}",
+                                     > resolving period bound {:.3} ms for seq {seq}",
                                     adjusted as f64 / 1e6,
                                     cycle as f64 / 1e6,
                                     bound as f64 / 1e6,
@@ -598,7 +601,7 @@ mod tests {
     fn armed() -> LinkAttribution {
         let mut at = LinkAttribution::new("e1");
         // W_cp = 5 ms, RTT = 27 ms, C_depth = 3 → bound = 44.5 ms.
-        at.on_sender_config("tx", 5 * MS, 27 * MS, 3);
+        at.on_sender_config("tx", 5 * MS, 27 * MS, 3, 0);
         at
     }
 

@@ -31,7 +31,8 @@ pub enum Invariant {
     /// An observed NAK resolution cycle (receiver error record →
     /// sender retransmission decision, Stop-Go and enforced-recovery
     /// overlap excluded) exceeded the analytic resolving period
-    /// `R + W_cp/2 + C_depth·W_cp`.
+    /// `R + W_cp/2 + C_depth·W_cp` (plus the wall slack on wall-clock
+    /// streams).
     ResolutionBound,
     /// A delivered SDU's latency-attribution phases failed to sum to
     /// its measured delivery latency (internal audit of the

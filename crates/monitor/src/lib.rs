@@ -78,6 +78,19 @@ fn split_node(node: &'static str) -> Option<(&'static str, Side)> {
     }
 }
 
+/// The allowance added to a sender's audited timing bounds, in
+/// nanoseconds. Wall-clock streams carry timer-fire and socket jitter
+/// virtual time never has; widening every bound keeps the invariants
+/// checking protocol logic, not OS scheduling. Sim streams keep the
+/// exact bounds.
+fn wall_slack_ns(cfg: &MonitorConfig, clock_domain: Option<&str>) -> u64 {
+    if clock_domain == Some("wall") {
+        cfg.wall_slack.as_nanos()
+    } else {
+        0
+    }
+}
+
 /// Monitor knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct MonitorConfig {
@@ -464,16 +477,7 @@ impl Monitor {
                             ..
                         },
                     ) => {
-                        // Wall-clock streams carry timer-fire and socket
-                        // jitter virtual time never has; widen every
-                        // audited bound so the invariants check protocol
-                        // logic, not OS scheduling. Sim streams keep the
-                        // exact bounds.
-                        let slack = if self.clock_domain == Some("wall") {
-                            self.cfg.wall_slack.as_nanos()
-                        } else {
-                            0
-                        };
+                        let slack = wall_slack_ns(&self.cfg, self.clock_domain);
                         la.on_sender_config(
                             t,
                             rec.node,
@@ -529,7 +533,10 @@ impl Monitor {
                             c_depth,
                             ..
                         },
-                    ) => at.on_sender_config(rec.node, w_cp_ns, rtt_ns, c_depth),
+                    ) => {
+                        let slack = wall_slack_ns(&self.cfg, self.clock_domain);
+                        at.on_sender_config(rec.node, w_cp_ns, rtt_ns, c_depth, slack)
+                    }
                     (Side::Tx, &TraceEvent::IFrameTx { seq, retx, .. }) => at.on_tx(t, seq, retx),
                     (Side::Tx, &TraceEvent::Renumbered { old_seq, new_seq }) => {
                         at.on_renumbered(old_seq, new_seq)
@@ -878,6 +885,88 @@ mod tests {
             m.findings().is_empty(),
             "wall-domain jitter must not be flagged: {:?}",
             m.findings()
+        );
+    }
+
+    /// Resolution-bound findings for one NAK cycle 10 ms longer than
+    /// the fixture's 44.5 ms analytic resolving period, on a stream of
+    /// the given clock domain.
+    fn late_nak_cycle_findings(clock_domain: &'static str) -> usize {
+        let nak_at = 15 * MS;
+        let decided_at = nak_at + 44_500_000 + 10 * MS;
+        let records = [
+            rec(0, "host", TraceEvent::TraceHeader { clock_domain }),
+            rec(0, "sim", TraceEvent::RunStarted),
+            rec(0, "tx", sender_config()),
+            rec(
+                MS,
+                "tx",
+                TraceEvent::IFrameTx {
+                    seq: 1,
+                    retx: false,
+                    len: 1024,
+                },
+            ),
+            rec(
+                nak_at,
+                "rx",
+                TraceEvent::Nak {
+                    seq: 1,
+                    cp_index: 1,
+                },
+            ),
+            rec(
+                16 * MS,
+                "rx",
+                TraceEvent::CheckpointEmitted {
+                    index: 1,
+                    covered: 1,
+                    naks: 1,
+                    enforced: false,
+                    stop: false,
+                },
+            ),
+            rec(
+                30 * MS,
+                "tx",
+                TraceEvent::CheckpointReceived {
+                    index: 1,
+                    covered: 1,
+                    naks: 1,
+                },
+            ),
+            rec(
+                30 * MS,
+                "tx",
+                TraceEvent::Renumbered {
+                    old_seq: 1,
+                    new_seq: 2,
+                },
+            ),
+            rec(
+                decided_at,
+                "tx",
+                TraceEvent::RetxCause {
+                    seq: 2,
+                    cause: "nak",
+                    cp_index: 1,
+                },
+            ),
+        ];
+        feed(&records)
+            .findings()
+            .iter()
+            .filter(|f| f.invariant == Invariant::ResolutionBound)
+            .count()
+    }
+
+    #[test]
+    fn wall_clock_streams_get_resolution_slack() {
+        assert_eq!(late_nak_cycle_findings("sim"), 1);
+        assert_eq!(
+            late_nak_cycle_findings("wall"),
+            0,
+            "a stall within wall_slack is scheduling, not protocol"
         );
     }
 

@@ -16,7 +16,10 @@
 //! * [`WallClock`] — monotonic real time, measured from the clock's
 //!   construction so timestamps stay run-local and small (a trace never
 //!   carries Unix-epoch nanoseconds unless a host asks for them via
-//!   [`WallClock::unix_epoch_nanos`]).
+//!   [`WallClock::unix_epoch_nanos`]). Its [`Clock::sleep`] parks the
+//!   calling thread and, on Linux, first drops that thread's timer slack
+//!   to 1 ns, so a sleep to the next protocol deadline ends at the
+//!   deadline rather than up to 50 µs after it.
 //!
 //! Which source produced a trace matters to consumers — wall-clock
 //! cadences are only approximately the configured protocol periods,
@@ -69,9 +72,11 @@ pub trait Clock {
     /// The current instant on this clock's timeline.
     fn now(&self) -> Instant;
 
-    /// Let `d` pass. Wall clocks park the thread; manual clocks advance
-    /// their virtual time, so host loops written against [`Clock`] run
-    /// unmodified (and instantly) under a fake clock in tests.
+    /// Let `d` pass. Wall clocks park the thread until `d` has passed
+    /// and wake as close after it as the OS allows; manual clocks
+    /// advance their virtual time, so host loops written against
+    /// [`Clock`] run unmodified (and instantly) under a fake clock in
+    /// tests.
     fn sleep(&self, d: Duration);
 
     /// Which domain this clock's instants live in.
@@ -79,6 +84,13 @@ pub trait Clock {
 }
 
 /// Monotonic wall-clock time, zeroed at construction.
+///
+/// [`Clock::sleep`] wakes on time: the first sleep in each thread sets
+/// that thread's timer slack to 1 ns (Linux `PR_SET_TIMERSLACK`; a no-op
+/// elsewhere). Linux otherwise lets a sleeping thread's timer fire up to
+/// 50 µs late, which on a loopback link is longer than the 27 µs
+/// I-frame slot the host is waiting out. Threads the sleeping thread
+/// spawns afterwards inherit the setting.
 #[derive(Clone, Debug)]
 pub struct WallClock {
     epoch: std::time::Instant,
@@ -117,6 +129,12 @@ impl Clock for WallClock {
     }
 
     fn sleep(&self, d: Duration) {
+        thread_local! {
+            static PRECISE: Cell<bool> = const { Cell::new(false) };
+        }
+        if !PRECISE.replace(true) {
+            set_minimal_timer_slack();
+        }
         std::thread::sleep(std::time::Duration::from_nanos(d.as_nanos()));
     }
 
@@ -124,6 +142,28 @@ impl Clock for WallClock {
         ClockDomain::Wall
     }
 }
+
+/// Set the calling thread's timer slack to 1 ns, the smallest the
+/// kernel accepts (0 means "back to the default"). A failed call leaves
+/// the default slack, which only makes wake-ups late, so its result is
+/// ignored.
+#[cfg(target_os = "linux")]
+fn set_minimal_timer_slack() {
+    use std::ffi::{c_int, c_ulong};
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    const PR_SET_TIMERSLACK: c_int = 29;
+    // SAFETY: `prctl` is libc's, which std already links. With
+    // PR_SET_TIMERSLACK it reads one `unsigned long` argument, passed
+    // here as `c_ulong`, changes only the calling thread's timer slack,
+    // and touches no memory of this process.
+    #[allow(unsafe_code)]
+    let _ = unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn set_minimal_timer_slack() {}
 
 /// Manually-advanced virtual time.
 ///
@@ -213,6 +253,46 @@ mod tests {
         // Run-local: fresh clocks start near zero, not at the Unix epoch.
         assert!(a < Instant::from_millis(60_000), "{a:?}");
         assert_eq!(c.domain(), ClockDomain::Wall);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn only_wall_clock_sleep_sets_minimal_timer_slack() {
+        // The calling thread's slack. Task directories carry no
+        // `timerslack_ns`, so read it under `/proc/<tid>`.
+        fn slack_ns() -> u64 {
+            let task = std::fs::read_link("/proc/thread-self").expect("thread-self link");
+            let tid = task.file_name().expect("thread id").to_owned();
+            std::fs::read_to_string(
+                std::path::Path::new("/proc")
+                    .join(tid)
+                    .join("timerslack_ns"),
+            )
+            .expect("timerslack_ns readable")
+            .trim()
+            .parse()
+            .expect("timerslack_ns is an integer")
+        }
+        // Slack is per thread and inherited at spawn, so each check
+        // runs on a fresh thread spawned before any sleep of its own.
+        std::thread::spawn(|| {
+            assert_ne!(
+                slack_ns(),
+                1,
+                "a fresh thread starts with the default slack"
+            );
+            WallClock::new().sleep(Duration::from_micros(1));
+            assert_eq!(slack_ns(), 1);
+        })
+        .join()
+        .expect("wall-clock thread");
+        std::thread::spawn(|| {
+            let before = slack_ns();
+            ManualClock::new().sleep(Duration::from_micros(1));
+            assert_eq!(slack_ns(), before, "virtual sleeps leave the thread alone");
+        })
+        .join()
+        .expect("manual-clock thread");
     }
 
     #[test]

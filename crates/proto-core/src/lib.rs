@@ -1,3 +1,4 @@
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 
@@ -6,7 +7,9 @@
 //! Host-agnostic substrate for the LAMS-DLC reproduction's protocol
 //! state machines. This crate sits at the bottom of the workspace's
 //! dependency graph — it knows nothing about the simulator, telemetry
-//! sinks, sockets, or threads — and provides exactly four things:
+//! sinks, or sockets, and only [`WallClock`] touches the calling thread
+//! (it parks it, and on Linux sets its timer slack so wake-ups are
+//! punctual) — and provides exactly four things:
 //!
 //! * [`Instant`] / [`Duration`] — plain-integer nanosecond time, with no
 //!   clock source attached (re-exported by `sim-core`, so simulator code
