@@ -6,19 +6,14 @@
 //!
 //! A real-socket host for the sans-IO LAMS-DLC state machines: proof
 //! that `lams_dlc::{Sender, Receiver}` run unchanged outside the
-//! discrete-event simulator. The [`run_loopback`] transfer drives one
-//! sender/receiver pair over a pair of connected loopback UDP sockets,
-//! using the byte-level [`lams_dlc::wire`] codec for framing and a
-//! [`proto_core::Clock`] for time — the wall clock in production, a
-//! [`proto_core::ManualClock`] in deterministic tests.
-//!
-//! The host is deliberately dumb: it moves datagrams, sleeps until the
-//! earliest of the machines' `poll_timeout` deadlines, fires their
-//! timers, and injects deterministic adversity (every `drop_every`-th
-//! information frame discarded before the socket send, every
-//! `corrupt_every`-th arriving information frame handed over as
-//! payload-corrupted) so the ARQ recovery paths are exercised on real
-//! I/O, not just under simulation.
+//! discrete-event simulator. [`run_loopback`] drives one pair through
+//! the host pump, [`lams_dlc::pump`], over two connected loopback UDP
+//! sockets, with the byte-level [`lams_dlc::wire`] codec for framing and
+//! a [`proto_core::Clock`] for time — the wall clock in production, a
+//! [`proto_core::ManualClock`] in deterministic tests. Deterministic
+//! adversity (every `drop_every`-th information frame discarded before
+//! the send, every `corrupt_every`-th arriving one payload-corrupted)
+//! exercises the ARQ recovery paths on real I/O.
 //!
 //! ## Observability
 //!
@@ -39,12 +34,9 @@
 //! `Send`; both endpoints run on one thread, which a single-link UDP
 //! demo never notices.
 
-use bytes::Bytes;
-use lams_dlc::{
-    wire, Frame, LamsConfig, PacketId, Receiver, Resequencer, RxStatus, Sender, SenderState,
-};
+use lams_dlc::pump::{Arrival, Link, Pump, Verdict};
+use lams_dlc::{wire, Frame, LamsConfig, Receiver, RxStatus, Sender};
 use monitor::{LiveSnapshot, Monitor, MonitorConfig};
-use proto_core::Machine as _;
 use proto_core::{Clock, Duration, Instant, WallClock};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -52,7 +44,7 @@ use std::io::{BufWriter, ErrorKind, Write};
 use std::net::UdpSocket;
 use std::path::PathBuf;
 use std::rc::Rc;
-use telemetry::{sink_trace, FanoutSink, Json, JsonlSink, Registry, SharedSink, TraceEvent};
+use telemetry::{sink_trace, FanoutSink, Json, JsonlSink, Registry, SharedSink, Trace, TraceEvent};
 
 /// Schema id of the live stats documents this host emits.
 pub const LIVE_SCHEMA: &str = "lams-dlc.live/1";
@@ -312,6 +304,7 @@ impl StatsOut {
 
 /// The numbers a stats document carries, sourced either from a mid-run
 /// [`LiveSnapshot`] or from the folded end-of-run report.
+#[derive(Default)]
 struct StatsNums {
     findings: u64,
     records: u64,
@@ -347,15 +340,8 @@ impl StatsNums {
         let mut n = StatsNums {
             findings: report.total_findings,
             records: report.records,
-            frames: 0,
-            delivered: 0,
-            naks: 0,
-            retransmissions: 0,
-            max_outstanding: 0,
-            lat_count: 0,
-            p50_s: None,
-            p99_s: None,
             series: report.window_lines.clone(),
+            ..StatsNums::default()
         };
         for exp in &report.experiments {
             n.frames += exp.frames;
@@ -379,6 +365,8 @@ struct HostCounters {
     corruptions: u64,
     datagrams: u64,
     feedback: u64,
+    info_sent: u64,     // outbound info frames (drop injector)
+    info_received: u64, // inbound info frames (corruptor)
 }
 
 impl HostCounters {
@@ -467,13 +455,84 @@ pub fn run_loopback(cfg: &IoConfig) -> Result<IoSummary, String> {
     run_transfer(cfg, &clock, &mut link)
 }
 
-/// Run one sender→receiver transfer over `link`, timed by `clock`.
-///
-/// The whole observability pipeline — live audit, counters, stats
-/// documents, optional JSONL trace — runs identically under a
-/// [`WallClock`] with [`UdpTransport`] (production) and under a
-/// [`proto_core::ManualClock`] with [`MemTransport`] (deterministic
-/// tests).
+/// `d` in protocol time, saturating at `u64::MAX` ns (~584 years) instead of wrapping.
+fn saturating_nanos(d: std::time::Duration) -> Duration {
+    Duration::from_nanos(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+}
+
+/// The pump's [`Link`] over a byte-level [`Transport`]: the wire codec,
+/// the loss and corruption injectors, and the `io.*` counters.
+struct WireLink<'a> {
+    transport: &'a mut dyn Transport,
+    cfg: &'a IoConfig,
+    modulus: u64,
+    chan_trace: Trace,
+    counters: HostCounters,
+    buf: [u8; 2048],
+}
+
+impl Link for WireLink<'_> {
+    fn send_data(&mut self, t: Instant, frame: Frame, _: u64) -> Result<(), String> {
+        let c = &mut self.counters;
+        if matches!(frame, Frame::Info(_)) {
+            c.info_sent += 1;
+            if self.cfg.drop_every != 0 && c.info_sent % self.cfg.drop_every == 0 {
+                c.drops += 1;
+                self.chan_trace
+                    .emit(t, || TraceEvent::ChannelDrop { dir: "fwd" });
+                return Ok(());
+            }
+        }
+        self.transport
+            .send_data(&wire::encode(&frame, self.modulus))?;
+        self.counters.datagrams += 1;
+        Ok(())
+    }
+
+    // An undecodable datagram is indistinguishable from silence on the
+    // wire: both receives skip it and let the gap report.
+    fn recv_data(&mut self, _: Instant, reference: u64) -> Arrival {
+        while let Some(n) = self.transport.recv_data(&mut self.buf)? {
+            let Ok(frame) = wire::decode(&self.buf[..n], reference, self.modulus) else {
+                continue;
+            };
+            let (c, every) = (&mut self.counters, self.cfg.corrupt_every);
+            let mut status = RxStatus::Ok;
+            if matches!(frame, Frame::Info(_)) {
+                c.info_received += 1;
+                if every != 0 && c.info_received % every == 0 {
+                    status = RxStatus::PayloadCorrupted;
+                    c.corruptions += 1;
+                }
+            }
+            return Ok(Some((frame, status)));
+        }
+        Ok(None)
+    }
+
+    // The demo keeps the feedback direction clean; the simulator and the
+    // model checker cover lossy feedback.
+    fn send_feedback(&mut self, _: Instant, frame: Frame, _: u64) -> Result<(), String> {
+        self.transport
+            .send_feedback(&wire::encode(&frame, self.modulus))?;
+        self.counters.feedback += 1;
+        Ok(())
+    }
+
+    fn recv_feedback(&mut self, _: Instant, reference: u64) -> Arrival {
+        while let Some(n) = self.transport.recv_feedback(&mut self.buf)? {
+            if let Ok(frame) = wire::decode(&self.buf[..n], reference, self.modulus) {
+                return Ok(Some((frame, RxStatus::Ok)));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// Run one sender→receiver transfer over `link`, timed by `clock`: the
+/// same pump and observability pipeline under a [`WallClock`] with
+/// [`UdpTransport`] (production) and a [`proto_core::ManualClock`] with
+/// [`MemTransport`] (deterministic tests).
 ///
 /// Returns an error if the transfer does not complete within
 /// [`IoConfig::timeout`], if delivery order is ever violated, or if
@@ -494,256 +553,115 @@ pub fn run_transfer(
         None => None,
     };
     let mut sinks: Vec<SharedSink> = vec![mon.clone()];
-    if let Some(j) = &jsonl {
-        sinks.push(j.clone());
-    }
+    sinks.extend(jsonl.clone().map(|j| j as SharedSink));
     let fanout: SharedSink = Rc::new(RefCell::new(FanoutSink::new(sinks)));
-    let host_trace = sink_trace(fanout.clone(), "host");
-    let chan_trace = sink_trace(fanout.clone(), "channel");
 
-    let mut stats = match &cfg.stats {
-        Some(target) => Some(StatsOut::open(target)?),
-        None => None,
-    };
-    let stats_interval = Duration::from_nanos(cfg.stats_interval.as_nanos().max(1) as u64);
+    let mut stats = cfg.stats.as_deref().map(StatsOut::open).transpose()?;
+    let stats_interval = saturating_nanos(cfg.stats_interval).max(Duration::from_nanos(1));
+    let timeout = saturating_nanos(cfg.timeout);
 
     let lcfg = loopback_config();
-    let modulus = lcfg.seq_modulus();
+    let mut wire_link = WireLink {
+        transport: link,
+        cfg,
+        modulus: lcfg.seq_modulus(),
+        chan_trace: sink_trace(fanout.clone(), "channel"),
+        counters: HostCounters::default(),
+        buf: [0; 2048],
+    };
     let mut sender = Sender::new(lcfg.clone());
     let mut receiver = match cfg.rx_capacity {
         Some((capacity, watermark)) => Receiver::with_capacity(lcfg, capacity, watermark),
         None => Receiver::new(lcfg),
     };
-    sender.set_trace(sink_trace(fanout.clone(), "tx"));
-    receiver.set_trace(sink_trace(fanout.clone(), "rx"));
 
     let domain = clock.domain().as_str();
-    let start = clock.now();
-    host_trace.emit(start, || TraceEvent::TraceHeader {
-        clock_domain: domain,
-    });
-    host_trace.emit(start, || TraceEvent::RunStarted);
-    sender.start(start);
-    receiver.start(start);
-
-    let deadline = start + Duration::from_nanos(cfg.timeout.as_nanos() as u64);
-    let mut next_stats = start + stats_interval;
-    let mut counters = HostCounters::default();
-    let mut next_id: u64 = 0; // next SDU to offer the sender
-    let mut expected: u64 = 0; // next id the application must see
-    let mut reseq = Resequencer::new(0);
-    // The sender exposes no wire-sequence accessor (it doesn't need
-    // one), so the host tracks the highest sequence it has put on the
-    // wire as the expansion reference for inbound feedback.
-    let mut tx_reference: u64 = 0;
-    let mut info_seen: u64 = 0; // outbound info frames (drop injector)
-    let mut rx_info_seen: u64 = 0; // inbound info frames (corruptor)
-    let mut buf = [0u8; 2048];
-    let mut slept_to: Option<Instant> = None; // wake target of the last sleep
-    let mut wakes: u64 = 0;
-    let mut wake_lateness = Duration::ZERO;
-
-    // One spin is one pass to quiescence at a single instant `t`,
-    // ordered so that everything the pass produces is also consumed in
-    // it: a frame sent is received, a Request-NAK received is answered,
-    // and the answer reaches the sender. The pump then sleeps until the
-    // earliest deadline of the machines, the stats stream and the run.
-    let outcome = 'outcome: loop {
-        let t = clock.now();
-        if let Some(target) = slept_to.take() {
-            wakes += 1;
-            wake_lateness += t - target;
-        }
-
-        // Offer fresh SDUs until the sender's queue refuses more.
-        while next_id < cfg.sdus {
-            let payload = Bytes::from(vec![(next_id & 0xff) as u8; cfg.payload_len]);
-            match sender.push(PacketId(next_id), payload) {
-                Ok(()) => next_id += 1,
-                Err(_) => break,
-            }
-        }
-
-        // Fire due timers (a no-op for a machine with nothing due).
-        sender.on_timeout(t);
-        receiver.on_timeout(t);
-
-        // Data direction: sender → link, with loss injection.
-        while let Some(frame) = sender.poll_transmit(t) {
-            if let Frame::Info(ref info) = frame {
-                tx_reference = tx_reference.max(info.seq);
-                info_seen += 1;
-                if cfg.drop_every != 0 && info_seen % cfg.drop_every == 0 {
-                    counters.drops += 1;
-                    chan_trace.emit(t, || TraceEvent::ChannelDrop { dir: "fwd" });
-                    continue;
-                }
-            }
-            let datagram = wire::encode(&frame, modulus);
-            if let Err(e) = link.send_data(&datagram) {
-                break 'outcome Err(e);
-            }
-            counters.datagrams += 1;
-        }
-
-        // Inbound data at the receiver, with corruption injection.
-        loop {
-            match link.recv_data(&mut buf) {
-                // An undecodable datagram is indistinguishable from
-                // silence on the wire — drop it and let the gap report.
-                Ok(Some(n)) => {
-                    if let Ok(frame) = wire::decode(&buf[..n], receiver.highest_seen(), modulus) {
-                        let mut status = RxStatus::Ok;
-                        if matches!(frame, Frame::Info(_)) {
-                            rx_info_seen += 1;
-                            if cfg.corrupt_every != 0 && rx_info_seen % cfg.corrupt_every == 0 {
-                                status = RxStatus::PayloadCorrupted;
-                                counters.corruptions += 1;
-                            }
-                        }
-                        receiver.handle_frame(t, frame, status);
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => break 'outcome Err(e),
-            }
-        }
-
-        // Application delivery, resequenced and order-checked.
-        while let Some(d) = receiver.poll_deliver(t) {
-            for (pid, _payload) in reseq.offer(d.packet_id, d.payload) {
-                if pid.0 != expected {
-                    break 'outcome Err(format!(
-                        "out-of-order delivery: got {} want {expected}",
-                        pid.0
-                    ));
-                }
-                expected += 1;
-            }
-        }
-
-        // Feedback direction: receiver → link. Control frames ride the
-        // same lossy medium in principle, but the demo keeps the
-        // feedback channel clean (the simulator covers lossy feedback).
-        while let Some(frame) = receiver.poll_transmit(t) {
-            let datagram = wire::encode(&frame, modulus);
-            if let Err(e) = link.send_feedback(&datagram) {
-                break 'outcome Err(e);
-            }
-            counters.feedback += 1;
-        }
-
-        // Inbound feedback at the sender.
-        loop {
-            match link.recv_feedback(&mut buf) {
-                Ok(Some(n)) => {
-                    if let Ok(frame) = wire::decode(&buf[..n], tx_reference, modulus) {
-                        sender.handle_frame(t, frame, RxStatus::Ok);
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => break 'outcome Err(e),
-            }
-        }
-
-        // Keep the event queues drained (the demo has no consumer for
-        // holding-time events).
-        while sender.poll_event().is_some() {}
-        while receiver.poll_event().is_some() {}
-
-        // Periodic live stats: snapshot the monitor mid-run. Missed
-        // intervals (a host stall) collapse into one document.
-        if let Some(out) = stats.as_mut().filter(|_| t >= next_stats) {
-            let nums = StatsNums::from_snapshot(mon.borrow().live_snapshot());
-            out.write_doc(&stats_doc(
-                domain,
-                false,
-                (t - start).as_secs_f64(),
-                cfg.sdus,
-                expected,
-                &counters,
-                &nums,
-            ))?;
-            while next_stats <= t {
-                next_stats += stats_interval;
-            }
-        }
-
-        if expected == cfg.sdus && sender.buffered() == 0 {
-            break 'outcome Ok(());
-        }
-        if sender.state() == SenderState::Failed {
-            break 'outcome Err(format!(
-                "sender declared link failure after {} of {} SDUs",
-                expected, cfg.sdus
-            ));
-        }
-        if t >= deadline {
-            break 'outcome Err(format!(
-                "timeout: delivered {} of {} SDUs in {:?}",
-                expected, cfg.sdus, cfg.timeout
-            ));
-        }
-
-        // Sleep to the earliest deadline; a wall clock may already be
-        // past it, and then the next pass starts at once.
-        let wake = [
-            sender.poll_timeout(),
-            receiver.poll_timeout(),
-            stats.as_ref().map(|_| next_stats),
-        ]
-        .into_iter()
-        .flatten()
-        .fold(deadline, Instant::min);
-        let now = clock.now();
-        if wake > now {
-            clock.sleep(wake - now);
-            slept_to = Some(wake);
-        }
+    let pump = Pump {
+        sdus: cfg.sdus,
+        payload_len: cfg.payload_len,
+        trace: sink_trace(fanout, "host"),
     };
+    let mut next_stats: Option<Instant> = None;
+    let run = pump.run(
+        clock,
+        &mut sender,
+        &mut receiver,
+        &mut wire_link,
+        |pass, link| {
+            // Periodic live stats: snapshot the monitor mid-run. Missed
+            // intervals (a host stall) collapse into one document.
+            if let Some(out) = stats.as_mut() {
+                let next = next_stats.get_or_insert(pass.start.saturating_add(stats_interval));
+                if pass.t >= *next {
+                    let nums = StatsNums::from_snapshot(mon.borrow().live_snapshot());
+                    let elapsed_s = (pass.t - pass.start).as_secs_f64();
+                    out.write_doc(&stats_doc(
+                        domain,
+                        false,
+                        elapsed_s,
+                        cfg.sdus,
+                        pass.delivered,
+                        &link.counters,
+                        &nums,
+                    ))?;
+                    while *next <= pass.t {
+                        *next = next.saturating_add(stats_interval);
+                    }
+                }
+            }
+            let deadline = pass.start.saturating_add(timeout);
+            if pass.t >= deadline {
+                return Err(format!(
+                    "timeout: delivered {} of {} SDUs in {:?}",
+                    pass.delivered, cfg.sdus, cfg.timeout
+                ));
+            }
+            Ok(Some(next_stats.map_or(deadline, |n| n.min(deadline))))
+        },
+    );
 
-    // End-of-run: close the trace so the auditor runs its final checks
-    // (unresolved chains, silence), then render the closing stats
-    // document from the folded report.
-    let end = clock.now();
-    host_trace.emit(end, || TraceEvent::RunFinished {
-        deadline_hit: outcome.is_err(),
-    });
+    // The pump has closed the trace, so the auditor has run its final
+    // checks; render the closing stats document from the folded report.
+    let counters = wire_link.counters;
     let report = mon.borrow_mut().take_report();
     if let Some(out) = stats.as_mut() {
         let nums = StatsNums::from_report(&report);
-        let doc = stats_doc(
+        let elapsed_s = run.elapsed.as_secs_f64();
+        out.write_doc(&stats_doc(
             domain,
             true,
-            (end - start).as_secs_f64(),
+            elapsed_s,
             cfg.sdus,
-            expected,
+            run.delivered,
             &counters,
             &nums,
-        );
-        out.write_doc(&doc)?;
+        ))?;
     }
     if let Some(j) = &jsonl {
         j.borrow_mut()
             .try_flush()
             .map_err(|e| io_err("flush trace", e))?;
     }
-    outcome?;
+    if run.outcome? == Verdict::LinkFailed {
+        return Err(format!(
+            "sender declared link failure after {} of {} SDUs",
+            run.delivered, cfg.sdus
+        ));
+    }
 
-    let stats_ = sender.stats();
     Ok(IoSummary {
-        delivered: expected,
+        delivered: run.delivered,
         drops_injected: counters.drops,
         corruptions_injected: counters.corruptions,
         datagrams_sent: counters.datagrams,
         feedback_sent: counters.feedback,
-        retransmissions: stats_.retransmissions,
+        retransmissions: sender.stats().retransmissions,
         audit_findings: report.total_findings,
         audit_records: report.records,
         counters: counters.registry(),
-        wall: std::time::Duration::from_nanos((end - start).as_nanos()),
-        wakes,
-        wake_lateness: std::time::Duration::from_nanos(wake_lateness.as_nanos()),
+        wall: std::time::Duration::from_nanos(run.elapsed.as_nanos()),
+        wakes: run.wakes,
+        wake_lateness: std::time::Duration::from_nanos(run.wake_lateness.as_nanos()),
     })
 }
 
@@ -773,6 +691,30 @@ mod tests {
         assert_eq!(summary.audit_findings, 0, "clean run must audit clean");
         assert_eq!(summary.counters.get("io.inject.drops"), Some(0.0));
         assert!(summary.counters.get("io.tx.datagrams").unwrap_or(0.0) > 0.0);
+    }
+
+    #[test]
+    fn huge_budgets_saturate_instead_of_wrapping() {
+        assert_eq!(
+            saturating_nanos(std::time::Duration::from_millis(250)),
+            Duration::from_millis(250)
+        );
+        // 2^64 + 1 ns, which a wrapping conversion turns into 1 ns.
+        let huge = std::time::Duration::new(u64::MAX / 1_000_000_000, 709_551_617);
+        assert_eq!(saturating_nanos(huge), Duration::from_nanos(u64::MAX));
+        let cfg = IoConfig {
+            sdus: 50,
+            timeout: huge,
+            stats_interval: huge,
+            ..IoConfig::default()
+        };
+        let s = run_transfer(
+            &cfg,
+            &proto_core::ManualClock::new(),
+            &mut MemTransport::new(),
+        )
+        .expect("a budget of centuries does not run out");
+        assert_eq!(s.delivered, 50);
     }
 
     #[test]

@@ -71,6 +71,30 @@ fn manual_clock_runs_are_byte_identical() {
 }
 
 #[test]
+fn lossy_manual_clock_run_is_pinned() {
+    // Pins the host end to end: the pump's wake rule, the injectors and
+    // the wire. A wake even 1 ns off the machines' deadlines changes it.
+    let s = run_transfer(
+        &IoConfig {
+            sdus: 120,
+            payload_len: 48,
+            drop_every: 9,
+            corrupt_every: 13,
+            ..IoConfig::default()
+        },
+        &ManualClock::new(),
+        &mut MemTransport::new(),
+    )
+    .expect("transfer must complete");
+    assert_eq!(s.wall, std::time::Duration::from_millis(35));
+    assert_eq!(s.datagrams_sent, 129);
+    assert_eq!(s.feedback_sent, 7);
+    assert_eq!(s.retransmissions, 25);
+    assert_eq!(s.audit_records, 503);
+    assert_eq!(s.wakes, 269);
+}
+
+#[test]
 fn checkpoint_timers_fire_on_exact_cadence_under_manual_time() {
     let cfg = IoConfig {
         sdus: 150,

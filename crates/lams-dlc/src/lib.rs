@@ -36,7 +36,10 @@
 //!   machines;
 //! * [`flow::RateController`] — Stop-Go rate control;
 //! * [`resequencer::Resequencer`] — destination-side ordering/dedup;
-//! * [`events`] — notifications surfaced to the layer above.
+//! * [`events`] — notifications surfaced to the layer above;
+//! * [`pump`] — the host loop that drives a sender/receiver pair over a
+//!   [`pump::Link`], shared by the real-socket host and the model
+//!   checker.
 //!
 //! ## Example
 //!
@@ -65,6 +68,7 @@ pub mod dedup;
 pub mod events;
 pub mod flow;
 pub mod frame;
+pub mod pump;
 pub mod receiver;
 pub mod resequencer;
 pub mod sender;

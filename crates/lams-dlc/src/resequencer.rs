@@ -26,7 +26,8 @@ pub struct ResequencerStats {
 }
 
 /// Orders datagrams by contiguous [`PacketId`] starting from an initial
-/// id, dropping duplicates.
+/// id (0 by default), dropping duplicates.
+#[derive(Default)]
 pub struct Resequencer {
     next: u64,
     buffer: BTreeMap<u64, Bytes>,

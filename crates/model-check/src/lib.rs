@@ -4,33 +4,31 @@
 //! # model-check
 //!
 //! Deterministic adversarial model checking for the sans-IO LAMS-DLC
-//! machines. The explorer itself depends on `proto-core` and
-//! `lams-dlc` only — no simulator: it is the existence proof that the
-//! protocol state machines can be explored as pure functions of
-//! `(time, frame)` inputs. (`telemetry` is used at the edges, for
-//! machine-readable coverage documents and replayable failure
-//! artifacts — never inside the exploration itself.)
+//! machines. The explorer depends on `proto-core` and `lams-dlc` only —
+//! no simulator — so the machines are explored as pure functions of
+//! `(time, frame)` inputs (`telemetry` only writes coverage documents
+//! and failure artifacts at the edges).
 //!
 //! Each [`Schedule`] derives, from a single index, a seeded channel
 //! adversary that may **drop**, **duplicate**, **reorder** (extra
 //! delay), or **corrupt** frames in either direction, and may bound the
 //! channel's in-flight **capacity** (overflow behaves as loss). The
-//! explorer advances a virtual clock from event to event — next frame
-//! arrival or next machine deadline — exactly like a host would, and
-//! checks on every step:
+//! explorer is the host pump ([`lams_dlc::pump`]) on a
+//! [`proto_core::ManualClock`], over a link that plays the adversary,
+//! and checks on every step:
 //!
 //! * **exactly-once, in-order delivery** — the resequenced application
-//!   stream is `0, 1, 2, …` with no duplicate and no gap;
+//!   stream is `0, 1, 2, …` with no duplicate and no gap (the pump);
 //! * **monotone wire numbering** — every information frame the sender
 //!   emits carries a strictly larger logical sequence number than the
 //!   previous one (renumbering never reuses);
 //! * **bounded numbering** — every frame survives a wire round-trip
-//!   (`wire::encode` → `wire::decode` against the receiver's current
+//!   (`wire::encode` → `wire::decode` against the peer's current
 //!   reference); if the compressed sequence window were ever outrun,
 //!   the decode would disagree with the original frame;
 //! * **progress** — with SDUs undelivered there is always a pending
-//!   arrival or an armed timer, and the whole run finishes within a
-//!   generous step budget.
+//!   arrival or an armed timer (the pump's deadlock rule), and the
+//!   whole run finishes within a generous step budget.
 //!
 //! A run ends in [`Outcome::Complete`] when every SDU has been
 //! delivered and the sender has released every buffer, or in
@@ -39,11 +37,10 @@
 //! adversary really was severing the link ([`Schedule::drop_pct`] or
 //! [`Schedule::corrupt_pct`] non-zero).
 
-use bytes::Bytes;
-use lams_dlc::{
-    wire, Frame, LamsConfig, PacketId, Receiver, Resequencer, RxStatus, Sender, SenderState,
-};
-use proto_core::{Duration, Instant};
+use lams_dlc::pump::{Arrival, Link, Pump, Verdict};
+use lams_dlc::{wire, Frame, LamsConfig, Receiver, RxStatus, Sender, SenderState};
+use proto_core::{Duration, Instant, ManualClock, Trace};
+use std::collections::BTreeMap;
 use telemetry::Json;
 
 mod rng;
@@ -174,7 +171,7 @@ pub struct Coverage {
 
 impl Coverage {
     fn transition(&mut self, from: SenderState, to: SenderState) {
-        let label = format!("{}->{}", state_name(from), state_name(to));
+        let label = format!("{from:?}->{to:?}").to_lowercase();
         match self.transitions.iter_mut().find(|(l, _)| *l == label) {
             Some((_, n)) => *n += 1,
             None => self.transitions.push((label, 1)),
@@ -227,14 +224,6 @@ impl Coverage {
     }
 }
 
-fn state_name(s: SenderState) -> &'static str {
-    match s {
-        SenderState::Running => "running",
-        SenderState::Enforced => "enforced",
-        SenderState::Failed => "failed",
-    }
-}
-
 /// Terminal state of one schedule run.
 #[derive(Clone, Debug)]
 pub enum Outcome {
@@ -271,42 +260,54 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// A frame in flight, queued for arrival.
-struct InFlight {
-    arrival: Instant,
-    frame: Frame,
-    status: RxStatus,
-    /// Tie-break so equal arrival instants pop in send order.
-    order: u64,
-}
-
-/// One direction of the adversarial channel.
-struct AdversarialLink {
-    in_flight: Vec<InFlight>,
-    base_delay: Duration,
-    next_order: u64,
-}
-
-impl AdversarialLink {
-    fn new(base_delay: Duration) -> Self {
-        AdversarialLink {
-            in_flight: Vec::new(),
-            base_delay,
-            next_order: 0,
-        }
+/// `Ok` when `frame` survives `wire::encode` → `wire::decode` at `reference`.
+fn survives_wire(frame: &Frame, reference: u64, modulus: u64) -> Result<(), String> {
+    match wire::decode(&wire::encode(frame, modulus), reference, modulus) {
+        Ok(decoded) if decoded == *frame => Ok(()),
+        other => Err(format!(
+            "does not survive the wire against reference {reference} (decode: {other:?})"
+        )),
     }
+}
 
-    /// Apply the adversary's per-frame decisions and enqueue, counting
-    /// every decision that actually fired into `cov`.
-    fn send(
-        &mut self,
-        now: Instant,
-        frame: Frame,
-        sched: &Schedule,
-        rng: &mut Rng,
-        cov: &mut Coverage,
-    ) {
-        if self.in_flight.len() >= sched.capacity {
+/// One direction's frames in flight, keyed by (arrival, send order).
+type Channel = BTreeMap<(Instant, u64), (Frame, RxStatus)>;
+
+/// Channel directions: sender → receiver and receiver → sender.
+const DATA: usize = 0;
+const FEEDBACK: usize = 1;
+
+/// Pop the earliest frame of `channel` due at or before `now`, if any.
+fn pop_due(channel: &mut Channel, now: Instant) -> Option<(Frame, RxStatus)> {
+    channel
+        .first_key_value()
+        .filter(|((at, _), _)| *at <= now)?;
+    channel.pop_first().map(|(_, arrival)| arrival)
+}
+
+/// The seeded adversary of one [`Schedule`] in both directions, the
+/// emission checks (monotone numbering, wire round trip), and the
+/// known-bad machine of [`Schedule::replay_stale_after`].
+struct AdversarialLink<'s> {
+    sched: &'s Schedule,
+    rng: Rng,
+    cov: Coverage,
+    modulus: u64,
+    base_delay: Duration,
+    channels: [Channel; 2], // [DATA, FEEDBACK]
+    sent: u64,
+    last_info_seq: Option<u64>,
+    emitted_info: u64,
+    first_info: Option<Frame>,
+}
+
+impl AdversarialLink<'_> {
+    /// Apply the adversary's decisions to a frame sent at `now` and queue
+    /// what survives, counting every decision that fired.
+    fn carry(&mut self, now: Instant, frame: Frame, direction: usize) {
+        let (sched, rng, cov) = (self.sched, &mut self.rng, &mut self.cov);
+        let channel = &mut self.channels[direction];
+        if channel.len() >= sched.capacity {
             cov.capacity_losses += 1;
             return; // overflow looks like silence on the wire
         }
@@ -328,60 +329,85 @@ impl AdversarialLink {
         };
         let duplicate = rng.chance(sched.dup_pct);
         let arrival = now + self.base_delay + jitter;
-        self.push(arrival, frame.clone(), status);
-        if duplicate && self.in_flight.len() < sched.capacity {
+        channel.insert((arrival, self.sent), (frame.clone(), status));
+        self.sent += 1;
+        if duplicate && channel.len() < sched.capacity {
             cov.dups += 1;
             let late = arrival + Duration::from_micros(1_000 + rng.below(10_000));
-            self.push(late, frame, status);
+            channel.insert((late, self.sent), (frame, status));
+            self.sent += 1;
         }
     }
 
-    fn push(&mut self, arrival: Instant, frame: Frame, status: RxStatus) {
-        self.in_flight.push(InFlight {
-            arrival,
-            frame,
-            status,
-            order: self.next_order,
-        });
-        self.next_order += 1;
+    /// Check a sender emission against the receiver's reference, then carry it.
+    fn emit(&mut self, t: Instant, frame: Frame, receiver_reference: u64) -> Result<(), String> {
+        if let Frame::Info(ref info) = frame {
+            if let Some(prev) = self.last_info_seq {
+                if info.seq <= prev {
+                    return Err(format!(
+                        "wire numbering not monotone: {} after {prev}",
+                        info.seq
+                    ));
+                }
+            }
+            self.last_info_seq = Some(info.seq);
+            survives_wire(&frame, receiver_reference, self.modulus)
+                .map_err(|e| format!("bounded numbering violated: seq {} {e}", info.seq))?;
+        }
+        self.carry(t, frame, DATA);
+        Ok(())
+    }
+}
+
+impl Link for AdversarialLink<'_> {
+    fn send_data(&mut self, t: Instant, frame: Frame, peer_reference: u64) -> Result<(), String> {
+        if matches!(frame, Frame::Info(_)) && self.sched.replay_stale_after != 0 {
+            self.emitted_info += 1;
+            let first = self.first_info.get_or_insert_with(|| frame.clone());
+            if self.emitted_info == self.sched.replay_stale_after {
+                // The known-bad machine re-emits its first information
+                // frame without renumbering.
+                let stale = first.clone();
+                self.emit(t, stale, peer_reference)?;
+            }
+        }
+        self.emit(t, frame, peer_reference)
+    }
+
+    fn recv_data(&mut self, t: Instant, _: u64) -> Arrival {
+        Ok(pop_due(&mut self.channels[DATA], t))
+    }
+
+    fn send_feedback(&mut self, t: Instant, frame: Frame, reference: u64) -> Result<(), String> {
+        survives_wire(&frame, reference, self.modulus)
+            .map_err(|e| format!("feedback frame {e}"))?;
+        self.carry(t, frame, FEEDBACK);
+        Ok(())
+    }
+
+    fn recv_feedback(&mut self, t: Instant, _: u64) -> Arrival {
+        Ok(pop_due(&mut self.channels[FEEDBACK], t))
     }
 
     fn next_arrival(&self) -> Option<Instant> {
-        self.in_flight.iter().map(|f| f.arrival).min()
-    }
-
-    /// Pop the earliest frame due at or before `now`, if any.
-    fn pop_due(&mut self, now: Instant) -> Option<(Frame, RxStatus)> {
-        let idx = self
-            .in_flight
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.arrival <= now)
-            .min_by_key(|(_, f)| (f.arrival, f.order))
-            .map(|(i, _)| i)?;
-        let f = self.in_flight.swap_remove(idx);
-        Some((f.frame, f.status))
+        let firsts = self.channels.iter().filter_map(Channel::first_key_value);
+        firsts.map(|((at, _), _)| *at).min()
     }
 }
 
 /// Step budget per schedule: far beyond any legitimate run (a clean
-/// 100-SDU transfer takes a few thousand steps), so hitting it means
-/// livelock.
+/// 100-SDU transfer takes a few thousand steps); hitting it is livelock.
 const MAX_STEPS: u64 = 500_000;
 
-/// Run one schedule to its terminal state, checking every invariant on
-/// the way.
+/// Run one schedule to its terminal state, checking every invariant.
 pub fn run_schedule(sched: &Schedule) -> Result<Outcome, Violation> {
-    let mut cov = Coverage::default();
-    run_schedule_with(sched, None, &mut cov)
+    run_schedule_with(sched, None).0
 }
 
 /// [`run_schedule`] plus the per-schedule [`Coverage`] record — which
 /// adversary knobs actually fired and which recovery machinery ran.
 pub fn run_schedule_observed(sched: &Schedule) -> (Result<Outcome, Violation>, Coverage) {
-    let mut cov = Coverage::default();
-    let result = run_schedule_with(sched, None, &mut cov);
-    (result, cov)
+    run_schedule_with(sched, None)
 }
 
 /// [`run_schedule_observed`] with the machines traced into `sink`
@@ -392,256 +418,64 @@ pub fn run_schedule_traced(
     sched: &Schedule,
     sink: telemetry::SharedSink,
 ) -> (Result<Outcome, Violation>, Coverage) {
-    let mut cov = Coverage::default();
-    let result = run_schedule_with(sched, Some(sink), &mut cov);
-    (result, cov)
-}
-
-/// Per-emission invariant checks: monotone wire numbering and the
-/// encode→decode round trip against the receiver's current reference.
-fn check_emission(
-    frame: &Frame,
-    last_info_seq: &mut Option<u64>,
-    tx_reference: &mut u64,
-    receiver_reference: u64,
-    modulus: u64,
-) -> Result<(), String> {
-    if let Frame::Info(ref info) = frame {
-        if let Some(prev) = *last_info_seq {
-            if info.seq <= prev {
-                return Err(format!(
-                    "wire numbering not monotone: {} after {prev}",
-                    info.seq
-                ));
-            }
-        }
-        *last_info_seq = Some(info.seq);
-        *tx_reference = (*tx_reference).max(info.seq);
-        let encoded = wire::encode(frame, modulus);
-        match wire::decode(&encoded, receiver_reference, modulus) {
-            Ok(decoded) if decoded == *frame => {}
-            other => {
-                return Err(format!(
-                    "bounded numbering violated: seq {} does not survive the \
-                     wire against reference {receiver_reference} (decode: {other:?})",
-                    info.seq
-                ));
-            }
-        }
-    }
-    Ok(())
+    run_schedule_with(sched, Some(sink))
 }
 
 fn run_schedule_with(
     sched: &Schedule,
     trace: Option<telemetry::SharedSink>,
-    cov: &mut Coverage,
-) -> Result<Outcome, Violation> {
-    use proto_core::Machine as _;
+) -> (Result<Outcome, Violation>, Coverage) {
     let cfg = LamsConfig::paper_default();
-    let modulus = cfg.seq_modulus();
     // Nominal one-way delay just under half the configured round trip,
     // so an unmolested frame meets the paper's deterministic-RTT
     // assumption while any adversary jitter lands it late.
     let base_delay = Duration::from_nanos(cfg.expected_rtt.as_nanos() / 2 - 100_000);
-
-    let violation = |what: String| Violation {
-        schedule: sched.clone(),
-        what,
+    let mut link = AdversarialLink {
+        sched,
+        rng: Rng::new(sched.seed),
+        cov: Coverage::default(),
+        modulus: cfg.seq_modulus(),
+        base_delay,
+        channels: Default::default(),
+        sent: 0,
+        last_info_seq: None,
+        emitted_info: 0,
+        first_info: None,
     };
-
-    let mut rng = Rng::new(sched.seed);
     let mut sender = Sender::new(cfg.clone());
     let mut receiver = Receiver::new(cfg);
-    let mut data_link = AdversarialLink::new(base_delay); // sender → receiver
-    let mut feedback_link = AdversarialLink::new(base_delay); // receiver → sender
-
-    // Optional tracing: the machines feed `sink` exactly like they feed
-    // a simulator or UDP host, and the checker frames the stream with
-    // the same header/run events those hosts emit.
-    let host_trace = trace
-        .as_ref()
-        .map(|s| telemetry::sink_trace(s.clone(), "host"));
-    if let Some(sink) = &trace {
-        sender.set_trace(telemetry::sink_trace(sink.clone(), "tx"));
-        receiver.set_trace(telemetry::sink_trace(sink.clone(), "rx"));
-    }
-
-    let mut now = Instant::ZERO;
-    if let Some(h) = &host_trace {
-        h.emit(now, || telemetry::TraceEvent::TraceHeader {
-            clock_domain: "sim",
-        });
-        h.emit(now, || telemetry::TraceEvent::RunStarted);
-    }
-    sender.start(now);
-    receiver.start(now);
-
-    let mut next_id: u64 = 0;
-    let mut expected: u64 = 0;
-    let mut reseq = Resequencer::new(0);
-    let mut last_info_seq: Option<u64> = None;
-    let mut tx_reference: u64 = 0;
-    let mut steps: u64 = 0;
-    let mut prev_state = sender.state();
-    let mut emitted_info: u64 = 0;
-    let mut stale_frame: Option<Frame> = None;
-
-    let result = 'run: loop {
-        steps += 1;
-        if steps > MAX_STEPS {
-            break 'run Err(violation(format!(
-                "no termination within {MAX_STEPS} steps (delivered {expected}/{})",
-                sched.sdus
-            )));
-        }
-
-        // Feed the sender.
-        while next_id < sched.sdus {
-            let payload = Bytes::from(vec![(next_id & 0xff) as u8; 32]);
-            match sender.push(PacketId(next_id), payload) {
-                Ok(()) => next_id += 1,
-                Err(_) => break,
-            }
-        }
-
-        // Fire due timers.
-        if sender.poll_timeout().is_some_and(|d| d <= now) {
-            sender.on_timeout(now);
-        }
-        if receiver.poll_timeout().is_some_and(|d| d <= now) {
-            receiver.on_timeout(now);
-        }
-
-        // Sender transmissions → data link, with the monotone-numbering
-        // and wire round-trip checks at the emission point.
-        while let Some(frame) = sender.poll_transmit(now) {
-            if matches!(frame, Frame::Info(_)) {
-                emitted_info += 1;
-                if sched.replay_stale_after != 0 {
-                    if stale_frame.is_none() {
-                        stale_frame = Some(frame.clone());
-                    }
-                    if emitted_info == sched.replay_stale_after {
-                        // The known-bad machine re-emits its first
-                        // information frame without renumbering.
-                        let stale = stale_frame.take().expect("saved above");
-                        if let Err(what) = check_emission(
-                            &stale,
-                            &mut last_info_seq,
-                            &mut tx_reference,
-                            receiver.highest_seen(),
-                            modulus,
-                        ) {
-                            break 'run Err(violation(what));
-                        }
-                        data_link.send(now, stale, sched, &mut rng, cov);
-                    }
-                }
-            }
-            if let Err(what) = check_emission(
-                &frame,
-                &mut last_info_seq,
-                &mut tx_reference,
-                receiver.highest_seen(),
-                modulus,
-            ) {
-                break 'run Err(violation(what));
-            }
-            data_link.send(now, frame, sched, &mut rng, cov);
-        }
-
-        // Receiver feedback → feedback link, round-tripped against the
-        // sender's reference.
-        while let Some(frame) = receiver.poll_transmit(now) {
-            let encoded = wire::encode(&frame, modulus);
-            match wire::decode(&encoded, tx_reference, modulus) {
-                Ok(decoded) if decoded == frame => {}
-                other => {
-                    break 'run Err(violation(format!(
-                        "feedback frame does not survive the wire against \
-                         reference {tx_reference} (decode: {other:?})"
-                    )));
-                }
-            }
-            feedback_link.send(now, frame, sched, &mut rng, cov);
-        }
-
-        // Arrivals due now.
-        while let Some((frame, status)) = data_link.pop_due(now) {
-            receiver.handle_frame(now, frame, status);
-        }
-        while let Some((frame, status)) = feedback_link.pop_due(now) {
-            sender.handle_frame(now, frame, status);
-        }
-
-        // Application delivery: resequenced, exactly-once, in order.
-        while let Some(d) = receiver.poll_deliver(now) {
-            for (pid, _payload) in reseq.offer(d.packet_id, d.payload) {
-                if pid.0 != expected {
-                    break 'run Err(violation(format!(
-                        "delivery order broken: released {} while expecting {expected}",
-                        pid.0
-                    )));
-                }
-                expected += 1;
-            }
-        }
-        while sender.poll_event().is_some() {}
-        while receiver.poll_event().is_some() {}
-
-        // Sender state transitions (coverage of the recovery machine).
-        let state = sender.state();
-        if state != prev_state {
-            cov.transition(prev_state, state);
-            prev_state = state;
-        }
-
-        // Terminal states.
-        if expected == sched.sdus && sender.buffered() == 0 {
-            let stats = sender.stats();
-            break 'run Ok(Outcome::Complete {
-                steps,
-                elapsed: now - Instant::ZERO,
-                retransmissions: stats.retransmissions,
-            });
-        }
-        if state == SenderState::Failed {
-            if sched.is_adversarial() {
-                break 'run Ok(Outcome::LinkFailed {
-                    delivered: expected,
-                });
-            }
-            break 'run Err(violation(
-                "sender declared link failure on a clean channel".into(),
-            ));
-        }
-
-        // Advance the clock to the next event.
-        let mut next: Option<Instant> = None;
-        let mut consider = |c: Option<Instant>| {
-            next = match (next, c) {
-                (None, c) => c,
-                (Some(a), None) => Some(a),
-                (Some(a), Some(b)) => Some(a.min(b)),
-            };
-        };
-        consider(sender.poll_timeout());
-        consider(receiver.poll_timeout());
-        consider(data_link.next_arrival());
-        consider(feedback_link.next_arrival());
-        match next {
-            Some(t) => now = now.max(t),
-            None => {
-                break 'run Err(violation(format!(
-                    "deadlock: no pending event with {} of {} SDUs delivered",
-                    expected, sched.sdus
-                )));
-            }
-        }
+    let pump = Pump {
+        sdus: sched.sdus,
+        payload_len: 32,
+        trace: trace.map_or_else(Trace::disabled, |sink| telemetry::sink_trace(sink, "host")),
     };
+    let mut prev_state = sender.state();
+    let mut steps = 0;
+    let run = pump.run(
+        &ManualClock::new(),
+        &mut sender,
+        &mut receiver,
+        &mut link,
+        |pass, link| {
+            // Sender state transitions (coverage of the recovery machine).
+            let state = pass.sender.state();
+            if state != prev_state {
+                link.cov.transition(prev_state, state);
+                prev_state = state;
+            }
+            steps += 1;
+            if steps >= MAX_STEPS {
+                return Err(format!(
+                    "no termination within {MAX_STEPS} steps (delivered {}/{})",
+                    pass.delivered, sched.sdus
+                ));
+            }
+            Ok(None)
+        },
+    );
 
-    // Fold the recovery-machinery counters and close the trace.
+    // Fold the recovery-machinery counters.
+    let mut cov = link.cov;
     let s = sender.stats();
     let r = receiver.stats();
     cov.steps += steps;
@@ -649,12 +483,20 @@ fn run_schedule_with(
     cov.retransmissions += s.retransmissions;
     cov.request_naks += s.request_naks;
     cov.enforced_naks += r.enforced_sent;
-    if let Some(h) = &host_trace {
-        h.emit(now, || telemetry::TraceEvent::RunFinished {
-            deadline_hit: result.is_err(),
-        });
-    }
-    result
+    let result = match run.outcome {
+        Ok(Verdict::Complete) => Ok(Outcome::Complete {
+            steps,
+            elapsed: run.elapsed,
+            retransmissions: s.retransmissions,
+        }),
+        Ok(Verdict::LinkFailed) if sched.is_adversarial() => Ok(Outcome::LinkFailed {
+            delivered: run.delivered,
+        }),
+        Ok(Verdict::LinkFailed) => Err("sender declared link failure on a clean channel".into()),
+        Err(what) => Err(what),
+    };
+    let schedule = sched.clone();
+    (result.map_err(|what| Violation { schedule, what }), cov)
 }
 
 /// Aggregate result of a schedule sweep.
@@ -688,11 +530,16 @@ impl Report {
     }
 }
 
-/// Run the standard sweep: schedules `0..count` via [`Schedule::derive`].
-pub fn run_sweep(count: u64) -> Report {
+/// Run the standard sweep: schedules `0..count` via [`Schedule::derive`],
+/// each with [`Schedule::replay_stale_after`] set to `replay_stale_after`
+/// (`0` for the standard sweep).
+pub fn run_sweep(count: u64, replay_stale_after: u64) -> Report {
     let mut report = Report::default();
     for index in 0..count {
-        let sched = Schedule::derive(index);
+        let sched = Schedule {
+            replay_stale_after,
+            ..Schedule::derive(index)
+        };
         let (result, cov) = run_schedule_observed(&sched);
         report.coverage.absorb(&cov);
         match result {
@@ -745,13 +592,16 @@ pub fn write_artifact(path: &std::path::Path, v: &Violation) -> Result<(), Strin
         .map_err(|e| format!("{}: {e}", path.display()))?;
     // The re-run is deterministic; a diverging verdict means the
     // artifact would not reproduce the finding and must not be trusted.
-    match replayed {
-        Err(rv) if rv.what == v.what => Ok(()),
-        other => Err(format!(
-            "artifact re-run diverged: expected {:?}, got {:?}",
-            v.what,
-            other.err().map(|rv| rv.what)
-        )),
+    reproduces(&replayed, &v.what).map_err(|e| format!("artifact re-run diverged: {e}"))
+}
+
+/// `Ok` when a re-run's `result` is the finding `expected`, byte for
+/// byte; otherwise what the re-run did instead.
+pub fn reproduces(result: &Result<Outcome, Violation>, expected: &str) -> Result<(), String> {
+    match result {
+        Err(v) if v.what == expected => Ok(()),
+        Err(v) => Err(format!("expected {expected:?}, got {:?}", v.what)),
+        Ok(outcome) => Err(format!("expected {expected:?}, run ended {outcome:?}")),
     }
 }
 

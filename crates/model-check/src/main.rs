@@ -19,7 +19,7 @@
 //! emission) to prove the checker and its artifacts end to end. Exits
 //! non-zero if any invariant broke or a replay diverged.
 
-use model_check::{read_artifact, run_schedule, write_artifact, Report, Schedule};
+use model_check::{read_artifact, reproduces, run_schedule, run_sweep, write_artifact};
 use std::process::ExitCode;
 
 struct Opts {
@@ -40,24 +40,17 @@ fn parse_args() -> Result<Opts, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| {
+        let mut value = || {
             args.next()
-                .ok_or_else(|| format!("{what} requires a value"))
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
+        let number = |v: String| v.parse().map_err(|e| format!("{flag}: {e}"));
         match flag.as_str() {
-            "--schedules" => {
-                opts.schedules = value("--schedules")?
-                    .parse()
-                    .map_err(|e| format!("--schedules: {e}"))?
-            }
-            "--json" => opts.json = Some(value("--json")?),
-            "--artifact" => opts.artifact = Some(value("--artifact")?),
-            "--replay" => opts.replay = Some(value("--replay")?),
-            "--inject-stale-replay" => {
-                opts.inject_stale_replay = value("--inject-stale-replay")?
-                    .parse()
-                    .map_err(|e| format!("--inject-stale-replay: {e}"))?
-            }
+            "--schedules" => opts.schedules = number(value()?)?,
+            "--json" => opts.json = Some(value()?),
+            "--artifact" => opts.artifact = Some(value()?),
+            "--replay" => opts.replay = Some(value()?),
+            "--inject-stale-replay" => opts.inject_stale_replay = number(value()?)?,
             "--help" | "-h" => {
                 println!(
                     "usage: model-check [--schedules N] [--json <path|->] \
@@ -81,20 +74,14 @@ fn replay_artifact(path: &str) -> ExitCode {
         }
     };
     println!("model-check: replaying artifact {path}");
-    match run_schedule(&sched) {
-        Err(v) if v.what == expected => {
+    match reproduces(&run_schedule(&sched), &expected) {
+        Ok(()) => {
             println!("replay reproduced the finding byte-identically:");
             println!("  {expected}");
             ExitCode::SUCCESS
         }
-        Err(v) => {
-            eprintln!("replay DIVERGED:");
-            eprintln!("  artifact: {expected}");
-            eprintln!("  replay:   {}", v.what);
-            ExitCode::FAILURE
-        }
-        Ok(outcome) => {
-            eprintln!("replay DIVERGED: artifact expected a violation, run ended {outcome:?}");
+        Err(e) => {
+            eprintln!("replay DIVERGED: {e}");
             ExitCode::FAILURE
         }
     }
@@ -112,35 +99,13 @@ fn main() -> ExitCode {
         return replay_artifact(path);
     }
 
-    println!(
-        "model-check: exploring {} adversarial schedules{}",
-        opts.schedules,
-        if opts.inject_stale_replay > 0 {
-            format!(
-                " (stale-replay fault armed after {} emissions)",
-                opts.inject_stale_replay
-            )
-        } else {
-            String::new()
-        }
-    );
-    let mut report = Report::default();
-    for index in 0..opts.schedules {
-        let mut sched = Schedule::derive(index);
-        sched.replay_stale_after = opts.inject_stale_replay;
-        let (result, cov) = model_check::run_schedule_observed(&sched);
-        report.coverage.absorb(&cov);
-        match result {
-            Ok(model_check::Outcome::Complete {
-                retransmissions, ..
-            }) => {
-                report.complete += 1;
-                report.retransmissions += retransmissions;
-            }
-            Ok(model_check::Outcome::LinkFailed { .. }) => report.link_failures += 1,
-            Err(v) => report.violations.push(v),
-        }
-    }
+    let fault = match opts.inject_stale_replay {
+        0 => String::new(),
+        n => format!(" (stale-replay fault armed after {n} emissions)"),
+    };
+    let schedules = opts.schedules;
+    println!("model-check: exploring {schedules} adversarial schedules{fault}");
+    let report = run_sweep(schedules, opts.inject_stale_replay);
     println!(
         "complete: {} | declared link failures: {} | violations: {} | \
          retransmissions across completed runs: {}",
