@@ -6,8 +6,9 @@
 //! * **Micro-kernels** exercising the simulation core's hot paths in
 //!   isolation: the [`sim_core::EventQueue`] schedule/pop/cancel/
 //!   reschedule mix, [`telemetry::Registry`] counter increments (name
-//!   lookup vs pre-resolved handle), and trace emission (the disabled
-//!   fast path and the full JSONL render+write path).
+//!   lookup vs pre-resolved handle), trace emission (the disabled
+//!   fast path and the full JSONL render+write path), and the live
+//!   protocol monitor's per-record cost.
 //! * **Experiment kernels** running each quick-sized paper experiment
 //!   through [`harness::experiments::run_by_id`] and draining the
 //!   per-thread perf accumulator, so the suite reports the same
@@ -258,6 +259,47 @@ pub fn trace_emit_jsonl(iters: u64) -> MicroResult {
     })
 }
 
+/// A recorded LAMS-DLC transfer: 2,000 SDUs over the paper's reference
+/// link at a residual BER of 1e-5 (about 8% of I-frames recovered), as
+/// the trace records a live monitor receives.
+fn lams_trace() -> Vec<telemetry::TraceRecord> {
+    use std::{cell::RefCell, rc::Rc};
+    let mut cfg = harness::ScenarioConfig::paper_default();
+    cfg.seed = 7;
+    cfg.n_packets = 2_000;
+    cfg.data_residual_ber = 1e-5;
+    cfg.ctrl_residual_ber = 1e-6;
+    cfg.deadline = Duration::from_secs(120);
+    let buf = Rc::new(RefCell::new(telemetry::BufferSink::new()));
+    telemetry::install_global(buf.clone());
+    let r = harness::scenario::run_lams(&cfg);
+    telemetry::uninstall_global();
+    assert!(r.delivered_unique == r.offered && r.retransmissions > 0);
+    let records = buf.borrow_mut().take();
+    records
+}
+
+/// Replay [`lams_trace`] through [`monitor::Monitor::observe`] until at
+/// least `iters` records went in, one fresh monitor per pass: the live
+/// audit's cost per trace record (invariant audit, latency attribution,
+/// series and lifecycles). Recording the trace is not timed.
+pub fn monitor_observe(iters: u64) -> MicroResult {
+    let trace = lams_trace();
+    let passes = iters.div_ceil(trace.len() as u64).max(1);
+    time("monitor_observe", iters, || {
+        for _ in 0..passes {
+            let mut m = monitor::Monitor::new(monitor::MonitorConfig::default());
+            for rec in &trace {
+                m.observe(rec);
+            }
+            let report = m.take_report();
+            assert_eq!(report.total_findings, 0, "replayed trace must audit clean");
+            std::hint::black_box(report);
+        }
+        passes * trace.len() as u64
+    })
+}
+
 /// The default micro suite at a common iteration count.
 pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
     vec![
@@ -269,6 +311,7 @@ pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
         span_enabled(iters),
         trace_emit_disabled(iters),
         trace_emit_jsonl(iters),
+        monitor_observe(iters),
     ]
 }
 

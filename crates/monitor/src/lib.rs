@@ -41,6 +41,7 @@ pub mod audit;
 pub mod finding;
 pub mod lifecycle;
 pub mod series;
+mod window;
 
 pub use attribution::{AttributionAgg, LinkAttribution, Phase, PhaseAgg, PHASE_NAMES};
 pub use audit::{LinkAuditor, LinkTiming};
@@ -50,7 +51,6 @@ pub use series::{LinkSeries, WindowAcc};
 
 use sim_core::stats::Histogram;
 use sim_core::{Duration, Instant};
-use std::collections::HashMap;
 use telemetry::{Json, Registry, TraceEvent, TraceRecord, TraceSink};
 
 /// Which side of a link a node label names.
@@ -76,6 +76,23 @@ fn split_node(node: &'static str) -> Option<(&'static str, Side)> {
             }
         }
     }
+}
+
+/// One link's audit and attribution state over the current run.
+struct Link {
+    key: &'static str,
+    audit: LinkAuditor,
+    attr: LinkAttribution,
+}
+
+/// Identity of a `&'static str` label: its address and length. Static
+/// text is never freed, so equal identities mean equal text; equal text
+/// at two addresses (a literal and a label parsed from a trace file)
+/// gives two identities that resolve to the same link.
+type LabelId = (usize, usize);
+
+fn label_id(label: &'static str) -> LabelId {
+    (label.as_ptr() as usize, label.len())
 }
 
 /// The allowance added to a sender's audited timing bounds, in
@@ -303,9 +320,11 @@ pub struct Monitor {
     cur_exp: usize,
     experiment_id: &'static str,
     run_ordinal: u64,
-    links: HashMap<&'static str, LinkAuditor>,
-    /// Per-link latency attribution, rebuilt each run next to `links`.
-    attrs: HashMap<&'static str, LinkAttribution>,
+    /// The current run's links in first-seen order.
+    links: Vec<Link>,
+    /// Node labels seen this run, each resolved once to its link slot
+    /// and side (`None`: the label names no link).
+    labels: Vec<(LabelId, Option<(usize, Side)>)>,
     /// Resequencer holds observed during the current run (collector
     /// records; the collector node belongs to no link).
     run_reseq: PhaseAgg,
@@ -331,8 +350,8 @@ impl Monitor {
             cur_exp: 0,
             experiment_id: "",
             run_ordinal: 0,
-            links: HashMap::new(),
-            attrs: HashMap::new(),
+            links: Vec::new(),
+            labels: Vec::new(),
             run_reseq: PhaseAgg::default(),
             counters: Registry::new(),
             window_lines: Vec::new(),
@@ -377,19 +396,26 @@ impl Monitor {
     fn begin_run(&mut self) {
         self.cur_exp = self.experiment_slot(self.experiment_id);
         self.links.clear();
-        self.attrs.clear();
+        self.labels.clear();
         self.run_reseq = PhaseAgg::default();
         self.run_base = self.findings.total();
+    }
+
+    /// Link slots in key order: the order every per-run fold and
+    /// snapshot walks them in.
+    fn key_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.links.len()).collect();
+        order.sort_unstable_by_key(|&i| self.links[i].key);
+        order
     }
 
     fn finish_run(&mut self, t: Instant, deadline_hit: bool) {
         let _span = self.prof.span("monitor.rebuild");
         self.cur_exp = self.experiment_slot(self.experiment_id);
-        let mut keys: Vec<&'static str> = self.links.keys().copied().collect();
-        keys.sort_unstable();
+        let order = self.key_order();
         let run = self.run_ordinal;
-        for key in keys {
-            let la = self.links.get_mut(key).expect("key from map");
+        for &i in &order {
+            let Link { key, audit: la, .. } = &mut self.links[i];
             la.on_run_finished(t, deadline_hit, &mut self.findings);
             if !la.audited() {
                 continue;
@@ -407,10 +433,8 @@ impl Monitor {
                 .extend(la.series.drain_lines(exp.id, run, key));
             self.lifecycles.append(&mut la.lifecycles);
         }
-        let mut akeys: Vec<&'static str> = self.attrs.keys().copied().collect();
-        akeys.sort_unstable();
-        for key in akeys {
-            let at = self.attrs.get_mut(key).expect("key from map");
+        for &i in &order {
+            let at = &mut self.links[i].attr;
             at.on_run_finished();
             if !at.armed() {
                 continue;
@@ -428,8 +452,35 @@ impl Monitor {
         exp.findings += self.findings.total() - self.run_base;
         self.run_base = self.findings.total();
         self.links.clear();
-        self.attrs.clear();
+        self.labels.clear();
         self.run_ordinal += 1;
+    }
+
+    /// The link slot and side `node` names, resolved by text the first
+    /// time this run sees the label and by identity after that.
+    fn resolve(&mut self, node: &'static str) -> Option<(usize, Side)> {
+        let id = label_id(node);
+        if let Some(&(_, hit)) = self.labels.iter().find(|(l, _)| *l == id) {
+            return hit;
+        }
+        let hit = split_node(node).map(|(key, side)| {
+            let slot = match self.links.iter().position(|l| l.key == key) {
+                Some(slot) => slot,
+                None => {
+                    let (window, keep) = (self.cfg.window, self.cfg.keep_lifecycles);
+                    let exp_id = self.experiment_id;
+                    self.links.push(Link {
+                        key,
+                        audit: LinkAuditor::new(key, exp_id, window, keep),
+                        attr: LinkAttribution::new(exp_id),
+                    });
+                    self.links.len() - 1
+                }
+            };
+            (slot, side)
+        });
+        self.labels.push((id, hit));
+        hit
     }
 
     /// Process one trace record.
@@ -444,6 +495,7 @@ impl Monitor {
                 // replay of a whole-suite trace numbers runs exactly
                 // like the per-experiment live monitors did.
                 self.run_ordinal = 0;
+                self.labels.clear();
             }
             TraceEvent::TraceHeader { clock_domain } => {
                 self.clock_domain = Some(clock_domain);
@@ -454,33 +506,35 @@ impl Monitor {
             // belongs to no link; they aggregate at experiment level.
             TraceEvent::ReseqHold { held_ns, .. } => self.run_reseq.add(held_ns),
             ref event => {
-                let Some((key, side)) = split_node(rec.node) else {
+                let Some((slot, side)) = self.resolve(rec.node) else {
                     return;
                 };
-                let audit_span = self.prof.span("monitor.audit");
-                let (window, keep) = (self.cfg.window, self.cfg.keep_lifecycles);
-                let exp_id = self.experiment_id;
-                let la = self
-                    .links
-                    .entry(key)
-                    .or_insert_with(|| LinkAuditor::new(key, exp_id, window, keep));
+                let _span = self.prof.span("monitor.observe");
+                // One dispatch: the invariant auditor, then the latency
+                // attribution, each against this link's state.
+                let Link {
+                    audit: la,
+                    attr: at,
+                    ..
+                } = &mut self.links[slot];
                 let out = &mut self.findings;
+                let node = rec.node;
                 match (side, event) {
                     (
                         Side::Tx,
                         &TraceEvent::SenderConfig {
                             w_cp_ns,
+                            c_depth,
                             rtt_ns,
                             cp_timeout_ns,
                             resolving_ns,
                             failure_ns,
-                            ..
                         },
                     ) => {
                         let slack = wall_slack_ns(&self.cfg, self.clock_domain);
                         la.on_sender_config(
                             t,
-                            rec.node,
+                            node,
                             LinkTiming {
                                 w_cp: Duration::from_nanos(w_cp_ns + slack),
                                 cp_timeout: Duration::from_nanos(cp_timeout_ns + slack),
@@ -488,58 +542,20 @@ impl Monitor {
                                 resolving: Duration::from_nanos(resolving_ns + slack),
                                 failure: Duration::from_nanos(failure_ns + slack),
                             },
-                        )
+                        );
+                        at.on_sender_config(node, w_cp_ns, rtt_ns, c_depth, slack);
                     }
                     (Side::Tx, &TraceEvent::IFrameTx { seq, retx, .. }) => {
-                        la.on_tx(t, rec.node, seq, retx, out)
+                        la.on_tx(t, node, seq, retx, out);
+                        at.on_tx(t, seq, retx);
                     }
                     (Side::Tx, &TraceEvent::CheckpointReceived { index, covered, .. }) => {
-                        la.on_cp_rx(t, rec.node, index, covered, out)
+                        la.on_cp_rx(t, node, index, covered, out);
+                        at.on_cp_rx(t, index);
                     }
                     (Side::Tx, &TraceEvent::Renumbered { old_seq, new_seq }) => {
-                        la.on_renumbered(t, rec.node, old_seq, new_seq, out)
-                    }
-                    (Side::Tx, &TraceEvent::EnforcedRecoveryStarted { .. }) => {
-                        la.on_enforced_start(t)
-                    }
-                    (Side::Tx, &TraceEvent::EnforcedRecoveryResolved) => la.on_enforced_end(t),
-                    (Side::Tx, &TraceEvent::StopGo { stop: true }) => la.on_stop(t),
-                    (Side::Tx, &TraceEvent::BufferRelease { seq, .. }) => {
-                        la.on_release(t, rec.node, seq, out)
-                    }
-                    (Side::Tx, &TraceEvent::LinkFailed) => la.on_link_failed(),
-                    (Side::Rx, &TraceEvent::IFrameRx { seq, clean, .. }) => la.on_rx(t, seq, clean),
-                    (Side::Rx, &TraceEvent::CheckpointEmitted { index, .. }) => {
-                        la.on_cp_emit(t, rec.node, index, out)
-                    }
-                    (Side::Rx, &TraceEvent::Nak { seq, .. }) => la.on_nak(t, seq),
-                    _ => {}
-                }
-                drop(audit_span);
-                // Second pass: the latency-attribution layer consumes
-                // the same record with its own per-link state machine.
-                let _attr_span = self.prof.span("monitor.attribution");
-                let at = self
-                    .attrs
-                    .entry(key)
-                    .or_insert_with(|| LinkAttribution::new(exp_id));
-                let out = &mut self.findings;
-                match (side, event) {
-                    (
-                        Side::Tx,
-                        &TraceEvent::SenderConfig {
-                            w_cp_ns,
-                            rtt_ns,
-                            c_depth,
-                            ..
-                        },
-                    ) => {
-                        let slack = wall_slack_ns(&self.cfg, self.clock_domain);
-                        at.on_sender_config(rec.node, w_cp_ns, rtt_ns, c_depth, slack)
-                    }
-                    (Side::Tx, &TraceEvent::IFrameTx { seq, retx, .. }) => at.on_tx(t, seq, retx),
-                    (Side::Tx, &TraceEvent::Renumbered { old_seq, new_seq }) => {
-                        at.on_renumbered(old_seq, new_seq)
+                        la.on_renumbered(t, node, old_seq, new_seq, out);
+                        at.on_renumbered(old_seq, new_seq);
                     }
                     (
                         Side::Tx,
@@ -549,22 +565,37 @@ impl Monitor {
                             cp_index,
                         },
                     ) => at.on_retx_cause(t, seq, cause, cp_index, out),
-                    (Side::Tx, &TraceEvent::CheckpointReceived { index, .. }) => {
-                        at.on_cp_rx(t, index)
-                    }
-                    (Side::Tx, &TraceEvent::StopGo { stop }) => at.on_stop_go(t, stop),
                     (Side::Tx, &TraceEvent::EnforcedRecoveryStarted { .. }) => {
-                        at.on_enforced_start(t)
+                        la.on_enforced_start(t);
+                        at.on_enforced_start(t);
                     }
-                    (Side::Tx, &TraceEvent::EnforcedRecoveryResolved) => at.on_enforced_end(t),
-                    (Side::Tx, &TraceEvent::BufferRelease { seq, .. }) => at.on_release(seq),
+                    (Side::Tx, &TraceEvent::EnforcedRecoveryResolved) => {
+                        la.on_enforced_end(t);
+                        at.on_enforced_end(t);
+                    }
+                    (Side::Tx, &TraceEvent::StopGo { stop }) => {
+                        if stop {
+                            la.on_stop(t);
+                        }
+                        at.on_stop_go(t, stop);
+                    }
+                    (Side::Tx, &TraceEvent::BufferRelease { seq, .. }) => {
+                        la.on_release(t, node, seq, out);
+                        at.on_release(seq);
+                    }
+                    (Side::Tx, &TraceEvent::LinkFailed) => la.on_link_failed(),
                     (Side::Rx, &TraceEvent::IFrameRx { seq, clean, .. }) => {
-                        at.on_rx(t, seq, clean, out)
+                        la.on_rx(t, seq, clean);
+                        at.on_rx(t, seq, clean, out);
                     }
                     (Side::Rx, &TraceEvent::CheckpointEmitted { index, .. }) => {
-                        at.on_cp_emit(t, index)
+                        la.on_cp_emit(t, node, index, out);
+                        at.on_cp_emit(t, index);
                     }
-                    (Side::Rx, &TraceEvent::Nak { seq, cp_index }) => at.on_nak(t, seq, cp_index),
+                    (Side::Rx, &TraceEvent::Nak { seq, cp_index }) => {
+                        la.on_nak(t, seq);
+                        at.on_nak(t, seq, cp_index);
+                    }
                     _ => {}
                 }
             }
@@ -594,10 +625,8 @@ impl Monitor {
             series: Vec::new(),
             latencies: Vec::new(),
         };
-        let mut keys: Vec<&'static str> = self.links.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let la = &self.links[key];
+        for i in self.key_order() {
+            let Link { key, audit: la, .. } = &self.links[i];
             if !la.audited() {
                 continue;
             }
@@ -647,6 +676,7 @@ impl TraceSink for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WINDOW_CAP;
 
     const MS: u64 = 1_000_000;
 
@@ -1375,5 +1405,294 @@ mod tests {
         }
         assert_eq!(m.total_findings(), 0, "{:?}", m.findings());
         assert!(m.observe_line("not json").is_err());
+    }
+
+    #[test]
+    fn clean_arrivals_are_remembered_after_the_frame_resolves() {
+        // A duplicate of seq 1 after its release is no new delivery; a
+        // second release of it is an unknown frame but not a loss.
+        let mut records = clean_run();
+        let end = records.len() - 1;
+        let dup = records[3].clone();
+        let release = records[6].clone();
+        records.splice(end..end, [dup, release]);
+        let mut m = feed(&records);
+        let kinds: Vec<Invariant> = m.findings().iter().map(|f| f.invariant).collect();
+        assert_eq!(kinds, [Invariant::StreamIntegrity], "{:?}", m.findings());
+        assert_eq!(m.take_report().experiments[0].delivered, 1);
+    }
+
+    #[test]
+    fn clean_arrival_stays_with_its_wire_number_across_renumbering() {
+        // Seq 1 arrives clean, is renumbered to 2 anyway, and 2 is
+        // released without arriving: a loss, whatever 1 did.
+        let mut records = clean_run();
+        records.splice(
+            4..4,
+            [
+                rec(
+                    15 * MS,
+                    "tx",
+                    TraceEvent::Renumbered {
+                        old_seq: 1,
+                        new_seq: 2,
+                    },
+                ),
+                rec(
+                    15 * MS,
+                    "tx",
+                    TraceEvent::IFrameTx {
+                        seq: 2,
+                        retx: true,
+                        len: 1024,
+                    },
+                ),
+            ],
+        );
+        for r in &mut records {
+            if let TraceEvent::BufferRelease { seq, .. } = &mut r.event {
+                *seq = 2;
+            }
+        }
+        let m = feed(&records);
+        assert!(
+            m.findings()
+                .iter()
+                .any(|f| f.invariant == Invariant::NoLoss && f.detail.contains("seq 2 released")),
+            "{:?}",
+            m.findings()
+        );
+    }
+
+    /// `records` with the point-to-point labels swapped for `tx`/`rx`.
+    fn relabel(records: &[TraceRecord], tx: &'static str, rx: &'static str) -> Vec<TraceRecord> {
+        records
+            .iter()
+            .map(|r| TraceRecord {
+                node: match r.node {
+                    "tx" => tx,
+                    "rx" => rx,
+                    other => other,
+                },
+                ..r.clone()
+            })
+            .collect()
+    }
+
+    /// A one-experiment report's findings and series, rendered, with
+    /// its attribution and frame count.
+    fn outputs(m: &mut Monitor) -> (Vec<String>, Vec<String>, AttributionAgg, u64) {
+        let findings = m.findings().iter().map(|f| f.to_string()).collect();
+        let report = m.take_report();
+        let lines = report.window_lines.iter().map(Json::render).collect();
+        let exp = &report.experiments[0];
+        (findings, lines, exp.attribution.clone(), exp.frames)
+    }
+
+    #[test]
+    fn labels_resolve_to_one_link_per_key() {
+        // Novel labels parsed from a trace file are leaked strings: the
+        // same text as the literal, at a different address.
+        let leaked_tx: &'static str = Box::leak(String::from("tx").into_boxed_str());
+        assert!(!std::ptr::eq(leaked_tx.as_ptr(), "tx".as_ptr()));
+        let body = |r: &[TraceRecord]| r[1..r.len() - 1].to_vec();
+        let p2p = clean_run();
+        // The relay hop loses its only clean arrival: one finding there.
+        let hop: Vec<TraceRecord> = relabel(&clean_run(), "hop1.tx", "hop1.rx")
+            .into_iter()
+            .filter(|r| !matches!(r.event, TraceEvent::IFrameRx { .. }))
+            .collect();
+        // Interleave both links record by record, the point-to-point
+        // sender alternating between its two `tx` labels.
+        let mut mixed = vec![p2p[0].clone()];
+        let (a, b) = (body(&p2p), body(&hop));
+        for i in 0..a.len().max(b.len()) {
+            if let Some(r) = a.get(i) {
+                let mut r = r.clone();
+                if r.node == "tx" && i % 2 == 1 {
+                    r.node = leaked_tx;
+                }
+                mixed.push(r);
+            }
+            if let Some(r) = b.get(i) {
+                mixed.push(r.clone());
+            }
+        }
+        let mut m = Monitor::new(MonitorConfig::default());
+        for r in &mixed {
+            m.observe(r);
+        }
+        let keys: Vec<&str> = m.links.iter().map(|l| l.key).collect();
+        assert_eq!(keys, ["", "hop1"], "one link per key");
+        assert_eq!(m.labels.len(), 5, "tx, leaked tx, rx, hop1.tx, hop1.rx");
+        m.observe(&p2p[p2p.len() - 1]);
+        let (findings, lines, attribution, frames) = outputs(&mut m);
+
+        // Each link fed alone gives the same per-link results.
+        let (f_p2p, l_p2p, mut a_p2p, n_p2p) = outputs(&mut feed(&p2p));
+        let (f_hop, l_hop, a_hop, n_hop) = outputs(&mut feed(&hop));
+        assert!(f_p2p.is_empty());
+        assert_eq!(f_hop.len(), 1);
+        assert_eq!(findings, f_hop);
+        assert_eq!(lines, [l_p2p, l_hop].concat(), "series in key order");
+        assert_eq!(frames, n_p2p + n_hop);
+        a_p2p.absorb(&a_hop);
+        assert_eq!(attribution.to_json().render(), a_p2p.to_json().render());
+    }
+
+    #[test]
+    fn label_cache_resets_at_run_and_experiment_boundaries() {
+        let run = clean_run();
+        let mut m = Monitor::new(MonitorConfig::default());
+        let cached_after = |m: &mut Monitor, r: &TraceRecord| {
+            m.observe(r);
+            m.labels.len()
+        };
+        for r in &run[..run.len() - 1] {
+            cached_after(&mut m, r);
+        }
+        assert_eq!(m.labels.len(), 2);
+        assert_eq!(cached_after(&mut m, &run[run.len() - 1]), 0, "RunFinished");
+        cached_after(&mut m, &run[1]);
+        assert_eq!(m.labels.len(), 1);
+        assert_eq!(cached_after(&mut m, &run[0]), 0, "RunStarted");
+        cached_after(&mut m, &run[1]);
+        let started = rec(0, "runner", TraceEvent::ExperimentStarted { id: "e2" });
+        assert_eq!(cached_after(&mut m, &started), 0, "ExperimentStarted");
+        // Re-resolving finds the link the run already has.
+        cached_after(&mut m, &run[2]);
+        assert_eq!(m.links.len(), 1);
+    }
+
+    /// Sequence numbers a corrupt or hostile trace can carry: both ends
+    /// of `u64`, the ring's edge, and gaps of 2^32 and more.
+    const HOSTILE_SEQS: [u64; 12] = [
+        0,
+        1,
+        2,
+        3,
+        9,
+        WINDOW_CAP as u64 - 1,
+        WINDOW_CAP as u64,
+        WINDOW_CAP as u64 + 1,
+        1 << 32,
+        (1 << 33) + 5,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    /// Sequence number `i`: a hostile constant below 12; at 12, the
+    /// next fresh number of a well-behaved sender; above it, a recent
+    /// fresh number (arrivals, releases and renumbers of live frames).
+    fn pick_seq(i: usize, fresh: &mut u64) -> u64 {
+        match i {
+            0..=11 => HOSTILE_SEQS[i],
+            12 => {
+                *fresh += 1;
+                *fresh
+            }
+            _ => fresh.saturating_sub(i as u64 - 13),
+        }
+    }
+
+    /// Kinds 0..=17 cover every event the monitor handles; 18..=31
+    /// are fresh first transmissions (`fresh`), like a sender's steady
+    /// traffic.
+    fn arbitrary_event(kind: u8, a: u64, b: u64, fresh: &mut u64) -> TraceEvent {
+        match kind {
+            0 => sender_config(),
+            1 | 2 => TraceEvent::IFrameTx {
+                seq: a,
+                retx: kind == 2,
+                len: 1024,
+            },
+            3 | 4 => TraceEvent::IFrameRx {
+                seq: a,
+                clean: kind == 3,
+                len: 1024,
+            },
+            5 => TraceEvent::Nak {
+                seq: a,
+                cp_index: b,
+            },
+            6 => TraceEvent::Renumbered {
+                old_seq: a,
+                new_seq: b,
+            },
+            7 => TraceEvent::RetxCause {
+                seq: a,
+                cause: ["nak", "resolve", "suspect"][(b % 3) as usize],
+                cp_index: b,
+            },
+            8 => TraceEvent::BufferRelease {
+                seq: a,
+                held_ns: 0,
+                cp_index: b,
+            },
+            9 => TraceEvent::CheckpointEmitted {
+                index: a,
+                covered: b,
+                naks: 0,
+                enforced: false,
+                stop: false,
+            },
+            10 => TraceEvent::CheckpointReceived {
+                index: a,
+                covered: b,
+                naks: 0,
+            },
+            11 => TraceEvent::EnforcedRecoveryStarted { outstanding: a },
+            12 => TraceEvent::EnforcedRecoveryResolved,
+            13 => TraceEvent::StopGo { stop: a % 2 == 0 },
+            14 => TraceEvent::LinkFailed,
+            15 => TraceEvent::RunStarted,
+            16 => TraceEvent::RunFinished {
+                deadline_hit: a % 2 == 0,
+            },
+            17 => TraceEvent::ExperimentStarted { id: "e1" },
+            _ => {
+                *fresh += 1;
+                TraceEvent::IFrameTx {
+                    seq: *fresh,
+                    retx: false,
+                    len: 1024,
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 128,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn arbitrary_streams_never_panic_and_keep_the_window_bounded(
+            stream in proptest::collection::vec(
+                (0u8..32, 0usize..5, 0usize..20, 0usize..20, 0u64..5_000_000),
+                1..400,
+            ),
+        ) {
+            const NODES: [&str; 5] = ["tx", "rx", "hop1.tx", "hop1.rx", "channel"];
+            let mut m = Monitor::new(MonitorConfig::default());
+            let (mut t, mut fresh) = (0u64, 100u64);
+            for (kind, node, i, j, dt) in stream {
+                t += dt;
+                let a = pick_seq(i, &mut fresh);
+                let b = pick_seq(j, &mut fresh);
+                let event = arbitrary_event(kind, a, b, &mut fresh);
+                m.observe(&rec(t, NODES[node], event));
+                for link in &m.links {
+                    proptest::prop_assert!(link.audit.ring_span() <= WINDOW_CAP);
+                    proptest::prop_assert!(link.attr.ring_span() <= WINDOW_CAP);
+                }
+            }
+            let snap = m.live_snapshot();
+            proptest::prop_assert_eq!(snap.records, m.records());
+            m.observe(&rec(t, "sim", TraceEvent::RunFinished { deadline_hit: false }));
+            let report = m.take_report();
+            proptest::prop_assert!(report.total_findings >= report.findings.len() as u64);
+        }
     }
 }

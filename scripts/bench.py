@@ -2,9 +2,9 @@
 """Drive the `bench_suite` binary and record the perf trajectory.
 
 Usage:
-    bench.py [--reps N] [--out BENCH_0004.json] [--bin PATH]
+    bench.py [--reps N] [--out BENCH_0007.json] [--bin PATH]
              [--micro-iters N] [--no-build]
-             [--check BASELINE.json] [--tolerance 0.10]
+             [--check] [--tolerance 0.10]
     bench.py --trajectory [--json]
 
 Runs `bench_suite` (building it first unless --no-build) N times
@@ -37,8 +37,11 @@ repetitions run with --skip-profile. The timed suite itself is never
 profiled, so the events/sec gate is unaffected.
 
 With --check, compares the fresh quick-all total events/sec against the
-committed baseline document and fails when it regresses by more than
---tolerance (default 10%). Used by CI as the perf regression gate.
+best committed baseline (the highest quick-all events/sec over every
+BENCH_*.json in the repo root) and fails when it falls short of it by
+more than --tolerance (default 10%). Gating against the best baseline,
+not the latest, keeps a slow slide of small regressions from passing
+one step at a time. Used by CI as the perf regression gate.
 
 With --trajectory, skips benchmarking entirely: reads every committed
 BENCH_*.json in the repo root (one per PR that recorded a baseline,
@@ -172,21 +175,22 @@ def median_total(reps):
     }
 
 
-def check_regression(doc, baseline_path, tolerance):
-    try:
-        with open(baseline_path) as f:
-            base = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{baseline_path}: {e}")
-    if base.get("schema") != SCHEMA:
-        fail(f"{baseline_path}: schema {base.get('schema')!r}, want {SCHEMA!r}")
+def best_baseline(root):
+    """The committed BENCH_*.json with the highest quick-all events/s,
+    as (file name, document)."""
+    return max(load_trajectory(root),
+               key=lambda named: named[1]["total"]["events_per_sec"])
+
+
+def check_regression(doc, root, tolerance):
+    name, base = best_baseline(root)
     want = base["total"]["events_per_sec"]
     got = doc["total"]["events_per_sec"]
     if want <= 0:
-        fail(f"{baseline_path}: baseline events_per_sec is {want}")
+        fail(f"{name}: baseline events_per_sec is {want}")
     ratio = got / want
-    verdict = (f"quick-all {got / 1e6:.3f}M events/s vs baseline "
-               f"{want / 1e6:.3f}M ({(ratio - 1) * 100:+.1f}%)")
+    verdict = (f"quick-all {got / 1e6:.3f}M events/s vs best baseline "
+               f"{name} {want / 1e6:.3f}M ({(ratio - 1) * 100:+.1f}%)")
     if ratio < 1.0 - tolerance:
         fail(f"{verdict} — regression exceeds {tolerance * 100:.0f}% gate")
     print(f"bench: OK: {verdict}")
@@ -278,7 +282,9 @@ def main():
     ap.add_argument("--bin", default=str(REPO / "target/release/bench_suite"))
     ap.add_argument("--micro-iters", type=int, default=None)
     ap.add_argument("--no-build", action="store_true")
-    ap.add_argument("--check", metavar="BASELINE.json", default=None)
+    ap.add_argument("--check", action="store_true",
+                    help="fail when quick-all events/s falls more than "
+                         "--tolerance below the best committed baseline")
     ap.add_argument("--tolerance", type=float, default=0.10)
     ap.add_argument("--trajectory", action="store_true",
                     help="print the events/s trajectory over committed "
@@ -328,7 +334,7 @@ def main():
         sys.stdout.write(rendered)
 
     if args.check:
-        check_regression(merged, args.check, args.tolerance)
+        check_regression(merged, REPO, args.tolerance)
 
 
 if __name__ == "__main__":
