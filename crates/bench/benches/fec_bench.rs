@@ -1,22 +1,12 @@
-//! FEC substrate micro-benchmarks: CRC, convolutional encode, Viterbi
+//! FEC substrate micro-benchmarks: convolutional encode, Viterbi
 //! decode, interleaving, the composed codec, and the channel samplers.
+//! (The CRC-32 kernel lives in `bench_suite`'s micro suite.)
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use fec::{BitBuf, BlockInterleaver, Crc16Ccitt, Crc32, LinkCodec, Viterbi, CCSDS_K7};
+use fec::{BitBuf, BlockInterleaver, LinkCodec, Viterbi, CCSDS_K7};
 use netsim::channel::{ErrorProcess, GilbertElliott, UniformBer};
 use sim_core::{Duration, Instant, SeedSplitter};
 use std::hint::black_box;
-
-fn crc_benches(c: &mut Criterion) {
-    let mut g = c.benchmark_group("crc");
-    let data = vec![0xA5u8; 1024];
-    g.throughput(Throughput::Bytes(1024));
-    g.bench_function("crc16_1k", |b| {
-        b.iter(|| Crc16Ccitt::checksum(black_box(&data)))
-    });
-    g.bench_function("crc32_1k", |b| b.iter(|| Crc32::checksum(black_box(&data))));
-    g.finish();
-}
 
 fn conv_benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("conv");
@@ -103,7 +93,6 @@ fn channel_benches(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    crc_benches,
     conv_benches,
     interleave_benches,
     codec_benches,

@@ -1,6 +1,7 @@
 //! Protocol state-machine micro-benchmarks: how many frames per second
 //! each endpoint can process (relevant because the paper's links run at
 //! 300 Mbps–1 Gbps: at 1 kB frames that is 36k–120k frames/s each way).
+//! (The wire codec kernel lives in `bench_suite`'s micro suite.)
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -129,25 +130,6 @@ fn hdlc_sender_cycle(c: &mut Criterion) {
     g.finish();
 }
 
-fn wire_codec(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire");
-    let f = Frame::Info(lams_dlc::InfoFrame {
-        seq: 12345,
-        packet_id: PacketId(99),
-        payload: Bytes::from(vec![0x5Au8; 1024]),
-    });
-    let m = 1 << 16;
-    g.throughput(Throughput::Bytes(lams_dlc::wire::encoded_len(&f) as u64));
-    g.bench_function("encode_info_1k", |b| {
-        b.iter(|| lams_dlc::wire::encode(black_box(&f), m))
-    });
-    let bytes = lams_dlc::wire::encode(&f, m);
-    g.bench_function("decode_info_1k", |b| {
-        b.iter(|| lams_dlc::wire::decode(black_box(&bytes), 12345, m).unwrap())
-    });
-    g.finish();
-}
-
 fn resequencer(c: &mut Criterion) {
     let mut g = c.benchmark_group("resequencer");
     g.throughput(Throughput::Elements(1024));
@@ -171,7 +153,6 @@ criterion_group!(
     lams_sender_cycle,
     lams_receiver_cycle,
     hdlc_sender_cycle,
-    wire_codec,
     resequencer
 );
 criterion_main!(benches);

@@ -7,8 +7,9 @@
 //!   isolation: the [`sim_core::EventQueue`] schedule/pop/cancel/
 //!   reschedule mix, [`telemetry::Registry`] counter increments (name
 //!   lookup vs pre-resolved handle), trace emission (the disabled
-//!   fast path and the full JSONL render+write path), and the live
-//!   protocol monitor's per-record cost.
+//!   fast path and the full JSONL render+write path), the live
+//!   protocol monitor's per-record cost, and the real host's wire path
+//!   (CRC-32 of one frame, and one encode + decode round trip).
 //! * **Experiment kernels** running each quick-sized paper experiment
 //!   through [`harness::experiments::run_by_id`] and draining the
 //!   per-thread perf accumulator, so the suite reports the same
@@ -300,6 +301,43 @@ pub fn monitor_observe(iters: u64) -> MicroResult {
     })
 }
 
+/// CRC-32 over one 78-byte buffer, the size of a real-host I-frame's
+/// checked bytes: the cost every I-frame pays twice on the real host,
+/// once in `wire::encode` and once in `wire::decode`.
+pub fn crc32_frame(iters: u64) -> MicroResult {
+    let buf: Vec<u8> = (0..78u8).map(|i| i.wrapping_mul(37)).collect();
+    time("crc32_frame", iters, || {
+        let mut sink = 0u32;
+        for _ in 0..iters {
+            sink ^= fec::Crc32::checksum(std::hint::black_box(&buf));
+        }
+        std::hint::black_box(sink);
+        iters
+    })
+}
+
+/// One I-frame with a 64-byte payload through the real host's codec:
+/// `wire::encode_into` a reused buffer, then `wire::decode` it. One op
+/// is one frame.
+pub fn wire_roundtrip(iters: u64) -> MicroResult {
+    use lams_dlc::{wire, Frame, InfoFrame, PacketId};
+    let modulus = 1 << 16;
+    let frame = Frame::Info(InfoFrame {
+        seq: 12_345,
+        packet_id: PacketId(99),
+        payload: bytes::Bytes::from(vec![0x5A; 64]),
+    });
+    time("wire_roundtrip", iters, || {
+        let mut out = Vec::new();
+        for _ in 0..iters {
+            wire::encode_into(std::hint::black_box(&frame), modulus, &mut out);
+            let back = wire::decode(&out, 12_345, modulus).expect("own frame decodes");
+            std::hint::black_box(back);
+        }
+        iters
+    })
+}
+
 /// The default micro suite at a common iteration count.
 pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
     vec![
@@ -312,6 +350,8 @@ pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
         trace_emit_disabled(iters),
         trace_emit_jsonl(iters),
         monitor_observe(iters),
+        crc32_frame(iters),
+        wire_roundtrip(iters),
     ]
 }
 

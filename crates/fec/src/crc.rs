@@ -15,7 +15,8 @@
 /// Table-driven CRC-16/X.25 (the HDLC frame check sequence).
 pub struct Crc16Ccitt;
 
-/// Table-driven CRC-32 (IEEE 802.3).
+/// CRC-32 (IEEE 802.3), table-driven eight bytes at a time
+/// (slicing-by-8).
 pub struct Crc32;
 
 const fn make_table_16() -> [u16; 256] {
@@ -39,9 +40,12 @@ const fn make_table_16() -> [u16; 256] {
     table
 }
 
-const fn make_table_32() -> [u32; 256] {
+/// Slicing-by-8 tables: `t[0]` is the classic byte table, and `t[k][i]`
+/// is `t[0][i]` carried through `k` more zero bytes, so eight lookups,
+/// one per byte position, advance the CRC by eight bytes.
+const fn make_tables_32() -> [[u32; 256]; 8] {
     // Reflected polynomial for 0x04C11DB7 is 0xEDB88320.
-    let mut table = [0u32; 256];
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -54,14 +58,24 @@ const fn make_table_32() -> [u32; 256] {
             };
             b += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 static TABLE_16: [u16; 256] = make_table_16();
-static TABLE_32: [u32; 256] = make_table_32();
+static TABLES_32: [[u32; 256]; 8] = make_tables_32();
 
 impl Crc16Ccitt {
     /// Compute the FCS over `data`.
@@ -94,10 +108,23 @@ impl Crc16Ccitt {
 impl Crc32 {
     /// Compute the CRC-32 over `data`.
     pub fn checksum(data: &[u8]) -> u32 {
+        let t = &TABLES_32;
         let mut crc: u32 = 0xFFFF_FFFF;
-        for &byte in data {
-            let idx = ((crc ^ byte as u32) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLE_32[idx];
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
         }
         crc ^ 0xFFFF_FFFF
     }
@@ -122,6 +149,17 @@ impl Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time CRC-32 loop, kept as the oracle for the
+    /// slicing-by-8 [`Crc32::checksum`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in data {
+            crc = (crc >> 8) ^ TABLES_32[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
 
     // Standard check values: CRC-16/X.25("123456789") = 0x906E,
     // CRC-32/ISO-HDLC("123456789") = 0xCBF43926.
@@ -133,6 +171,30 @@ mod tests {
     #[test]
     fn crc32_check_value() {
         assert_eq!(Crc32::checksum(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+        #[test]
+        fn slicing_by_8_matches_the_byte_loop(
+            buf in proptest::collection::vec(proptest::num::u8::ANY, 2_108..2_109),
+        ) {
+            // Every length 0..=2,100 at every alignment of the 8-byte
+            // step relative to the buffer.
+            for start in 0..8 {
+                for len in 0..=2_100 {
+                    let data = &buf[start..start + len];
+                    prop_assert_eq!(
+                        Crc32::checksum(data),
+                        crc32_bytewise(data),
+                        "start {} len {}",
+                        start,
+                        len
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,9 @@ pub struct IoSummary {
     pub datagrams_sent: u64,
     /// Feedback datagrams written by the receiver side.
     pub feedback_sent: u64,
+    /// Datagrams received in either direction that did not decode as a
+    /// frame (truncated, unknown type, or CRC mismatch) and were skipped.
+    pub malformed: u64,
     /// Sender retransmissions (should be ≥ `drops_injected` when loss
     /// injection is on — every dropped frame needs at least one).
     pub retransmissions: u64,
@@ -365,18 +368,20 @@ struct HostCounters {
     corruptions: u64,
     datagrams: u64,
     feedback: u64,
+    malformed: u64,
     info_sent: u64,     // outbound info frames (drop injector)
     info_received: u64, // inbound info frames (corruptor)
 }
 
 impl HostCounters {
     /// The canonical `io.*` counter names with their current values.
-    fn entries(&self) -> [(&'static str, u64); 4] {
+    fn entries(&self) -> [(&'static str, u64); 5] {
         [
             ("io.inject.drops", self.drops),
             ("io.inject.corruptions", self.corruptions),
             ("io.tx.datagrams", self.datagrams),
             ("io.rx.feedback", self.feedback),
+            ("io.rx.malformed", self.malformed),
         ]
     }
 
@@ -461,7 +466,8 @@ fn saturating_nanos(d: std::time::Duration) -> Duration {
 }
 
 /// The pump's [`Link`] over a byte-level [`Transport`]: the wire codec,
-/// the loss and corruption injectors, and the `io.*` counters.
+/// the loss and corruption injectors, and the `io.*` counters. Every
+/// outgoing frame is encoded into the one reusable `out` buffer.
 struct WireLink<'a> {
     transport: &'a mut dyn Transport,
     cfg: &'a IoConfig,
@@ -469,6 +475,7 @@ struct WireLink<'a> {
     chan_trace: Trace,
     counters: HostCounters,
     buf: [u8; 2048],
+    out: Vec<u8>,
 }
 
 impl Link for WireLink<'_> {
@@ -483,17 +490,19 @@ impl Link for WireLink<'_> {
                 return Ok(());
             }
         }
-        self.transport
-            .send_data(&wire::encode(&frame, self.modulus))?;
+        wire::encode_into(&frame, self.modulus, &mut self.out);
+        self.transport.send_data(&self.out)?;
         self.counters.datagrams += 1;
         Ok(())
     }
 
-    // An undecodable datagram is indistinguishable from silence on the
-    // wire: both receives skip it and let the gap report.
+    // An undecodable datagram is indistinguishable from silence to the
+    // machines: both receives count it as malformed, skip it and let the
+    // gap report.
     fn recv_data(&mut self, _: Instant, reference: u64) -> Arrival {
         while let Some(n) = self.transport.recv_data(&mut self.buf)? {
             let Ok(frame) = wire::decode(&self.buf[..n], reference, self.modulus) else {
+                self.counters.malformed += 1;
                 continue;
             };
             let (c, every) = (&mut self.counters, self.cfg.corrupt_every);
@@ -513,16 +522,17 @@ impl Link for WireLink<'_> {
     // The demo keeps the feedback direction clean; the simulator and the
     // model checker cover lossy feedback.
     fn send_feedback(&mut self, _: Instant, frame: Frame, _: u64) -> Result<(), String> {
-        self.transport
-            .send_feedback(&wire::encode(&frame, self.modulus))?;
+        wire::encode_into(&frame, self.modulus, &mut self.out);
+        self.transport.send_feedback(&self.out)?;
         self.counters.feedback += 1;
         Ok(())
     }
 
     fn recv_feedback(&mut self, _: Instant, reference: u64) -> Arrival {
         while let Some(n) = self.transport.recv_feedback(&mut self.buf)? {
-            if let Ok(frame) = wire::decode(&self.buf[..n], reference, self.modulus) {
-                return Ok(Some((frame, RxStatus::Ok)));
+            match wire::decode(&self.buf[..n], reference, self.modulus) {
+                Ok(frame) => return Ok(Some((frame, RxStatus::Ok))),
+                Err(_) => self.counters.malformed += 1,
             }
         }
         Ok(None)
@@ -568,6 +578,7 @@ pub fn run_transfer(
         chan_trace: sink_trace(fanout.clone(), "channel"),
         counters: HostCounters::default(),
         buf: [0; 2048],
+        out: Vec::new(),
     };
     let mut sender = Sender::new(lcfg.clone());
     let mut receiver = match cfg.rx_capacity {
@@ -655,6 +666,7 @@ pub fn run_transfer(
         corruptions_injected: counters.corruptions,
         datagrams_sent: counters.datagrams,
         feedback_sent: counters.feedback,
+        malformed: counters.malformed,
         retransmissions: sender.stats().retransmissions,
         audit_findings: report.total_findings,
         audit_records: report.records,
@@ -737,6 +749,7 @@ mod tests {
             ("io.inject.corruptions", s.corruptions_injected),
             ("io.tx.datagrams", s.datagrams_sent),
             ("io.rx.feedback", s.feedback_sent),
+            ("io.rx.malformed", s.malformed),
         ]
         .map(|(name, v)| (name, v as f64));
         assert_eq!(s.counters.entries(), expected.as_slice());

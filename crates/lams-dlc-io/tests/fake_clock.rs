@@ -233,6 +233,133 @@ fn flow_control_engages_under_tiny_receive_capacity() {
     assert!(naks > 0, "overflowed frames must be NAK'd, not lost");
 }
 
+/// Datagrams `wire::decode` must reject: empty, unknown type bytes,
+/// truncated real frames, and real frames with one bit flipped. Each
+/// candidate is checked against the decoder and kept only if rejected.
+fn malformed_corpus() -> Vec<Vec<u8>> {
+    use lams_dlc::{wire, CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, StopGo};
+    let m = loopback_config().seq_modulus();
+    let info = wire::encode(
+        &Frame::Info(InfoFrame {
+            seq: 3,
+            packet_id: PacketId(3),
+            payload: bytes::Bytes::from(vec![0x5A; 64]),
+        }),
+        m,
+    );
+    let cp = wire::encode(
+        &Frame::Control(ControlFrame::CheckPoint(CheckPoint {
+            index: 2,
+            covered: 9,
+            naks: vec![4, 7],
+            enforced: false,
+            probe: None,
+            stop_go: StopGo::Go,
+        })),
+        m,
+    );
+    let req = wire::encode(&Frame::Control(ControlFrame::RequestNak { probe: 1 }), m);
+    let flipped = |frame: &[u8], bit: usize| {
+        let mut d = frame.to_vec();
+        d[bit / 8] ^= 1 << (bit % 8);
+        d
+    };
+    let candidates = vec![
+        vec![],
+        vec![0x00],
+        vec![0x7F, 1, 2, 3, 4, 5, 6, 7],
+        info[..1].to_vec(),
+        info[..15].to_vec(),
+        info[..info.len() - 1].to_vec(),
+        cp[..cp.len() - 3].to_vec(),
+        req[..req.len() - 1].to_vec(),
+        flipped(&info, 8 * 20 + 3),
+        flipped(&cp, 8 * 19),
+        flipped(&req, 8 * 4 + 7),
+    ];
+    let corpus: Vec<Vec<u8>> = candidates
+        .into_iter()
+        .filter(|d| wire::decode(d, 0, m).is_err())
+        .collect();
+    assert!(corpus.len() >= 10, "the decoder must reject the corpus");
+    corpus
+}
+
+/// A [`MemTransport`] that slips up to two corpus datagrams in ahead of
+/// each real one, in both directions, until the corpus runs out (a
+/// transfer sends only a handful of feedback datagrams).
+struct HostileLink {
+    medium: MemTransport,
+    fwd: VecDeque<Vec<u8>>,
+    rev: VecDeque<Vec<u8>>,
+    injected: u64,
+}
+
+impl Transport for HostileLink {
+    fn send_data(&mut self, datagram: &[u8]) -> Result<(), String> {
+        for bad in self.fwd.drain(..self.fwd.len().min(2)) {
+            self.medium.send_data(&bad)?;
+            self.injected += 1;
+        }
+        self.medium.send_data(datagram)
+    }
+
+    fn recv_data(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
+        self.medium.recv_data(buf)
+    }
+
+    fn send_feedback(&mut self, datagram: &[u8]) -> Result<(), String> {
+        for bad in self.rev.drain(..self.rev.len().min(2)) {
+            self.medium.send_feedback(&bad)?;
+            self.injected += 1;
+        }
+        self.medium.send_feedback(datagram)
+    }
+
+    fn recv_feedback(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
+        self.medium.recv_feedback(buf)
+    }
+}
+
+#[test]
+fn malformed_datagrams_are_counted_and_skipped() {
+    let corpus = malformed_corpus();
+    let mut cfg = IoConfig {
+        sdus: 600,
+        payload_len: 48,
+        drop_every: 9,
+        corrupt_every: 13,
+        trace: Some(temp_path("malformed_clean.jsonl")),
+        ..IoConfig::default()
+    };
+    let (clean, clean_trace) = run_traced(&cfg);
+    assert_eq!(clean.malformed, 0);
+
+    cfg.trace = Some(temp_path("malformed_hostile.jsonl"));
+    let mut link = HostileLink {
+        medium: MemTransport::new(),
+        fwd: corpus.iter().cloned().collect(),
+        rev: corpus.iter().cloned().collect(),
+        injected: 0,
+    };
+    let (s, trace) = run_traced_over(&cfg, &ManualClock::new(), &mut link);
+    assert!(
+        link.fwd.is_empty() && link.rev.is_empty(),
+        "corpus not used up"
+    );
+    assert_eq!(link.injected, 2 * corpus.len() as u64);
+    assert_eq!(s.delivered, 600);
+    assert_eq!(s.audit_findings, 0);
+    assert_eq!(s.malformed, link.injected);
+    assert_eq!(
+        s.counters.get("io.rx.malformed"),
+        Some(link.injected as f64)
+    );
+    // Skipped datagrams are silence to the machines: they see the same
+    // frames at the same instants as on the clean medium.
+    assert_eq!(trace, clean_trace);
+}
+
 #[test]
 fn offline_replay_of_the_trace_matches_the_live_audit() {
     let cfg = IoConfig {

@@ -59,9 +59,18 @@ impl std::error::Error for WireError {}
 /// Serialize a frame. `modulus` is the configured numbering size used to
 /// compress sequence numbers.
 pub fn encode(frame: &Frame, modulus: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(frame, modulus, &mut out);
+    out
+}
+
+/// Serialize a frame into `out`, replacing its contents: the same bytes
+/// as [`encode`], written into a buffer a host reuses for every datagram.
+pub fn encode_into(frame: &Frame, modulus: u64, out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(encoded_len(frame));
     match frame {
         Frame::Info(i) => {
-            let mut out = Vec::with_capacity(1 + 4 + 8 + 2 + i.payload.len() + 4);
             out.push(TYPE_INFO);
             out.extend_from_slice(&seq::compress(i.seq, modulus).to_le_bytes());
             out.extend_from_slice(&i.packet_id.0.to_le_bytes());
@@ -72,11 +81,9 @@ pub fn encode(frame: &Frame, modulus: u64) -> Vec<u8> {
                 .expect("payload exceeds u16 length field");
             out.extend_from_slice(&len.to_le_bytes());
             out.extend_from_slice(&i.payload);
-            Crc32::append(&mut out);
-            out
+            Crc32::append(out);
         }
         Frame::Control(ControlFrame::CheckPoint(cp)) => {
-            let mut out = Vec::with_capacity(1 + 1 + 8 + 4 + 2 + 4 * cp.naks.len() + 8 + 2);
             out.push(TYPE_CHECKPOINT);
             let mut flags = 0u8;
             if cp.enforced {
@@ -103,15 +110,12 @@ pub fn encode(frame: &Frame, modulus: u64) -> Vec<u8> {
             if let Some(p) = cp.probe {
                 out.extend_from_slice(&p.to_le_bytes());
             }
-            Crc16Ccitt::append(&mut out);
-            out
+            Crc16Ccitt::append(out);
         }
         Frame::Control(ControlFrame::RequestNak { probe }) => {
-            let mut out = Vec::with_capacity(1 + 8 + 2);
             out.push(TYPE_REQUEST_NAK);
             out.extend_from_slice(&probe.to_le_bytes());
-            Crc16Ccitt::append(&mut out);
-            out
+            Crc16Ccitt::append(out);
         }
     }
 }
@@ -403,6 +407,43 @@ mod tests {
         fn prop_request_nak_roundtrip(probe in proptest::num::u64::ANY) {
             let f = Frame::Control(ControlFrame::RequestNak { probe });
             prop_assert_eq!(roundtrip(&f, 0), f);
+        }
+
+        #[test]
+        fn prop_encode_into_a_dirty_buffer_matches_encode(
+            seq in 0u64..1_000_000,
+            payload in proptest::collection::vec(proptest::num::u8::ANY, 0..256),
+            offsets in proptest::collection::vec(0u64..1_000, 0..65),
+            probe in proptest::num::u64::ANY,
+            with_probe in proptest::bool::ANY,
+            junk in 0u8..=255,
+        ) {
+            let mut naks: Vec<u64> = offsets.iter().map(|o| seq + o).collect();
+            naks.sort_unstable();
+            naks.dedup();
+            let frames = [
+                Frame::Info(InfoFrame {
+                    seq,
+                    packet_id: PacketId(probe),
+                    payload: Bytes::from(payload),
+                }),
+                Frame::Control(ControlFrame::CheckPoint(CheckPoint {
+                    index: probe >> 1,
+                    covered: seq + 1_000,
+                    naks,
+                    enforced: with_probe,
+                    probe: with_probe.then_some(probe),
+                    stop_go: StopGo::Go,
+                })),
+                Frame::Control(ControlFrame::RequestNak { probe }),
+            ];
+            for f in &frames {
+                let expected = encode(f, M);
+                // Longer than any of these frames, full of stale bytes.
+                let mut buf = vec![junk; expected.len() + 64];
+                encode_into(f, M, &mut buf);
+                prop_assert_eq!(&buf, &expected);
+            }
         }
 
         #[test]

@@ -641,7 +641,7 @@ def check_attribution_replay(tsv_path, doc, report_path):
 # The live-host stats stream (`lams-dlc-io --stats`). Counters here are
 # cumulative, so later snapshots can never show less than earlier ones.
 LIVE_COUNTERS = ("io.inject.drops", "io.inject.corruptions",
-                 "io.tx.datagrams", "io.rx.feedback")
+                 "io.tx.datagrams", "io.rx.feedback", "io.rx.malformed")
 LIVE_LINK_KEYS = ("frames", "delivered", "naks", "retransmissions",
                   "max_outstanding")
 LIVE_SERIES_KEYS = ("t0_s", "t1_s", "tx", "retx", "delivered", "naks",

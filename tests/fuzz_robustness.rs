@@ -1,6 +1,6 @@
 //! Robustness fuzzing: decoders must reject, never panic, on arbitrary
-//! or corrupted input; core data structures keep their invariants under
-//! random operation sequences.
+//! or corrupted input (wire datagrams and trace lines); core data
+//! structures keep their invariants under random operation sequences.
 
 use fec::{BitBuf, LinkCodec, Viterbi, CCSDS_K7};
 use proptest::prelude::*;
@@ -163,5 +163,162 @@ fn wire_bitflip_storm_rejected_or_exact() {
             lams_dlc::wire::decode(&bad, 1234, 1 << 16).is_err(),
             "flip {bit} accepted"
         );
+    }
+}
+
+// ------------------------------------------------------ trace reader
+
+/// One valid JSONL trace line per record shape the offline tools read,
+/// including a record past 2^53 ns that carries `t_ns`.
+fn trace_lines() -> Vec<String> {
+    use telemetry::{TraceEvent, TraceRecord};
+    let records = [
+        (0, "host", TraceEvent::RunStarted),
+        (
+            1_500,
+            "tx",
+            TraceEvent::IFrameTx {
+                seq: 7,
+                retx: false,
+                len: 64,
+            },
+        ),
+        (
+            2_750,
+            "rx",
+            TraceEvent::Nak {
+                seq: 7,
+                cp_index: 3,
+            },
+        ),
+        (
+            5_000_000,
+            "rx",
+            TraceEvent::CheckpointEmitted {
+                index: 1,
+                covered: 9,
+                naks: 1,
+                enforced: false,
+                stop: true,
+            },
+        ),
+        (
+            (1 << 53) + 1,
+            "tx",
+            TraceEvent::RetxCause {
+                seq: u64::MAX,
+                cause: "nak",
+                cp_index: 2,
+            },
+        ),
+        (
+            9_000,
+            "host",
+            TraceEvent::RunFinished {
+                deadline_hit: false,
+            },
+        ),
+    ];
+    records
+        .into_iter()
+        .map(|(ns, node, event)| {
+            let mut line = String::new();
+            TraceRecord {
+                t: sim_core::Instant::from_nanos(ns),
+                node,
+                event,
+            }
+            .render_into(&mut line);
+            line
+        })
+        .collect()
+}
+
+/// Bytes that steer a parser into every branch: structure, literals,
+/// numbers, strings and escapes.
+const JSON_ALPHABET: &[u8] = b"{}[]:,\"\\/ 0123456789.eE+-ntrufalsbu\x01\xc3\xa9";
+
+proptest! {
+    #[test]
+    fn trace_parse_line_survives_arbitrary_strings(
+        raw in proptest::collection::vec(proptest::num::u8::ANY, 0..200),
+        picks in proptest::collection::vec(0usize..JSON_ALPHABET.len(), 0..200),
+    ) {
+        // Ok or Err, never a panic: trace files come from outside.
+        let _ = telemetry::parse_line(&String::from_utf8_lossy(&raw));
+        let steered: Vec<u8> = picks.iter().map(|&i| JSON_ALPHABET[i]).collect();
+        let _ = telemetry::parse_line(&String::from_utf8_lossy(&steered));
+    }
+
+    #[test]
+    fn trace_parse_line_survives_any_nesting_depth(
+        depth in 1usize..100_001,
+        object in proptest::bool::ANY,
+    ) {
+        let (open, close) = if object { ("{\"k\":", "}") } else { ("[", "]") };
+        let deep = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+        let line = format!("{{\"t\":0,\"node\":\"rx\",\"event\":\"nak\",\"seq\":{deep},\"cp_index\":0}}");
+        // Nested values are never a number, so nothing here is a record.
+        prop_assert!(telemetry::parse_line(&deep).is_err());
+        prop_assert!(telemetry::parse_line(&line).is_err());
+        prop_assert!(telemetry::parse_line(&"[".repeat(depth)).is_err());
+    }
+}
+
+#[test]
+fn trace_lines_truncated_at_every_byte_are_rejected() {
+    for line in trace_lines() {
+        assert!(telemetry::parse_line(&line).is_ok(), "{line}");
+        for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
+            assert!(
+                telemetry::parse_line(&line[..cut]).is_err(),
+                "{}",
+                &line[..cut]
+            );
+        }
+    }
+}
+
+#[test]
+fn trace_numbers_out_of_range_are_values_or_errors() {
+    // (numeral, whether it is JSON, a usable `t`, a usable `seq`).
+    // `t_ns` is optional and falls back to `t`, so any JSON number
+    // leaves the record valid there.
+    let cases = [
+        ("-1", true, false, false),
+        ("-0", true, true, true),
+        ("0.5", true, true, false),
+        ("1e308", true, true, false),
+        ("1e999", true, false, false),
+        ("-1e999", true, false, false),
+        ("1e-400", true, true, true),
+        ("9007199254740993", true, true, true),
+        ("18446744073709551615", true, true, true),
+        ("18446744073709551616", true, true, false),
+        ("1e19", true, true, true),
+        ("1e20", true, true, false),
+        ("340282366920938463463374607431768211456", true, true, false),
+        ("-9223372036854775809", true, false, false),
+        ("NaN", false, false, false),
+        ("-NaN", false, false, false),
+        ("Infinity", false, false, false),
+        ("-", false, false, false),
+        ("1e", false, false, false),
+        ("0x10", false, false, false),
+    ];
+    let base = &trace_lines()[2];
+    for (field, column) in [("t_ns", 0), ("t", 1), ("seq", 2)] {
+        for (n, json, t_ok, seq_ok) in cases {
+            let line = if field == "t_ns" {
+                base.replacen(",\"node\"", &format!(",\"t_ns\":{n},\"node\""), 1)
+            } else {
+                let (head, rest) = base.split_once(&format!("\"{field}\":")).expect("field");
+                let end = rest.find([',', '}']).expect("value ends");
+                format!("{head}\"{field}\":{n}{}", &rest[end..])
+            };
+            let expect_ok = [json, t_ok, seq_ok][column];
+            let parsed = telemetry::parse_line(&line);
+            assert_eq!(parsed.is_ok(), expect_ok, "{line} parsed as {parsed:?}");
+        }
     }
 }
