@@ -1,5 +1,5 @@
-//! Sharded relay chain: one [`crate::relay`]-style store-and-forward
-//! simulation partitioned across OS threads (`repro --shards N`).
+//! The store-and-forward relay chain (see [`crate::relay`]) as one
+//! simulation over any number of shards (`repro --shards N`).
 //!
 //! The chain is the natural conservative-parallel topology: hop `i`'s
 //! propagation delay is a hard lower bound on how far upstream events
@@ -7,47 +7,51 @@
 //! only satellite links with real lookahead. Each shard owns a run of
 //! nodes (and the channels their nodes *transmit* on); frames crossing
 //! a cut travel as timestamped batches through the
-//! [`netsim::run_sharded`] coordinator.
+//! [`netsim::run_sharded`] coordinator. At one shard the whole chain is
+//! a single window on the caller's thread.
 //!
 //! Determinism contract: every hop's channel draws its randomness from
 //! the same per-hop shifted seed regardless of the partition, sources
 //! issue from the same generator stream, and the shard runtime's
 //! canonical same-instant dispatch order is partition-independent — so
-//! the report is **identical at every shard count**, including 1. The
-//! serial [`crate::relay::run_relay`] family is left untouched (it
-//! backs the pinned golden fingerprints); this family is its parallel
-//! twin, compared statistically in tests.
+//! the report is **identical at every shard count**, including 1, but
+//! for the occupancy series (below).
 //!
 //! Accounting across the cut: the sink shard's [`Collector`] is
 //! pre-seeded with the full push schedule (a replayed clone of the
 //! traffic generator), because push events happen on the source shard.
-//! The source registers no collector; the coordinator patches `offered`
-//! and the transmission sums into the sink's report afterwards.
+//! The coordinator patches `offered` and the transmission sums into the
+//! sink's report afterwards. The source shard samples its sender's
+//! buffer and the worst occupancy among the receivers *it hosts*, and
+//! drains its sender's holding times — into the sink collector when
+//! both ends share the one shard, else into a collector of its own
+//! whose series replace the sink report's. Holding times and sender
+//! occupancy are therefore identical at every shard count; receiver
+//! occupancy covers the whole chain only at one shard.
 
 use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::relay::RelayConfig;
 use crate::scenario::ScenarioConfig;
 use crate::traffic::TrafficGen;
-use netsim::Machine;
 use netsim::{
-    link::Channel, DelayModel, FinishedShard, LinkId, LinkSpec, NodeId, NodeRole, Partition,
-    ShardBuilder, ShardSim, Topology, TopologyError,
+    link::Channel, DelayModel, FinishedShard, LinkId, NodeId, NodeRole, Partition, ShardBuilder,
+    ShardSim, Topology, TopologyError,
 };
+use netsim::{Collect, Machine};
 use sim_core::SeedSplitter;
 use std::collections::BTreeMap;
 use telemetry::Registry;
 
-/// Per-hop channels with the same shifted seed the serial relay uses,
-/// so a hop's error/delay realisation is partition-independent.
+/// Per-hop channels from a per-hop shifted seed, so a hop's
+/// error/delay realisation is partition-independent.
 fn hop_channels(base: &ScenarioConfig, i: usize) -> (Channel, Channel) {
     let mut c = base.clone();
     c.seed = base.seed.wrapping_add(1000 * (i as u64 + 1));
     c.build_channels()
 }
 
-/// The chain's source generator (stream 2 of the master seed, exactly
-/// as the serial relay draws it).
+/// The chain's source generator (stream 2 of the master seed).
 fn chain_gen(base: &ScenarioConfig) -> TrafficGen {
     TrafficGen::new(
         base.pattern.clone(),
@@ -74,23 +78,15 @@ fn chain_topology(cfg: &RelayConfig) -> (Topology, Vec<DelayModel>) {
     let mut topo = Topology::default();
     let mut delays = Vec::with_capacity(2 * h);
     for n in 0..=h {
-        topo.roles.push(match n {
+        topo.node(match n {
             0 => NodeRole::Source,
             n if n == h => NodeRole::Sink,
             _ => NodeRole::Relay,
         });
     }
     for i in 0..h {
-        topo.links.push(LinkSpec {
-            from: NodeId(i),
-            to: NodeId(i + 1),
-            dir: "fwd",
-        });
-        topo.links.push(LinkSpec {
-            from: NodeId(i + 1),
-            to: NodeId(i),
-            dir: "rev",
-        });
+        topo.link(NodeId(i), NodeId(i + 1), "fwd");
+        topo.link(NodeId(i + 1), NodeId(i), "rev");
         let (f, r) = hop_channels(&cfg.base, i);
         delays.push(f.delay.clone());
         delays.push(r.delay.clone());
@@ -107,20 +103,33 @@ struct ChainShardOut {
     retransmissions: u64,
     /// First sender's counter registry (source shard only).
     tx0_extras: Option<Registry>,
-    /// The sink shard's finished report, with `offered`, `lost`,
-    /// transmission sums and perf fields left for the coordinator.
+    /// The shard's collector, finished: the sink's report, with
+    /// `offered`, `lost`, transmission sums and perf fields left for the
+    /// coordinator, or the source shard's own sampling collector.
     report: Option<Box<RunReport>>,
+    /// True on the shard hosting the sink.
+    sink: bool,
 }
 
-/// Drive a relay chain split across `shards` threads, every hop running
-/// the same protocol. `mk_tx(i)` / `mk_rx(i)` build link `i`'s
-/// endpoints (called on the owning shard's thread, so trace handles
-/// resolve against that shard's buffered sink). `shards` is clamped to
-/// `hops + 1` (one node per shard is the finest cut); `shards <= 1`
-/// runs the same machinery in one window.
+/// How a chain run executes.
+#[derive(Clone, Copy, Debug)]
+pub enum Shards {
+    /// Through [`netsim::run_sharded`] at this many shards (clamped to
+    /// `hops + 1`, one node per shard being the finest cut), recording
+    /// superstep accounting for `repro --shards`/`--timeline`.
+    Coordinated(usize),
+    /// As one shard run directly on this thread, unaccounted: a plain
+    /// simulation, like the point-to-point and duplex runs.
+    Direct,
+}
+
+/// Drive a relay chain, every hop running the same protocol.
+/// `mk_tx(i)` / `mk_rx(i)` build link `i`'s endpoints (called on the
+/// owning shard's thread, so trace handles resolve against that
+/// shard's buffered sink).
 pub fn run_chain<T, R>(
     cfg: &RelayConfig,
-    shards: usize,
+    runtime: Shards,
     mk_tx: impl Fn(usize) -> T + Sync,
     mk_rx: impl Fn(usize) -> R + Sync,
     protocol: &str,
@@ -133,7 +142,10 @@ where
     assert!(cfg.hops >= 1, "need at least one link");
     let h = cfg.hops;
     let base = &cfg.base;
-    let shards = shards.max(1).min(h + 1);
+    let shards = match runtime {
+        Shards::Coordinated(n) => n.max(1).min(h + 1),
+        Shards::Direct => 1,
+    };
 
     let (topo, delays) = chain_topology(cfg);
     let part = Partition::contiguous(h + 1, shards);
@@ -154,6 +166,8 @@ where
     let build = |s: usize| -> Result<ShardSim<T, R, Collector>, TopologyError> {
         let (lo, hi) = ranges[s];
         let mut b: ShardBuilder<T, R, Collector> = ShardBuilder::new(base.payload_bytes);
+        b.place(&topo, &part, s);
+        b.sample_every(base.sample_every);
 
         // Links in ascending global-id order. Upstream boundary hop
         // lo-1: we receive its forward link (stub) and own its reverse
@@ -220,7 +234,10 @@ where
             }
         }
         if lo == 0 {
+            let col = sink_col.unwrap_or_else(|| b.collector(Collector::new()));
             b.source(chain_gen(base), txs[&0], None, 0);
+            b.sample(col, txs[&0], rxs.values().copied().collect());
+            b.holding(col, txs[&0]);
         }
         b.build()
     };
@@ -231,9 +248,12 @@ where
         let transmissions: u64 = out.txs.iter().map(|t| t.transmissions()).sum();
         let retransmissions: u64 = out.txs.iter().map(|t| t.retransmissions()).sum();
         let tx0_extras = (lo == 0).then(|| out.txs[0].extra_stats());
-        let report = (hi == h).then(|| {
-            let col = out.collectors.pop().expect("sink collector");
-            let rx_extras = out.rxs.last().expect("sink receiver").extra_stats();
+        let sink = hi == h;
+        let report = out.collectors.pop().map(|col| {
+            let rx_extras = match out.rxs.last() {
+                Some(rx) if sink => rx.extra_stats(),
+                _ => Registry::new(),
+            };
             // `offered` is a placeholder (the source shard knows the
             // real count); passing the delivered count keeps the
             // `lost` subtraction at zero until the coordinator patches
@@ -253,37 +273,58 @@ where
             ))
         });
         ChainShardOut {
-            issued: if lo == 0 {
-                out.issued.first().copied().unwrap_or(0)
-            } else {
-                0
-            },
+            issued: out.issued.iter().sum(),
             failed,
             transmissions,
             retransmissions,
             tx0_extras,
             report,
+            sink,
         }
     };
 
-    let outcome =
-        netsim::run_sharded(&plan, base.deadline, build, fin).expect("chain shard wiring is valid");
+    let (outputs, queue, wall_secs) = match runtime {
+        Shards::Coordinated(_) => {
+            let outcome = netsim::run_sharded(&plan, base.deadline, build, fin)
+                .expect("chain shard wiring is valid");
+            crate::metrics::shard_absorb(&outcome.shard, outcome.supersteps);
+            (outcome.outputs, outcome.queue, outcome.wall_secs)
+        }
+        Shards::Direct => {
+            let run = build(0)
+                .expect("chain wiring is valid")
+                .run_solo(base.deadline);
+            (vec![fin(0, run.finished)], run.queue, run.wall_secs)
+        }
+    };
 
     let mut offered = 0;
     let mut failed = false;
     let mut transmissions = 0;
     let mut retransmissions = 0;
     let mut tx0_extras = None;
-    let mut report: Option<Box<RunReport>> = None;
-    for o in outcome.outputs {
+    let mut report = None;
+    let mut sampled = None;
+    for o in outputs {
         offered += o.issued;
         failed |= o.failed;
         transmissions += o.transmissions;
         retransmissions += o.retransmissions;
         tx0_extras = tx0_extras.or(o.tx0_extras);
-        report = report.or(o.report);
+        if o.sink {
+            report = o.report;
+        } else {
+            sampled = sampled.or(o.report);
+        }
     }
     let mut report = *report.expect("exactly one shard owns the sink");
+    if let Some(src) = sampled {
+        report.holding = src.holding;
+        report.tx_buffer = src.tx_buffer;
+        report.tx_buffer_tw = src.tx_buffer_tw;
+        report.rx_buffer = src.rx_buffer;
+        report.rate = src.rate;
+    }
     report.offered = offered;
     report.lost = offered.saturating_sub(report.delivered_unique);
     report.link_failed = failed;
@@ -292,21 +333,21 @@ where
     if let Some(x) = tx0_extras {
         report.tx_extras = x;
     }
-    report.queue = outcome.queue;
-    report.wall_secs = outcome.wall_secs;
+    report.queue = queue;
+    report.wall_secs = wall_secs;
     crate::metrics::perf_absorb(&report.queue, report.wall_secs);
-    crate::metrics::shard_absorb(&outcome.shard, outcome.supersteps);
     report
 }
 
-/// Per-hop trace labels (the sharded family targets longer chains than
-/// the serial relay, so the table is deeper). Chains longer than the
-/// table fall back to untraced endpoints.
-const CHAIN_TX: [&str; 16] = [
+/// Per-hop trace labels: hop `i`'s sender/receiver pair shares the
+/// `hop<i>` prefix so trace consumers can pair the two sides of each
+/// link. Chains longer than the table fall back to untraced endpoints
+/// (trace labels are `&'static str` by design).
+const HOP_TX: [&str; 16] = [
     "hop0.tx", "hop1.tx", "hop2.tx", "hop3.tx", "hop4.tx", "hop5.tx", "hop6.tx", "hop7.tx",
     "hop8.tx", "hop9.tx", "hop10.tx", "hop11.tx", "hop12.tx", "hop13.tx", "hop14.tx", "hop15.tx",
 ];
-const CHAIN_RX: [&str; 16] = [
+const HOP_RX: [&str; 16] = [
     "hop0.rx", "hop1.rx", "hop2.rx", "hop3.rx", "hop4.rx", "hop5.rx", "hop6.rx", "hop7.rx",
     "hop8.rx", "hop9.rx", "hop10.rx", "hop11.rx", "hop12.rx", "hop13.rx", "hop14.rx", "hop15.rx",
 ];
@@ -318,16 +359,35 @@ fn hop_trace(labels: &[&'static str; 16], i: usize) -> telemetry::trace::Trace {
         .unwrap_or_else(telemetry::trace::Trace::disabled)
 }
 
-/// Sharded relay chain under LAMS-DLC at every hop.
-pub fn run_chain_lams(cfg: &RelayConfig, shards: usize) -> RunReport {
+/// Relay chain under LAMS-DLC at every hop, split across `shards`,
+/// reported under `protocol`.
+pub(crate) fn run_chain_lams_as(cfg: &RelayConfig, shards: Shards, protocol: &str) -> RunReport {
     let lcfg = cfg.base.lams_config();
     run_chain(
         cfg,
         shards,
-        |i| Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(hop_trace(&CHAIN_TX, i))),
-        |i| Driver::new(lams_dlc::Receiver::new(lcfg.clone()).with_trace(hop_trace(&CHAIN_RX, i))),
-        "lams-chain",
+        |i| Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(hop_trace(&HOP_TX, i))),
+        |i| Driver::new(lams_dlc::Receiver::new(lcfg.clone()).with_trace(hop_trace(&HOP_RX, i))),
+        protocol,
     )
+}
+
+/// Relay chain under SR-HDLC at every hop, split across `shards`,
+/// reported under `protocol`.
+pub(crate) fn run_chain_sr_as(cfg: &RelayConfig, shards: Shards, protocol: &str) -> RunReport {
+    let hcfg = cfg.base.hdlc_config();
+    run_chain(
+        cfg,
+        shards,
+        |i| Driver::new(hdlc::SrSender::new(hcfg.clone()).with_trace(hop_trace(&HOP_TX, i))),
+        |i| Driver::new(hdlc::SrReceiver::new(hcfg.clone()).with_trace(hop_trace(&HOP_RX, i))),
+        protocol,
+    )
+}
+
+/// Sharded relay chain under LAMS-DLC at every hop.
+pub fn run_chain_lams(cfg: &RelayConfig, shards: usize) -> RunReport {
+    run_chain_lams_as(cfg, Shards::Coordinated(shards), "lams-chain")
 }
 
 #[cfg(test)]
@@ -382,23 +442,19 @@ mod tests {
         assert_eq!(wide.finished_at, serial.finished_at);
     }
 
-    /// The sharded family tracks the serial relay statistically (the
-    /// two engines order same-instant events differently, so exact
-    /// equality is not the contract — the serial family keeps the
-    /// pinned goldens).
+    /// The source shard samples and drains its sender the same way at
+    /// every cut, so holding times and sender occupancy match too.
     #[test]
-    fn tracks_serial_relay_statistically() {
-        let cfg = chain(3, 1_000, 1e-6);
-        let sharded = run_chain_lams(&cfg, 2);
-        let serial = crate::relay::run_relay_lams(&cfg);
-        assert_eq!(sharded.delivered_unique, serial.delivered_unique);
-        assert_eq!(sharded.lost, 0);
-        let d = (sharded.elapsed_s() - serial.elapsed_s()).abs() / serial.elapsed_s();
-        assert!(
-            d < 0.05,
-            "sharded {} vs serial {}",
-            sharded.elapsed_s(),
-            serial.elapsed_s()
-        );
+    fn sender_series_identical_at_every_shard_count() {
+        let cfg = chain(3, 300, 1e-6);
+        let one = run_chain_lams(&cfg, 1);
+        assert!(one.holding.count() > 0 && !one.tx_buffer.is_empty());
+        for shards in [2, 4] {
+            let r = run_chain_lams(&cfg, shards);
+            assert_eq!(r.holding.count(), one.holding.count(), "{shards} shards");
+            assert_eq!(r.holding.mean().to_bits(), one.holding.mean().to_bits());
+            assert_eq!(r.tx_buffer.points(), one.tx_buffer.points());
+            assert_eq!(r.rate.points(), one.rate.points());
+        }
     }
 }

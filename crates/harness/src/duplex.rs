@@ -16,10 +16,10 @@
 
 use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
-use crate::scenario::ScenarioConfig;
+use crate::scenario::{pair_builder, ScenarioConfig};
 use crate::traffic::TrafficGen;
 use netsim::Machine;
-use netsim::{NodeRole, SimBuilder};
+use netsim::NodeRole;
 use sim_core::SeedSplitter;
 
 /// Reports for the two directions: `a_to_b` and `b_to_a`.
@@ -55,25 +55,21 @@ where
             SeedSplitter::new(cfg.seed).stream(2 + i as u64),
         )
     });
-    let (chan_a, chan_b) = cfg.build_channels();
-
-    let mut b = SimBuilder::new(cfg.payload_bytes, cfg.deadline, cfg.sample_every);
-    let na = b.node(NodeRole::Duplex);
-    let nb = b.node(NodeRole::Duplex);
-    let la = b.link(na, nb, chan_a, "fwd");
-    let lb = b.link(nb, na, chan_b, "rev");
-    let ra = b.rx(na, la, mk_rx(0));
-    let ta = b.tx(na, la, mk_tx(0));
-    let rb = b.rx(nb, lb, mk_rx(1));
-    let tb = b.tx(nb, lb, mk_tx(1));
+    let (mut b, la, lb) = pair_builder(cfg, [NodeRole::Duplex, NodeRole::Duplex]);
+    let ra = b.rx(la, mk_rx(0));
+    let ta = b.tx(la, mk_tx(0));
+    let rb = b.rx(lb, mk_rx(1));
+    let tb = b.tx(lb, mk_tx(1));
     b.listen(la, rb);
     b.listen(la, tb);
     b.listen(lb, ra);
     b.listen(lb, ta);
     let c0 = b.collector(Collector::new());
     let c1 = b.collector(Collector::new());
-    b.source(gens.next().expect("gen a"), ta, c0);
-    b.source(gens.next().expect("gen b"), tb, c1);
+    b.expect(c0, cfg.n_packets);
+    b.expect(c1, cfg.n_packets);
+    b.source(gens.next().expect("gen a"), ta, Some(c0), 0);
+    b.source(gens.next().expect("gen b"), tb, Some(c1), 1);
     b.deliver(ra, c1);
     b.deliver(rb, c0);
     b.sample(c0, ta, vec![ra]);
@@ -81,64 +77,51 @@ where
     b.holding(c0, ta);
     b.holding(c1, tb);
 
-    let netsim::Outcome {
-        txs,
-        rxs,
-        collectors,
-        finished_at,
-        deadline_hit,
-        queue,
-        wall_secs,
-        ..
-    } = b.build().expect("duplex wiring is valid").run();
+    let run = b
+        .build()
+        .expect("duplex wiring is valid")
+        .run_solo(cfg.deadline);
+    let out = run.finished;
     // Both directions ran on the one event queue; each report carries
     // the whole run's perf block.
-    crate::metrics::perf_absorb(&queue, wall_secs);
-    let finish = |col: Collector, i: usize| {
-        col.finish(
+    crate::metrics::perf_absorb(&run.queue, run.wall_secs);
+    let mut reports = out.collectors.into_iter().enumerate().map(|(i, col)| {
+        let (tx, peer_rx) = (&out.txs[i], &out.rxs[1 - i]);
+        let mut r = col.finish(
             protocol,
             cfg.n_packets,
-            finished_at,
-            deadline_hit,
-            txs[i].is_failed(),
-            txs[i].transmissions(),
-            txs[i].retransmissions(),
+            out.finished_at,
+            out.deadline_hit,
+            tx.is_failed(),
+            tx.transmissions(),
+            tx.retransmissions(),
             cfg.t_f(),
-            txs[i].extra_stats(),
-            rxs[1 - i].extra_stats(),
-        )
-    };
-    let stamp = |mut r: RunReport| {
-        r.queue = queue;
-        r.wall_secs = wall_secs;
+            tx.extra_stats(),
+            peer_rx.extra_stats(),
+        );
+        r.queue = run.queue;
+        r.wall_secs = run.wall_secs;
         r
-    };
-    let mut it = collectors.into_iter();
-    let a_to_b = stamp(finish(it.next().expect("col a"), 0));
-    let b_to_a = stamp(finish(it.next().expect("col b"), 1));
+    });
+    let a_to_b = reports.next().expect("col a");
+    let b_to_a = reports.next().expect("col b");
     DuplexReport { a_to_b, b_to_a }
 }
+
+/// Trace labels are per *flow*, not per node: `mk_tx(0)` sends the A→B
+/// data, and its peer receiver is `mk_rx(1)` at node B — sharing the
+/// `a2b` prefix lets trace consumers pair them.
+const DUPLEX_TX: [&str; 2] = ["a2b.tx", "b2a.tx"];
+const DUPLEX_RX: [&str; 2] = ["b2a.rx", "a2b.rx"];
 
 /// Symmetric full-duplex LAMS-DLC.
 pub fn run_duplex_lams(cfg: &ScenarioConfig) -> DuplexReport {
     let lcfg = cfg.lams_config();
+    let trace = |labels: &[&'static str; 2], i: usize| telemetry::global_handle(labels[i]);
     run_duplex(
         cfg,
-        |i| {
-            // Trace labels are per *flow*, not per node: mk_tx(0) sends
-            // the A→B data, and its peer receiver is mk_rx(1) at node B —
-            // sharing the "a2b" prefix lets trace consumers pair them.
-            let node = if i == 0 { "a2b.tx" } else { "b2a.tx" };
-            Driver::new(
-                lams_dlc::Sender::new(lcfg.clone()).with_trace(telemetry::global_handle(node)),
-            )
-        },
-        |i| {
-            let node = if i == 0 { "b2a.rx" } else { "a2b.rx" };
-            Driver::new(
-                lams_dlc::Receiver::new(lcfg.clone()).with_trace(telemetry::global_handle(node)),
-            )
-        },
+        |i| Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(trace(&DUPLEX_TX, i))),
+        |i| Driver::new(lams_dlc::Receiver::new(lcfg.clone()).with_trace(trace(&DUPLEX_RX, i))),
         "lams-duplex",
     )
 }
@@ -146,20 +129,11 @@ pub fn run_duplex_lams(cfg: &ScenarioConfig) -> DuplexReport {
 /// Symmetric full-duplex SR-HDLC.
 pub fn run_duplex_sr(cfg: &ScenarioConfig) -> DuplexReport {
     let hcfg = cfg.hdlc_config();
+    let trace = |labels: &[&'static str; 2], i: usize| telemetry::global_handle(labels[i]);
     run_duplex(
         cfg,
-        |i| {
-            let node = if i == 0 { "a2b.tx" } else { "b2a.tx" };
-            Driver::new(
-                hdlc::SrSender::new(hcfg.clone()).with_trace(telemetry::global_handle(node)),
-            )
-        },
-        |i| {
-            let node = if i == 0 { "b2a.rx" } else { "a2b.rx" };
-            Driver::new(
-                hdlc::SrReceiver::new(hcfg.clone()).with_trace(telemetry::global_handle(node)),
-            )
-        },
+        |i| Driver::new(hdlc::SrSender::new(hcfg.clone()).with_trace(trace(&DUPLEX_TX, i))),
+        |i| Driver::new(hdlc::SrReceiver::new(hcfg.clone()).with_trace(trace(&DUPLEX_RX, i))),
         "sr-duplex",
     )
 }

@@ -403,123 +403,9 @@ impl Collector {
         }
     }
 
-    /// Record an SDU entering the sender.
-    pub fn on_push(&mut self, now: Instant, id: u64) {
-        let idx = id as usize;
-        if idx >= self.push_times.len() {
-            self.push_times.resize(idx + 1, None);
-        }
-        self.push_times[idx] = Some(now);
-    }
-
     #[inline]
     fn push_time(&self, id: u64) -> Option<Instant> {
         self.push_times.get(id as usize).copied().flatten()
-    }
-
-    /// Record a receiver delivery; runs the destination resequencer for
-    /// dedup + in-order accounting.
-    pub fn on_deliver(&mut self, now: Instant, id: u64) {
-        let _span = self.prof.span("collector.deliver");
-        let word = (id >> 6) as usize;
-        if word >= self.delivered.len() {
-            self.delivered.resize(word + 1, 0);
-        }
-        let bit = 1u64 << (id & 63);
-        if self.delivered[word] & bit != 0 {
-            self.duplicates += 1;
-            return;
-        }
-        self.delivered[word] |= bit;
-        self.delivered_count += 1;
-        match self.push_time(id) {
-            Some(p) => self.delay.record(now.duration_since(p).as_secs_f64()),
-            // A delivery with no matching push: the delay sample is
-            // unrecordable. Count it so runs where accounting went wrong
-            // are visible instead of silently under-sampled.
-            None => self.counters.inc_handle(self.unmatched),
-        }
-        if self.trace.enabled() {
-            let idx = id as usize;
-            if idx >= self.reseq_arrival.len() {
-                self.reseq_arrival.resize(idx + 1, None);
-            }
-            self.reseq_arrival[idx] = Some(now);
-        }
-        let reseq_span = self.prof.span("collector.reseq");
-        let mut released = std::mem::take(&mut self.reseq_out);
-        released.clear();
-        self.resequencer
-            .offer_into(lams_dlc::PacketId(id), bytes::Bytes::new(), &mut released);
-        for (rid, _) in &released {
-            match self.push_time(rid.0) {
-                Some(p) => {
-                    let d = now.duration_since(p).as_secs_f64();
-                    self.e2e_delay.record(d);
-                    self.e2e_delay_hist.record(d);
-                }
-                None => self.counters.inc_handle(self.unmatched),
-            }
-            if self.trace.enabled() {
-                if let Some(slot) = self.reseq_arrival.get_mut(rid.0 as usize) {
-                    if let Some(arrived) = slot.take() {
-                        let held_ns = now.duration_since(arrived).as_nanos();
-                        if held_ns > 0 {
-                            let sdu = rid.0;
-                            self.trace
-                                .emit(now, || TraceEvent::ReseqHold { id: sdu, held_ns });
-                        }
-                    }
-                }
-            }
-        }
-        self.reseq_out = released;
-        drop(reseq_span);
-    }
-
-    /// Record a batch of holding-time samples (seconds).
-    pub fn on_holding(&mut self, samples: &[f64]) {
-        for &h in samples {
-            self.holding.record(h);
-        }
-    }
-
-    /// Sample the occupancy traces.
-    pub fn sample(&mut self, now: Instant, tx_buf: usize, rx_buf: usize, rate: f64) {
-        self.tx_buffer.push(now, tx_buf as f64);
-        self.tx_buffer_tw.set(now, tx_buf as f64);
-        self.rx_buffer.push(now, rx_buf as f64);
-        self.reseq_buffer
-            .push(now, self.resequencer.buffered() as f64);
-        self.rate.push(now, rate);
-        // Trace power-of-two watermark crossings of the sender buffer:
-        // one rising record per level filled, one falling once it drains
-        // below a quarter of that level (hysteresis against flapping).
-        if self.trace.enabled() {
-            while tx_buf >= self.tx_watermark {
-                let level = self.tx_watermark as u64;
-                self.trace.emit(now, || TraceEvent::BufferWatermark {
-                    buffer: "tx",
-                    level,
-                    rising: true,
-                });
-                self.tx_watermark *= 2;
-            }
-            while self.tx_watermark > TX_WATERMARK_BASE && tx_buf < self.tx_watermark / 4 {
-                self.tx_watermark /= 2;
-                let level = self.tx_watermark as u64;
-                self.trace.emit(now, || TraceEvent::BufferWatermark {
-                    buffer: "tx",
-                    level,
-                    rising: false,
-                });
-            }
-        }
-    }
-
-    /// Unique deliveries so far.
-    pub fn delivered_unique(&self) -> u64 {
-        self.delivered_count
     }
 
     /// Duplicate deliveries so far.
@@ -594,33 +480,127 @@ impl Default for Collector {
     }
 }
 
-// The netsim engine drives collectors through this trait; delegate to
-// the inherent methods so direct (non-engine) users keep working.
+// The netsim event loop drives collectors through this trait.
 impl netsim::Collect for Collector {
+    /// Record an SDU entering the sender.
     fn on_push(&mut self, now: Instant, id: u64) {
-        Collector::on_push(self, now, id);
+        let idx = id as usize;
+        if idx >= self.push_times.len() {
+            self.push_times.resize(idx + 1, None);
+        }
+        self.push_times[idx] = Some(now);
     }
 
+    /// Record a receiver delivery; runs the destination resequencer for
+    /// dedup + in-order accounting.
     fn on_deliver(&mut self, now: Instant, id: u64) {
-        Collector::on_deliver(self, now, id);
+        let _span = self.prof.span("collector.deliver");
+        let word = (id >> 6) as usize;
+        if word >= self.delivered.len() {
+            self.delivered.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (id & 63);
+        if self.delivered[word] & bit != 0 {
+            self.duplicates += 1;
+            return;
+        }
+        self.delivered[word] |= bit;
+        self.delivered_count += 1;
+        match self.push_time(id) {
+            Some(p) => self.delay.record(now.duration_since(p).as_secs_f64()),
+            // A delivery with no matching push: the delay sample is
+            // unrecordable. Count it so runs where accounting went wrong
+            // are visible instead of silently under-sampled.
+            None => self.counters.inc_handle(self.unmatched),
+        }
+        if self.trace.enabled() {
+            let idx = id as usize;
+            if idx >= self.reseq_arrival.len() {
+                self.reseq_arrival.resize(idx + 1, None);
+            }
+            self.reseq_arrival[idx] = Some(now);
+        }
+        let reseq_span = self.prof.span("collector.reseq");
+        let mut released = std::mem::take(&mut self.reseq_out);
+        released.clear();
+        self.resequencer
+            .offer_into(lams_dlc::PacketId(id), bytes::Bytes::new(), &mut released);
+        for (rid, _) in &released {
+            match self.push_time(rid.0) {
+                Some(p) => {
+                    let d = now.duration_since(p).as_secs_f64();
+                    self.e2e_delay.record(d);
+                    self.e2e_delay_hist.record(d);
+                }
+                None => self.counters.inc_handle(self.unmatched),
+            }
+            if self.trace.enabled() {
+                if let Some(slot) = self.reseq_arrival.get_mut(rid.0 as usize) {
+                    if let Some(arrived) = slot.take() {
+                        let held_ns = now.duration_since(arrived).as_nanos();
+                        if held_ns > 0 {
+                            let sdu = rid.0;
+                            self.trace
+                                .emit(now, || TraceEvent::ReseqHold { id: sdu, held_ns });
+                        }
+                    }
+                }
+            }
+        }
+        self.reseq_out = released;
+        drop(reseq_span);
     }
 
+    /// Record a batch of holding-time samples (seconds).
     fn on_holding(&mut self, samples: &[f64]) {
-        Collector::on_holding(self, samples);
+        for &h in samples {
+            self.holding.record(h);
+        }
     }
 
-    fn sample(&mut self, now: Instant, tx_buffered: usize, rx_occupancy: usize, rate: f64) {
-        Collector::sample(self, now, tx_buffered, rx_occupancy, rate);
+    /// Sample the occupancy traces.
+    fn sample(&mut self, now: Instant, tx_buf: usize, rx_buf: usize, rate: f64) {
+        self.tx_buffer.push(now, tx_buf as f64);
+        self.tx_buffer_tw.set(now, tx_buf as f64);
+        self.rx_buffer.push(now, rx_buf as f64);
+        self.reseq_buffer
+            .push(now, self.resequencer.buffered() as f64);
+        self.rate.push(now, rate);
+        // Trace power-of-two watermark crossings of the sender buffer:
+        // one rising record per level filled, one falling once it drains
+        // below a quarter of that level (hysteresis against flapping).
+        if self.trace.enabled() {
+            while tx_buf >= self.tx_watermark {
+                let level = self.tx_watermark as u64;
+                self.trace.emit(now, || TraceEvent::BufferWatermark {
+                    buffer: "tx",
+                    level,
+                    rising: true,
+                });
+                self.tx_watermark *= 2;
+            }
+            while self.tx_watermark > TX_WATERMARK_BASE && tx_buf < self.tx_watermark / 4 {
+                self.tx_watermark /= 2;
+                let level = self.tx_watermark as u64;
+                self.trace.emit(now, || TraceEvent::BufferWatermark {
+                    buffer: "tx",
+                    level,
+                    rising: false,
+                });
+            }
+        }
     }
 
+    /// Unique deliveries so far.
     fn delivered_unique(&self) -> u64 {
-        Collector::delivered_unique(self)
+        self.delivered_count
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::Collect;
 
     #[test]
     fn delivery_accounting() {

@@ -10,9 +10,9 @@
 //! the data, the DLC owns one link's lifetime).
 
 use crate::metrics::RunReport;
-use crate::scenario::{run_lams_in, ScenarioConfig, ScenarioQueue};
+use crate::scenario::{run_lams, ScenarioConfig};
 use orbit::{visibility_windows, LinkConstraints, LinkProfile, Satellite};
-use sim_core::{Duration, EventQueue};
+use sim_core::Duration;
 
 /// One pass's outcome.
 #[derive(Clone, Debug)]
@@ -76,9 +76,6 @@ pub fn run_multi_pass_limited(
     let mut remaining = total;
     let mut passes = Vec::new();
     let mut total_time_s = 0.0;
-    // One event queue serves every pass: successive windows reuse its
-    // heap allocation instead of growing a fresh one per pass.
-    let mut q: ScenarioQueue<lams_dlc::Frame> = EventQueue::new();
     for (k, w) in windows.iter().enumerate() {
         if remaining == 0 {
             break;
@@ -97,7 +94,7 @@ pub fn run_multi_pass_limited(
         cfg.alpha = Duration::from_secs_f64(2.0 * profile.alpha_s());
         cfg.profile = Some((profile, retarget_s));
         cfg.deadline = Duration::from_secs_f64(usable);
-        let report: RunReport = run_lams_in(&cfg, &mut q);
+        let report: RunReport = run_lams(&cfg);
         let delivered = report.delivered_unique;
         let exhausted = report.deadline_hit || report.link_failed;
         passes.push(PassSummary {

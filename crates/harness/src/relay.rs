@@ -15,14 +15,15 @@
 //!   (and hence forward it) until every earlier frame has arrived — the
 //!   resequencing delay is paid *per hop*, and a loss near the source
 //!   stalls the pipeline of every downstream link.
+//!
+//! The chain is [`crate::chain`]'s, run as one shard directly on the
+//! caller's thread: the relay runs here sit inside
+//! [`crate::parallel::map`] sweeps, and shards never nest inside
+//! workers.
 
+use crate::chain::{run_chain_lams_as, run_chain_sr_as, Shards};
 use crate::metrics::RunReport;
-use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::scenario::ScenarioConfig;
-use crate::traffic::TrafficGen;
-use netsim::Machine;
-use netsim::{NodeRole, SimBuilder};
-use sim_core::SeedSplitter;
 
 /// Relay chain configuration: `hops` identical links, each drawn from the
 /// base scenario (distance, rate, error model, protocol knobs).
@@ -34,133 +35,14 @@ pub struct RelayConfig {
     pub base: ScenarioConfig,
 }
 
-/// Drive a relay chain where every hop runs the same protocol.
-/// `mk_tx(i)` / `mk_rx(i)` build the endpoints of link `i`.
-pub fn run_relay<T, R>(
-    cfg: &RelayConfig,
-    mk_tx: impl Fn(usize) -> T,
-    mk_rx: impl Fn(usize) -> R,
-    protocol: &str,
-) -> RunReport
-where
-    T: TxEndpoint,
-    R: RxEndpoint<Frame = T::Frame>,
-{
-    assert!(cfg.hops >= 1, "need at least one link");
-    let h = cfg.hops;
-    let base = &cfg.base;
-    let gen = TrafficGen::new(
-        base.pattern.clone(),
-        base.n_packets,
-        SeedSplitter::new(base.seed).stream(2),
-    );
-
-    // hops + 1 nodes: source, h − 1 relays, sink. Per hop, a forward
-    // link (data) and a reverse link (control), with independent
-    // channels per hop (fresh RNG streams per link via shifted seeds).
-    // Each hop's receiver drains right after its reverse link pumps, so
-    // forwarded frames reach the next hop's sender before that link's
-    // pump pass — store-and-forward within the same instant.
-    let mut b = SimBuilder::new(base.payload_bytes, base.deadline, base.sample_every);
-    let mut nodes = Vec::with_capacity(h + 1);
-    for n in 0..=h {
-        nodes.push(b.node(match n {
-            0 => NodeRole::Source,
-            n if n == h => NodeRole::Sink,
-            _ => NodeRole::Relay,
-        }));
-    }
-    let mut txs = Vec::with_capacity(h);
-    let mut rxs = Vec::with_capacity(h);
-    for i in 0..h {
-        let mut c = base.clone();
-        c.seed = base.seed.wrapping_add(1000 * (i as u64 + 1));
-        let (f, r) = c.build_channels();
-        let lf = b.link(nodes[i], nodes[i + 1], f, "fwd");
-        let lr = b.link(nodes[i + 1], nodes[i], r, "rev");
-        let t = b.tx(nodes[i], lf, mk_tx(i));
-        let rx = b.rx(nodes[i + 1], lr, mk_rx(i));
-        b.listen(lf, rx);
-        b.listen(lr, t);
-        b.drain_after(rx, lr);
-        txs.push(t);
-        rxs.push(rx);
-    }
-    let c = b.collector(crate::metrics::Collector::new());
-    b.source(gen, txs[0], c);
-    for i in 0..h {
-        if i + 1 < h {
-            b.forward(rxs[i], txs[i + 1]);
-        } else {
-            b.deliver(rxs[i], c);
-        }
-    }
-    // Report the source node's buffer; intermediate hops contribute to
-    // rx occupancy (worst hop).
-    b.sample(c, txs[0], rxs.clone());
-    b.holding(c, txs[0]);
-
-    let out = b.build().expect("relay wiring is valid").run();
-    let failed = out.txs.iter().any(|t| t.is_failed());
-    let transmissions: u64 = out.txs.iter().map(|t| t.transmissions()).sum();
-    let retransmissions: u64 = out.txs.iter().map(|t| t.retransmissions()).sum();
-    let col = out.collectors.into_iter().next().expect("one collector");
-    let mut report = col.finish(
-        protocol,
-        out.issued[0],
-        out.finished_at,
-        out.deadline_hit,
-        failed,
-        transmissions,
-        retransmissions,
-        base.t_f(),
-        out.txs[0].extra_stats(),
-        out.rxs[h - 1].extra_stats(),
-    );
-    report.queue = out.queue;
-    report.wall_secs = out.wall_secs;
-    crate::metrics::perf_absorb(&report.queue, report.wall_secs);
-    report
-}
-
-/// Per-hop trace labels: hop `i`'s sender/receiver pair shares the
-/// `hop<i>` prefix so trace consumers can pair the two sides of each
-/// link. Chains longer than the table fall back to untraced endpoints
-/// (trace labels are `&'static str` by design).
-const HOP_TX: [&str; 8] = [
-    "hop0.tx", "hop1.tx", "hop2.tx", "hop3.tx", "hop4.tx", "hop5.tx", "hop6.tx", "hop7.tx",
-];
-const HOP_RX: [&str; 8] = [
-    "hop0.rx", "hop1.rx", "hop2.rx", "hop3.rx", "hop4.rx", "hop5.rx", "hop6.rx", "hop7.rx",
-];
-
-fn hop_trace(labels: &[&'static str; 8], i: usize) -> telemetry::trace::Trace {
-    labels
-        .get(i)
-        .map(|l| telemetry::global_handle(l))
-        .unwrap_or_else(telemetry::trace::Trace::disabled)
-}
-
 /// Relay chain under LAMS-DLC at every hop.
 pub fn run_relay_lams(cfg: &RelayConfig) -> RunReport {
-    let lcfg = cfg.base.lams_config();
-    run_relay(
-        cfg,
-        |i| Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(hop_trace(&HOP_TX, i))),
-        |i| Driver::new(lams_dlc::Receiver::new(lcfg.clone()).with_trace(hop_trace(&HOP_RX, i))),
-        "lams-relay",
-    )
+    run_chain_lams_as(cfg, Shards::Direct, "lams-relay")
 }
 
 /// Relay chain under SR-HDLC at every hop.
 pub fn run_relay_sr(cfg: &RelayConfig) -> RunReport {
-    let hcfg = cfg.base.hdlc_config();
-    run_relay(
-        cfg,
-        |i| Driver::new(hdlc::SrSender::new(hcfg.clone()).with_trace(hop_trace(&HOP_TX, i))),
-        |i| Driver::new(hdlc::SrReceiver::new(hcfg.clone()).with_trace(hop_trace(&HOP_RX, i))),
-        "sr-relay",
-    )
+    run_chain_sr_as(cfg, Shards::Direct, "sr-relay")
 }
 
 #[cfg(test)]

@@ -3,20 +3,20 @@
 //! A scenario wires one sending endpoint and one receiving endpoint over
 //! a full-duplex [`Channel`] pair (two nodes, one link each way), feeds
 //! SDUs from a [`TrafficGen`], and collects a [`RunReport`]. The event
-//! loop itself lives in the `netsim` crate and is generic over the
-//! endpoint traits, so LAMS-DLC, SR-HDLC and GBN-HDLC all run over
-//! **identical** channel error realisations for a given seed (common
-//! random numbers).
+//! loop itself is netsim's [`netsim::ShardSim`], run as one shard and
+//! generic over the endpoint traits, so LAMS-DLC, SR-HDLC and GBN-HDLC
+//! all run over **identical** channel error realisations for a given
+//! seed (common random numbers).
 
 use crate::link::{Channel, DelayModel, ErrorModel, Outage};
-use crate::metrics::RunReport;
+use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::traffic::{Pattern, TrafficGen};
 use netsim::channel::GilbertElliott;
 use netsim::Machine;
-use netsim::{NodeRole, SimBuilder, SimEvent};
+use netsim::{LinkId, NodeRole, Partition, ShardBuilder, Topology};
 use orbit::propagation_delay_s;
-use sim_core::{Duration, EventQueue, SeedSplitter};
+use sim_core::{Duration, SeedSplitter};
 
 /// Gilbert–Elliott burst-error configuration (residual BERs per state).
 #[derive(Clone, Debug)]
@@ -136,10 +136,6 @@ impl ScenarioConfig {
 
     /// Build the (forward, reverse) channel pair this scenario defines.
     pub fn build_channels(&self) -> (Channel, Channel) {
-        self.channels()
-    }
-
-    fn channels(&self) -> (Channel, Channel) {
         let split = SeedSplitter::new(self.seed);
         let (fwd_err, rev_err) = match &self.burst {
             None => (
@@ -173,7 +169,7 @@ impl ScenarioConfig {
     /// Serialization time of one I-frame (info wire bytes + FEC) — the
     /// simulated `t_f`.
     pub fn t_f(&self) -> Duration {
-        let (fwd, _) = self.channels();
+        let (fwd, _) = self.build_channels();
         // LAMS info header/trailer is 19 bytes; HDLC's is 20 — close
         // enough that one t_f serves both for reporting.
         fwd.tx_time(self.payload_bytes + 19, true)
@@ -181,7 +177,7 @@ impl ScenarioConfig {
 
     /// The LAMS protocol configuration this scenario induces.
     pub fn lams_config(&self) -> lams_dlc::LamsConfig {
-        let (fwd, rev) = self.channels();
+        let (fwd, rev) = self.build_channels();
         let t_f = fwd.tx_time(self.payload_bytes + 19, true);
         // A checkpoint with a typical NAK load is ~40 wire bytes.
         let t_c = rev.tx_time(40, false);
@@ -199,7 +195,7 @@ impl ScenarioConfig {
 
     /// The HDLC configuration this scenario induces.
     pub fn hdlc_config(&self) -> hdlc::HdlcConfig {
-        let (fwd, rev) = self.channels();
+        let (fwd, rev) = self.build_channels();
         hdlc::HdlcConfig {
             window: self.window,
             seq_bits: self.seq_bits,
@@ -230,10 +226,29 @@ impl ScenarioConfig {
     }
 }
 
-/// Event queue driving a scenario run — exposed so callers iterating
-/// many runs (multi-pass, sweeps) can reuse one queue's allocation via
-/// [`run_in`] / [`run_lams_in`].
-pub type ScenarioQueue<F> = EventQueue<SimEvent<F>>;
+/// A one-shard builder over two nodes with the given roles, joined by
+/// the scenario's forward channel (node 0 → 1, local link 0) and
+/// reverse channel (local link 1), sampling every `cfg.sample_every`.
+pub(crate) fn pair_builder<T, R>(
+    cfg: &ScenarioConfig,
+    roles: [NodeRole; 2],
+) -> (ShardBuilder<T, R, Collector>, LinkId, LinkId)
+where
+    T: TxEndpoint,
+    R: RxEndpoint<Frame = T::Frame>,
+{
+    let mut topo = Topology::default();
+    let [a, z] = roles.map(|r| topo.node(r));
+    topo.link(a, z, "fwd");
+    topo.link(z, a, "rev");
+    let mut b = ShardBuilder::new(cfg.payload_bytes);
+    b.place(&topo, &Partition::contiguous(2, 1), 0);
+    b.sample_every(cfg.sample_every);
+    let (fwd, rev) = cfg.build_channels();
+    let lf = b.link(0, fwd, "fwd");
+    let lr = b.link(1, rev, "rev");
+    (b, lf, lr)
+}
 
 /// Drive one scenario with the given endpoints. `protocol` labels the
 /// report.
@@ -242,24 +257,8 @@ where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
 {
-    run_in(cfg, tx, rx, protocol, &mut EventQueue::new())
-}
-
-/// [`run`], reusing `q`'s allocation (the queue is reset first).
-pub fn run_in<T, R>(
-    cfg: &ScenarioConfig,
-    tx: T,
-    rx: R,
-    protocol: &str,
-    q: &mut ScenarioQueue<T::Frame>,
-) -> RunReport
-where
-    T: TxEndpoint,
-    R: RxEndpoint<Frame = T::Frame>,
-{
     // Two nodes, one directed link each way: the source's sender owns
     // the forward link; the sink's receiver answers on the reverse.
-    let (fwd, rev) = cfg.build_channels();
     let gen = TrafficGen::new(
         cfg.pattern.clone(),
         cfg.n_packets,
@@ -267,22 +266,23 @@ where
     );
     let t_f_channel = cfg.t_f();
 
-    let mut b = SimBuilder::new(cfg.payload_bytes, cfg.deadline, cfg.sample_every);
-    let a = b.node(NodeRole::Source);
-    let z = b.node(NodeRole::Sink);
-    let lf = b.link(a, z, fwd, "fwd");
-    let lr = b.link(z, a, rev, "rev");
-    let t = b.tx(a, lf, tx);
-    let r = b.rx(z, lr, rx);
+    let (mut b, lf, lr) = pair_builder(cfg, [NodeRole::Source, NodeRole::Sink]);
+    let t = b.tx(lf, tx);
+    let r = b.rx(lr, rx);
     b.listen(lf, r);
     b.listen(lr, t);
-    let c = b.collector(crate::metrics::Collector::new());
-    b.source(gen, t, c);
+    let c = b.collector(Collector::new());
+    b.expect(c, cfg.n_packets);
+    b.source(gen, t, Some(c), 0);
     b.deliver(r, c);
     b.sample(c, t, vec![r]);
     b.holding(c, t);
 
-    let out = b.build().expect("point-to-point wiring is valid").run_in(q);
+    let run = b
+        .build()
+        .expect("point-to-point wiring is valid")
+        .run_solo(cfg.deadline);
+    let out = run.finished;
     let tx = &out.txs[0];
     let rx = &out.rxs[0];
     let col = out.collectors.into_iter().next().expect("one collector");
@@ -298,19 +298,14 @@ where
         tx.extra_stats(),
         rx.extra_stats(),
     );
-    report.queue = out.queue;
-    report.wall_secs = out.wall_secs;
+    report.queue = run.queue;
+    report.wall_secs = run.wall_secs;
     crate::metrics::perf_absorb(&report.queue, report.wall_secs);
     report
 }
 
 /// Run the scenario under LAMS-DLC.
 pub fn run_lams(cfg: &ScenarioConfig) -> RunReport {
-    run_lams_in(cfg, &mut EventQueue::new())
-}
-
-/// [`run_lams`], reusing `q`'s allocation across runs.
-pub fn run_lams_in(cfg: &ScenarioConfig, q: &mut ScenarioQueue<lams_dlc::Frame>) -> RunReport {
     let lcfg = cfg.lams_config();
     let tx =
         Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(telemetry::global_handle("tx")));
@@ -321,7 +316,7 @@ pub fn run_lams_in(cfg: &ScenarioConfig, q: &mut ScenarioQueue<lams_dlc::Frame>)
         }
         .with_trace(telemetry::global_handle("rx")),
     );
-    run_in(cfg, tx, rx, "lams", q)
+    run(cfg, tx, rx, "lams")
 }
 
 /// Run the scenario under SR-HDLC.

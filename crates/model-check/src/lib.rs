@@ -123,7 +123,10 @@ impl Schedule {
         };
         let pct = |name: &str| -> Result<u8, String> {
             let n = field(name)?;
-            u8::try_from(n).map_err(|_| format!("schedule field {name} out of range: {n}"))
+            u8::try_from(n)
+                .ok()
+                .filter(|&p| p <= 100)
+                .ok_or_else(|| format!("schedule field {name} out of range 0..=100: {n}"))
         };
         Ok(Schedule {
             seed: field("seed")?,
@@ -605,14 +608,23 @@ pub fn reproduces(result: &Result<Outcome, Violation>, expected: &str) -> Result
     }
 }
 
-/// Parse a failure artifact's header: the [`Schedule`] to re-run and
-/// the finding string the re-run must reproduce byte-identically.
+/// Read a failure artifact's header from `path`: the [`Schedule`] to
+/// re-run and the finding string the re-run must reproduce
+/// byte-identically.
 pub fn read_artifact(path: &std::path::Path) -> Result<(Schedule, String), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let first = text
-        .lines()
-        .next()
-        .ok_or_else(|| format!("{}: empty artifact", path.display()))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_artifact(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Parse a failure artifact's header from its raw bytes (see
+/// [`read_artifact`]). Any input — not UTF-8, truncated, mistyped or
+/// out of range — is an `Err`, never a panic.
+pub fn parse_artifact(bytes: &[u8]) -> Result<(Schedule, String), String> {
+    let first = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+    let first = std::str::from_utf8(first).map_err(|e| format!("artifact header: {e}"))?;
+    if first.trim().is_empty() {
+        return Err("empty artifact".to_string());
+    }
     let header = Json::parse(first).map_err(|e| format!("artifact header: {e}"))?;
     match header.get("schema").and_then(Json::as_str) {
         Some(s) if s == ARTIFACT_SCHEMA => {}

@@ -1,7 +1,8 @@
 //! Conservative sharded execution: the coordinator half.
 //!
 //! [`run_sharded`] spawns one thread per shard and drives them in
-//! supersteps. Each round it grants every shard a window
+//! supersteps (a one-shard run skips all of this: it is one window on
+//! the caller's thread). Each round it grants every shard a window
 //!
 //! ```text
 //! G_s = min(H_s, LB, deadline)      H_s = min over inbound cut links
@@ -22,7 +23,7 @@
 //! every trace record, counter and collector statistic — is identical
 //! at any shard count.
 //!
-//! Termination mirrors the serial engine's exits: completion at
+//! Termination mirrors a one-shard run's exits: completion at
 //! `T* = max(done_since)` once every shard has committed through `T*`
 //! with nothing left to route; deadline when every shard has committed
 //! to the deadline without completing; stall (queue exhaustion) at the
@@ -30,13 +31,14 @@
 //! failure instant.
 //!
 //! Tracing: the coordinator emits `RunStarted`/`RunFinished` itself and
-//! merges the per-shard buffered records by `(t, node label)` — a
-//! stable sort applied at *every* shard count (including one), so the
-//! merged stream is byte-identical across counts as long as no two
-//! shards emit under the same label at the same instant. Endpoint,
-//! collector and per-experiment labels are shard-owned by construction;
-//! the shared `"channel"` label (outage drops) is the one caveat,
-//! documented in DESIGN.md §11.
+//! merges the per-shard buffered records by `(t, node label)` with a
+//! stable sort. A one-shard run writes straight to the sink in emission
+//! order, so traces agree across shard counts as record sets: stable-
+//! sorted by `(t, node)` within each run, they are identical as long as
+//! no two shards emit under the same label at the same instant.
+//! Endpoint, collector and per-experiment labels are shard-owned by
+//! construction; the shared `"channel"` label (outage drops) is the one
+//! caveat, documented in DESIGN.md §11.
 
 use crate::collect::Collect;
 use crate::endpoint::{RxEndpoint, TxEndpoint};
@@ -118,7 +120,7 @@ pub struct ShardProfile {
 impl ShardProfile {
     /// Parallel efficiency: `Σ busy / (shards × wall)`. Exactly `1.0`
     /// for single-shard runs (there is no coordination to lose time
-    /// to — the degenerate window *is* the serial engine).
+    /// to — the single window is the whole run).
     pub fn efficiency(&self) -> f64 {
         if self.shards <= 1 {
             return 1.0;
@@ -189,7 +191,6 @@ impl ShardProfile {
 enum Cmd<F> {
     Window {
         grant: Instant,
-        stop_on_done: bool,
         arrivals: Vec<Inbound<F>>,
     },
     Finish {
@@ -225,6 +226,8 @@ struct ThreadCfg {
     profiled: bool,
     /// Shared wall-clock epoch for window placement.
     epoch: std::time::Instant,
+    /// Run deadline (sampling ticks stop there).
+    deadline: Instant,
 }
 
 /// Coordinator-side view of one shard between rounds.
@@ -245,9 +248,11 @@ struct ShardState<F> {
 /// `finish(s, pieces)` turns the finished shard into a `Send`able
 /// output on the same thread. Outputs come back in shard order.
 ///
-/// With one shard the same machinery runs the whole simulation in a
-/// single window with serial stop-on-done semantics — the degenerate
-/// case is the reference the multi-shard runs are checked against.
+/// With one shard there is nothing to coordinate: the shard is built
+/// and run as one window to the deadline, stopping at completion, on
+/// the caller's thread — no threads, channels or trace buffering — and
+/// accounted as a single superstep. That degenerate case is the
+/// reference the multi-shard runs are checked against.
 pub fn run_sharded<T, R, C, O, Build, Fin>(
     plan: &CutPlan,
     deadline: Duration,
@@ -264,13 +269,17 @@ where
     Fin: Fn(usize, FinishedShard<T, R, C>) -> O + Sync,
 {
     let n = plan.n_shards.max(1);
+    if n == 1 {
+        return run_one_shard(deadline, build, finish);
+    }
     let timer = RunTimer::start();
+    let deadline = Instant::ZERO + deadline;
     let cfg = ThreadCfg {
         forward_traces: telemetry::global_sink().is_some(),
         profiled: profile::enabled(),
         epoch: std::time::Instant::now(),
+        deadline,
     };
-    let deadline = Instant::ZERO + deadline;
 
     // Per-shard inbound cut lists for the safe horizon (sender shard,
     // delay, global link id), and the link → destination routing table.
@@ -312,17 +321,7 @@ where
         merged.extend(supersteps.iter().map(|sp| TraceRecord {
             t: Instant::from_nanos(sp.grant_ns),
             node: "coord",
-            event: TraceEvent::Superstep {
-                round: sp.round,
-                shard: sp.shard,
-                grant_ns: sp.grant_ns,
-                cut_bound: sp.cut_bound,
-                critical_link: sp.critical_link,
-                events: sp.events,
-                inbound: sp.inbound,
-                outbound: sp.outbound,
-                queue_depth: sp.queue_depth,
-            },
+            event: superstep_event(sp),
         }));
         merged.sort_by(|a, b| (a.t, a.node).cmp(&(b.t, b.node)));
         sink.borrow_mut().record_all(&merged);
@@ -337,6 +336,79 @@ where
         wall_secs: timer.elapsed_secs(),
         shard,
         supersteps,
+    })
+}
+
+/// The superstep trace record for one granted window.
+fn superstep_event(sp: &SuperstepSpan) -> TraceEvent {
+    TraceEvent::Superstep {
+        round: sp.round,
+        shard: sp.shard,
+        grant_ns: sp.grant_ns,
+        cut_bound: sp.cut_bound,
+        critical_link: sp.critical_link,
+        events: sp.events,
+        inbound: sp.inbound,
+        outbound: sp.outbound,
+        queue_depth: sp.queue_depth,
+    }
+}
+
+/// [`run_sharded`] at one shard: build, then one window to the deadline
+/// on the caller's thread, accounted as one superstep whose record
+/// lands at the grant just before `run_finished` (where the multi-shard
+/// merge places it too).
+fn run_one_shard<T, R, C, O, Build, Fin>(
+    deadline: Duration,
+    build: Build,
+    finish: Fin,
+) -> Result<ShardedOutcome<O>, TopologyError>
+where
+    T: TxEndpoint,
+    R: RxEndpoint<Frame = T::Frame>,
+    C: Collect,
+    Build: Fn(usize) -> Result<ShardSim<T, R, C>, TopologyError>,
+    Fin: Fn(usize, FinishedShard<T, R, C>) -> O,
+{
+    let epoch = std::time::Instant::now();
+    let sim = build(0)
+        .map_err(|e| TopologyError(e.0.into_iter().map(|m| format!("shard 0: {m}")).collect()))?;
+    let t0_ns = epoch.elapsed().as_nanos() as u64;
+    let mut span = SuperstepSpan::default();
+    let solo = sim.run_solo_with(deadline, |w| {
+        span = SuperstepSpan {
+            grant_ns: deadline.as_nanos(),
+            events: w.events,
+            queue_depth: w.queue_depth,
+            t0_ns,
+            busy_ns: epoch.elapsed().as_nanos() as u64 - t0_ns,
+            ..SuperstepSpan::default()
+        };
+        telemetry::global_handle("coord").emit(Instant::from_nanos(span.grant_ns), || {
+            superstep_event(&span)
+        });
+    });
+    let (finished_at, deadline_hit) = (solo.finished.finished_at, solo.finished.deadline_hit);
+    let shard = ShardProfile {
+        shards: 1,
+        supersteps: 1,
+        windows: 1,
+        null_windows: u64::from(span.events == 0),
+        events: span.events,
+        granted_ns: span.grant_ns,
+        busy_ns: vec![span.busy_ns],
+        blocked_ns: vec![0],
+        wall_secs: epoch.elapsed().as_secs_f64(),
+        ..ShardProfile::default()
+    };
+    Ok(ShardedOutcome {
+        outputs: vec![finish(0, solo.finished)],
+        finished_at,
+        deadline_hit,
+        queue: solo.queue,
+        wall_secs: epoch.elapsed().as_secs_f64(),
+        shard,
+        supersteps: vec![span],
     })
 }
 
@@ -391,16 +463,12 @@ fn shard_thread<T, R, C, O, Build, Fin>(
             return;
         }
     };
-    sim.start();
+    sim.start(cfg.deadline);
     let mut blocked_ns = 0u64;
     loop {
         let wait0 = now_ns();
         match cmds.recv() {
-            Ok(Cmd::Window {
-                grant,
-                stop_on_done,
-                arrivals,
-            }) => {
+            Ok(Cmd::Window { grant, arrivals }) => {
                 let t0 = now_ns();
                 blocked_ns += t0 - wait0;
                 let summary = {
@@ -410,7 +478,7 @@ fn shard_thread<T, R, C, O, Build, Fin>(
                         sim.inject(arrivals);
                     }
                     let _a = prof.span("advance");
-                    sim.run_window(grant, stop_on_done)
+                    sim.run_window(grant, false)
                 };
                 let busy_ns = now_ns() - t0;
                 let _ = up.send(Up::Window(s, summary, t0, busy_ns));
@@ -526,7 +594,7 @@ fn coordinate<F: Send, O: Send>(
     let mut round: u64 = 0;
 
     let (finished_at, deadline_hit) = loop {
-        // Exits, in the serial engine's priority order: failure, global
+        // Exits, in a one-shard run's priority order: failure, global
         // completion, queue exhaustion, deadline.
         if let Some(f) = states.iter().filter_map(|st| st.failed_at).min() {
             break (f, false);
@@ -545,7 +613,7 @@ fn coordinate<F: Send, O: Send>(
         }
         let any_events = states.iter().any(|st| st.next_event.is_some());
         if !any_events && no_pending && !all_done {
-            // Queue exhaustion without completion: the serial loop just
+            // Queue exhaustion without completion: a one-shard run just
             // runs out of events.
             let last = states.iter().map(|st| st.last_event_at).max();
             break (last.unwrap_or(Instant::ZERO), false);
@@ -594,21 +662,17 @@ fn coordinate<F: Send, O: Send>(
             };
         }
 
-        // Grants. With one shard there is nothing to coordinate: grant
-        // the deadline and stop at local (= global) done, exactly like
-        // the serial loop.
+        // Grants.
         let mut awaiting = 0usize;
         for (s, st) in states.iter_mut().enumerate() {
             let mut grant = deadline;
-            if n > 1 {
-                if let Some((h, _)) = horizons[s] {
-                    grant = grant.min(h);
-                }
-                if let Some(lb) = lb {
-                    grant = grant.min(lb);
-                }
-                grant = grant.max(st.committed);
+            if let Some((h, _)) = horizons[s] {
+                grant = grant.min(h);
             }
+            if let Some(lb) = lb {
+                grant = grant.min(lb);
+            }
+            grant = grant.max(st.committed);
             // A window is useful when it can advance the shard, deliver
             // routed arrivals, or cover events at exactly the committed
             // instant (the t = 0 bootstrap round).
@@ -621,18 +685,13 @@ fn coordinate<F: Send, O: Send>(
                 };
                 // The critical cut: the inbound link whose horizon is
                 // the binding constraint on this grant.
-                let cut = (n > 1)
-                    .then_some(horizons[s])
-                    .flatten()
-                    .filter(|&(h, _)| h == grant);
+                let cut = horizons[s].filter(|&(h, _)| h == grant);
                 acc.windows += 1;
                 acc.inbound += arrivals.len() as u64;
                 acc.granted_ns += (grant - st.committed).as_nanos();
-                if n > 1 {
-                    if let Some((h, _)) = horizons[s] {
-                        if h > st.committed {
-                            acc.available_ns += (h - st.committed).as_nanos();
-                        }
+                if let Some((h, _)) = horizons[s] {
+                    if h > st.committed {
+                        acc.available_ns += (h - st.committed).as_nanos();
                     }
                 }
                 if let Some((_, link)) = cut {
@@ -649,11 +708,7 @@ fn coordinate<F: Send, O: Send>(
                     ..SuperstepSpan::default()
                 });
                 cmd_txs[s]
-                    .send(Cmd::Window {
-                        grant,
-                        stop_on_done: n == 1,
-                        arrivals,
-                    })
+                    .send(Cmd::Window { grant, arrivals })
                     .expect("shard thread alive");
                 awaiting += 1;
             }

@@ -5,14 +5,16 @@
 //!
 //! Topology-generic discrete-event network simulation engine.
 //!
-//! One event loop drives an arbitrary directed-link topology of
-//! protocol endpoints. The harness crate's point-to-point, full-duplex
-//! and store-and-forward relay runners are all thin topology builders
-//! over this engine, which guarantees they share *identical* event
-//! scheduling, channel realisations and pump semantics:
+//! One event loop, [`ShardSim`], drives an arbitrary directed-link
+//! topology of protocol endpoints. The harness crate's point-to-point,
+//! full-duplex and store-and-forward relay runners are all thin
+//! topology builders over it, which guarantees they share *identical*
+//! event scheduling, channel realisations and pump semantics. A run on
+//! one shard is a plain call on the caller's thread; a run split across
+//! shards is the same loop driven in conservative windows:
 //!
 //! * [`endpoint`] — the sans-IO driving contract ([`TxEndpoint`] /
-//!   [`RxEndpoint`]) the engine's event loop polls;
+//!   [`RxEndpoint`]) the event loop polls;
 //! * [`driver`] — [`Driver`], the one generic adapter binding any
 //!   [`proto_core::Machine`] to that contract (no per-protocol glue);
 //! * [`channel`] — stochastic bit-error processes (i.i.d.
@@ -24,22 +26,25 @@
 //! * [`traffic`] — CBR / Poisson / on-off / batch SDU generators;
 //! * [`topology`] — nodes with [`NodeRole`]s, directed links, and the
 //!   id types wiring endpoints to them;
-//! * [`collect`] — the [`Collect`] measurement trait the engine feeds;
-//! * [`engine`] — [`SimBuilder`] / [`Sim`]: the single generic event
-//!   loop (push / arrive / sample / wake), common to every topology.
+//! * [`collect`] — the [`Collect`] measurement trait the loop feeds;
+//! * [`shard`] — [`ShardBuilder`] / [`ShardSim`]: the builder and the
+//!   event loop (push / arrive / sample / wake), plus the
+//!   [`Partition`] that cuts a topology into shards;
+//! * [`coordinator`] — [`run_sharded`]: one simulation over several
+//!   shards in conservative supersteps (or, at one shard, a single
+//!   window on the caller's thread).
 //!
 //! Determinism: all randomness flows through per-stream
 //! [`sim_core::SeedSplitter`] RNGs owned by channels and traffic
-//! generators (common random numbers), and the event queue breaks
-//! timestamp ties by insertion order — a run is a pure function of its
-//! configuration and seed.
+//! generators (common random numbers), and events at the same instant
+//! dispatch in one canonical order (see [`shard`]) — a run is a pure
+//! function of its configuration and seed, at any shard count.
 
 pub mod channel;
 pub mod collect;
 pub mod coordinator;
 pub mod driver;
 pub mod endpoint;
-pub mod engine;
 pub mod link;
 pub mod shard;
 pub mod topology;
@@ -50,12 +55,11 @@ pub use collect::Collect;
 pub use coordinator::{run_sharded, ShardProfile, ShardedOutcome};
 pub use driver::Driver;
 pub use endpoint::{FrameMeta, RxEndpoint, TxEndpoint};
-pub use engine::{Outcome, Sim, SimBuilder, SimEvent};
 pub use link::{Channel, DelayModel, ErrorModel, Fate, Outage};
 pub use proto_core::{Machine, ReceiverMachine, SenderMachine};
 pub use shard::{
     CutLink, CutPlan, FinishedShard, Inbound, Partition, ShardBuilder, ShardEvent, ShardSim,
-    WindowSummary,
+    SoloRun, WindowSummary,
 };
 pub use topology::{
     ColId, EndpointId, LinkId, LinkSpec, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,

@@ -1,4 +1,5 @@
-//! Conservative sharded execution: the per-shard half.
+//! The simulation loop, and the builder that wires a shard of a
+//! topology into it.
 //!
 //! A [`Partition`] assigns every node of a [`Topology`] to exactly one
 //! shard. Links whose endpoints land in different shards become **cut
@@ -8,26 +9,34 @@
 //! listeners. [`Partition::plan`] validates the assignment and extracts
 //! the per-cut-link **lookahead** (the fixed propagation delay) that the
 //! coordinator's conservative horizon rule depends on — a cut link with
-//! zero or time-varying delay is rejected at partition time.
+//! zero or time-varying delay is rejected at partition time. Links
+//! inside a shard may use any [`DelayModel`].
 //!
-//! [`ShardSim`] is the per-shard event loop. It mirrors the serial
-//! engine's pump semantics (timers → per-link serve/transmit → drains)
-//! but processes events in **granted windows**: [`ShardSim::run_window`]
-//! consumes every queued event with `at ≤ grant`, accumulating frames
-//! that crossed an outbound cut link into a timestamped batch for the
-//! coordinator to route.
+//! [`ShardSim`] is the one event loop. Every simulation is four event
+//! kinds on one deterministic queue — push, arrive, sample, wake — and
+//! after draining an instant's events the loop pumps: endpoint timers
+//! fire, each link's transmitter serves its senders in priority order
+//! while idle, receivers drain deliveries at their configured point in
+//! the link order (a store-and-forward relay forwards into the *next*
+//! link's sender before that link is pumped), holding samples flow to
+//! collectors, and the completion / failure / wake checks run. A whole
+//! simulation on one shard is [`ShardSim::run_solo`]: one window to the
+//! deadline on the caller's thread. Across shards the loop runs in
+//! **granted windows**: [`ShardSim::run_window`] consumes every queued
+//! event with `at ≤ grant`, accumulating frames that crossed an
+//! outbound cut link into a timestamped batch for the coordinator to
+//! route.
 //!
 //! Determinism across shard counts rests on three rules the types here
 //! enforce or document:
 //!
-//! * **Canonical intra-instant order.** Same-instant events are drained
-//!   into a scratch buffer and dispatched in a globally defined order —
-//!   pushes by `(source ordinal, sdu id)`, then arrivals by `(global
-//!   link id, per-link arrival sequence)`, then wakes — so the dispatch
-//!   sequence is independent of how events happened to interleave
-//!   across shard queues. (The serial engine's insertion-order
-//!   tie-break cannot survive sharding: a cross-shard arrival loses its
-//!   insertion position when it travels as a batch.)
+//! * **Canonical intra-instant order.** Same-instant events are
+//!   dispatched in a globally defined order — pushes by `(source
+//!   ordinal, sdu id)`, then arrivals by `(global link id, per-link
+//!   arrival sequence)`, then the sampling tick, then wakes — so the
+//!   dispatch sequence is independent of how events happened to
+//!   interleave across shard queues. An instant holding a single event
+//!   skips the ordering entirely.
 //! * **Per-link arrival sequences assigned at transmit.** The shard
 //!   owning a channel numbers its arrivals; the FIFO clamp can collapse
 //!   distinct transmissions onto one arrival instant, and the sequence
@@ -40,10 +49,12 @@
 use crate::collect::Collect;
 use crate::endpoint::{RxEndpoint, TxEndpoint};
 use crate::link::{Channel, DelayModel, Fate};
-use crate::topology::{ColId, EndpointId, LinkId, NodeId, RxId, Topology, TopologyError, TxId};
+use crate::topology::{
+    ColId, EndpointId, LinkId, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
+};
 use crate::traffic::TrafficGen;
 use bytes::Bytes;
-use sim_core::{Duration, EventId, EventQueue, Instant, QueueProfile};
+use sim_core::{Duration, EventId, EventQueue, Instant, QueueProfile, RunTimer};
 use telemetry::TraceEvent;
 
 /// Deterministic node → shard assignment.
@@ -89,13 +100,13 @@ impl Partition {
     /// must have a fixed, strictly positive delay — that delay is the
     /// conservative lookahead the coordinator grants windows by.
     ///
-    /// Rejected with one precise message each: wrong assignment length,
-    /// out-of-range shard indices, empty shards, cut links whose delay
-    /// is zero or time-varying, and multi-shard partitions with no
-    /// cross-shard links at all (no cuts means no lookahead to grant
-    /// windows by).
+    /// Rejected with one precise message each: links naming unknown
+    /// nodes or looping back, wrong assignment length, out-of-range
+    /// shard indices, empty shards, cut links whose delay is zero or
+    /// time-varying, and multi-shard partitions with no cross-shard
+    /// links at all (no cuts means no lookahead to grant windows by).
     pub fn plan(&self, topo: &Topology, delays: &[DelayModel]) -> Result<CutPlan, TopologyError> {
-        let mut errors = Vec::new();
+        let mut errors = topo.problems();
         let nodes = topo.nodes();
         if self.n_shards == 0 {
             errors.push("partition has zero shards".to_string());
@@ -217,6 +228,8 @@ pub enum ShardEvent<F> {
         /// True if it survived the channel uncorrupted.
         clean: bool,
     },
+    /// Periodic occupancy sampling tick.
+    Sample,
     /// Re-poll endpoints at a previously requested instant.
     Wake,
 }
@@ -255,6 +268,14 @@ struct ShardSource {
     ordinal: u64,
 }
 
+/// One collector's periodic sampling subjects.
+struct Sampler {
+    col: ColId,
+    tx: TxId,
+    /// Receivers whose worst (max) occupancy is sampled.
+    rxs: Vec<RxId>,
+}
+
 /// One local link: an owned channel (intra-shard or outbound cut) or an
 /// inbound stub.
 struct LinkSlot {
@@ -270,10 +291,20 @@ struct LinkSlot {
     next_seq: u64,
 }
 
-/// Builder for one shard's slice of a simulation. Mirrors
-/// [`crate::SimBuilder`]'s registration API, with global link ids and
-/// explicit cut-link roles. Register links in ascending global-id order
-/// and endpoints in global registration order: each shard's pump order
+/// The global topology a shard is a slice of, and which of its nodes
+/// the shard hosts.
+struct Placement {
+    topo: Topology,
+    hosted: Vec<bool>,
+}
+
+/// Builder for one shard's slice of a simulation, with global link ids
+/// and explicit cut-link roles. Registration order is semantic: links
+/// pump in registration order (which must be ascending global id), a
+/// link's senders are served in registration order (first registered
+/// wins the transmitter), and arrivals are offered to listeners in
+/// registration order (all but the last get a clone). Register
+/// endpoints in global registration order: each shard's pump order
 /// must be the global order restricted to the shard.
 pub struct ShardBuilder<T, R, C> {
     payload_bytes: usize,
@@ -287,6 +318,12 @@ pub struct ShardBuilder<T, R, C> {
     collectors: Vec<C>,
     expects: Vec<(ColId, u64)>,
     sources: Vec<ShardSource>,
+    samplers: Vec<Sampler>,
+    holdings: Vec<(ColId, TxId)>,
+    sample_every: Duration,
+    placement: Option<Placement>,
+    /// Wiring mistakes caught at registration, reported by `build`.
+    errors: Vec<String>,
 }
 
 impl<T, R, C> ShardBuilder<T, R, C>
@@ -309,53 +346,66 @@ where
             collectors: Vec::new(),
             expects: Vec::new(),
             sources: Vec::new(),
+            samplers: Vec::new(),
+            holdings: Vec::new(),
+            sample_every: Duration::ZERO,
+            placement: None,
+            errors: Vec::new(),
         }
     }
 
-    fn push_link(&mut self, slot: LinkSlot) -> LinkId {
-        self.links.push(slot);
+    /// Check this shard's wiring against `topo` at build time, hosting
+    /// the nodes `part` assigns to `shard`. Endpoints live at the node
+    /// their transmit link leaves from (so a placed shard has no silent
+    /// receivers); `build` then rejects links that do not fit their
+    /// shard role, listeners away from their link's far end, forwarding
+    /// across nodes, and hosted nodes whose wiring does not exhibit
+    /// their [`NodeRole`].
+    pub fn place(&mut self, topo: &Topology, part: &Partition, shard: usize) {
+        let hosted = (0..topo.nodes())
+            .map(|n| part.shard_of(NodeId(n)) == Some(shard))
+            .collect();
+        self.errors.extend(topo.problems());
+        self.placement = Some(Placement {
+            topo: topo.clone(),
+            hosted,
+        });
+    }
+
+    fn push_link(
+        &mut self,
+        global: usize,
+        dir: &'static str,
+        channel: Option<Channel>,
+        export: bool,
+    ) -> LinkId {
+        self.links.push(LinkSlot {
+            global,
+            dir,
+            channel,
+            export,
+            senders: Vec::new(),
+            listeners: Vec::new(),
+            next_seq: 0,
+        });
         LinkId(self.links.len() - 1)
     }
 
     /// Add an intra-shard link carried by `channel` (global id `global`).
     pub fn link(&mut self, global: usize, channel: Channel, dir: &'static str) -> LinkId {
-        self.push_link(LinkSlot {
-            global,
-            dir,
-            channel: Some(channel),
-            export: false,
-            senders: Vec::new(),
-            listeners: Vec::new(),
-            next_seq: 0,
-        })
+        self.push_link(global, dir, Some(channel), false)
     }
 
     /// Add an outbound cut link: this shard owns the channel; arrivals
     /// are exported to the coordinator instead of scheduled locally.
     pub fn cut_out(&mut self, global: usize, channel: Channel, dir: &'static str) -> LinkId {
-        self.push_link(LinkSlot {
-            global,
-            dir,
-            channel: Some(channel),
-            export: true,
-            senders: Vec::new(),
-            listeners: Vec::new(),
-            next_seq: 0,
-        })
+        self.push_link(global, dir, Some(channel), true)
     }
 
     /// Add an inbound cut-link stub: no channel, only listeners for
     /// arrivals the coordinator injects.
     pub fn cut_in(&mut self, global: usize) -> LinkId {
-        self.push_link(LinkSlot {
-            global,
-            dir: "",
-            channel: None,
-            export: false,
-            senders: Vec::new(),
-            listeners: Vec::new(),
-            next_seq: 0,
-        })
+        self.push_link(global, "", None, false)
     }
 
     /// Host a sending endpoint transmitting on local `link`.
@@ -363,21 +413,28 @@ where
         let id = TxId(self.txs.len());
         self.txs.push(endpoint);
         self.tx_link.push(link.0);
-        if let Some(slot) = self.links.get_mut(link.0) {
-            slot.senders.push(EndpointId::Tx(id));
-        }
+        self.add_sender(link, EndpointId::Tx(id));
         id
     }
 
+    fn add_sender(&mut self, link: LinkId, ep: EndpointId) {
+        match self.links.get_mut(link.0) {
+            Some(slot) => slot.senders.push(ep),
+            None => self
+                .errors
+                .push(format!("{ep:?} transmits on an unknown link")),
+        }
+    }
+
     /// Host a receiving endpoint transmitting its control frames on
-    /// local `link`.
+    /// local `link`. Register the receiver before a co-located sender
+    /// on the same link to give its control frames priority, as
+    /// full-duplex nodes do.
     pub fn rx(&mut self, link: LinkId, endpoint: R) -> RxId {
         let id = RxId(self.rxs.len());
         self.rxs.push(endpoint);
         self.rx_link.push(link.0);
-        if let Some(slot) = self.links.get_mut(link.0) {
-            slot.senders.push(EndpointId::Rx(id));
-        }
+        self.add_sender(link, EndpointId::Rx(id));
         id
     }
 
@@ -391,10 +448,17 @@ where
         id
     }
 
-    /// Deliver local `link`'s arrivals to `endpoint`.
+    /// Deliver local `link`'s arrivals to `endpoint`. Listeners are
+    /// offered frames in registration order; all but the last receive
+    /// a clone.
     pub fn listen(&mut self, link: LinkId, endpoint: impl Into<EndpointId>) {
-        if let Some(slot) = self.links.get_mut(link.0) {
-            slot.listeners.push(endpoint.into());
+        let endpoint = endpoint.into();
+        match self.links.get_mut(link.0) {
+            Some(slot) => slot.listeners.push(endpoint),
+            None => self.errors.push(format!(
+                "{endpoint:?} listens on unknown local link {}",
+                link.0
+            )),
         }
     }
 
@@ -405,7 +469,7 @@ where
     }
 
     /// Shard-local completion condition: `col` must reach `total`
-    /// unique deliveries (the sink shard's half of "safe delivery").
+    /// unique deliveries (a sink's half of "safe delivery").
     pub fn expect(&mut self, col: ColId, total: u64) {
         self.expects.push((col, total));
     }
@@ -422,25 +486,28 @@ where
         });
     }
 
-    /// Terminal receiver: `rx`'s deliveries credit `col`.
-    pub fn deliver(&mut self, rx: RxId, col: ColId) {
+    fn set_delivery(&mut self, rx: RxId, delivery: Delivery) {
         if self.rx_delivery.len() <= rx.0 {
             self.rx_delivery.resize_with(rx.0 + 1, || None);
         }
-        self.rx_delivery[rx.0] = Some(Delivery::Collect(col));
+        self.rx_delivery[rx.0] = Some(delivery);
+    }
+
+    /// Terminal receiver: `rx`'s deliveries credit `col`.
+    pub fn deliver(&mut self, rx: RxId, col: ColId) {
+        self.set_delivery(rx, Delivery::Collect(col));
     }
 
     /// Store-and-forward receiver: `rx`'s deliveries push into `tx`
     /// (both endpoints co-located on this shard by construction).
     pub fn forward(&mut self, rx: RxId, tx: TxId) {
-        if self.rx_delivery.len() <= rx.0 {
-            self.rx_delivery.resize_with(rx.0 + 1, || None);
-        }
-        self.rx_delivery[rx.0] = Some(Delivery::Forward(tx));
+        self.set_delivery(rx, Delivery::Forward(tx));
     }
 
     /// Drain `rx`'s deliveries right after local `link` is pumped
-    /// (default: after the last local link).
+    /// (default: after the last local link). A relay drains hop `i`'s
+    /// receiver before hop `i + 1`'s link pumps, so forwarded frames
+    /// catch the same pump pass.
     pub fn drain_after(&mut self, rx: RxId, link: LinkId) {
         if self.rx_drain_after.len() <= rx.0 {
             self.rx_drain_after.resize_with(rx.0 + 1, || None);
@@ -448,10 +515,33 @@ where
         self.rx_drain_after[rx.0] = Some(link.0);
     }
 
+    /// Period of the sampling tick that drives [`ShardBuilder::sample`].
+    pub fn sample_every(&mut self, period: Duration) {
+        self.sample_every = period;
+    }
+
+    /// On every sampling tick, sample `tx`'s buffer and the worst
+    /// occupancy among `rxs` into `col`, in registration order. All
+    /// subjects must be registered on this shard.
+    pub fn sample(&mut self, col: ColId, tx: TxId, rxs: Vec<RxId>) {
+        self.samplers.push(Sampler { col, tx, rxs });
+    }
+
+    /// Drain `tx`'s holding-time samples into `col` each pump pass.
+    pub fn holding(&mut self, col: ColId, tx: TxId) {
+        self.holdings.push((col, tx));
+    }
+
     /// Validate the shard wiring and produce a runnable [`ShardSim`].
     pub fn build(mut self) -> Result<ShardSim<T, R, C>, TopologyError> {
-        let mut errors = Vec::new();
-        if self.links.is_empty() {
+        let mut errors = std::mem::take(&mut self.errors);
+        let (n_tx, n_rx, n_col, links) = (
+            self.txs.len(),
+            self.rxs.len(),
+            self.collectors.len(),
+            self.links.len(),
+        );
+        if links == 0 {
             errors.push("shard has no links".to_string());
         }
         for w in self.links.windows(2) {
@@ -463,6 +553,10 @@ where
                 ));
             }
         }
+        let known = |ep: &EndpointId| match *ep {
+            EndpointId::Tx(t) => t.0 < n_tx,
+            EndpointId::Rx(r) => r.0 < n_rx,
+        };
         for (i, slot) in self.links.iter().enumerate() {
             if slot.channel.is_none() {
                 if !slot.senders.is_empty() {
@@ -481,65 +575,90 @@ where
                     slot.global
                 ));
             }
-        }
-        for (i, &l) in self.tx_link.iter().enumerate() {
-            if l >= self.links.len() {
-                errors.push(format!("tx {i} transmits on an unknown link"));
+            for ep in slot.listeners.iter().filter(|ep| !known(ep)) {
+                errors.push(format!(
+                    "link {} listener {ep:?} is not registered",
+                    slot.global
+                ));
             }
         }
-        for (i, &l) in self.rx_link.iter().enumerate() {
-            // `usize::MAX` marks a silent receiver with no transmit link.
-            if l != usize::MAX && l >= self.links.len() {
-                errors.push(format!("rx {i} transmits on an unknown link"));
-            }
+        if self.rx_delivery.len() > n_rx {
+            errors.push("a delivery target names an unknown rx".to_string());
         }
-        self.rx_delivery.resize_with(self.rxs.len(), || None);
-        self.rx_drain_after.resize_with(self.rxs.len(), || None);
-        let mut deliveries = Vec::with_capacity(self.rxs.len());
-        for (i, d) in self.rx_delivery.drain(..).enumerate() {
-            match d {
-                Some(Delivery::Forward(t)) => {
-                    if t.0 >= self.txs.len() {
-                        errors.push(format!("rx {i} forwards into an unknown tx"));
+        if self.rx_drain_after.len() > n_rx {
+            errors.push("a drain point names an unknown rx".to_string());
+        }
+        self.rx_delivery.resize_with(n_rx, || None);
+        self.rx_drain_after.resize_with(n_rx, || None);
+        let deliveries: Vec<Delivery> = (self.rx_delivery.drain(..).enumerate())
+            .map(|(i, d)| {
+                let problem = match &d {
+                    Some(Delivery::Forward(t)) => {
+                        (t.0 >= n_tx).then_some("forwards into an unknown tx")
                     }
-                    deliveries.push(Delivery::Forward(t));
-                }
-                Some(Delivery::Collect(c)) => {
-                    if c.0 >= self.collectors.len() {
-                        errors.push(format!("rx {i} delivers to an unknown collector"));
+                    Some(Delivery::Collect(c)) => {
+                        (c.0 >= n_col).then_some("delivers to an unknown collector")
                     }
-                    deliveries.push(Delivery::Collect(c));
-                }
-                None => {
-                    errors.push(format!("rx {i} has no delivery target"));
-                    deliveries.push(Delivery::Collect(ColId(0)));
-                }
+                    None => Some("has no delivery target"),
+                };
+                errors.extend(problem.map(|p| format!("rx {i} {p}")));
+                d.unwrap_or(Delivery::Collect(ColId(0)))
+            })
+            .collect();
+        for (i, after) in self.rx_drain_after.iter().enumerate() {
+            if let Some(l) = after.filter(|&l| l >= links) {
+                errors.push(format!("rx {i} drains after unknown local link {l}"));
             }
         }
         for (i, s) in self.sources.iter().enumerate() {
-            if s.tx.0 >= self.txs.len() {
+            if s.tx.0 >= n_tx {
                 errors.push(format!("source {i} feeds an unknown tx"));
             }
-            if s.col.is_some_and(|c| c.0 >= self.collectors.len()) {
+            if s.col.is_some_and(|c| c.0 >= n_col) {
                 errors.push(format!("source {i} uses an unknown collector"));
             }
         }
         for (i, (c, _)) in self.expects.iter().enumerate() {
-            if c.0 >= self.collectors.len() {
+            if c.0 >= n_col {
                 errors.push(format!("expect {i} references an unknown collector"));
+            }
+        }
+        // Samplers and holding drains read endpoints directly, so every
+        // subject must live on this shard.
+        for (i, s) in self.samplers.iter().enumerate() {
+            if s.col.0 >= n_col {
+                errors.push(format!("sampler {i} feeds an unknown collector"));
+            }
+            if s.tx.0 >= n_tx || s.rxs.iter().any(|r| r.0 >= n_rx) {
+                errors.push(format!("sampler {i} names an endpoint not on this shard"));
+            }
+        }
+        if !self.samplers.is_empty() && self.sample_every == Duration::ZERO {
+            errors.push("samplers need a positive sampling period".to_string());
+        }
+        for (i, (c, t)) in self.holdings.iter().enumerate() {
+            if c.0 >= n_col {
+                errors.push(format!("holding {i} feeds an unknown collector"));
+            }
+            if t.0 >= n_tx {
+                errors.push(format!("holding {i} names a tx not on this shard"));
+            }
+        }
+        if errors.is_empty() {
+            if let Some(p) = &self.placement {
+                self.check_placement(p, &deliveries, &mut errors);
             }
         }
         if !errors.is_empty() {
             return Err(TopologyError(errors));
         }
-        let links = self.links.len();
         let mut drains: Vec<Vec<RxId>> = vec![Vec::new(); links];
         for (i, after) in self.rx_drain_after.iter().enumerate() {
-            let li = after.unwrap_or(links - 1);
-            drains[li.min(links - 1)].push(RxId(i));
+            drains[after.unwrap_or(links - 1)].push(RxId(i));
         }
+        let prof = profile::current();
         let mut q = EventQueue::new();
-        q.set_profiler(profile::current());
+        q.set_profiler(prof.clone());
         Ok(ShardSim {
             payload: Bytes::from(vec![0u8; self.payload_bytes]),
             links: self.links,
@@ -550,22 +669,105 @@ where
             collectors: self.collectors,
             expects: self.expects,
             sources: self.sources,
+            samplers: self.samplers,
+            holdings: self.holdings,
+            holding_buf: Vec::new(),
+            sample_every: self.sample_every,
+            deadline: Instant::ZERO,
             q,
             wake: None,
             trace: telemetry::global_handle("channel"),
+            prof,
             last_event_at: Instant::ZERO,
             done_since: None,
             failed_at: None,
             events: 0,
             round: Vec::new(),
-            next_round: Vec::new(),
         })
+    }
+
+    /// The topology checks of [`ShardBuilder::place`]; runs only on
+    /// wiring whose ids are already known to be in range.
+    fn check_placement(&self, p: &Placement, deliveries: &[Delivery], errors: &mut Vec<String>) {
+        let topo = &p.topo;
+        let hosted = |n: NodeId| p.hosted.get(n.0).copied().unwrap_or(false);
+        let specs: Option<Vec<_>> = self
+            .links
+            .iter()
+            .map(|s| topo.links.get(s.global))
+            .collect();
+        let Some(specs) = specs else {
+            errors.push("a link is not in the topology".to_string());
+            return;
+        };
+        for (slot, l) in self.links.iter().zip(&specs) {
+            let (role, fits) = match (&slot.channel, slot.export) {
+                (Some(_), false) => ("intra-shard", hosted(l.from) && hosted(l.to)),
+                (Some(_), true) => ("outbound cut", hosted(l.from) && !hosted(l.to)),
+                (None, _) => ("inbound cut", !hosted(l.from) && hosted(l.to)),
+            };
+            if !fits {
+                errors.push(format!(
+                    "link {} from node {} to node {} cannot be an {role} link on this shard",
+                    slot.global, l.from.0, l.to.0
+                ));
+            }
+        }
+        // An endpoint lives at the node its transmit link leaves from (a
+        // silent receiver has no placement).
+        let tx_host: Vec<NodeId> = self.tx_link.iter().map(|&l| specs[l].from).collect();
+        let rx_host: Vec<Option<NodeId>> = (self.rx_link.iter())
+            .map(|&l| specs.get(l).map(|s| s.from))
+            .collect();
+        let host = |ep: EndpointId| match ep {
+            EndpointId::Tx(t) => Some(tx_host[t.0]),
+            EndpointId::Rx(r) => rx_host[r.0],
+        };
+        for (slot, spec) in self.links.iter().zip(&specs) {
+            for &ep in &slot.listeners {
+                if host(ep) != Some(spec.to) {
+                    errors.push(format!(
+                        "link {} listener {ep:?} is not hosted at its far end",
+                        slot.global
+                    ));
+                }
+            }
+        }
+        for (r, d) in deliveries.iter().enumerate() {
+            if let Delivery::Forward(t) = d {
+                if rx_host[r] != Some(tx_host[t.0]) {
+                    errors.push(format!("rx {r} forwards into a tx at a different node"));
+                }
+            }
+        }
+        for (node, role) in (0..).map(NodeId).zip(&topo.roles) {
+            if !hosted(node) {
+                continue;
+            }
+            let sourced = self.sources.iter().any(|s| tx_host[s.tx.0] == node);
+            let receiving = |collect: bool| {
+                deliveries.iter().enumerate().any(|(r, d)| {
+                    rx_host[r] == Some(node) && matches!(d, Delivery::Collect(_)) == collect
+                })
+            };
+            let ok = match role {
+                NodeRole::Source => sourced,
+                NodeRole::Sink => receiving(true),
+                NodeRole::Relay => receiving(false),
+                NodeRole::Duplex => sourced && receiving(true),
+            };
+            if !ok {
+                errors.push(format!(
+                    "node {} does not exhibit its {role:?} role",
+                    node.0
+                ));
+            }
+        }
     }
 }
 
 /// Everything a finished shard hands back for report assembly, in
-/// registration order (mirrors [`crate::Outcome`], restricted to the
-/// shard).
+/// registration order.
 pub struct FinishedShard<T, R, C> {
     /// The senders.
     pub txs: Vec<T>,
@@ -575,12 +777,20 @@ pub struct FinishedShard<T, R, C> {
     pub collectors: Vec<C>,
     /// SDUs issued per local source.
     pub issued: Vec<u64>,
-    /// SDUs each local source would issue in total.
-    pub targets: Vec<u64>,
     /// Global finish instant (coordinator-decided).
     pub finished_at: Instant,
     /// True if the deadline fired before completion.
     pub deadline_hit: bool,
+}
+
+/// A whole simulation run on one shard ([`ShardSim::run_solo`]).
+pub struct SoloRun<T, R, C> {
+    /// The shard's endpoints, collectors and run outcome.
+    pub finished: FinishedShard<T, R, C>,
+    /// The event queue's profiling snapshot for this run.
+    pub queue: QueueProfile,
+    /// Wall-clock seconds the run took.
+    pub wall_secs: f64,
 }
 
 /// One granted window's result, reported to the coordinator.
@@ -598,10 +808,10 @@ pub struct WindowSummary<F> {
     pub failed_at: Option<Instant>,
     /// Most recent locally processed event instant.
     pub last_event_at: Instant,
-    /// Events processed this window: pushes and arrivals only. Wakes
-    /// are engine bookkeeping whose count varies with the window
-    /// schedule, so excluding them keeps the sum over shards invariant
-    /// across shard counts.
+    /// Events processed this window: pushes and arrivals only. Sampling
+    /// ticks and wakes are engine bookkeeping whose count varies with
+    /// the window schedule, so excluding them keeps the sum over shards
+    /// invariant across shard counts.
     pub events: u64,
     /// Events still pending on the shard queue at window end.
     pub queue_depth: u64,
@@ -610,8 +820,9 @@ pub struct WindowSummary<F> {
     pub outbound: Vec<Inbound<F>>,
 }
 
-/// One shard's runnable slice of a simulation: a serial-identical pump
-/// over local links, driven in coordinator-granted windows.
+/// One shard's runnable slice of a simulation: the pump over local
+/// links, run whole ([`ShardSim::run_solo`]) or in coordinator-granted
+/// windows.
 pub struct ShardSim<T, R, C>
 where
     T: TxEndpoint,
@@ -625,28 +836,36 @@ where
     collectors: Vec<C>,
     expects: Vec<(ColId, u64)>,
     sources: Vec<ShardSource>,
+    samplers: Vec<Sampler>,
+    holdings: Vec<(ColId, TxId)>,
+    /// Scratch for holding-time drains, reused across pump passes.
+    holding_buf: Vec<f64>,
+    sample_every: Duration,
+    /// Run deadline: no sampling tick is scheduled past it.
+    deadline: Instant,
     q: EventQueue<ShardEvent<T::Frame>>,
     wake: Option<(Instant, EventId)>,
     trace: telemetry::Trace,
+    prof: profile::Prof,
     last_event_at: Instant,
     done_since: Option<Instant>,
     failed_at: Option<Instant>,
-    /// Cumulative pushes + arrivals dispatched (wakes excluded);
-    /// windows report the per-window delta.
+    /// Cumulative pushes + arrivals dispatched (ticks and wakes
+    /// excluded); windows report the per-window delta.
     events: u64,
-    /// Scratch buffers for canonical same-instant dispatch.
+    /// Scratch buffer for canonical same-instant dispatch.
     round: Vec<ShardEvent<T::Frame>>,
-    next_round: Vec<ShardEvent<T::Frame>>,
 }
 
 /// Canonical same-instant dispatch key: pushes first (by global source
 /// ordinal, then SDU id), then arrivals (by global link id, then
-/// per-link arrival sequence), then wakes.
+/// per-link arrival sequence), then the sampling tick, then wakes.
 fn canon_key<F>(links: &[LinkSlot], sources: &[ShardSource], ev: &ShardEvent<F>) -> (u8, u64, u64) {
     match ev {
         ShardEvent::Push { source, id } => (0, sources[*source].ordinal, *id),
         ShardEvent::Arrive { link, seq, .. } => (1, links[*link].global as u64, *seq),
-        ShardEvent::Wake => (2, 0, 0),
+        ShardEvent::Sample => (2, 0, 0),
+        ShardEvent::Wake => (3, 0, 0),
     }
 }
 
@@ -657,9 +876,11 @@ where
     C: Collect,
 {
     /// Start all endpoints at t = 0 and schedule the initial events
-    /// (first push per source, one wake). Call once, before the first
-    /// window.
-    pub fn start(&mut self) {
+    /// (first push per source, the first sampling tick when the shard
+    /// samples, one wake). Sampling ticks stop at `deadline`. Call
+    /// once, before the first window.
+    pub fn start(&mut self, deadline: Instant) {
+        self.deadline = deadline;
         for t in self.txs.iter_mut() {
             t.start(Instant::ZERO);
         }
@@ -671,10 +892,55 @@ where
                 self.q.schedule(at, ShardEvent::Push { source: s, id });
             }
         }
+        if !self.samplers.is_empty() {
+            self.q.schedule(Instant::ZERO, ShardEvent::Sample);
+        }
         self.wake = Some((
             Instant::ZERO,
             self.q.schedule(Instant::ZERO, ShardEvent::Wake),
         ));
+    }
+
+    /// Run this shard as the whole simulation on the caller's thread:
+    /// one window to `deadline` that ends at the first instant the run
+    /// completes, between `run_started`/`run_finished` trace markers.
+    pub fn run_solo(self, deadline: Duration) -> SoloRun<T, R, C> {
+        self.run_solo_with(deadline, |_| {})
+    }
+
+    /// [`ShardSim::run_solo`], handing the window summary to
+    /// `before_finish` just before the `run_finished` marker.
+    pub(crate) fn run_solo_with(
+        mut self,
+        deadline: Duration,
+        before_finish: impl FnOnce(&WindowSummary<T::Frame>),
+    ) -> SoloRun<T, R, C> {
+        let _run_span = self.prof.span("sim.run");
+        let timer = RunTimer::start();
+        // Structural run markers: observers (the live auditor, offline
+        // trace analysis) reset per-run state at `run_started` and
+        // finalise at `run_finished`, so one JSONL stream can carry any
+        // number of runs back to back.
+        let sim_trace = telemetry::global_handle("sim");
+        sim_trace.emit(Instant::ZERO, || TraceEvent::RunStarted);
+        let deadline = Instant::ZERO + deadline;
+        self.start(deadline);
+        let w = self.run_window(deadline, true);
+        // One window to the deadline: the run failed, completed, ran out
+        // of events, or still had events past the deadline.
+        let (finished_at, deadline_hit) = match (w.failed_at, w.done_since, w.next_event) {
+            (Some(f), _, _) => (f, false),
+            (None, Some(d), _) => (d, false),
+            (None, None, None) => (w.last_event_at, false),
+            (None, None, Some(_)) => (deadline, true),
+        };
+        before_finish(&w);
+        sim_trace.emit(finished_at, || TraceEvent::RunFinished { deadline_hit });
+        SoloRun {
+            queue: self.q.profile(),
+            finished: self.into_finished(finished_at, deadline_hit),
+            wall_secs: timer.elapsed_secs(),
+        }
     }
 
     /// Schedule coordinator-routed cut-link arrivals. The caller sorts
@@ -699,9 +965,10 @@ where
         }
     }
 
-    /// The shard-local completion condition: every local source
-    /// exhausted, every expected collector total met, every local
-    /// sender drained.
+    /// The shard-local completion condition ("safe delivery", §4):
+    /// every local source exhausted, every expected collector total
+    /// met, every local sender drained (each frame positively
+    /// acknowledged).
     fn locally_done(&self) -> bool {
         self.sources.iter().all(|s| s.gen.issued() >= s.gen.total())
             && self
@@ -714,19 +981,23 @@ where
     /// Process every queued event with `at ≤ grant`. With
     /// `stop_on_done` (single-shard runs, where local done is global
     /// done) the window also ends at the first instant the completion
-    /// condition holds, exactly like the serial engine.
+    /// condition holds.
     pub fn run_window(&mut self, grant: Instant, stop_on_done: bool) -> WindowSummary<T::Frame> {
         let mut outbound: Vec<Inbound<T::Frame>> = Vec::new();
         let mut committed = grant;
         let events_before = self.events;
-        while let Some(at) = self.q.next_instant() {
-            if at > grant {
-                break;
-            }
-            let (now, first) = self.q.pop().expect("peeked event pops");
+        while let Some((now, first)) = self.q.pop_until(grant) {
             self.last_event_at = now;
+            let dispatch_span = self.prof.span("sim.dispatch");
             self.dispatch_instant(now, first);
+            drop(dispatch_span);
             self.pump(now, &mut outbound);
+            let collect_span = self.prof.span("sim.collect");
+            for &(col, t) in &self.holdings {
+                self.holding_buf.clear();
+                self.txs[t.0].drain_holding(&mut self.holding_buf);
+                self.collectors[col.0].on_holding(&self.holding_buf);
+            }
             if self.locally_done() {
                 if self.done_since.is_none() {
                     self.done_since = Some(now);
@@ -734,6 +1005,7 @@ where
             } else {
                 self.done_since = None;
             }
+            drop(collect_span);
             if self.txs.iter().any(|t| t.is_failed()) {
                 self.failed_at = Some(now);
                 committed = now;
@@ -743,6 +1015,7 @@ where
                 committed = now;
                 break;
             }
+            let _wake_span = self.prof.span("sim.wake");
             self.rearm_wake(now);
         }
         outbound.sort_by_key(|a| (a.at, a.link, a.seq));
@@ -758,31 +1031,38 @@ where
         }
     }
 
-    /// Drain every event at `now` and dispatch in canonical order,
-    /// iterating rounds for same-instant cascades (a dispatched push
-    /// can schedule its source's next push at the same instant).
+    /// Dispatch every event at `now` in canonical order, in rounds: the
+    /// events queued at `now`, then those the round itself scheduled at
+    /// `now` (a dispatched push can schedule its source's next push at
+    /// the same instant), and so on. An instant holding one event — the
+    /// common case — dispatches it without buffering or sorting.
     fn dispatch_instant(&mut self, now: Instant, first: ShardEvent<T::Frame>) {
         let mut round = std::mem::take(&mut self.round);
-        let mut next = std::mem::take(&mut self.next_round);
-        round.push(first);
-        while let Some(ev) = self.q.pop_at(now) {
-            round.push(ev);
-        }
-        while !round.is_empty() {
-            round.sort_by_key(|ev| canon_key(&self.links, &self.sources, ev));
-            for ev in round.drain(..) {
-                self.dispatch(now, ev);
+        let mut again = match self.q.pop_at(now) {
+            None => self.dispatch(now, first),
+            Some(second) => {
+                round.extend([first, second]);
+                true
             }
+        };
+        while again {
             while let Some(ev) = self.q.pop_at(now) {
-                next.push(ev);
+                round.push(ev);
             }
-            std::mem::swap(&mut round, &mut next);
+            if round.len() > 1 {
+                round.sort_by_key(|ev| canon_key(&self.links, &self.sources, ev));
+            }
+            again = false;
+            for ev in round.drain(..) {
+                again |= self.dispatch(now, ev);
+            }
         }
         self.round = round;
-        self.next_round = next;
     }
 
-    fn dispatch(&mut self, now: Instant, ev: ShardEvent<T::Frame>) {
+    /// Dispatch one event; true if it scheduled another at `now` (only a
+    /// push can: its source's next SDU may arrive at the same instant).
+    fn dispatch(&mut self, now: Instant, ev: ShardEvent<T::Frame>) -> bool {
         match ev {
             ShardEvent::Push { source, id } => {
                 self.events += 1;
@@ -792,14 +1072,19 @@ where
                 }
                 self.txs[src.tx.0].push(id, self.payload.clone());
                 if let Some((at, nid)) = src.gen.next() {
-                    self.q
-                        .schedule(at.max(now), ShardEvent::Push { source, id: nid });
+                    let at = at.max(now);
+                    self.q.schedule(at, ShardEvent::Push { source, id: nid });
+                    return at == now;
                 }
             }
             ShardEvent::Arrive {
                 link, frame, clean, ..
             } => {
                 self.events += 1;
+                // Single listener — the common wiring — moves the frame
+                // straight through; only genuine fan-out (duplex links
+                // feeding both co-located endpoints) pays a clone, and
+                // only for the non-final copies.
                 match self.links[link].listeners.as_slice() {
                     [ep] => match *ep {
                         EndpointId::Tx(t) => self.txs[t.0].handle_frame(now, frame, clean),
@@ -822,24 +1107,48 @@ where
                     }
                 }
             }
+            ShardEvent::Sample => {
+                self.prof.sample_queue_depth(self.q.len() as u64);
+                for s in &self.samplers {
+                    let worst_rx = s
+                        .rxs
+                        .iter()
+                        .map(|r| self.rxs[r.0].occupancy())
+                        .max()
+                        .unwrap_or(0);
+                    let tx = &self.txs[s.tx.0];
+                    self.collectors[s.col.0].sample(now, tx.buffered(), worst_rx, tx.rate());
+                }
+                if now + self.sample_every <= self.deadline {
+                    self.q.schedule(now + self.sample_every, ShardEvent::Sample);
+                }
+            }
             ShardEvent::Wake => {
                 if self.wake.is_some_and(|(t, _)| t <= now) {
                     self.wake = None;
                 }
             }
         }
+        false
     }
 
-    /// The serial engine's pump, restricted to local links: timers,
-    /// per-link serve/transmit (exported on cut links), drains.
+    /// The pump, over local links: timers, per-link serve/transmit
+    /// (exported on cut links), drains.
     fn pump(&mut self, now: Instant, outbound: &mut Vec<Inbound<T::Frame>>) {
+        let timer_span = self.prof.span("sim.pump_timers");
         for t in self.txs.iter_mut() {
             t.on_timeout(now);
         }
         for r in self.rxs.iter_mut() {
             r.on_timeout(now);
         }
+        drop(timer_span);
+        let links_span = self.prof.span("sim.pump_links");
         for li in 0..self.links.len() {
+            // Serve the link's senders in priority order while the
+            // transmitter is idle (re-checking priority after each
+            // frame: a control frame freed mid-pump still wins).
+            let tx_span = self.prof.span("sim.tx_serve");
             while let Some(channel) = self.links[li].channel.as_ref() {
                 if !channel.idle(now) {
                     break;
@@ -893,6 +1202,8 @@ where
                     }
                 }
             }
+            drop(tx_span);
+            let _rx_span = self.prof.span("sim.rx_drain");
             for r in 0..self.drains[li].len() {
                 let rid = self.drains[li][r];
                 while let Some((id, _len)) = self.rxs[rid.0].poll_deliver(now) {
@@ -905,11 +1216,13 @@ where
                 }
             }
         }
+        drop(links_span);
     }
 
     /// Re-arm the single wake at the earliest pending protocol instant
-    /// over local endpoints and owned channels — the serial engine's
-    /// rule verbatim, restricted to the shard.
+    /// over local endpoints and owned channels. Exactly one wake is ever
+    /// pending: re-arming an earlier wake *reschedules* it instead of
+    /// piling up stale duplicates that would each buy a no-op pump.
     fn rearm_wake(&mut self, now: Instant) {
         let mut want: Option<Instant> = None;
         let mut consider = |c: Option<Instant>| {
@@ -933,6 +1246,11 @@ where
         let Some(t) = want else {
             return;
         };
+        // A want at or before `now` means the protocol is blocked on a
+        // busy transmitter (the pump already did everything else
+        // possible at `now`): waking again at `now` would spin without
+        // advancing time, so defer to the earliest channel-free instant
+        // — strictly in the future when busy.
         let t = if t > now {
             Some(t)
         } else {
@@ -967,7 +1285,6 @@ where
     pub fn into_finished(self, finished_at: Instant, deadline_hit: bool) -> FinishedShard<T, R, C> {
         FinishedShard {
             issued: self.sources.iter().map(|s| s.gen.issued()).collect(),
-            targets: self.sources.iter().map(|s| s.gen.total()).collect(),
             txs: self.txs,
             rxs: self.rxs,
             collectors: self.collectors,
@@ -980,8 +1297,505 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::FrameMeta;
     use crate::link::ErrorModel;
-    use crate::topology::{LinkSpec, NodeRole};
+    use crate::topology::LinkSpec;
+    use crate::traffic::Pattern;
+    use sim_core::SeedSplitter;
+    use std::collections::VecDeque;
+
+    /// A toy protocol: the sender emits each SDU once as a `u64` frame;
+    /// the receiver delivers it and never talks back. Enough to exercise
+    /// push/arrive/deliver/done plumbing.
+    #[derive(Default)]
+    struct EchoTx {
+        queue: VecDeque<u64>,
+        sent: u64,
+        heard: u64,
+    }
+
+    impl TxEndpoint for EchoTx {
+        type Frame = u64;
+
+        fn start(&mut self, _now: Instant) {}
+        fn push(&mut self, id: u64, _payload: Bytes) -> bool {
+            self.queue.push_back(id);
+            true
+        }
+        fn poll_transmit(&mut self, _now: Instant) -> Option<u64> {
+            let f = self.queue.pop_front();
+            if f.is_some() {
+                self.sent += 1;
+            }
+            f
+        }
+        fn handle_frame(&mut self, _now: Instant, _frame: u64, _ok: bool) {
+            self.heard += 1;
+        }
+        fn on_timeout(&mut self, _now: Instant) {}
+        fn poll_timeout(&self) -> Option<Instant> {
+            None
+        }
+        fn buffered(&self) -> usize {
+            self.queue.len()
+        }
+        fn meta(_frame: &u64) -> FrameMeta {
+            FrameMeta {
+                bytes: 64,
+                is_info: true,
+            }
+        }
+        fn drain_holding(&mut self, out: &mut Vec<f64>) {
+            out.push(0.5);
+        }
+        fn transmissions(&self) -> u64 {
+            self.sent
+        }
+        fn retransmissions(&self) -> u64 {
+            0
+        }
+    }
+
+    #[derive(Default)]
+    struct EchoRx {
+        pending: VecDeque<u64>,
+    }
+
+    impl RxEndpoint for EchoRx {
+        type Frame = u64;
+
+        fn start(&mut self, _now: Instant) {}
+        fn handle_frame(&mut self, _now: Instant, frame: u64, ok: bool) {
+            if ok {
+                self.pending.push_back(frame);
+            }
+        }
+        fn on_timeout(&mut self, _now: Instant) {}
+        fn poll_timeout(&self) -> Option<Instant> {
+            None
+        }
+        fn poll_transmit(&mut self, _now: Instant) -> Option<u64> {
+            None
+        }
+        fn poll_deliver(&mut self, _now: Instant) -> Option<(u64, usize)> {
+            self.pending.pop_front().map(|id| (id, 64))
+        }
+        fn occupancy(&self) -> usize {
+            self.pending.len()
+        }
+        fn meta(_frame: &u64) -> FrameMeta {
+            FrameMeta {
+                bytes: 64,
+                is_info: true,
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct CountCollector {
+        pushed: u64,
+        delivered: u64,
+        samples: Vec<Instant>,
+        holding: u64,
+    }
+
+    impl Collect for CountCollector {
+        fn on_push(&mut self, _now: Instant, _id: u64) {
+            self.pushed += 1;
+        }
+        fn on_deliver(&mut self, _now: Instant, _id: u64) {
+            self.delivered += 1;
+        }
+        fn on_holding(&mut self, samples: &[f64]) {
+            self.holding += samples.len() as u64;
+        }
+        fn sample(&mut self, now: Instant, _tx: usize, _rx: usize, _rate: f64) {
+            self.samples.push(now);
+        }
+        fn delivered_unique(&self) -> u64 {
+            self.delivered
+        }
+    }
+
+    type EchoBuilder = ShardBuilder<EchoTx, EchoRx, CountCollector>;
+
+    fn clean_channel() -> Channel {
+        Channel::new(
+            1e6,
+            DelayModel::Fixed(Duration::from_millis(1)),
+            ErrorModel::Clean,
+        )
+    }
+
+    fn batch(n: u64) -> TrafficGen {
+        TrafficGen::new(Pattern::Batch, n, SeedSplitter::new(1).stream(2))
+    }
+
+    /// Source node 0 → sink node 1, forward link 0 and reverse link 1.
+    fn p2p_topology(sink: NodeRole) -> Topology {
+        let mut topo = Topology::default();
+        let a = topo.node(NodeRole::Source);
+        let z = topo.node(sink);
+        topo.link(a, z, "fwd");
+        topo.link(z, a, "rev");
+        topo
+    }
+
+    /// A placed one-shard point-to-point build over `fwd`, sampled every
+    /// 5 ms: (builder, tx, rx, collector).
+    fn p2p_with(n: u64, fwd: Channel) -> (EchoBuilder, TxId, RxId, ColId) {
+        let topo = p2p_topology(NodeRole::Sink);
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        let lf = b.link(0, fwd, "fwd");
+        let lr = b.link(1, clean_channel(), "rev");
+        let t = b.tx(lf, EchoTx::default());
+        let r = b.rx(lr, EchoRx::default());
+        b.listen(lf, r);
+        b.listen(lr, t);
+        let c = b.collector(CountCollector::default());
+        b.expect(c, n);
+        b.source(batch(n), t, Some(c), 0);
+        b.deliver(r, c);
+        b.sample_every(Duration::from_millis(5));
+        b.sample(c, t, vec![r]);
+        b.holding(c, t);
+        (b, t, r, c)
+    }
+
+    fn p2p(n: u64) -> EchoBuilder {
+        p2p_with(n, clean_channel()).0
+    }
+
+    fn build_err(b: EchoBuilder) -> String {
+        match b.build() {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("invalid wiring accepted"),
+        }
+    }
+
+    #[test]
+    fn point_to_point_delivers_everything() {
+        let out = p2p(10)
+            .build()
+            .expect("valid")
+            .run_solo(Duration::from_secs(60));
+        let col = &out.finished.collectors[0];
+        assert_eq!(col.delivered, 10);
+        assert_eq!(col.pushed, 10);
+        assert!(col.holding > 0, "holding drained every pump pass");
+        assert_eq!(col.samples.first(), Some(&Instant::ZERO));
+        assert_eq!(out.finished.issued, vec![10]);
+        assert!(!out.finished.deadline_hit);
+        assert!(out.finished.finished_at > Instant::ZERO);
+        assert!(out.queue.popped > 0);
+    }
+
+    #[test]
+    fn repeated_runs_are_identical() {
+        let a = p2p(25)
+            .build()
+            .expect("valid")
+            .run_solo(Duration::from_secs(60));
+        let b = p2p(25)
+            .build()
+            .expect("valid")
+            .run_solo(Duration::from_secs(60));
+        assert_eq!(a.finished.finished_at, b.finished.finished_at);
+        assert_eq!(a.queue.scheduled, b.queue.scheduled);
+        assert_eq!(a.queue.popped, b.queue.popped);
+        assert_eq!(
+            a.finished.collectors[0].samples,
+            b.finished.collectors[0].samples
+        );
+    }
+
+    #[test]
+    fn sampling_ticks_stop_at_the_deadline() {
+        // A forward link that corrupts nearly every frame, and no
+        // retransmission: the run never completes, so it ends at the
+        // deadline with a tick every 5 ms up to it.
+        let lossy = Channel::new(
+            1e6,
+            DelayModel::Fixed(Duration::from_millis(1)),
+            ErrorModel::uniform(1e-2, SeedSplitter::new(3).stream(0)),
+        );
+        let (b, ..) = p2p_with(50, lossy);
+        let out = b
+            .build()
+            .expect("valid")
+            .run_solo(Duration::from_millis(42));
+        assert!(out.finished.deadline_hit);
+        assert_eq!(out.finished.finished_at, Instant::from_millis(42));
+        let samples = &out.finished.collectors[0].samples;
+        assert_eq!(samples.len(), 9, "ticks at 0, 5, …, 40 ms");
+        assert_eq!(samples.last(), Some(&Instant::from_millis(40)));
+    }
+
+    #[test]
+    fn time_varying_delay_inside_a_shard() {
+        let a = orbit::Satellite::new(1000.0, 80.0, 0.0, 0.0);
+        let z = orbit::Satellite::new(1000.0, 80.0, 90.0, 0.0);
+        let windows = orbit::visibility_windows(
+            &a,
+            &z,
+            2.0 * a.period_s(),
+            5.0,
+            &orbit::LinkConstraints::default(),
+        );
+        let profile = orbit::LinkProfile::build(&a, &z, windows[0], 5.0, 0.0);
+        let fwd = Channel::new(
+            1e6,
+            DelayModel::Profile {
+                profile,
+                t0_offset_s: 0.0,
+            },
+            ErrorModel::Clean,
+        );
+        let (b, ..) = p2p_with(40, fwd);
+        let out = b.build().expect("profile delay on an intra-shard link");
+        let out = out.run_solo(Duration::from_secs(60));
+        assert_eq!(out.finished.collectors[0].delivered, 40);
+        assert!(!out.finished.deadline_hit);
+    }
+
+    #[test]
+    fn duplex_fan_out_reaches_every_listener() {
+        // Two duplex nodes; each link feeds both endpoints at its far
+        // end (the receiver and the co-located sender, which hears the
+        // peer's traffic as feedback).
+        let mut topo = Topology::default();
+        let na = topo.node(NodeRole::Duplex);
+        let nb = topo.node(NodeRole::Duplex);
+        topo.link(na, nb, "fwd");
+        topo.link(nb, na, "rev");
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        let la = b.link(0, clean_channel(), "fwd");
+        let lb = b.link(1, clean_channel(), "rev");
+        let ra = b.rx(la, EchoRx::default());
+        let ta = b.tx(la, EchoTx::default());
+        let rb = b.rx(lb, EchoRx::default());
+        let tb = b.tx(lb, EchoTx::default());
+        b.listen(la, rb);
+        b.listen(la, tb);
+        b.listen(lb, ra);
+        b.listen(lb, ta);
+        let c0 = b.collector(CountCollector::default());
+        let c1 = b.collector(CountCollector::default());
+        b.expect(c0, 6);
+        b.expect(c1, 4);
+        b.source(batch(6), ta, Some(c0), 0);
+        b.source(batch(4), tb, Some(c1), 1);
+        b.deliver(rb, c0);
+        b.deliver(ra, c1);
+        let out = b
+            .build()
+            .expect("valid duplex")
+            .run_solo(Duration::from_secs(60));
+        let f = &out.finished;
+        assert_eq!(
+            (f.collectors[0].delivered, f.collectors[1].delivered),
+            (6, 4)
+        );
+        assert_eq!(f.txs[0].heard, 4, "a's sender hears every frame b sent");
+        assert_eq!(f.txs[1].heard, 6, "b's sender hears every frame a sent");
+    }
+
+    #[test]
+    fn build_rejects_unwired_receiver() {
+        let topo = p2p_topology(NodeRole::Sink);
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        let lf = b.link(0, clean_channel(), "fwd");
+        let lr = b.link(1, clean_channel(), "rev");
+        let t = b.tx(lf, EchoTx::default());
+        let r = b.rx(lr, EchoRx::default());
+        b.listen(lf, r);
+        let c = b.collector(CountCollector::default());
+        b.source(batch(1), t, Some(c), 0);
+        // No deliver()/forward() for r: must be rejected.
+        let err = build_err(b);
+        assert!(err.contains("no delivery target"), "{err}");
+    }
+
+    #[test]
+    fn build_rejects_role_mismatch_and_bad_links() {
+        let mut topo = Topology::default();
+        let a = topo.node(NodeRole::Source);
+        // Self-loop link, and a Source node with no source feeding it.
+        topo.link(a, a, "fwd");
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(1, 1), 0);
+        b.link(0, clean_channel(), "fwd");
+        let err = build_err(b);
+        assert!(err.contains("self-loop"), "{err}");
+        // With the topology fixed, the unfed Source role is reported.
+        let mut topo = p2p_topology(NodeRole::Sink);
+        topo.links.push(LinkSpec {
+            from: NodeId(0),
+            to: NodeId(9),
+            dir: "rev",
+        });
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        b.link(2, clean_channel(), "rev");
+        let err = build_err(b);
+        assert!(err.contains("link 2 references an unknown node"), "{err}");
+        let mut b = p2p(1);
+        b.sources.clear();
+        let err = build_err(b);
+        assert!(err.contains("does not exhibit its Source role"), "{err}");
+    }
+
+    #[test]
+    fn build_rejects_misplaced_endpoints() {
+        // The receiver answers on the forward link, so it lives at the
+        // source node: it is not at the forward link's far end, and the
+        // sink node is left without a delivering receiver.
+        let topo = p2p_topology(NodeRole::Sink);
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        let lf = b.link(0, clean_channel(), "fwd");
+        b.link(1, clean_channel(), "rev");
+        let t = b.tx(lf, EchoTx::default());
+        let r = b.rx(lf, EchoRx::default());
+        b.listen(lf, r);
+        let c = b.collector(CountCollector::default());
+        b.source(batch(1), t, Some(c), 0);
+        b.deliver(r, c);
+        let err = build_err(b);
+        assert!(err.contains("is not hosted at its far end"), "{err}");
+        assert!(
+            err.contains("node 1 does not exhibit its Sink role"),
+            "{err}"
+        );
+        // A relay role wired to forward into the sender at the other node.
+        let topo = p2p_topology(NodeRole::Relay);
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        let lf = b.link(0, clean_channel(), "fwd");
+        let lr = b.link(1, clean_channel(), "rev");
+        let t = b.tx(lf, EchoTx::default());
+        let r = b.rx(lr, EchoRx::default());
+        b.listen(lf, r);
+        b.source(batch(1), t, None, 0);
+        b.forward(r, t);
+        let err = build_err(b);
+        assert!(
+            err.contains("rx 0 forwards into a tx at a different node"),
+            "{err}"
+        );
+        // A link wired as intra-shard whose far end another shard hosts.
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 2), 0);
+        b.link(0, clean_channel(), "fwd");
+        let err = build_err(b);
+        assert!(err.contains("cannot be an intra-shard link"), "{err}");
+    }
+
+    #[test]
+    fn build_rejects_listen_on_unknown_link() {
+        let mut b = p2p(1);
+        b.listen(LinkId(7), RxId(0));
+        let err = build_err(b);
+        assert!(err.contains("listens on unknown local link 7"), "{err}");
+    }
+
+    #[test]
+    fn build_rejects_drain_after_unknown_link() {
+        let mut b = p2p(1);
+        b.drain_after(RxId(0), LinkId(5));
+        let err = build_err(b);
+        assert!(
+            err.contains("rx 0 drains after unknown local link 5"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn build_rejects_sampler_subject_on_another_shard() {
+        // Shard 1 of a two-shard point-to-point cut hosts only the
+        // receiver; a sampler naming the source's sender (tx 0 on shard
+        // 0) names nothing here.
+        let topo = p2p_topology(NodeRole::Sink);
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(2, 2), 1);
+        let lf = b.cut_in(0);
+        let lr = b.cut_out(1, clean_channel(), "rev");
+        let r = b.rx(lr, EchoRx::default());
+        b.listen(lf, r);
+        let c = b.collector(CountCollector::default());
+        b.deliver(r, c);
+        b.sample_every(Duration::from_millis(5));
+        b.sample(c, TxId(0), vec![r]);
+        let err = build_err(b);
+        assert!(
+            err.contains("sampler 0 names an endpoint not on this shard"),
+            "{err}"
+        );
+        // The same sampler without a tick period is rejected as well.
+        let mut b = p2p(1);
+        b.sample_every(Duration::ZERO);
+        let err = build_err(b);
+        assert!(err.contains("positive sampling period"), "{err}");
+    }
+
+    #[test]
+    fn build_rejects_holding_subject_on_another_shard() {
+        let mut b = p2p(1);
+        b.holding(ColId(0), TxId(3));
+        let err = build_err(b);
+        assert!(
+            err.contains("holding 1 names a tx not on this shard"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn relay_forwarding_chain_delivers() {
+        // 3 nodes, 2 hops: source → relay → sink, with per-hop drain
+        // points so forwarded frames catch the next link's pump pass.
+        let mut topo = Topology::default();
+        let nodes = [NodeRole::Source, NodeRole::Relay, NodeRole::Sink].map(|r| topo.node(r));
+        for h in 0..2 {
+            topo.link(nodes[h], nodes[h + 1], "fwd");
+            topo.link(nodes[h + 1], nodes[h], "rev");
+        }
+        let mut b = EchoBuilder::new(64);
+        b.place(&topo, &Partition::contiguous(3, 1), 0);
+        let mut txs = Vec::new();
+        let mut rxs = Vec::new();
+        for h in 0..2 {
+            let lf = b.link(2 * h, clean_channel(), "fwd");
+            let lr = b.link(2 * h + 1, clean_channel(), "rev");
+            let t = b.tx(lf, EchoTx::default());
+            let r = b.rx(lr, EchoRx::default());
+            b.listen(lf, r);
+            b.listen(lr, t);
+            b.drain_after(r, lr);
+            txs.push(t);
+            rxs.push(r);
+        }
+        let c = b.collector(CountCollector::default());
+        b.expect(c, 7);
+        b.source(batch(7), txs[0], Some(c), 0);
+        b.forward(rxs[0], txs[1]);
+        b.deliver(rxs[1], c);
+        b.sample_every(Duration::from_millis(5));
+        b.sample(c, txs[0], rxs.clone());
+        b.holding(c, txs[0]);
+        let out = b
+            .build()
+            .expect("valid relay")
+            .run_solo(Duration::from_secs(60));
+        assert_eq!(out.finished.collectors[0].delivered, 7);
+        assert_eq!(out.finished.txs[0].sent, 7);
+        assert_eq!(
+            out.finished.txs[1].sent, 7,
+            "relay must forward every frame"
+        );
+    }
 
     fn chain_topo(hops: usize) -> Topology {
         let mut t = Topology::default();

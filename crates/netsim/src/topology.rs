@@ -3,9 +3,9 @@
 //! A [`Topology`] is the static shape of a simulation: which nodes
 //! exist, what role each plays, and which directed links connect them.
 //! Endpoints, collectors and traffic sources attach to this shape
-//! through the [`crate::engine::SimBuilder`]; `build()` validates the
-//! wiring against the declared roles and returns a [`TopologyError`]
-//! listing every inconsistency it finds.
+//! through a [`crate::ShardBuilder`] placed on it; `build()` validates
+//! the wiring against the declared roles and returns a
+//! [`TopologyError`] listing every inconsistency it finds.
 
 use std::fmt;
 
@@ -97,6 +97,34 @@ impl Topology {
     pub fn link_count(&self) -> usize {
         self.links.len()
     }
+
+    /// Add a node with the given role.
+    pub fn node(&mut self, role: NodeRole) -> NodeId {
+        self.roles.push(role);
+        NodeId(self.roles.len() - 1)
+    }
+
+    /// Add a directed link `from → to`; `dir` labels channel-drop
+    /// trace records.
+    pub fn link(&mut self, from: NodeId, to: NodeId, dir: &'static str) -> LinkId {
+        self.links.push(LinkSpec { from, to, dir });
+        LinkId(self.links.len() - 1)
+    }
+
+    /// Every link that references an unknown node or loops back to its
+    /// own origin.
+    pub fn problems(&self) -> Vec<String> {
+        let nodes = self.nodes();
+        let mut errors = Vec::new();
+        for (i, l) in self.links.iter().enumerate() {
+            if l.from.0 >= nodes || l.to.0 >= nodes {
+                errors.push(format!("link {i} references an unknown node"));
+            } else if l.from == l.to {
+                errors.push(format!("link {i} is a self-loop"));
+            }
+        }
+        errors
+    }
 }
 
 /// Every wiring inconsistency found while building a simulation.
@@ -119,6 +147,24 @@ mod tests {
     fn endpoint_id_conversions() {
         assert_eq!(EndpointId::from(TxId(3)), EndpointId::Tx(TxId(3)));
         assert_eq!(EndpointId::from(RxId(0)), EndpointId::Rx(RxId(0)));
+    }
+
+    #[test]
+    fn problems_name_unknown_nodes_and_self_loops() {
+        let mut t = Topology::default();
+        let a = t.node(NodeRole::Source);
+        let z = t.node(NodeRole::Sink);
+        t.link(a, z, "fwd");
+        assert!(t.problems().is_empty());
+        t.link(a, a, "rev");
+        t.link(z, NodeId(7), "rev");
+        assert_eq!(
+            t.problems(),
+            vec![
+                "link 1 is a self-loop".to_string(),
+                "link 2 references an unknown node".to_string()
+            ]
+        );
     }
 
     #[test]

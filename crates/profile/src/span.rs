@@ -123,9 +123,13 @@ impl Profiler {
     /// (including the root sentinel; `cap` is clamped to at least 2 so
     /// one real span always fits).
     pub fn new(cap: usize) -> Self {
+        // Reserve the span table up front (bounded by `cap`): opening a
+        // span then never reallocates it inside the window being timed.
+        let mut nodes = Vec::with_capacity(cap.clamp(2, 64));
+        nodes.push(NodeData::new(""));
         Profiler {
             epoch: Instant::now(),
-            nodes: vec![NodeData::new("")],
+            nodes,
             stack: Vec::with_capacity(16),
             cap: cap.max(2),
             dropped: 0,

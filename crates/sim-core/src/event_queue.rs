@@ -378,6 +378,11 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Instant, E)> {
         let _span = self.prof.span("queue.pop");
         self.drop_dead();
+        self.pop_live()
+    }
+
+    /// Pop the heap top, which `drop_dead` has just made live.
+    fn pop_live(&mut self) -> Option<(Instant, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
@@ -399,7 +404,19 @@ impl<E> EventQueue<E> {
         if self.heap.peek().map(|e| e.at) != Some(at) {
             return None;
         }
-        self.pop().map(|(_, e)| e)
+        self.pop_live().map(|(_, e)| e)
+    }
+
+    /// Pop the next event only if it fires at or before `limit` — the
+    /// fused peek-then-pop a windowed event loop wants, touching the
+    /// heap top once.
+    pub fn pop_until(&mut self, limit: Instant) -> Option<(Instant, E)> {
+        let _span = self.prof.span("queue.pop_until");
+        self.drop_dead();
+        if self.heap.peek().is_none_or(|e| e.at > limit) {
+            return None;
+        }
+        self.pop_live()
     }
 
     fn drop_dead(&mut self) {
@@ -667,6 +684,27 @@ mod tests {
         assert_eq!(q.next_instant(), Some(Instant::from_nanos(8)));
         q.pop();
         assert_eq!(q.next_instant(), None);
+    }
+
+    #[test]
+    fn pop_until_stops_past_the_limit() {
+        let mut q = EventQueue::new();
+        assert!(q.pop_until(Instant::from_nanos(10)).is_none());
+        let a = q.schedule(Instant::from_nanos(3), "a");
+        q.schedule(Instant::from_nanos(5), "b");
+        q.schedule(Instant::from_nanos(9), "c");
+        q.cancel(a);
+        assert_eq!(
+            q.pop_until(Instant::from_nanos(5)),
+            Some((Instant::from_nanos(5), "b")),
+            "a cancelled head is skipped; an event at the limit pops"
+        );
+        assert!(q.pop_until(Instant::from_nanos(8)).is_none());
+        assert_eq!(q.len(), 1, "an event past the limit stays queued");
+        assert_eq!(
+            q.pop_until(Instant::from_nanos(9)).map(|(_, e)| e),
+            Some("c")
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ Usage:
                    [--mcheck MCHECK.json]...
                    [--timeline TIMELINE.json]...
                    [--timeline-identical FILE_A FILE_B]...
+                   [--same-records TRACE_A TRACE_B]...
 
 With one positional argument: validate the `lams-dlc.repro/1` schema
 (top-level fields, per-experiment structure, perf blocks, live-monitor
@@ -72,9 +73,19 @@ documents once the `ts`/`dur` members (the only wall-clock-bearing
 fields) are stripped from every trace event — a live export and its
 offline `trace-tools timeline` replay, or two repeated runs at the same
 shard count, must agree on every deterministic field.
+
+Each `--same-records A B` pair must be `--trace` JSONL files holding the
+same records run by run: split at every `run_started` record (records
+outside a run stay with the run before them), with the
+coordinator's `coord` superstep records dropped and each run's records
+stable-sorted by `(t, node)`, the two files must match line for line.
+A one-shard run writes records in emission order while a multi-shard
+run merges them sorted by `(t, node)`, so this is the trace contract
+between shard counts (DESIGN.md §11).
 """
 
 import json
+import re
 import sys
 
 EXPECTED_IDS = [f"E{i}" for i in range(1, 19)]
@@ -808,9 +819,53 @@ def check_identical(a, b):
         fail(str(e))
 
 
+# The leading members of every trace record, as the trace writer emits
+# them: `{"t":<seconds>,"node":"<label>",...`.
+RECORD_HEAD = re.compile(r'\{"t":([-+0-9.eE]+),"node":"((?:[^"\\]|\\.)*)"')
+
+
+def trace_runs(path):
+    """The runs of a --trace file, each a list of (t, node, line), with
+    the coordinator's superstep records dropped. Records outside any run
+    (the runner's experiment markers) stay with the run before them;
+    those ahead of the first run form a prelude."""
+    runs = [[]]
+    try:
+        with open(path) as f:
+            for n, line in enumerate(f, 1):
+                m = RECORD_HEAD.match(line)
+                if not m:
+                    fail(f"{path}:{n}: not a trace record")
+                node = m.group(2)
+                if node == "coord":
+                    continue
+                if '"event":"run_started"' in line:
+                    runs.append([])
+                runs[-1].append((float(m.group(1)), node, line))
+    except OSError as e:
+        fail(str(e))
+    return runs
+
+
+def check_same_records(a, b):
+    runs_a, runs_b = trace_runs(a), trace_runs(b)
+    if len(runs_a) != len(runs_b):
+        fail(f"{a} holds {len(runs_a) - 1} runs but {b} holds {len(runs_b) - 1}")
+    for k, (ra, rb) in enumerate(zip(runs_a, runs_b)):
+        ra.sort(key=lambda r: (r[0], r[1]))
+        rb.sort(key=lambda r: (r[0], r[1]))
+        if ra == rb:
+            continue
+        for x, y in zip(ra, rb):
+            if x != y:
+                fail(f"run {k}: {a} and {b} differ after sorting by (t, node):\n"
+                     f"  {x[2].rstrip()}\n  {y[2].rstrip()}")
+        fail(f"run {k}: {a} holds {len(ra)} records but {b} holds {len(rb)}")
+
+
 def main():
     args = sys.argv[1:]
-    positional, pairs, timeline_pairs = [], [], []
+    positional, pairs, timeline_pairs, record_pairs = [], [], [], []
     benches, replays, profiles, lives, mchecks = [], [], [], [], []
     timelines = []
     single = {"--bench": benches, "--profile": profiles,
@@ -818,11 +873,12 @@ def main():
               "--mcheck": mchecks, "--timeline": timelines}
     i = 0
     while i < len(args):
-        if args[i] in ("--identical", "--timeline-identical"):
+        if args[i] in ("--identical", "--timeline-identical", "--same-records"):
             if len(args) - i < 3:
                 print(__doc__, file=sys.stderr)
                 sys.exit(2)
-            dest = pairs if args[i] == "--identical" else timeline_pairs
+            dest = {"--identical": pairs, "--timeline-identical": timeline_pairs,
+                    "--same-records": record_pairs}[args[i]]
             dest.append((args[i + 1], args[i + 2]))
             i += 3
         elif args[i] in single:
@@ -836,7 +892,7 @@ def main():
             i += 1
     if len(positional) not in (1, 2) and not (
             (benches or profiles or lives or mchecks or timelines
-             or timeline_pairs) and not positional):
+             or timeline_pairs or record_pairs) and not positional):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
     if replays and not positional:
@@ -887,6 +943,10 @@ def main():
     if timeline_pairs:
         checks.append(
             f"{len(timeline_pairs)} timeline pair(s) deterministic")
+    for pa, pb in record_pairs:
+        check_same_records(pa, pb)
+    if record_pairs:
+        checks.append(f"{len(record_pairs)} trace pair(s) hold the same records")
     print(f"check_repro: OK ({', '.join(checks)})")
 
 
