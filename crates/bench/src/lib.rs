@@ -8,8 +8,9 @@
 //!   reschedule mix, [`telemetry::Registry`] counter increments (name
 //!   lookup vs pre-resolved handle), trace emission (the disabled
 //!   fast path and the full JSONL render+write path), the live
-//!   protocol monitor's per-record cost, and the real host's wire path
-//!   (CRC-32 of one frame, and one encode + decode round trip).
+//!   protocol monitor's per-record cost, the real host's wire path
+//!   (CRC-32 of one frame, and one encode + decode round trip), the
+//!   LAMS machine pair alone, and the destination resequencer.
 //! * **Experiment kernels** running each quick-sized paper experiment
 //!   through [`harness::experiments::run_by_id`] and draining the
 //!   per-thread perf accumulator, so the suite reports the same
@@ -194,12 +195,15 @@ pub fn registry_inc_by_handle(iters: u64) -> MicroResult {
 
 /// Span open/close on a **disabled** [`profile::Prof`] handle — the
 /// cost every instrumented hot path pays when not profiling. Must stay
-/// in the same class as [`trace_emit_disabled`] (one branch).
+/// in the same class as [`trace_emit_disabled`] (one branch). Both
+/// kernels pass their handle and the iteration through the same
+/// `black_box` each iteration, so neither check can be hoisted out of
+/// the loop and neither loop can be deleted.
 pub fn span_disabled(iters: u64) -> MicroResult {
     time("span_disabled", iters, || {
         let prof = profile::Prof::disabled();
         for i in 0..iters {
-            let _g = prof.span("bench.span");
+            let _g = std::hint::black_box(&prof).span("bench.span");
             std::hint::black_box(i);
         }
         iters
@@ -223,16 +227,20 @@ pub fn span_enabled(iters: u64) -> MicroResult {
 }
 
 /// Trace emission with **no** sink installed — the disabled fast path
-/// every simulation pays per protocol event.
+/// every simulation pays per protocol event. Black-boxed like
+/// [`span_disabled`].
 pub fn trace_emit_disabled(iters: u64) -> MicroResult {
     time("trace_emit_disabled", iters, || {
         telemetry::uninstall_global();
         let handle = telemetry::global_handle("bench");
         for i in 0..iters {
-            handle.emit(Instant::from_nanos(i), || telemetry::TraceEvent::Nak {
-                seq: i,
-                cp_index: 0,
+            std::hint::black_box(&handle).emit(Instant::from_nanos(i), || {
+                telemetry::TraceEvent::Nak {
+                    seq: i,
+                    cp_index: 0,
+                }
             });
+            std::hint::black_box(i);
         }
         iters
     })
@@ -338,6 +346,113 @@ pub fn wire_roundtrip(iters: u64) -> MicroResult {
     })
 }
 
+/// A perfect zero-delay [`lams_dlc::pump::Link`] that drops every 7th
+/// I-frame the sender emits and records the packet id of every I-frame
+/// it hands the receiver.
+#[derive(Default)]
+struct DropEvery7th {
+    data: std::collections::VecDeque<lams_dlc::Frame>,
+    feedback: std::collections::VecDeque<lams_dlc::Frame>,
+    info_sent: u64,
+    arrived: Vec<u64>,
+}
+
+impl lams_dlc::pump::Link for DropEvery7th {
+    fn send_data(&mut self, _: Instant, frame: lams_dlc::Frame, _: u64) -> Result<(), String> {
+        if let lams_dlc::Frame::Info(info) = &frame {
+            self.info_sent += 1;
+            if self.info_sent % 7 == 0 {
+                return Ok(());
+            }
+            self.arrived.push(info.packet_id.0);
+        }
+        self.data.push_back(frame);
+        Ok(())
+    }
+
+    fn recv_data(&mut self, _: Instant, _: u64) -> lams_dlc::pump::Arrival {
+        Ok(self.data.pop_front().map(|f| (f, lams_dlc::RxStatus::Ok)))
+    }
+
+    fn send_feedback(&mut self, _: Instant, frame: lams_dlc::Frame, _: u64) -> Result<(), String> {
+        self.feedback.push_back(frame);
+        Ok(())
+    }
+
+    fn recv_feedback(&mut self, _: Instant, _: u64) -> lams_dlc::pump::Arrival {
+        Ok(self
+            .feedback
+            .pop_front()
+            .map(|f| (f, lams_dlc::RxStatus::Ok)))
+    }
+}
+
+/// SDUs in one [`machine_pair`] transfer.
+const PAIR_SDUS: u64 = 2_000;
+
+/// One [`PAIR_SDUS`]-SDU LAMS transfer through the host pump over
+/// [`DropEvery7th`] on a [`proto_core::ManualClock`], with the paper's
+/// checkpoint cadence and a 2 ms round trip. Returns the link, which
+/// holds the packet ids in the order they reached the receiver.
+fn lossy_pair_transfer() -> DropEvery7th {
+    let cfg = lams_dlc::LamsConfig {
+        expected_rtt: Duration::from_millis(2),
+        deadline_slack: Duration::from_millis(2),
+        ..lams_dlc::LamsConfig::paper_default()
+    };
+    let mut sender = lams_dlc::Sender::new(cfg.clone());
+    let mut receiver = lams_dlc::Receiver::new(cfg);
+    let mut link = DropEvery7th::default();
+    let pump = lams_dlc::pump::Pump {
+        sdus: PAIR_SDUS,
+        payload_len: 64,
+        trace: proto_core::Trace::disabled(),
+    };
+    let clock = proto_core::ManualClock::new();
+    let run = pump.run(&clock, &mut sender, &mut receiver, &mut link, |_, _| {
+        Ok(None)
+    });
+    assert_eq!(run.outcome, Ok(lams_dlc::pump::Verdict::Complete));
+    assert!(sender.stats().retransmissions > 0);
+    link
+}
+
+/// The LAMS sender and receiver alone: [`lossy_pair_transfer`] until
+/// at least `iters` SDUs went through, with no simulator, codec, trace
+/// or monitor. One op is one SDU delivered in order.
+pub fn machine_pair(iters: u64) -> MicroResult {
+    let passes = iters.div_ceil(PAIR_SDUS).max(1);
+    time("machine_pair", iters, || {
+        for _ in 0..passes {
+            std::hint::black_box(lossy_pair_transfer());
+        }
+        passes * PAIR_SDUS
+    })
+}
+
+/// Replay the packet ids of one [`lossy_pair_transfer`], in the order
+/// they reached the receiver (each lost frame's retransmission arrives
+/// about one checkpoint interval late), through a fresh
+/// [`lams_dlc::Resequencer`] until at least `iters` ids went in. One op
+/// is one offered id. Recording the stream is not timed.
+pub fn resequencer_offer(iters: u64) -> MicroResult {
+    let ids = lossy_pair_transfer().arrived;
+    let passes = iters.div_ceil(ids.len() as u64).max(1);
+    time("resequencer_offer", iters, || {
+        let mut out = Vec::new();
+        for _ in 0..passes {
+            let mut r = lams_dlc::Resequencer::new(0);
+            for &id in &ids {
+                out.clear();
+                r.offer_into(lams_dlc::PacketId(id), bytes::Bytes::new(), &mut out);
+                std::hint::black_box(&out);
+            }
+            assert_eq!(r.awaiting(), PAIR_SDUS, "every id released in order");
+        }
+        passes * ids.len() as u64
+    })
+}
+
 /// The default micro suite at a common iteration count.
 pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
     vec![
@@ -352,6 +467,8 @@ pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
         monitor_observe(iters),
         crc32_frame(iters),
         wire_roundtrip(iters),
+        machine_pair(iters),
+        resequencer_offer(iters),
     ]
 }
 

@@ -159,6 +159,8 @@ struct RunState {
     rx_reference: u64, // highest info sequence handed to the receiver
     wakes: u64,
     wake_lateness: Duration,
+    /// The resequencer's output, reused across deliveries.
+    released: Vec<(PacketId, Bytes)>,
 }
 
 impl RunState {
@@ -211,7 +213,9 @@ impl RunState {
             }
 
             while let Some(d) = receiver.poll_deliver(t) {
-                for (id, _payload) in self.reseq.offer(PacketId(d.id), d.payload) {
+                self.reseq
+                    .offer_into(PacketId(d.id), d.payload, &mut self.released);
+                for (id, _payload) in self.released.drain(..) {
                     if id.0 != self.delivered {
                         return Err(format!(
                             "out-of-order delivery: got {} want {}",

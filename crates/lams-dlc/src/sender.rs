@@ -42,8 +42,8 @@ use crate::flow::RateController;
 use crate::frame::{CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, RxStatus};
 use bytes::Bytes;
 use proto_core::{Duration, Instant};
-use proto_core::{Trace, TraceEvent};
-use std::collections::{BTreeMap, VecDeque};
+use proto_core::{SeqWindow, Trace, TraceEvent};
+use std::collections::VecDeque;
 
 /// Why a queued SDU is awaiting (re)transmission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,7 +122,13 @@ pub struct Sender {
     state: SenderState,
     next_seq: u64,
     queue: VecDeque<QueuedSdu>,
-    outstanding: BTreeMap<u64, Outstanding>,
+    /// The retransmission buffer, keyed by wire sequence number. Every
+    /// transmission takes a fresh number and holds it for at most about
+    /// one resolving period, so the live numbers form one narrow band.
+    /// Resolving deadlines rise with the number (enforced recovery
+    /// raises them all with the same `max`), so the first entry is also
+    /// the one due first.
+    outstanding: SeqWindow<Outstanding>,
     /// Deadline for the checkpoint timer; `None` until [`Sender::start`].
     cp_deadline: Option<Instant>,
     /// Failure deadline while in enforced recovery.
@@ -156,7 +162,7 @@ impl Sender {
             state: SenderState::Running,
             next_seq: 1,
             queue: VecDeque::new(),
-            outstanding: BTreeMap::new(),
+            outstanding: SeqWindow::default(),
             cp_deadline: None,
             failure_deadline: None,
             last_cp_index: 0,
@@ -270,7 +276,7 @@ impl Sender {
         };
         consider(self.cp_deadline);
         consider(self.failure_deadline);
-        consider(self.outstanding.values().next().map(|o| o.resolve_deadline));
+        consider(self.outstanding.first().map(|(_, o)| o.resolve_deadline));
         if self.pending_request_nak.is_some() || self.has_transmittable() {
             consider(Some(self.next_tx_allowed));
         }
@@ -290,11 +296,11 @@ impl Sender {
         }
         // Resolving-deadline sweep: frames unaccounted past their deadline
         // are renumbered and retransmitted (safety net for tail losses).
-        while let Some((&seq, o)) = self.outstanding.iter().next() {
+        while let Some((seq, o)) = self.outstanding.first() {
             if o.resolve_deadline > now {
                 break;
             }
-            let o = self.outstanding.remove(&seq).expect("present");
+            let o = self.outstanding.remove(seq).expect("present");
             self.stats.resolve_expiries += 1;
             self.queue.push_front(QueuedSdu {
                 packet_id: o.packet_id,
@@ -528,7 +534,7 @@ impl Sender {
         // for a sequence number no longer outstanding means that frame was
         // already renumbered and retransmitted — ignored, per §3.2.
         for &nak in &cp.naks {
-            if let Some(o) = self.outstanding.remove(&nak) {
+            if let Some(o) = self.outstanding.remove(nak) {
                 self.queue.push_front(QueuedSdu {
                     packet_id: o.packet_id,
                     payload: o.payload,
@@ -555,13 +561,11 @@ impl Sender {
         if unsafe_release {
             self.stats.unsafe_gaps += 1;
         }
-        let releasable: Vec<u64> = self
-            .outstanding
-            .range(..=cp.covered)
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in releasable {
-            let o = self.outstanding.remove(&seq).expect("present");
+        while let Some((seq, _)) = self.outstanding.first() {
+            if seq > cp.covered {
+                break;
+            }
+            let o = self.outstanding.remove(seq).expect("present");
             if unsafe_release {
                 self.queue.push_front(QueuedSdu {
                     packet_id: o.packet_id,

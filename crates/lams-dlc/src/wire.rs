@@ -42,6 +42,9 @@ pub enum WireError {
     UnknownType(u8),
     /// CRC check failed — the frame is residually corrupted.
     BadCrc,
+    /// A sequence field at or above the numbering modulus, which no
+    /// sender encodes: a forged frame, not a corrupted one.
+    SeqOutOfRange,
 }
 
 impl core::fmt::Display for WireError {
@@ -50,6 +53,7 @@ impl core::fmt::Display for WireError {
             WireError::Truncated => write!(f, "frame truncated"),
             WireError::UnknownType(t) => write!(f, "unknown frame type {t:#04x}"),
             WireError::BadCrc => write!(f, "CRC mismatch"),
+            WireError::SeqOutOfRange => write!(f, "sequence field outside the modulus"),
         }
     }
 }
@@ -124,6 +128,10 @@ pub fn encode_into(frame: &Frame, modulus: u64, out: &mut Vec<u8>) {
 /// number seen so far (used to expand compressed numbers); `modulus` must
 /// match the sender's.
 pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<Frame, WireError> {
+    let expand = |wire: u32| match wire as u64 {
+        w if w < modulus => Ok(seq::expand(wire, reference, modulus)),
+        _ => Err(WireError::SeqOutOfRange),
+    };
     let (&ty, _) = buf.split_first().ok_or(WireError::Truncated)?;
     match ty {
         TYPE_INFO => {
@@ -142,7 +150,7 @@ pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<Frame, WireErr
                 return Err(WireError::Truncated);
             }
             Ok(Frame::Info(InfoFrame {
-                seq: seq::expand(wire_seq, reference, modulus),
+                seq: expand(wire_seq)?,
                 packet_id: PacketId(packet_id),
                 payload: Bytes::copy_from_slice(payload),
             }))
@@ -166,7 +174,7 @@ pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<Frame, WireErr
             let mut naks = Vec::with_capacity(n);
             for _ in 0..n {
                 let w = u32::from_le_bytes(body[off..off + 4].try_into().unwrap());
-                naks.push(seq::expand(w, reference, modulus));
+                naks.push(expand(w)?);
                 off += 4;
             }
             let probe = if flags & FLAG_PROBE != 0 {
@@ -184,7 +192,7 @@ pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<Frame, WireErr
             }
             Ok(Frame::Control(ControlFrame::CheckPoint(CheckPoint {
                 index,
-                covered: seq::expand(covered_wire, reference, modulus),
+                covered: expand(covered_wire)?,
                 naks,
                 enforced: flags & FLAG_ENFORCED != 0,
                 probe,
@@ -286,6 +294,45 @@ mod tests {
     fn request_nak_roundtrip() {
         let f = Frame::Control(ControlFrame::RequestNak { probe: u64::MAX });
         assert_eq!(roundtrip(&f, 0), f);
+    }
+
+    #[test]
+    fn sequence_fields_outside_the_modulus_are_rejected() {
+        // A forger can write any u32 into a sequence field and fix up
+        // the checksum; no sender encodes a value at or above M.
+        let info = encode(
+            &Frame::Info(InfoFrame {
+                seq: 7,
+                packet_id: PacketId(0),
+                payload: Bytes::new(),
+            }),
+            M,
+        );
+        let cp = encode(
+            &Frame::Control(ControlFrame::CheckPoint(CheckPoint {
+                index: 1,
+                covered: 5,
+                naks: vec![3],
+                enforced: false,
+                probe: None,
+                stop_go: StopGo::Go,
+            })),
+            M,
+        );
+        // (datagram, field offset, CRC-32 trailer?): I-frame seq,
+        // checkpoint covered, checkpoint NAK.
+        for (frame, at, crc32) in [(&info, 1, true), (&cp, 10, false), (&cp, 16, false)] {
+            for field in [M as u32, M as u32 + 1, u32::MAX] {
+                let mut bad = frame[..frame.len() - if crc32 { 4 } else { 2 }].to_vec();
+                bad[at..at + 4].copy_from_slice(&field.to_le_bytes());
+                if crc32 {
+                    Crc32::append(&mut bad);
+                } else {
+                    Crc16Ccitt::append(&mut bad);
+                }
+                assert_eq!(decode(&bad, 5, M), Err(WireError::SeqOutOfRange));
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! [`Invariant::ResolutionBound`] findings.
 
 use crate::finding::{AuditFinding, Findings, Invariant};
-use crate::window::SeqWindow;
+use proto_core::SeqWindow;
 use sim_core::Instant;
 use std::collections::BTreeMap;
 use telemetry::Json;

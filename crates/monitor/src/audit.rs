@@ -13,7 +13,7 @@
 use crate::finding::{AuditFinding, Findings, Invariant};
 use crate::lifecycle::FrameLifecycle;
 use crate::series::LinkSeries;
-use crate::window::{SeqSet, SeqWindow};
+use proto_core::{SeqSet, SeqWindow};
 use sim_core::{Duration, Instant};
 
 /// Sender timing parameters announced at `start()`.

@@ -41,7 +41,6 @@ pub mod audit;
 pub mod finding;
 pub mod lifecycle;
 pub mod series;
-mod window;
 
 pub use attribution::{AttributionAgg, LinkAttribution, Phase, PhaseAgg, PHASE_NAMES};
 pub use audit::{LinkAuditor, LinkTiming};
@@ -676,7 +675,7 @@ impl TraceSink for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::WINDOW_CAP;
+    use proto_core::WINDOW_CAP;
 
     const MS: u64 = 1_000_000;
 

@@ -9,7 +9,7 @@
 //! dependency graph — it knows nothing about the simulator, telemetry
 //! sinks, or sockets, and only [`WallClock`] touches the calling thread
 //! (it parks it, and on Linux sets its timer slack so wake-ups are
-//! punctual) — and provides exactly four things:
+//! punctual) — and provides exactly five things:
 //!
 //! * [`Instant`] / [`Duration`] — plain-integer nanosecond time, with no
 //!   clock source attached (re-exported by `sim-core`, so simulator code
@@ -23,7 +23,10 @@
 //! * [`Machine`] / [`SenderMachine`] / [`ReceiverMachine`] — the sans-IO
 //!   state-machine contract every ARQ engine implements, letting one
 //!   generic driver run any protocol under the simulator, over real UDP
-//!   sockets, or inside the adversarial model checker.
+//!   sockets, or inside the adversarial model checker;
+//! * [`SeqWindow`] / [`SeqSet`] — per-frame state keyed by a monotone
+//!   sequence number, shared by the LAMS sender's retransmission
+//!   buffer, the destination resequencer and the live monitor.
 //!
 //! The layering is enforced in CI: `cargo tree -i sim-core` and
 //! `cargo tree -i telemetry` must never reach `proto-core`, `lams-dlc`
@@ -33,8 +36,10 @@ pub mod clock;
 pub mod machine;
 pub mod time;
 pub mod trace;
+pub mod window;
 
 pub use clock::{Clock, ClockDomain, ManualClock, WallClock};
 pub use machine::{Delivered, Machine, ReceiverMachine, RxStatus, SenderMachine, WireFrame};
 pub use time::{Duration, Instant};
 pub use trace::{ProtoTrace, SharedTrace, Trace, TraceEvent};
+pub use window::{SeqSet, SeqWindow, WINDOW_CAP};

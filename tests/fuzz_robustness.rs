@@ -322,3 +322,218 @@ fn trace_numbers_out_of_range_are_values_or_errors() {
         }
     }
 }
+
+// ------------------------------------ hostile datagrams through WireLink
+
+/// What [`Hostile`] slipped into one transfer.
+#[derive(Debug, Default)]
+struct Injected {
+    replays: u64,
+    stale_naks: u64,
+    ahead_naks: u64,
+    far_ids: u64,
+    /// Datagrams with a valid CRC but a sequence field outside the
+    /// numbering modulus: each must be rejected as malformed.
+    out_of_range: u64,
+}
+
+/// A lossless in-memory transport with a hostile peer on it. Every
+/// `replay_every`-th I-frame is followed by a replay of one of the last
+/// 32; every `nak_every`-th checkpoint also NAKs numbers the sender has
+/// already released and numbers beyond any it has sent; every
+/// `far_every`-th I-frame is preceded by a forgery under the same
+/// sequence number whose packet id is 2^16 or more ahead. With
+/// `out_of_range`, each of those injections also sends a copy whose
+/// wire sequence field lies outside the modulus.
+struct Hostile {
+    inner: lams_dlc_io::MemTransport,
+    modulus: u64,
+    replay_every: u64,
+    nak_every: u64,
+    far_every: u64,
+    out_of_range: bool,
+    info_seen: u64,
+    checkpoints_seen: u64,
+    /// Highest I-frame sequence number sent: the sender's reference.
+    tx_reference: u64,
+    /// Highest `covered` of a checkpoint already passed to the sender.
+    covered: u64,
+    recent: std::collections::VecDeque<Vec<u8>>,
+    rng: u64,
+    injected: Injected,
+}
+
+impl Hostile {
+    fn new(modulus: u64, (replay_every, nak_every, far_every): (u64, u64, u64)) -> Self {
+        Hostile {
+            inner: lams_dlc_io::MemTransport::new(),
+            modulus,
+            replay_every,
+            nak_every,
+            far_every,
+            out_of_range: false,
+            info_seen: 0,
+            checkpoints_seen: 0,
+            tx_reference: 0,
+            covered: 0,
+            recent: std::collections::VecDeque::new(),
+            rng: 0x9E37_79B9_7F4A_7C15,
+            injected: Injected::default(),
+        }
+    }
+
+    fn next(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
+    }
+
+    /// `datagram` with the little-endian `u32` at `at` set to a value
+    /// at or above the modulus and its trailing checksum recomputed.
+    fn out_of_range_copy(&mut self, datagram: &[u8], at: usize, crc32: bool) -> Vec<u8> {
+        let field = self.modulus as u32 + (self.next() as u32 % 1000);
+        let trailer = if crc32 { 4 } else { 2 };
+        let mut bad = datagram[..datagram.len() - trailer].to_vec();
+        bad[at..at + 4].copy_from_slice(&field.to_le_bytes());
+        if crc32 {
+            fec::Crc32::append(&mut bad);
+        } else {
+            fec::Crc16Ccitt::append(&mut bad);
+        }
+        self.injected.out_of_range += 1;
+        bad
+    }
+}
+
+impl lams_dlc_io::Transport for Hostile {
+    fn send_data(&mut self, datagram: &[u8]) -> Result<(), String> {
+        let decoded = lams_dlc::wire::decode(datagram, self.tx_reference, self.modulus);
+        let Ok(lams_dlc::Frame::Info(info)) = decoded else {
+            return self.inner.send_data(datagram);
+        };
+        self.tx_reference = self.tx_reference.max(info.seq);
+        self.info_seen += 1;
+        if self.far_every != 0 && self.info_seen % self.far_every == 0 {
+            let ahead = [1 << 16, 1 << 32, u64::MAX - info.packet_id.0][self.next() as usize % 3];
+            let forged = lams_dlc::Frame::Info(lams_dlc::InfoFrame {
+                packet_id: lams_dlc::PacketId(info.packet_id.0.saturating_add(ahead)),
+                ..info
+            });
+            let forged = lams_dlc::wire::encode(&forged, self.modulus);
+            self.inner.send_data(&forged)?;
+            self.injected.far_ids += 1;
+            if self.out_of_range {
+                let bad = self.out_of_range_copy(&forged, 1, true);
+                self.inner.send_data(&bad)?;
+            }
+        }
+        self.inner.send_data(datagram)?;
+        if self.replay_every != 0 && self.info_seen % self.replay_every == 0 {
+            let pick = self.next() as usize % self.recent.len().max(1);
+            if let Some(old) = self.recent.get(pick).cloned() {
+                self.inner.send_data(&old)?;
+                self.injected.replays += 1;
+                if self.out_of_range {
+                    let bad = self.out_of_range_copy(&old, 1, true);
+                    self.inner.send_data(&bad)?;
+                }
+            }
+        }
+        if self.recent.len() == 32 {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(datagram.to_vec());
+        Ok(())
+    }
+
+    fn recv_data(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
+        self.inner.recv_data(buf)
+    }
+
+    fn send_feedback(&mut self, datagram: &[u8]) -> Result<(), String> {
+        let decoded = lams_dlc::wire::decode(datagram, self.tx_reference, self.modulus);
+        let Ok(lams_dlc::Frame::Control(lams_dlc::ControlFrame::CheckPoint(mut cp))) = decoded
+        else {
+            return self.inner.send_feedback(datagram);
+        };
+        self.checkpoints_seen += 1;
+        let covered = self.covered;
+        self.covered = self.covered.max(cp.covered);
+        if self.nak_every == 0 || self.checkpoints_seen % self.nak_every != 0 {
+            return self.inner.send_feedback(datagram);
+        }
+        // Numbers at or below an earlier checkpoint's horizon are no
+        // longer outstanding: the sender released or renumbered them.
+        for back in 0..3.min(covered) {
+            cp.naks.push(covered - back);
+            self.injected.stale_naks += 1;
+        }
+        // Numbers the sender has not sent, up to the far edge of what
+        // the numbering modulus can express.
+        for _ in 0..3 {
+            let ahead = 1 + self.next() % (self.modulus / 2 - 2);
+            cp.naks.push(self.tx_reference + ahead);
+            self.injected.ahead_naks += 1;
+        }
+        cp.naks.sort_unstable();
+        cp.naks.dedup();
+        let forged = lams_dlc::Frame::Control(lams_dlc::ControlFrame::CheckPoint(cp));
+        let forged = lams_dlc::wire::encode(&forged, self.modulus);
+        if self.out_of_range {
+            // A copy with an out-of-range `covered` goes first: if it
+            // were accepted, its index would shadow the real one.
+            let bad = self.out_of_range_copy(&forged, 10, false);
+            self.inner.send_feedback(&bad)?;
+        }
+        self.inner.send_feedback(&forged)
+    }
+
+    fn recv_feedback(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
+        self.inner.recv_feedback(buf)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hostile_datagrams_through_wire_link_never_panic(
+        sdus in 50u64..400,
+        drop_every in 0u64..10,
+        corrupt_every in 0u64..20,
+        replay_every in 0u64..6,
+        nak_every in 0u64..3,
+        far_every in 0u64..40,
+    ) {
+        let out_of_range = sdus % 2 == 0;
+        let far_every = if far_every < 30 { 0 } else { far_every };
+        let cfg = lams_dlc_io::IoConfig {
+            sdus,
+            // Every 1st or 2nd frame dropped or corrupted stalls any ARQ.
+            drop_every: if drop_every < 3 { 0 } else { drop_every },
+            corrupt_every: if corrupt_every < 3 { 0 } else { corrupt_every },
+            timeout: std::time::Duration::from_secs(2),
+            ..lams_dlc_io::IoConfig::default()
+        };
+        let modulus = lams_dlc_io::loopback_config().seq_modulus();
+        let mut link = Hostile::new(modulus, (replay_every, nak_every, far_every));
+        link.out_of_range = out_of_range;
+        let clock = proto_core::ManualClock::new();
+        match lams_dlc_io::run_transfer(&cfg, &clock, &mut link) {
+            Ok(s) => {
+                // The pump checked the order; every forged out-of-range
+                // datagram was counted as malformed and skipped.
+                prop_assert_eq!(s.delivered, sdus);
+                prop_assert_eq!(s.malformed, link.injected.out_of_range, "{:?}", link.injected);
+            }
+            Err(e) => {
+                // Replays and NAKs the sender does not hold are harmless;
+                // only a forged packet id that displaced a real frame's
+                // sequence number may cost an SDU.
+                prop_assert!(link.injected.far_ids > 0, "{} after {:?}", e, link.injected);
+                prop_assert!(e.starts_with("timeout: delivered"), "{} after {:?}", e, link.injected);
+            }
+        }
+    }
+}
