@@ -59,7 +59,6 @@ fn queue_json(q: &QueueProfile) -> Json {
         ("popped", q.popped.into()),
         ("cancelled", q.cancelled.into()),
         ("peak_depth", (q.peak_depth as u64).into()),
-        ("compactions", q.compactions.into()),
         ("horizon_s", q.horizon.as_secs_f64().into()),
     ])
 }

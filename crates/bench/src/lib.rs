@@ -1,26 +1,27 @@
-//! Benchmark kernels shared by the criterion benches (`benches/`) and
-//! the `bench_suite` binary that `scripts/bench.py` drives.
+//! Benchmark kernels for the `bench_suite` binary that
+//! `scripts/bench.py` drives.
 //!
 //! Two kinds of kernel live here:
 //!
-//! * **Micro-kernels** exercising the simulation core's hot paths in
-//!   isolation: the [`sim_core::EventQueue`] schedule/pop/cancel/
-//!   reschedule mix, [`telemetry::Registry`] counter increments (name
+//! * **Micro-kernels** exercising each layer's hot path in isolation:
+//!   the [`netsim::Calendar`] replaying the reference link's event
+//!   pattern, [`telemetry::Registry`] counter increments (name
 //!   lookup vs pre-resolved handle), trace emission (the disabled
 //!   fast path and the full JSONL render+write path), the live
 //!   protocol monitor's per-record cost, the real host's wire path
 //!   (CRC-32 of one frame, and one encode + decode round trip), the
-//!   LAMS machine pair alone, and the destination resequencer.
+//!   LAMS machine pair alone, the destination resequencer, the I-frame
+//!   FEC pipeline, the burst channel error process, and the paper's
+//!   closed-form model.
 //! * **Experiment kernels** running each quick-sized paper experiment
 //!   through [`harness::experiments::run_by_id`] and draining the
 //!   per-thread perf accumulator, so the suite reports the same
 //!   events/sec figure as `repro --quick --json`.
 //!
-//! Every kernel is deterministic (xorshift-derived workloads, fixed
-//! seeds) so that run-to-run variance comes from the machine, not the
+//! Every kernel is deterministic (fixed workloads and seeds) so that run-to-run variance comes from the machine, not the
 //! workload, and medians over repetitions are meaningful.
 
-use sim_core::{Duration, EventQueue, Instant, QueueProfile};
+use sim_core::{Duration, Instant, QueueProfile};
 
 /// One timed micro-kernel result.
 #[derive(Clone, Debug)]
@@ -65,24 +66,6 @@ pub struct ExperimentResult {
     pub perf: Option<(QueueProfile, f64, u64)>,
 }
 
-/// Small deterministic xorshift64* generator for kernel workloads.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 fn time<F: FnOnce() -> u64>(name: &'static str, iters: u64, f: F) -> MicroResult {
     let start = std::time::Instant::now();
     let ops = f();
@@ -94,76 +77,52 @@ fn time<F: FnOnce() -> u64>(name: &'static str, iters: u64, f: F) -> MicroResult
     }
 }
 
-/// Schedule/pop/cancel/reschedule mix on [`EventQueue`] — the engine's
-/// event-loop workload shape: per round, two schedules at pseudorandom
-/// future offsets, one reschedule of a pending event to an earlier
-/// time (the wake-dedup pattern), one cancel, and two pops.
-pub fn queue_mix(iters: u64) -> MicroResult {
-    time("event_queue_mix", iters, || {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut rng = XorShift::new(0x51AB_517E);
-        let mut pending = Vec::with_capacity(64);
-        let mut now = Instant::ZERO;
-        let mut ops = 0u64;
-        let mut sink = 0u64;
-        for i in 0..iters {
-            for _ in 0..2 {
-                let at = now + Duration::from_nanos(1 + (rng.next() & 0xFFFF));
-                pending.push((at, q.schedule(at, i)));
-                ops += 1;
-            }
-            if pending.len() > 1 {
-                let pick = rng.next() as usize % pending.len();
-                let (at, id) = pending.swap_remove(pick);
-                // Pull the event closer to now, like a wake re-arm.
-                let earlier = now + Duration::from_nanos(1 + (at - now).as_nanos() / 2);
-                if let Some(new_id) = q.reschedule(id, earlier) {
-                    pending.push((earlier, new_id));
-                }
-                ops += 1;
-            }
-            if pending.len() > 8 {
-                let pick = rng.next() as usize % pending.len();
-                let (_, id) = pending.swap_remove(pick);
-                q.cancel(id);
-                ops += 1;
-            }
-            for _ in 0..2 {
-                if let Some((at, v)) = q.pop() {
-                    now = at;
-                    sink = sink.wrapping_add(v);
-                    pending.retain(|&(t, _)| t > now);
-                    ops += 1;
-                }
-            }
-        }
-        std::hint::black_box(sink);
-        ops
-    })
-}
+/// Frame time of a 1 kB frame at the reference link's 300 Mbps.
+const REF_FRAME: Duration = Duration::from_nanos(27_307);
+/// One-way propagation delay of the reference link's 4,000 km.
+const REF_DELAY: Duration = Duration::from_nanos(13_342_564);
 
-/// Pure schedule+pop churn — the steady-state hot path with no
-/// cancellations, where per-event overhead dominates.
-pub fn queue_hot(iters: u64) -> MicroResult {
-    time("event_queue_hot", iters, || {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut rng = XorShift::new(0xC0FF_EE00);
-        let mut now = Instant::ZERO;
-        let mut sink = 0u64;
-        // Keep a standing population of 32 pending events.
-        for i in 0..32 {
-            let at = now + Duration::from_nanos(1 + (rng.next() & 0xFFF));
-            q.schedule(at, i);
+/// The shard loop's event pattern on the paper's reference link, on a
+/// bare [`netsim::Calendar`]: one source pushing an SDU per frame time,
+/// each SDU's frame queued on the data lane one propagation delay out
+/// (about 490 in flight), every 16th data arrival drawing a checkpoint
+/// onto the feedback lane, and the wake re-armed after every instant —
+/// pulled earlier on every 8th. One op is one event popped.
+pub fn calendar_link(iters: u64) -> MicroResult {
+    use netsim::event_queue::{Calendar, Event};
+    time("calendar_link", iters, || {
+        let mut cal: Calendar<u64> = Calendar::new(1, 2);
+        let mut round = Vec::new();
+        let mut events = 0u64;
+        let mut instants = 0u64;
+        cal.push(0, Instant::ZERO, 0);
+        cal.rearm_wake(Instant::ZERO);
+        while events < iters {
+            let now = cal.next_instant().expect("the source never runs dry");
+            cal.pop_round(now, &mut round);
+            for ev in round.drain(..) {
+                events += 1;
+                match ev {
+                    Event::Push { id, .. } => {
+                        cal.arrive(0, now + REF_DELAY, id, true);
+                        cal.push(0, now + REF_FRAME, id + 1);
+                    }
+                    Event::Arrive { link: 0, frame, .. } if frame % 16 == 0 => {
+                        cal.arrive(1, now + REF_DELAY, frame, true);
+                    }
+                    _ => {}
+                }
+            }
+            instants += 1;
+            let wake = if instants % 8 == 0 {
+                REF_FRAME / 2
+            } else {
+                REF_FRAME * 4
+            };
+            cal.rearm_wake(now + wake);
         }
-        for i in 0..iters {
-            let (at, v) = q.pop().expect("queue is never empty");
-            now = at;
-            sink = sink.wrapping_add(v);
-            let at = now + Duration::from_nanos(1 + (rng.next() & 0xFFF));
-            q.schedule(at, i);
-        }
-        std::hint::black_box(sink);
-        iters * 2
+        std::hint::black_box(cal.profile());
+        events
     })
 }
 
@@ -453,11 +412,86 @@ pub fn resequencer_offer(iters: u64) -> MicroResult {
     })
 }
 
+/// Information bits in one [`fec_pipeline`] block (256 bytes).
+const FEC_BLOCK_BITS: u64 = 2048;
+
+/// The I-frame FEC pipeline: [`fec::LinkCodec::iframe_default`]
+/// (convolutional code, interleaver, Viterbi decoder) encoding and then
+/// decoding 256-byte blocks until at least `iters` information bits
+/// went through. One op is one information bit.
+pub fn fec_pipeline(iters: u64) -> MicroResult {
+    let codec = fec::LinkCodec::iframe_default();
+    let info = fec::BitBuf::from_bytes(&[0x11u8; (FEC_BLOCK_BITS / 8) as usize]);
+    let blocks = iters.div_ceil(FEC_BLOCK_BITS).max(1);
+    time("fec_pipeline", iters, || {
+        for _ in 0..blocks {
+            let coded = codec.encode(std::hint::black_box(&info));
+            match codec.decode(&coded, info.len()) {
+                fec::DecodeOutcome::Bits(bits) => assert!(bits == info, "clean block decodes"),
+                other => panic!("clean block failed to decode: {other:?}"),
+            }
+        }
+        blocks * FEC_BLOCK_BITS
+    })
+}
+
+/// The Gilbert-Elliott burst error process sampling one 1 kB frame
+/// every 55 µs, as a channel does per transmission. One op is one frame.
+pub fn channel_frame_error(iters: u64) -> MicroResult {
+    use netsim::ErrorProcess;
+    let mut ge = netsim::GilbertElliott::new(
+        Duration::from_millis(100),
+        Duration::from_millis(5),
+        1e-7,
+        1e-3,
+        sim_core::SeedSplitter::new(9).stream(1),
+    );
+    time("channel_frame_error", iters, || {
+        let mut t = Instant::ZERO;
+        let mut errors = 0u64;
+        for _ in 0..iters {
+            errors += u64::from(ge.frame_error(t, Duration::from_micros(50), 8192));
+            t += Duration::from_micros(55);
+        }
+        std::hint::black_box(errors);
+        iters
+    })
+}
+
+/// The paper's closed-form model (§4) at the reference link: the ten
+/// low-traffic, holding, buffer and numbering expressions for both
+/// protocols, plus the high-traffic delivery times at N = 10,000 (the
+/// `N_total` sub-period recursion). One op is one evaluation of the
+/// whole model.
+pub fn analysis_model(iters: u64) -> MicroResult {
+    use analysis::{buffer, delivery, holding, numbering, periods, throughput};
+    let p = analysis::LinkParams::paper_default();
+    time("analysis_model", iters, || {
+        for _ in 0..iters {
+            let p = std::hint::black_box(&p);
+            std::hint::black_box((
+                periods::s_bar_lams(p),
+                periods::s_bar_hdlc(p),
+                delivery::d_low_lams(p, 1000),
+                delivery::d_low_hdlc(p, 1000),
+                holding::h_frame_lams(p),
+                holding::h_frame_hdlc(p),
+                buffer::b_lams(p),
+                buffer::b_hdlc_growth_rate(p),
+                numbering::lams_numbering_size(p),
+                numbering::hdlc_numbering_size(p, 0.999999),
+                throughput::d_high_lams(p, 10_000),
+                throughput::d_high_hdlc(p, 10_000),
+            ));
+        }
+        iters
+    })
+}
+
 /// The default micro suite at a common iteration count.
 pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
     vec![
-        queue_mix(iters),
-        queue_hot(iters),
+        calendar_link(iters),
         registry_inc_by_name(iters),
         registry_inc_by_handle(iters),
         span_disabled(iters),
@@ -469,6 +503,9 @@ pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
         wire_roundtrip(iters),
         machine_pair(iters),
         resequencer_offer(iters),
+        fec_pipeline(iters),
+        channel_frame_error(iters),
+        analysis_model(iters),
     ]
 }
 

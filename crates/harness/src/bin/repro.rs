@@ -67,10 +67,10 @@
 //! allocator — `bench` does, `repro` does not). A human-readable
 //! breakdown is printed after each experiment's tables.
 //! `--profile-folded` writes the same trees as collapsed stacks
-//! (`e1;experiment;sim.run;queue.pop 12345` — self time in ns), ready
-//! for `flamegraph.pl` or any collapsed-stack renderer. Profiling only
-//! reads the wall clock: simulated results are byte-identical with it
-//! on or off.
+//! (`e1;experiment;sim.run;sim.dispatch;queue.pop 12345` — self time
+//! in ns), ready for `flamegraph.pl` or any collapsed-stack renderer.
+//! Profiling only reads the wall clock: simulated results are
+//! byte-identical with it on or off.
 //!
 //! Results, the JSON document, the trace stream, and the metric series
 //! are merged in experiment order regardless of `--workers`, so output

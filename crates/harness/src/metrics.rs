@@ -190,7 +190,6 @@ pub fn perf_json(q: &QueueProfile, wall_secs: f64) -> Json {
         ("popped", q.popped.into()),
         ("cancelled", q.cancelled.into()),
         ("peak_depth", (q.peak_depth as u64).into()),
-        ("compactions", q.compactions.into()),
         ("horizon_s", q.horizon.as_secs_f64().into()),
         ("wall_secs", wall_secs.into()),
         ("events_per_sec", q.events_per_sec(wall_secs).into()),

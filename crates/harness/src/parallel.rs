@@ -216,7 +216,6 @@ mod tests {
             popped: 2,
             cancelled: 0,
             peak_depth: 1,
-            compactions: 0,
             horizon: Instant::from_millis(1),
         };
         with_workers(3, || {

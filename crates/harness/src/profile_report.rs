@@ -113,8 +113,8 @@ impl ExperimentProfile {
     /// depth) with call count, total/self wall-clock, self share of the
     /// experiment wall clock, and mean cost per call. When the
     /// experiment's merged queue profile is supplied, an event-queue
-    /// line (compactions, peak depth, horizon) rides along — stats that
-    /// were JSON-only before.
+    /// line (peak depth, horizon) rides along — stats that were
+    /// JSON-only before.
     pub fn table(&self, id: &str, queue: Option<&sim_core::QueueProfile>) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -146,8 +146,7 @@ impl ExperimentProfile {
         if let Some(q) = queue {
             let _ = writeln!(
                 s,
-                "  event queue: {} compaction(s), peak depth {}, horizon {:.3} s",
-                q.compactions,
+                "  event queue: peak depth {}, horizon {:.3} s",
                 q.peak_depth,
                 q.horizon.as_secs_f64(),
             );
@@ -321,11 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn table_surfaces_queue_compactions_when_perf_rides_along() {
+    fn table_surfaces_queue_line_when_perf_rides_along() {
         use sim_core::{Instant, QueueProfile};
         let p = sample_profile();
         assert!(
-            !p.table("e1", None).contains("compaction"),
+            !p.table("e1", None).contains("event queue"),
             "no queue line without a perf block"
         );
         let q = QueueProfile {
@@ -333,12 +332,10 @@ mod tests {
             popped: 9,
             cancelled: 0,
             peak_depth: 4,
-            compactions: 7,
             horizon: Instant::from_millis(1500),
         };
         let t = p.table("e1", Some(&q));
-        assert!(t.contains("7 compaction(s)"), "{t}");
-        assert!(t.contains("peak depth 4"), "{t}");
+        assert!(t.contains("event queue: peak depth 4"), "{t}");
         assert!(t.contains("horizon 1.500 s"), "{t}");
     }
 

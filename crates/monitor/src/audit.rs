@@ -313,7 +313,7 @@ impl LinkAuditor {
     pub fn on_cp_emit(&mut self, t: Instant, node: &'static str, index: u64, out: &mut Findings) {
         let Some(timing) = self.timing else { return };
         if let Some((prev_t, prev_idx)) = self.last_cp_emit {
-            let gap = t.duration_since(prev_t);
+            let gap = t.saturating_duration_since(prev_t);
             if gap > timing.w_cp {
                 out.push(self.find(
                     t,
@@ -358,7 +358,7 @@ impl LinkAuditor {
             // top of the timeout (mirrors Sender::start()).
             None => (self.cfg_at, timing.rtt + timing.cp_timeout),
         };
-        let gap = t.duration_since(since);
+        let gap = t.saturating_duration_since(since);
         if gap > bound && !self.enforced_overlaps(since, t) {
             out.push(self.find(
                 t,
@@ -556,7 +556,7 @@ impl LinkAuditor {
                 if let Some(d) = chain.delivered_at {
                     self.tally
                         .latencies
-                        .push(d.duration_since(chain.first_tx).as_secs_f64());
+                        .push(d.saturating_duration_since(chain.first_tx).as_secs_f64());
                 }
                 if chain.is_retx {
                     self.retx_open = self.retx_open.saturating_sub(1);

@@ -27,7 +27,8 @@ monitor produces.
 
 commands:
   audit        check the five LAMS-DLC invariants; print findings
-               (exit 1 when any are found)
+               (exit 1 when any are found, or when a record is
+               stamped before an earlier record of its run)
   metrics      emit windowed metric series as JSONL
   lifecycle    emit per-frame lifecycle records as JSONL
   summary      event-kind counts and per-experiment metric summaries
@@ -290,11 +291,15 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                 println!("... and {suppressed} more finding(s) beyond the cap");
             }
             let runs: u64 = report.experiments.iter().map(|e| e.runs).sum();
+            let rewound = report.counters.get(monitor::RECORDS_REWOUND).unwrap_or(0.0);
+            if rewound > 0.0 {
+                println!("{rewound} record(s) stamped before an earlier record of their run");
+            }
             eprintln!(
                 "audit: {} finding(s) across {} run(s), {} record(s), {domain} clock",
                 report.total_findings, runs, report.records
             );
-            Ok(if report.total_findings > 0 {
+            Ok(if report.total_findings > 0 || rewound > 0.0 {
                 ExitCode::from(1)
             } else {
                 ExitCode::SUCCESS

@@ -52,6 +52,12 @@ use sim_core::stats::Histogram;
 use sim_core::{Duration, Instant};
 use telemetry::{Json, Registry, TraceEvent, TraceRecord, TraceSink};
 
+/// Counter of link records stamped earlier than a link record already
+/// observed in the same run. A simulated or wall-clock trace never has
+/// one; a damaged trace is still audited as stamped, and every
+/// rewound record is counted here.
+pub const RECORDS_REWOUND: &str = "monitor.records.rewound";
+
 /// Which side of a link a node label names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Side {
@@ -327,6 +333,9 @@ pub struct Monitor {
     /// Resequencer holds observed during the current run (collector
     /// records; the collector node belongs to no link).
     run_reseq: PhaseAgg,
+    /// Latest instant of a link record this run; a link record stamped
+    /// earlier counts as [`RECORDS_REWOUND`].
+    run_clock: Instant,
     counters: Registry,
     window_lines: Vec<Json>,
     lifecycles: Vec<FrameLifecycle>,
@@ -352,6 +361,7 @@ impl Monitor {
             links: Vec::new(),
             labels: Vec::new(),
             run_reseq: PhaseAgg::default(),
+            run_clock: Instant::ZERO,
             counters: Registry::new(),
             window_lines: Vec::new(),
             lifecycles: Vec::new(),
@@ -397,6 +407,7 @@ impl Monitor {
         self.links.clear();
         self.labels.clear();
         self.run_reseq = PhaseAgg::default();
+        self.run_clock = Instant::ZERO;
         self.run_base = self.findings.total();
     }
 
@@ -508,6 +519,11 @@ impl Monitor {
                 let Some((slot, side)) = self.resolve(rec.node) else {
                     return;
                 };
+                if t < self.run_clock {
+                    self.counters.inc(RECORDS_REWOUND);
+                } else {
+                    self.run_clock = t;
+                }
                 let _span = self.prof.span("monitor.observe");
                 // One dispatch: the invariant auditor, then the latency
                 // attribution, each against this link's state.

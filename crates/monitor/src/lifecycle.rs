@@ -31,13 +31,13 @@ impl FrameLifecycle {
     /// Delivery latency: first send → first clean arrival, seconds.
     pub fn delivery_latency_s(&self) -> Option<f64> {
         self.delivered_at
-            .map(|d| d.duration_since(self.first_tx).as_secs_f64())
+            .map(|d| d.saturating_duration_since(self.first_tx).as_secs_f64())
     }
 
     /// Sender holding time: first send → buffer release, seconds.
     pub fn holding_s(&self) -> Option<f64> {
         self.released_at
-            .map(|r| r.duration_since(self.first_tx).as_secs_f64())
+            .map(|r| r.saturating_duration_since(self.first_tx).as_secs_f64())
     }
 
     /// Machine-readable form (one JSONL line in `trace-tools lifecycle`).

@@ -442,7 +442,7 @@ fn shard_thread<T, R, C, O, Build, Fin>(
             telemetry::uninstall_global();
         }
     };
-    // Installed before `build` so the shard's event queue binds to this
+    // Installed before `build` so the shard's loop binds to this
     // thread's profiler.
     if cfg.profiled {
         profile::install();

@@ -4,7 +4,7 @@
 //! [`RxEndpoint`] pair so different protocols run over byte-for-byte
 //! identical channel realisations (common random numbers — the
 //! comparison the paper's §4 makes analytically). Endpoints never see
-//! the event queue: the loop polls them and owns all scheduling.
+//! the event calendar: the loop polls them and owns all scheduling.
 
 use bytes::Bytes;
 use sim_core::Instant;

@@ -27,6 +27,10 @@
 //! * [`topology`] — nodes with [`NodeRole`]s, directed links, and the
 //!   id types wiring endpoints to them;
 //! * [`collect`] — the [`Collect`] measurement trait the loop feeds;
+//! * [`event_queue`] — [`Calendar`], the loop's event queue: a lane
+//!   calendar with one push slot per source, one FIFO arrival lane per
+//!   link, a sample slot and a wake slot, popped in canonical order
+//!   without a sort;
 //! * [`shard`] — [`ShardBuilder`] / [`ShardSim`]: the builder and the
 //!   event loop (push / arrive / sample / wake), plus the
 //!   [`Partition`] that cuts a topology into shards;
@@ -45,6 +49,7 @@ pub mod collect;
 pub mod coordinator;
 pub mod driver;
 pub mod endpoint;
+pub mod event_queue;
 pub mod link;
 pub mod shard;
 pub mod topology;
@@ -55,11 +60,12 @@ pub use collect::Collect;
 pub use coordinator::{run_sharded, ShardProfile, ShardedOutcome};
 pub use driver::Driver;
 pub use endpoint::{FrameMeta, RxEndpoint, TxEndpoint};
+pub use event_queue::Calendar;
 pub use link::{Channel, DelayModel, ErrorModel, Fate, Outage};
 pub use proto_core::{Machine, ReceiverMachine, SenderMachine};
 pub use shard::{
-    CutLink, CutPlan, FinishedShard, Inbound, Partition, ShardBuilder, ShardEvent, ShardSim,
-    SoloRun, WindowSummary,
+    CutLink, CutPlan, FinishedShard, Inbound, Partition, ShardBuilder, ShardSim, SoloRun,
+    WindowSummary,
 };
 pub use topology::{
     ColId, EndpointId, LinkId, LinkSpec, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,

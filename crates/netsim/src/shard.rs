@@ -13,8 +13,8 @@
 //! inside a shard may use any [`DelayModel`].
 //!
 //! [`ShardSim`] is the one event loop. Every simulation is four event
-//! kinds on one deterministic queue — push, arrive, sample, wake — and
-//! after draining an instant's events the loop pumps: endpoint timers
+//! kinds on one [`Calendar`] — push, arrive, sample, wake — and after
+//! draining an instant's events the loop pumps: endpoint timers
 //! fire, each link's transmitter serves its senders in priority order
 //! while idle, receivers drain deliveries at their configured point in
 //! the link order (a store-and-forward relay forwards into the *next*
@@ -31,21 +31,24 @@
 //! enforce or document:
 //!
 //! * **Canonical intra-instant order.** Same-instant events are
-//!   dispatched in a globally defined order — pushes by `(source
-//!   ordinal, sdu id)`, then arrivals by `(global link id, per-link
-//!   arrival sequence)`, then the sampling tick, then wakes — so the
-//!   dispatch sequence is independent of how events happened to
-//!   interleave across shard queues. An instant holding a single event
-//!   skips the ordering entirely.
+//!   dispatched in a globally defined order — pushes by source ordinal,
+//!   then arrivals by global link id and, within a link, transmit
+//!   order, then the sampling tick, then the wake — so the dispatch
+//!   sequence is independent of how events happened to interleave
+//!   across shards. The order is structural: it is the calendar's lane
+//!   order, nothing sorts.
 //! * **Per-link arrival sequences assigned at transmit.** The shard
-//!   owning a channel numbers its arrivals; the FIFO clamp can collapse
-//!   distinct transmissions onto one arrival instant, and the sequence
-//!   keeps their order well-defined wherever they are replayed.
+//!   owning a cut link numbers its arrivals; the FIFO clamp can
+//!   collapse distinct transmissions onto one arrival instant, and the
+//!   coordinator's `(at, link, seq)` routing order injects them into
+//!   the receiving shard's lane in transmit order.
 //! * **Global registration order.** Builders must register links in
-//!   ascending global-id order (validated) and endpoints in global
-//!   order (documented), so each shard's pump order is the global pump
-//!   order restricted to the shard.
+//!   ascending global-id order and sources in ascending ordinal order
+//!   (both validated), and endpoints in global order (documented), so
+//!   each shard's lane and pump orders are the global ones restricted
+//!   to the shard.
 
+use crate::event_queue::{Calendar, Event};
 use crate::collect::Collect;
 use crate::endpoint::{RxEndpoint, TxEndpoint};
 use crate::link::{Channel, DelayModel, Fate};
@@ -54,7 +57,7 @@ use crate::topology::{
 };
 use crate::traffic::TrafficGen;
 use bytes::Bytes;
-use sim_core::{Duration, EventId, EventQueue, Instant, QueueProfile, RunTimer};
+use sim_core::{Duration, Instant, QueueProfile, RunTimer};
 use telemetry::TraceEvent;
 
 /// Deterministic node → shard assignment.
@@ -208,32 +211,6 @@ pub struct CutPlan {
     pub cuts: Vec<CutLink>,
 }
 
-/// One event on a shard's queue.
-pub enum ShardEvent<F> {
-    /// SDU `id` arrives at local source `source`.
-    Push {
-        /// Local source index.
-        source: usize,
-        /// SDU id.
-        id: u64,
-    },
-    /// A frame reaches the far end of local link `link`.
-    Arrive {
-        /// Local link index.
-        link: usize,
-        /// Per-link arrival sequence (canonical same-instant order).
-        seq: u64,
-        /// The frame.
-        frame: F,
-        /// True if it survived the channel uncorrupted.
-        clean: bool,
-    },
-    /// Periodic occupancy sampling tick.
-    Sample,
-    /// Re-poll endpoints at a previously requested instant.
-    Wake,
-}
-
 /// A frame in flight across a cut link, in coordinator-routable form.
 /// `(at, link, seq)` is the canonical injection order.
 pub struct Inbound<F> {
@@ -264,7 +241,8 @@ struct ShardSource {
     /// `None` on shards whose flow is accounted remotely (the sink
     /// shard's collector is pre-seeded with the push schedule instead).
     col: Option<ColId>,
-    /// Global source ordinal — the canonical same-instant dispatch key.
+    /// Global source ordinal — the canonical same-instant dispatch key,
+    /// checked ascending at build.
     ordinal: u64,
 }
 
@@ -287,7 +265,7 @@ struct LinkSlot {
     export: bool,
     senders: Vec<EndpointId>,
     listeners: Vec<EndpointId>,
-    /// Next per-link arrival sequence (owned links only).
+    /// Next per-link arrival sequence (outbound cut links only).
     next_seq: u64,
 }
 
@@ -477,6 +455,7 @@ where
     /// Feed `gen`'s SDUs into `tx`. `col` credits pushes locally when
     /// the accounting collector lives on this shard; `ordinal` is the
     /// source's global registration index (canonical dispatch key).
+    /// Register sources in ascending ordinal order.
     pub fn source(&mut self, gen: TrafficGen, tx: TxId, col: Option<ColId>, ordinal: u64) {
         self.sources.push(ShardSource {
             gen,
@@ -550,6 +529,17 @@ where
                     "links must be registered in ascending global-id order \
                      (got {} after {})",
                     w[1].global, w[0].global
+                ));
+            }
+        }
+        // Source lanes pop in registration order, so that order must be
+        // the canonical one.
+        for w in self.sources.windows(2) {
+            if w[1].ordinal <= w[0].ordinal {
+                errors.push(format!(
+                    "sources must be registered in ascending ordinal order \
+                     (got {} after {})",
+                    w[1].ordinal, w[0].ordinal
                 ));
             }
         }
@@ -656,10 +646,8 @@ where
         for (i, after) in self.rx_drain_after.iter().enumerate() {
             drains[after.unwrap_or(links - 1)].push(RxId(i));
         }
-        let prof = profile::current();
-        let mut q = EventQueue::new();
-        q.set_profiler(prof.clone());
         Ok(ShardSim {
+            cal: Calendar::new(self.sources.len(), links),
             payload: Bytes::from(vec![0u8; self.payload_bytes]),
             links: self.links,
             txs: self.txs,
@@ -674,10 +662,8 @@ where
             holding_buf: Vec::new(),
             sample_every: self.sample_every,
             deadline: Instant::ZERO,
-            q,
-            wake: None,
             trace: telemetry::global_handle("channel"),
-            prof,
+            prof: profile::current(),
             last_event_at: Instant::ZERO,
             done_since: None,
             failed_at: None,
@@ -787,7 +773,7 @@ pub struct FinishedShard<T, R, C> {
 pub struct SoloRun<T, R, C> {
     /// The shard's endpoints, collectors and run outcome.
     pub finished: FinishedShard<T, R, C>,
-    /// The event queue's profiling snapshot for this run.
+    /// The calendar's profiling snapshot for this run.
     pub queue: QueueProfile,
     /// Wall-clock seconds the run took.
     pub wall_secs: f64,
@@ -813,7 +799,7 @@ pub struct WindowSummary<F> {
     /// the window schedule, so excluding them keeps the sum over shards
     /// invariant across shard counts.
     pub events: u64,
-    /// Events still pending on the shard queue at window end.
+    /// Events still pending on the shard calendar at window end.
     pub queue_depth: u64,
     /// Frames that crossed outbound cut links this window, sorted by
     /// `(at, link, seq)`.
@@ -843,8 +829,7 @@ where
     sample_every: Duration,
     /// Run deadline: no sampling tick is scheduled past it.
     deadline: Instant,
-    q: EventQueue<ShardEvent<T::Frame>>,
-    wake: Option<(Instant, EventId)>,
+    cal: Calendar<T::Frame>,
     trace: telemetry::Trace,
     prof: profile::Prof,
     last_event_at: Instant,
@@ -853,20 +838,8 @@ where
     /// Cumulative pushes + arrivals dispatched (ticks and wakes
     /// excluded); windows report the per-window delta.
     events: u64,
-    /// Scratch buffer for canonical same-instant dispatch.
-    round: Vec<ShardEvent<T::Frame>>,
-}
-
-/// Canonical same-instant dispatch key: pushes first (by global source
-/// ordinal, then SDU id), then arrivals (by global link id, then
-/// per-link arrival sequence), then the sampling tick, then wakes.
-fn canon_key<F>(links: &[LinkSlot], sources: &[ShardSource], ev: &ShardEvent<F>) -> (u8, u64, u64) {
-    match ev {
-        ShardEvent::Push { source, id } => (0, sources[*source].ordinal, *id),
-        ShardEvent::Arrive { link, seq, .. } => (1, links[*link].global as u64, *seq),
-        ShardEvent::Sample => (2, 0, 0),
-        ShardEvent::Wake => (3, 0, 0),
-    }
+    /// Scratch buffer for one same-instant dispatch round.
+    round: Vec<Event<T::Frame>>,
 }
 
 impl<T, R, C> ShardSim<T, R, C>
@@ -889,16 +862,13 @@ where
         }
         for (s, src) in self.sources.iter_mut().enumerate() {
             if let Some((at, id)) = src.gen.next() {
-                self.q.schedule(at, ShardEvent::Push { source: s, id });
+                self.cal.push(s, at, id);
             }
         }
         if !self.samplers.is_empty() {
-            self.q.schedule(Instant::ZERO, ShardEvent::Sample);
+            self.cal.sample(Instant::ZERO);
         }
-        self.wake = Some((
-            Instant::ZERO,
-            self.q.schedule(Instant::ZERO, ShardEvent::Wake),
-        ));
+        self.cal.rearm_wake(Instant::ZERO);
     }
 
     /// Run this shard as the whole simulation on the caller's thread:
@@ -937,31 +907,22 @@ where
         before_finish(&w);
         sim_trace.emit(finished_at, || TraceEvent::RunFinished { deadline_hit });
         SoloRun {
-            queue: self.q.profile(),
+            queue: self.cal.profile(),
             finished: self.into_finished(finished_at, deadline_hit),
             wall_secs: timer.elapsed_secs(),
         }
     }
 
-    /// Schedule coordinator-routed cut-link arrivals. The caller sorts
-    /// by `(at, link, seq)`; injection order is insertion order, and the
-    /// canonical dispatch key makes same-instant placement deterministic
-    /// regardless.
+    /// Queue coordinator-routed cut-link arrivals on their links'
+    /// lanes. The caller sorts by `(at, link, seq)`, so each lane stays
+    /// FIFO and same-instant arrivals keep their transmit order.
     pub fn inject(&mut self, arrivals: Vec<Inbound<T::Frame>>) {
         for a in arrivals {
             let local = self
                 .links
                 .binary_search_by_key(&a.link, |l| l.global)
                 .unwrap_or_else(|_| panic!("injected arrival on unknown global link {}", a.link));
-            self.q.schedule(
-                a.at,
-                ShardEvent::Arrive {
-                    link: local,
-                    seq: a.seq,
-                    frame: a.frame,
-                    clean: a.clean,
-                },
-            );
+            self.cal.arrive(local, a.at, a.frame, a.clean);
         }
     }
 
@@ -986,10 +947,10 @@ where
         let mut outbound: Vec<Inbound<T::Frame>> = Vec::new();
         let mut committed = grant;
         let events_before = self.events;
-        while let Some((now, first)) = self.q.pop_until(grant) {
+        while let Some(now) = self.cal.next_instant().filter(|&t| t <= grant) {
             self.last_event_at = now;
             let dispatch_span = self.prof.span("sim.dispatch");
-            self.dispatch_instant(now, first);
+            self.dispatch_instant(now);
             drop(dispatch_span);
             self.pump(now, &mut outbound);
             let collect_span = self.prof.span("sim.collect");
@@ -1021,12 +982,12 @@ where
         outbound.sort_by_key(|a| (a.at, a.link, a.seq));
         WindowSummary {
             committed,
-            next_event: self.q.next_instant(),
+            next_event: self.cal.next_instant(),
             done_since: self.done_since,
             failed_at: self.failed_at,
             last_event_at: self.last_event_at,
             events: self.events - events_before,
-            queue_depth: self.q.len() as u64,
+            queue_depth: self.cal.len() as u64,
             outbound,
         }
     }
@@ -1034,24 +995,15 @@ where
     /// Dispatch every event at `now` in canonical order, in rounds: the
     /// events queued at `now`, then those the round itself scheduled at
     /// `now` (a dispatched push can schedule its source's next push at
-    /// the same instant), and so on. An instant holding one event — the
-    /// common case — dispatches it without buffering or sorting.
-    fn dispatch_instant(&mut self, now: Instant, first: ShardEvent<T::Frame>) {
+    /// the same instant), and so on. The calendar hands each round out
+    /// already in canonical order.
+    fn dispatch_instant(&mut self, now: Instant) {
         let mut round = std::mem::take(&mut self.round);
-        let mut again = match self.q.pop_at(now) {
-            None => self.dispatch(now, first),
-            Some(second) => {
-                round.extend([first, second]);
-                true
-            }
-        };
+        let mut again = true;
         while again {
-            while let Some(ev) = self.q.pop_at(now) {
-                round.push(ev);
-            }
-            if round.len() > 1 {
-                round.sort_by_key(|ev| canon_key(&self.links, &self.sources, ev));
-            }
+            let pop_span = self.prof.span("queue.pop");
+            self.cal.pop_round(now, &mut round);
+            drop(pop_span);
             again = false;
             for ev in round.drain(..) {
                 again |= self.dispatch(now, ev);
@@ -1062,9 +1014,9 @@ where
 
     /// Dispatch one event; true if it scheduled another at `now` (only a
     /// push can: its source's next SDU may arrive at the same instant).
-    fn dispatch(&mut self, now: Instant, ev: ShardEvent<T::Frame>) -> bool {
+    fn dispatch(&mut self, now: Instant, ev: Event<T::Frame>) -> bool {
         match ev {
-            ShardEvent::Push { source, id } => {
+            Event::Push { source, id } => {
                 self.events += 1;
                 let src = &mut self.sources[source];
                 if let Some(col) = src.col {
@@ -1073,13 +1025,11 @@ where
                 self.txs[src.tx.0].push(id, self.payload.clone());
                 if let Some((at, nid)) = src.gen.next() {
                     let at = at.max(now);
-                    self.q.schedule(at, ShardEvent::Push { source, id: nid });
+                    self.cal.push(source, at, nid);
                     return at == now;
                 }
             }
-            ShardEvent::Arrive {
-                link, frame, clean, ..
-            } => {
+            Event::Arrive { link, frame, clean } => {
                 self.events += 1;
                 // Single listener — the common wiring — moves the frame
                 // straight through; only genuine fan-out (duplex links
@@ -1107,8 +1057,8 @@ where
                     }
                 }
             }
-            ShardEvent::Sample => {
-                self.prof.sample_queue_depth(self.q.len() as u64);
+            Event::Sample => {
+                self.prof.sample_queue_depth(self.cal.len() as u64);
                 for s in &self.samplers {
                     let worst_rx = s
                         .rxs
@@ -1120,14 +1070,11 @@ where
                     self.collectors[s.col.0].sample(now, tx.buffered(), worst_rx, tx.rate());
                 }
                 if now + self.sample_every <= self.deadline {
-                    self.q.schedule(now + self.sample_every, ShardEvent::Sample);
+                    self.cal.sample(now + self.sample_every);
                 }
             }
-            ShardEvent::Wake => {
-                if self.wake.is_some_and(|(t, _)| t <= now) {
-                    self.wake = None;
-                }
-            }
+            // Popping the wake cleared the calendar's wake slot.
+            Event::Wake => {}
         }
         false
     }
@@ -1174,26 +1121,17 @@ where
                 let channel = slot.channel.as_mut().expect("owned link has channel");
                 match channel.transmit(now, meta.bytes, meta.is_info) {
                     Fate::Arrives { at, clean } => {
-                        let seq = slot.next_seq;
-                        slot.next_seq += 1;
                         if slot.export {
                             outbound.push(Inbound {
                                 at,
                                 link: slot.global,
-                                seq,
+                                seq: slot.next_seq,
                                 frame,
                                 clean,
                             });
+                            slot.next_seq += 1;
                         } else {
-                            self.q.schedule(
-                                at,
-                                ShardEvent::Arrive {
-                                    link: li,
-                                    seq,
-                                    frame,
-                                    clean,
-                                },
-                            );
+                            self.cal.arrive(li, at, frame, clean);
                         }
                     }
                     Fate::Lost => {
@@ -1221,8 +1159,8 @@ where
 
     /// Re-arm the single wake at the earliest pending protocol instant
     /// over local endpoints and owned channels. Exactly one wake is ever
-    /// pending: re-arming an earlier wake *reschedules* it instead of
-    /// piling up stale duplicates that would each buy a no-op pump.
+    /// pending: re-arming an earlier wake *moves* it instead of piling
+    /// up stale duplicates that would each buy a no-op pump.
     fn rearm_wake(&mut self, now: Instant) {
         let mut want: Option<Instant> = None;
         let mut consider = |c: Option<Instant>| {
@@ -1263,22 +1201,13 @@ where
         };
         if let Some(t) = t {
             debug_assert!(t > now, "wake must advance time");
-            match self.wake {
-                Some((at, id)) if t < at => {
-                    let id = self.q.reschedule(id, t).expect("tracked wake is pending");
-                    self.wake = Some((t, id));
-                }
-                None => {
-                    self.wake = Some((t, self.q.schedule(t, ShardEvent::Wake)));
-                }
-                Some(_) => {}
-            }
+            self.cal.rearm_wake(t);
         }
     }
 
-    /// The queue's profiling snapshot so far.
+    /// The calendar's profiling snapshot so far.
     pub fn queue_profile(&self) -> QueueProfile {
-        self.q.profile()
+        self.cal.profile()
     }
 
     /// Consume the shard into its report-assembly pieces.
@@ -1489,6 +1418,27 @@ mod tests {
         assert!(!out.finished.deadline_hit);
         assert!(out.finished.finished_at > Instant::ZERO);
         assert!(out.queue.popped > 0);
+    }
+
+    #[test]
+    fn run_window_stops_past_the_grant() {
+        // Frames take 1 ms to cross; a window granted to 0.5 ms commits
+        // the grant and leaves the first arrivals queued beyond it.
+        let mut sim = p2p(5).build().expect("valid");
+        sim.start(Instant::from_secs(60));
+        let grant = Instant::from_micros(500);
+        let w = sim.run_window(grant, false);
+        assert_eq!(w.committed, grant);
+        assert!(w.last_event_at <= grant);
+        assert!(
+            w.next_event.is_some_and(|t| t > grant),
+            "{:?}",
+            w.next_event
+        );
+        assert!(w.queue_depth > 0);
+        let rest = sim.run_window(Instant::from_secs(60), true);
+        assert!(rest.done_since.is_some());
+        assert_eq!((w.events, rest.events), (5, 5), "pushes, then arrivals");
     }
 
     #[test]
@@ -2014,5 +1964,42 @@ mod tests {
         assert!(msg.contains("inbound stub but has senders"), "{msg}");
         assert!(msg.contains("cannot have local listeners"), "{msg}");
         assert!(msg.contains("delivers to an unknown collector"), "{msg}");
+    }
+
+    #[test]
+    fn build_rejects_non_ascending_source_ordinals() {
+        // Two duplex nodes, each feeding its own sender: the sources'
+        // lanes pop in registration order, so ordinals must ascend.
+        let duplex = |first: u64, second: u64| {
+            let mut topo = Topology::default();
+            let na = topo.node(NodeRole::Duplex);
+            let nb = topo.node(NodeRole::Duplex);
+            topo.link(na, nb, "fwd");
+            topo.link(nb, na, "rev");
+            let mut b = EchoBuilder::new(64);
+            b.place(&topo, &Partition::contiguous(2, 1), 0);
+            let la = b.link(0, clean_channel(), "fwd");
+            let lb = b.link(1, clean_channel(), "rev");
+            let ra = b.rx(la, EchoRx::default());
+            let ta = b.tx(la, EchoTx::default());
+            let rb = b.rx(lb, EchoRx::default());
+            let tb = b.tx(lb, EchoTx::default());
+            b.listen(la, rb);
+            b.listen(lb, ra);
+            let c = b.collector(CountCollector::default());
+            b.source(batch(1), ta, Some(c), first);
+            b.source(batch(1), tb, Some(c), second);
+            b.deliver(rb, c);
+            b.deliver(ra, c);
+            b
+        };
+        assert!(duplex(0, 1).build().is_ok());
+        let err = build_err(duplex(1, 0));
+        assert!(
+            err.contains("ascending ordinal order (got 0 after 1)"),
+            "{err}"
+        );
+        let err = build_err(duplex(2, 2));
+        assert!(err.contains("(got 2 after 2)"), "{err}");
     }
 }

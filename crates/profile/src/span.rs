@@ -324,8 +324,20 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
-    #[inline]
+    /// A disabled guard's drop is one `is_some` check inlined at the
+    /// call site; closing a live span stays out of line.
+    #[inline(always)]
     fn drop(&mut self) {
+        if self.inner.is_some() {
+            self.close();
+        }
+    }
+}
+
+impl SpanGuard {
+    #[cold]
+    #[inline(never)]
+    fn close(&mut self) {
         if let Some((rc, depth)) = self.inner.take() {
             // try_borrow_mut: drop can run mid-unwind; never panic here.
             if let Ok(mut p) = rc.try_borrow_mut() {

@@ -93,6 +93,16 @@ impl Instant {
         }
     }
 
+    /// Time elapsed since `earlier`, or zero if `earlier` is later —
+    /// for timestamps read from outside the process, which may run
+    /// backwards.
+    #[inline]
+    pub fn saturating_duration_since(self, earlier: Instant) -> Duration {
+        Duration {
+            nanos: self.nanos.saturating_sub(earlier.nanos),
+        }
+    }
+
     /// `self + d`, saturating at [`Instant::MAX`].
     #[inline]
     pub fn saturating_add(self, d: Duration) -> Instant {

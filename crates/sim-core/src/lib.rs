@@ -9,8 +9,10 @@
 //! The crate provides four things and nothing protocol-specific:
 //!
 //! * [`Instant`] / [`Duration`] — nanosecond virtual time;
-//! * [`EventQueue`] — a deterministic calendar queue (FIFO among
-//!   simultaneous events);
+//! * [`QueueProfile`] / [`RunTimer`] — a run's event-schedule counters
+//!   and the wall-clock stopwatch reported beside them (the schedule
+//!   itself is netsim's lane calendar, shaped to the events its loop
+//!   issues);
 //! * [`SimRng`] / [`SeedSplitter`] — per-component seeded RNG streams, so
 //!   protocols under comparison see *identical* channel error sequences
 //!   (common random numbers);
@@ -27,6 +29,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event_queue::{EventId, EventQueue, QueueProfile, RunTimer};
+pub use event_queue::{QueueProfile, RunTimer};
 pub use rng::{SeedSplitter, SimRng};
 pub use time::{Duration, Instant};

@@ -2,8 +2,8 @@
 """Drive the `bench_suite` binary and record the perf trajectory.
 
 Usage:
-    bench.py [--reps N] [--out BENCH_0007.json] [--bin PATH]
-             [--micro-iters N] [--no-build]
+    bench.py [--reps N] [--out BENCH_0008.json] [--bin PATH]
+             [--micro-iters N] [--no-build] [--parent DIR]
              [--check] [--tolerance 0.10]
     bench.py --trajectory [--json]
 
@@ -15,6 +15,7 @@ writes one `lams-dlc.bench/1` document:
       "schema": "lams-dlc.bench/1",
       "reps": N,
       "quick": true,
+      "machine": {"cpu", "vcpus"},
       "micro": [ {"name", "iters", "ops", "wall_secs",
                   "ns_per_op", "ops_per_sec"} ],
       "experiments": [ {"id", "runs", "wall_secs", "events_per_sec",
@@ -22,8 +23,19 @@ writes one `lams-dlc.bench/1` document:
       "shards": [ {"shards", "wall_secs", "events_per_sec", "popped"} ],
       "total": {"runs", "wall_secs", "events_per_sec", "popped"},
       "profile": {"wall_ns", "counters", "queue_depth", "alloc",
-                  "spans": [...]} | null
+                  "spans": [...]} | null,
+      "parent": {"commit", "reps", "total": {...}}   (with --parent)
     }
+
+`machine` is the host's machine class: the CPU model from
+/proc/cpuinfo and the vCPU count. Only numbers from one machine class
+are comparable.
+
+With --parent DIR (a checkout of the parent commit), the parent's own
+bench_suite (built there unless --no-build) times the quick experiments
+once per repetition, alternating with the fresh runs, and its median
+quick-all total is recorded under `parent` with the checkout's commit:
+a before/after pair from one machine.
 
 Workloads are deterministic, so counted fields (queue profiles, runs,
 popped) must agree across repetitions — a mismatch fails the driver.
@@ -37,9 +49,13 @@ repetitions run with --skip-profile. The timed suite itself is never
 profiled, so the events/sec gate is unaffected.
 
 With --check, compares the fresh quick-all total events/sec against the
-best committed baseline (the highest quick-all events/sec over every
-BENCH_*.json in the repo root) and fails when it falls short of it by
-more than --tolerance (default 10%). Gating against the best baseline,
+best committed baseline of the same machine class (the highest quick-all
+events/sec over the BENCH_*.json files in the repo root whose `machine`
+matches this host) and fails when it falls short of it by more than
+--tolerance (default 10%). When no committed baseline of this machine
+class exists, the gate falls back to the best baseline that records no
+machine class (BENCH_0004.json to BENCH_0007.json); baselines of another
+recorded class are never compared. Gating against the best baseline,
 not the latest, keeps a slow slide of small regressions from passing
 one step at a time. Used by CI as the perf regression gate.
 
@@ -52,6 +68,7 @@ events-per-second trajectory across PRs as a table — or as JSON with
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -66,12 +83,27 @@ def fail(msg):
     sys.exit(1)
 
 
-def run_once(binary, micro_iters, skip_profile=False):
+def machine_class():
+    """This host's machine class: CPU model and vCPU count."""
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu": cpu, "vcpus": os.cpu_count() or 0}
+
+
+def run_once(binary, micro_iters, skip_profile=False, extra=()):
     cmd = [str(binary)]
     if micro_iters is not None:
         cmd += ["--micro-iters", str(micro_iters)]
     if skip_profile:
         cmd += ["--skip-profile"]
+    cmd += list(extra)
     try:
         out = subprocess.run(cmd, capture_output=True, text=True, check=True)
     except FileNotFoundError:
@@ -85,6 +117,17 @@ def run_once(binary, micro_iters, skip_profile=False):
     if doc.get("schema") != SCHEMA:
         fail(f"{binary}: schema {doc.get('schema')!r}, want {SCHEMA!r}")
     return doc
+
+
+def run_parent(parent):
+    """One quick-experiments-only repetition of the parent checkout's
+    bench_suite; returns its quick-all total."""
+    doc = run_once(parent / "target/release/bench_suite", None,
+                   skip_profile=True, extra=["--skip-micro", "--skip-shards"])
+    total = doc["total"]
+    print(f"bench: parent: quick-all {total['events_per_sec'] / 1e6:.3f}M "
+          f"events/s", file=sys.stderr)
+    return total
 
 
 def median_micro(reps):
@@ -175,22 +218,34 @@ def median_total(reps):
     }
 
 
-def best_baseline(root):
-    """The committed BENCH_*.json with the highest quick-all events/s,
-    as (file name, document)."""
-    return max(load_trajectory(root),
-               key=lambda named: named[1]["total"]["events_per_sec"])
+def best_baseline(root, machine):
+    """The committed BENCH_*.json with the highest quick-all events/s
+    among those of `machine`'s class — or, when there are none, among
+    those that record no machine class — as (file name, document,
+    description of the rule applied)."""
+    docs = load_trajectory(root)
+    same = [named for named in docs if named[1].get("machine") == machine]
+    rule = "same machine class"
+    if not same:
+        same = [named for named in docs if "machine" not in named[1]]
+        rule = "no baseline of this machine class; unrecorded class"
+    if not same:
+        fail(f"no committed baseline of machine class {machine} or of "
+             f"unrecorded class")
+    name, doc = max(same, key=lambda named: named[1]["total"]["events_per_sec"])
+    return name, doc, rule
 
 
 def check_regression(doc, root, tolerance):
-    name, base = best_baseline(root)
+    name, base, rule = best_baseline(root, doc["machine"])
     want = base["total"]["events_per_sec"]
     got = doc["total"]["events_per_sec"]
     if want <= 0:
         fail(f"{name}: baseline events_per_sec is {want}")
     ratio = got / want
     verdict = (f"quick-all {got / 1e6:.3f}M events/s vs best baseline "
-               f"{name} {want / 1e6:.3f}M ({(ratio - 1) * 100:+.1f}%)")
+               f"{name} {want / 1e6:.3f}M ({(ratio - 1) * 100:+.1f}%; "
+               f"{rule})")
     if ratio < 1.0 - tolerance:
         fail(f"{verdict} — regression exceeds {tolerance * 100:.0f}% gate")
     print(f"bench: OK: {verdict}")
@@ -227,6 +282,7 @@ def print_trajectory(docs, as_json):
         delta = None if prev in (None, 0) else (eps / prev - 1.0) * 100.0
         rows.append({
             "baseline": name,
+            "machine": doc.get("machine"),
             "runs": total["runs"],
             "popped": total["popped"],
             "wall_secs": total["wall_secs"],
@@ -282,6 +338,9 @@ def main():
     ap.add_argument("--bin", default=str(REPO / "target/release/bench_suite"))
     ap.add_argument("--micro-iters", type=int, default=None)
     ap.add_argument("--no-build", action="store_true")
+    ap.add_argument("--parent", default=None, metavar="DIR",
+                    help="checkout of the parent commit: time its quick "
+                         "experiments alternately and record them")
     ap.add_argument("--check", action="store_true",
                     help="fail when quick-all events/s falls more than "
                          "--tolerance below the best committed baseline")
@@ -298,14 +357,21 @@ def main():
     if args.reps < 1:
         fail("--reps must be >= 1")
 
+    parent = Path(args.parent).resolve() if args.parent else None
     if not args.no_build:
-        r = subprocess.run(
-            ["cargo", "build", "--release", "-p", "bench"], cwd=REPO)
-        if r.returncode != 0:
-            fail("cargo build failed")
+        for tree in [REPO] + ([parent] if parent else []):
+            r = subprocess.run(
+                ["cargo", "build", "--release", "-p", "bench"], cwd=tree)
+            if r.returncode != 0:
+                fail(f"cargo build failed in {tree}")
 
     reps = []
+    parent_totals = []
     for i in range(args.reps):
+        # Alternate which side runs first, so drift on a shared machine
+        # does not favour one of them.
+        if parent and i % 2 == 0:
+            parent_totals.append(run_parent(parent))
         doc = run_once(args.bin, args.micro_iters, skip_profile=(i > 0))
         total = doc["total"]
         eps = total["events_per_sec"]
@@ -313,11 +379,14 @@ def main():
               f"{eps / 1e6:.3f}M events/s over {total['runs']} run(s)",
               file=sys.stderr)
         reps.append(doc)
+        if parent and i % 2 == 1:
+            parent_totals.append(run_parent(parent))
 
     merged = {
         "schema": SCHEMA,
         "reps": args.reps,
         "quick": True,
+        "machine": machine_class(),
         "micro": median_micro(reps),
         "experiments": median_experiments(reps),
         "shards": median_shards(reps),
@@ -325,6 +394,15 @@ def main():
         # Wall-clock-bearing throughout: rep 1's profiled pass, verbatim.
         "profile": reps[0].get("profile"),
     }
+    if parent:
+        commit = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=parent,
+            capture_output=True, text=True).stdout.strip()
+        merged["parent"] = {
+            "commit": commit or None,
+            "reps": len(parent_totals),
+            "total": median_total([{"total": t} for t in parent_totals]),
+        }
 
     rendered = json.dumps(merged, indent=2) + "\n"
     if args.out:

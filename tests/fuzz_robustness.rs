@@ -85,41 +85,6 @@ proptest! {
         let _ = codec.decode(&garbage, claimed_len);
     }
 
-    // ----------------------------------------------------------- sim-core
-
-    #[test]
-    fn event_queue_total_order(
-        times in proptest::collection::vec(0u64..1_000_000, 1..200),
-    ) {
-        let mut q = sim_core::EventQueue::new();
-        // Schedule in arbitrary order (as given).
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(sim_core::Instant::from_nanos(t), i);
-        }
-        let mut last_t = sim_core::Instant::ZERO;
-        let mut popped = 0;
-        let mut seen_at_time: Vec<usize> = Vec::new();
-        let mut last_time = None;
-        while let Some((t, idx)) = q.pop() {
-            prop_assert!(t >= last_t, "time went backwards");
-            // FIFO among equal timestamps: indices increase.
-            if last_time == Some(t) {
-                prop_assert!(
-                    seen_at_time.last().is_none_or(|&p| p < idx),
-                    "FIFO violated at {:?}", t
-                );
-                seen_at_time.push(idx);
-            } else {
-                seen_at_time.clear();
-                seen_at_time.push(idx);
-                last_time = Some(t);
-            }
-            last_t = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
-    }
-
     #[test]
     fn dedup_window_never_double_accepts(
         offers in proptest::collection::vec((0u64..50, 0u64..1000), 1..300),
@@ -142,6 +107,49 @@ proptest! {
                 accepted.push((id, t_ms));
             }
         }
+    }
+
+    // ------------------------------------------------------------- netsim
+
+    #[test]
+    fn event_queue_total_order(
+        times in proptest::collection::vec(0u64..1_000_000, 1..200),
+    ) {
+        // Arrivals spread over four links of the lane calendar, each
+        // clamped FIFO as the channel does: every one comes out once,
+        // time never runs backwards, and each link's arrivals keep
+        // their order.
+        use netsim::event_queue::{Calendar, Event};
+        use sim_core::Instant;
+        let mut cal = Calendar::new(0, 4);
+        let mut tails = [Instant::ZERO; 4];
+        for (i, &t) in times.iter().enumerate() {
+            let l = i % 4;
+            tails[l] = tails[l].max(Instant::from_nanos(t));
+            cal.arrive(l, tails[l], i as u64, true);
+        }
+        let mut last_t = Instant::ZERO;
+        let mut last_frame: [Option<u64>; 4] = [None; 4];
+        let mut popped = 0;
+        let mut round = Vec::new();
+        while let Some(t) = cal.next_instant() {
+            prop_assert!(t >= last_t, "time went backwards");
+            round.clear();
+            cal.pop_round(t, &mut round);
+            for ev in &round {
+                let Event::Arrive { link, frame, .. } = *ev else {
+                    panic!("only arrivals were scheduled");
+                };
+                prop_assert!(
+                    last_frame[link].is_none_or(|p| p < frame),
+                    "FIFO violated on link {}", link
+                );
+                last_frame[link] = Some(frame);
+                popped += 1;
+            }
+            last_t = t;
+        }
+        prop_assert_eq!(popped, times.len());
     }
 }
 
@@ -320,6 +328,177 @@ fn trace_numbers_out_of_range_are_values_or_errors() {
             let parsed = telemetry::parse_line(&line);
             assert_eq!(parsed.is_ok(), expect_ok, "{line} parsed as {parsed:?}");
         }
+    }
+}
+
+// ------------------------------ duplicated records through the reader
+
+/// The JSONL lines of one small lossy LAMS-DLC transfer (300 SDUs at a
+/// residual BER of 1e-5, so NAKs, retransmissions and releases all
+/// occur), as `repro --trace` writes them.
+fn lossy_transfer_lines() -> &'static [String] {
+    static LINES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    LINES.get_or_init(|| {
+        use std::{cell::RefCell, rc::Rc};
+        let mut cfg = harness::ScenarioConfig::paper_default();
+        cfg.seed = 3;
+        cfg.n_packets = 300;
+        cfg.data_residual_ber = 1e-5;
+        cfg.ctrl_residual_ber = 1e-6;
+        cfg.deadline = sim_core::Duration::from_secs(60);
+        let buf = Rc::new(RefCell::new(telemetry::BufferSink::new()));
+        telemetry::install_global(buf.clone());
+        let r = harness::scenario::run_lams(&cfg);
+        telemetry::uninstall_global();
+        assert!(r.delivered_unique == r.offered && r.retransmissions > 0);
+        let records = buf.borrow_mut().take();
+        records
+            .iter()
+            .map(|rec| {
+                let mut line = String::new();
+                rec.render_into(&mut line);
+                line
+            })
+            .collect()
+    })
+}
+
+/// What the reader made of one trace: records parsed and observed,
+/// lines rejected as unreadable, link records the monitor counted as
+/// running backwards in time, and the monitor's verdict.
+struct Replay {
+    observed: u64,
+    rejected: u64,
+    rewound: u64,
+    findings: u64,
+}
+
+/// Read `lines` the way `trace-tools` does: parse each line, count the
+/// unreadable ones, and feed every record to a live monitor.
+fn replay_lines(lines: &[String]) -> Replay {
+    let mut m = monitor::Monitor::new(monitor::MonitorConfig::default());
+    let (mut observed, mut rejected) = (0, 0);
+    for line in lines {
+        match telemetry::parse_line(line) {
+            Ok(rec) => {
+                m.observe(&rec);
+                observed += 1;
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    let report = m.take_report();
+    assert!(report.total_findings >= report.findings.len() as u64);
+    assert_eq!(report.records, observed);
+    let rewound = report.counters.get(monitor::RECORDS_REWOUND).unwrap_or(0.0);
+    Replay {
+        observed,
+        rejected,
+        rewound: rewound as u64,
+        findings: report.total_findings,
+    }
+}
+
+/// `line` re-rendered with its `t` lowered by `back_ns` (clamped at
+/// zero) and every other field unchanged.
+fn rewind(line: &str, back_ns: u64) -> String {
+    let rec = telemetry::parse_line(line).expect("own line parses");
+    let earlier = rec.t.as_nanos().saturating_sub(back_ns);
+    let mut out = String::new();
+    telemetry::TraceRecord {
+        t: sim_core::Instant::from_nanos(earlier),
+        ..rec
+    }
+    .render_into(&mut out);
+    out
+}
+
+#[test]
+fn clean_transfer_replays_clean() {
+    let lines = lossy_transfer_lines();
+    let r = replay_lines(lines);
+    assert_eq!(
+        (r.observed, r.rejected, r.rewound, r.findings),
+        (lines.len() as u64, 0, 0, 0)
+    );
+}
+
+#[test]
+fn rewound_records_are_counted() {
+    // Copies of link records restamped to t = 0, each placed right after
+    // its original once the run's clock has moved on: the audit takes
+    // every copy as stamped, without panicking, and counts each one.
+    let clean = lossy_transfer_lines();
+    let mut lines = Vec::new();
+    let mut copies = 0;
+    for (i, line) in clean.iter().enumerate() {
+        lines.push(line.clone());
+        let link = line.contains("\"node\":\"tx\"") || line.contains("\"node\":\"rx\"");
+        if i % 50 == 0 && link && !line.starts_with("{\"t\":0,") {
+            lines.push(rewind(line, u64::MAX));
+            copies += 1;
+        }
+    }
+    assert!(copies > 10, "{copies}");
+    let r = replay_lines(&lines);
+    assert_eq!(
+        (r.observed, r.rejected, r.rewound),
+        (lines.len() as u64, 0, copies)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn trace_reader_survives_duplicated_and_rewound_records(
+        edits in proptest::collection::vec(
+            (0u8..4, proptest::num::usize::ANY, proptest::num::usize::ANY, 0u64..50_000_000),
+            1..24,
+        ),
+    ) {
+        // Each edit picks a record kind and copies one such record to
+        // another place in the stream: a repeated run_started or
+        // run_finished marker, a duplicated I-frame or release record,
+        // or a record whose `t` runs backwards. The reader returns a
+        // verdict (findings, possibly none) for every stream and never
+        // panics; unreadable lines and rewound records are counted.
+        let clean = lossy_transfer_lines();
+        let kinds: [&[&str]; 4] = [
+            &["\"run_started\"", "\"run_finished\""],
+            &["\"iframe_tx\"", "\"iframe_rx\""],
+            &["\"buffer_release\""],
+            &[""],
+        ];
+        let mut lines = clean.to_vec();
+        let mut truncated = 0u64;
+        for (kind, pick, place, back_ns) in edits {
+            let matching: Vec<&String> = clean
+                .iter()
+                .filter(|line| kinds[kind as usize].iter().any(|k| line.contains(k)))
+                .collect();
+            prop_assert!(!matching.is_empty(), "the transfer has every kind");
+            let src = matching[pick % matching.len()];
+            let copy = if kind == 3 {
+                rewind(src, back_ns)
+            } else {
+                src.clone()
+            };
+            let at = place % (lines.len() + 1);
+            // Every fourth edit also cuts the copy short, so rejected
+            // lines ride along with the semantic damage.
+            let copy = if back_ns % 4 == 0 {
+                truncated += 1;
+                copy[..copy.len() / 2].to_string()
+            } else {
+                copy
+            };
+            lines.insert(at, copy);
+        }
+        let r = replay_lines(&lines);
+        prop_assert_eq!(r.rejected, truncated);
+        prop_assert_eq!(r.observed + r.rejected, lines.len() as u64);
+        prop_assert!(r.rewound <= r.observed);
     }
 }
 
