@@ -14,7 +14,7 @@ use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::traffic::{Pattern, TrafficGen};
 use netsim::channel::GilbertElliott;
 use netsim::Machine;
-use netsim::{LinkId, NodeRole, Partition, ShardBuilder, Topology};
+use netsim::{LinkId, NodeRole, Partition, ShardBuilder, SoloRun, Topology};
 use orbit::propagation_delay_s;
 use sim_core::{Duration, SeedSplitter};
 
@@ -257,31 +257,8 @@ where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
 {
-    // Two nodes, one directed link each way: the source's sender owns
-    // the forward link; the sink's receiver answers on the reverse.
-    let gen = TrafficGen::new(
-        cfg.pattern.clone(),
-        cfg.n_packets,
-        SeedSplitter::new(cfg.seed).stream(2),
-    );
     let t_f_channel = cfg.t_f();
-
-    let (mut b, lf, lr) = pair_builder(cfg, [NodeRole::Source, NodeRole::Sink]);
-    let t = b.tx(lf, tx);
-    let r = b.rx(lr, rx);
-    b.listen(lf, r);
-    b.listen(lr, t);
-    let c = b.collector(Collector::new());
-    b.expect(c, cfg.n_packets);
-    b.source(gen, t, Some(c), 0);
-    b.deliver(r, c);
-    b.sample(c, t, vec![r]);
-    b.holding(c, t);
-
-    let run = b
-        .build()
-        .expect("point-to-point wiring is valid")
-        .run_solo(cfg.deadline);
+    let run = run_solo(cfg, tx, rx);
     let out = run.finished;
     let tx = &out.txs[0];
     let rx = &out.rxs[0];
@@ -302,6 +279,37 @@ where
     report.wall_secs = run.wall_secs;
     crate::metrics::perf_absorb(&report.queue, report.wall_secs);
     report
+}
+
+/// Wire the scenario's two nodes around `tx` and `rx` and run it on one
+/// shard, handing back the finished endpoints.
+fn run_solo<T, R>(cfg: &ScenarioConfig, tx: T, rx: R) -> SoloRun<T, R, Collector>
+where
+    T: TxEndpoint,
+    R: RxEndpoint<Frame = T::Frame>,
+{
+    // Two nodes, one directed link each way: the source's sender owns
+    // the forward link; the sink's receiver answers on the reverse.
+    let gen = TrafficGen::new(
+        cfg.pattern.clone(),
+        cfg.n_packets,
+        SeedSplitter::new(cfg.seed).stream(2),
+    );
+    let (mut b, lf, lr) = pair_builder(cfg, [NodeRole::Source, NodeRole::Sink]);
+    let t = b.tx(lf, tx);
+    let r = b.rx(lr, rx);
+    b.listen(lf, r);
+    b.listen(lr, t);
+    let c = b.collector(Collector::new());
+    b.expect(c, cfg.n_packets);
+    b.source(gen, t, Some(c), 0);
+    b.deliver(r, c);
+    b.sample(c, t, vec![r]);
+    b.holding(c, t);
+
+    b.build()
+        .expect("point-to-point wiring is valid")
+        .run_solo(cfg.deadline)
 }
 
 /// Run the scenario under LAMS-DLC.
@@ -360,6 +368,18 @@ mod tests {
         assert_eq!(r.duplicates, 0);
         assert!(!r.deadline_hit);
         assert!(!r.link_failed);
+    }
+
+    #[test]
+    fn the_receiver_holds_no_notifications_after_a_run() {
+        let cfg = small(20_000);
+        let lcfg = cfg.lams_config();
+        let tx = Driver::new(lams_dlc::Sender::new(lcfg.clone()));
+        let rx = Driver::new(lams_dlc::Receiver::new(lcfg));
+        let mut out = run_solo(&cfg, tx, rx).finished;
+        assert!(!out.deadline_hit);
+        assert!(out.rxs[0].inner.stats().accepted >= 20_000);
+        assert_eq!(out.rxs[0].inner.poll_event(), None);
     }
 
     #[test]

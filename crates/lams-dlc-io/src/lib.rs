@@ -18,9 +18,9 @@
 //! ## Observability
 //!
 //! The host feeds the *same* telemetry pipeline the simulator uses:
-//! both machines trace into a [`telemetry::FanoutSink`] carrying a live
-//! [`monitor::Monitor`] (the five-invariant auditor plus windowed
-//! metric series) and, optionally, a JSONL trace file that
+//! both machines trace into a live [`monitor::Monitor`] (the
+//! five-invariant auditor plus windowed metric series) and, optionally,
+//! through a [`telemetry::FanoutSink`], a JSONL trace file that
 //! `trace-tools audit` replays offline to the byte-identical verdict.
 //! The stream opens with a `trace_header` declaring its
 //! [`proto_core::ClockDomain`], so consumers know whether cadences are
@@ -229,10 +229,16 @@ impl Transport for UdpTransport {
 /// a [`proto_core::ManualClock`] it makes the whole host loop
 /// deterministic — tests replay transfers to byte-identical traces
 /// with no sockets and no real waiting.
+///
+/// Datagram buffers are recycled: a receive returns the buffer it read,
+/// emptied, to a spare list, and the next send refills one of those. A
+/// send allocates only when more datagrams are queued than ever before,
+/// or when its datagram outgrows the spare buffer it took.
 #[derive(Debug, Default)]
 pub struct MemTransport {
     fwd: VecDeque<Vec<u8>>,
     rev: VecDeque<Vec<u8>>,
+    spare: Vec<Vec<u8>>,
 }
 
 impl MemTransport {
@@ -242,34 +248,50 @@ impl MemTransport {
     }
 }
 
-fn mem_recv(queue: &mut VecDeque<Vec<u8>>, buf: &mut [u8]) -> Result<Option<usize>, String> {
-    match queue.pop_front() {
-        Some(d) if d.len() <= buf.len() => {
-            buf[..d.len()].copy_from_slice(&d);
-            Ok(Some(d.len()))
+fn mem_send(queue: &mut VecDeque<Vec<u8>>, spare: &mut Vec<Vec<u8>>, datagram: &[u8]) {
+    let mut d = spare.pop().unwrap_or_default();
+    d.extend_from_slice(datagram);
+    queue.push_back(d);
+}
+
+fn mem_recv(
+    queue: &mut VecDeque<Vec<u8>>,
+    spare: &mut Vec<Vec<u8>>,
+    buf: &mut [u8],
+) -> Result<Option<usize>, String> {
+    let Some(mut d) = queue.pop_front() else {
+        return Ok(None);
+    };
+    let n = d.len();
+    let read = match buf.get_mut(..n) {
+        Some(dst) => {
+            dst.copy_from_slice(&d);
+            Ok(Some(n))
         }
-        Some(d) => Err(format!("datagram of {} bytes exceeds buffer", d.len())),
-        None => Ok(None),
-    }
+        None => Err(format!("datagram of {n} bytes exceeds buffer")),
+    };
+    d.clear();
+    spare.push(d);
+    read
 }
 
 impl Transport for MemTransport {
     fn send_data(&mut self, datagram: &[u8]) -> Result<(), String> {
-        self.fwd.push_back(datagram.to_vec());
+        mem_send(&mut self.fwd, &mut self.spare, datagram);
         Ok(())
     }
 
     fn recv_data(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
-        mem_recv(&mut self.fwd, buf)
+        mem_recv(&mut self.fwd, &mut self.spare, buf)
     }
 
     fn send_feedback(&mut self, datagram: &[u8]) -> Result<(), String> {
-        self.rev.push_back(datagram.to_vec());
+        mem_send(&mut self.rev, &mut self.spare, datagram);
         Ok(())
     }
 
     fn recv_feedback(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
-        mem_recv(&mut self.rev, buf)
+        mem_recv(&mut self.rev, &mut self.spare, buf)
     }
 }
 
@@ -553,8 +575,8 @@ pub fn run_transfer(
     clock: &dyn Clock,
     link: &mut dyn Transport,
 ) -> Result<IoSummary, String> {
-    // Telemetry pipeline: both machines and the host trace into a
-    // fan-out carrying the live monitor and, optionally, a JSONL file.
+    // Telemetry pipeline: both machines and the host trace into the live
+    // monitor, or into a fan-out carrying it and a JSONL file.
     let mon = Rc::new(RefCell::new(Monitor::new(MonitorConfig::default())));
     let jsonl = match &cfg.trace {
         Some(path) => Some(Rc::new(RefCell::new(
@@ -562,9 +584,10 @@ pub fn run_transfer(
         ))),
         None => None,
     };
-    let mut sinks: Vec<SharedSink> = vec![mon.clone()];
-    sinks.extend(jsonl.clone().map(|j| j as SharedSink));
-    let fanout: SharedSink = Rc::new(RefCell::new(FanoutSink::new(sinks)));
+    let sink: SharedSink = match &jsonl {
+        Some(j) => Rc::new(RefCell::new(FanoutSink::new(vec![mon.clone(), j.clone()]))),
+        None => mon.clone(),
+    };
 
     let mut stats = cfg.stats.as_deref().map(StatsOut::open).transpose()?;
     let stats_interval = saturating_nanos(cfg.stats_interval).max(Duration::from_nanos(1));
@@ -575,7 +598,7 @@ pub fn run_transfer(
         transport: link,
         cfg,
         modulus: lcfg.seq_modulus(),
-        chan_trace: sink_trace(fanout.clone(), "channel"),
+        chan_trace: sink_trace(sink.clone(), "channel"),
         counters: HostCounters::default(),
         buf: [0; 2048],
         out: Vec::new(),
@@ -590,7 +613,7 @@ pub fn run_transfer(
     let pump = Pump {
         sdus: cfg.sdus,
         payload_len: cfg.payload_len,
-        trace: sink_trace(fanout, "host"),
+        trace: sink_trace(sink, "host"),
     };
     let mut next_stats: Option<Instant> = None;
     let run = pump.run(
@@ -703,6 +726,32 @@ mod tests {
         assert_eq!(summary.audit_findings, 0, "clean run must audit clean");
         assert_eq!(summary.counters.get("io.inject.drops"), Some(0.0));
         assert!(summary.counters.get("io.tx.datagrams").unwrap_or(0.0) > 0.0);
+    }
+
+    #[test]
+    fn mem_transport_recycles_buffers_without_leaking_bytes() {
+        let mut t = MemTransport::new();
+        let mut buf = [0u8; 16];
+        t.send_data(&[7; 12]).expect("send");
+        assert_eq!(t.recv_data(&mut buf).expect("recv"), Some(12));
+        // The short datagram refills the long one's buffer: only its own
+        // bytes may come back, in either direction.
+        t.send_feedback(&[1, 2, 3]).expect("send");
+        let mut short = [0u8; 16];
+        assert_eq!(t.recv_feedback(&mut short).expect("recv"), Some(3));
+        assert_eq!(short[..4], [1, 2, 3, 0]);
+        t.send_data(&[]).expect("send");
+        assert_eq!(t.recv_data(&mut buf).expect("recv"), Some(0));
+        assert_eq!(t.recv_data(&mut buf).expect("recv"), None);
+
+        t.send_data(&[9; 17]).expect("send");
+        assert_eq!(
+            t.recv_data(&mut buf),
+            Err("datagram of 17 bytes exceeds buffer".to_string())
+        );
+        t.send_data(&[5; 2]).expect("send");
+        assert_eq!(t.recv_data(&mut buf).expect("recv"), Some(2));
+        assert_eq!(buf[..3], [5, 5, 7]);
     }
 
     #[test]

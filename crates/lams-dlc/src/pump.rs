@@ -9,7 +9,8 @@
 //! 1. offer fresh SDUs until the sender refuses one;
 //! 2. fire due timers on both machines;
 //! 3. sender frames → [`Link::send_data`] → arrivals to the receiver;
-//! 4. application delivery, resequenced and checked to be in order;
+//! 4. application delivery, resequenced and checked to be in order and
+//!    to carry the SDU's payload;
 //! 5. receiver frames → [`Link::send_feedback`] → arrivals to the sender;
 //! 6. both event queues drained.
 //!
@@ -76,7 +77,8 @@ pub struct Pass<'a, S> {
 #[derive(Clone, Debug)]
 pub struct Run {
     /// The verdict, or the error that ended the run: from the link or
-    /// the host, an out-of-order delivery, or a deadlock.
+    /// the host, an out-of-order delivery, a payload that is not the
+    /// SDU's, or a deadlock.
     pub outcome: Result<Verdict, String>,
     /// SDUs delivered in order.
     pub delivered: u64,
@@ -131,6 +133,15 @@ impl Pump {
 
         let mut state = RunState {
             start,
+            payloads: {
+                let mut fill = vec![0; self.payload_len];
+                (0..self.sdus.min(256))
+                    .map(|b| {
+                        fill.fill(b as u8);
+                        Bytes::copy_from_slice(&fill)
+                    })
+                    .collect()
+            },
             ..RunState::default()
         };
         let outcome = state.drive(self, clock, sender, receiver, link, on_pass);
@@ -161,6 +172,9 @@ struct RunState {
     wake_lateness: Duration,
     /// The resequencer's output, reused across deliveries.
     released: Vec<(PacketId, Bytes)>,
+    /// SDU `id`'s payload is `payloads[id % 256]`, built once per run
+    /// and shared by every SDU with that low byte.
+    payloads: Vec<Bytes>,
 }
 
 impl RunState {
@@ -188,7 +202,7 @@ impl RunState {
             }
 
             while self.next_id < pump.sdus {
-                let payload = Bytes::from(vec![(self.next_id & 0xff) as u8; pump.payload_len]);
+                let payload = self.payloads[(self.next_id & 0xff) as usize].clone();
                 if !sender.push(self.next_id, payload) {
                     break;
                 }
@@ -215,11 +229,19 @@ impl RunState {
             while let Some(d) = receiver.poll_deliver(t) {
                 self.reseq
                     .offer_into(PacketId(d.id), d.payload, &mut self.released);
-                for (id, _payload) in self.released.drain(..) {
+                for (id, payload) in self.released.drain(..) {
                     if id.0 != self.delivered {
                         return Err(format!(
                             "out-of-order delivery: got {} want {}",
                             id.0, self.delivered
+                        ));
+                    }
+                    if payload[..] != self.payloads[(id.0 & 0xff) as usize][..] {
+                        return Err(format!(
+                            "payload mismatch: SDU {} is not {} copies of {:#04x}",
+                            id.0,
+                            pump.payload_len,
+                            id.0 & 0xff
                         ));
                     }
                     self.delivered += 1;
@@ -250,9 +272,9 @@ impl RunState {
             if sender.is_failed() {
                 return Ok(Verdict::LinkFailed);
             }
-            let machines = [sender.poll_timeout(), receiver.poll_timeout()];
-            let wake = machines.into_iter().chain([link.next_arrival(), host_wake]);
-            let wake = wake.flatten().min().ok_or_else(|| {
+            let machines = earliest(sender.poll_timeout(), receiver.poll_timeout());
+            let wake = earliest(machines, earliest(link.next_arrival(), host_wake));
+            let wake = wake.ok_or_else(|| {
                 let (delivered, sdus) = (self.delivered, pump.sdus);
                 format!("deadlock: no pending event with {delivered} of {sdus} SDUs delivered")
             })?;
@@ -263,6 +285,15 @@ impl RunState {
                 slept_to = Some(wake);
             }
         }
+    }
+}
+
+/// The earlier of two optional deadlines; `None` only when both are.
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
     }
 }
 
@@ -351,6 +382,70 @@ mod tests {
             Some(probe),
             "the Enforced-NAK must reach the sender in the probe's pass, at its instant"
         );
+    }
+
+    /// A zero-delay link that flips one byte of the third information
+    /// frame's payload and still reports it clean: a fault upstream of
+    /// the CRC.
+    #[derive(Default)]
+    struct Flipper {
+        data: VecDeque<Frame>,
+        feedback: VecDeque<Frame>,
+        info_sent: u64,
+    }
+
+    impl Link for Flipper {
+        fn send_data(&mut self, _: Instant, frame: Frame, _: u64) -> Result<(), String> {
+            let frame = match frame {
+                Frame::Info(mut info) => {
+                    self.info_sent += 1;
+                    if self.info_sent == 3 {
+                        let mut bytes = info.payload.to_vec();
+                        bytes[0] ^= 0x01;
+                        info.payload = Bytes::from(bytes);
+                    }
+                    Frame::Info(info)
+                }
+                control => control,
+            };
+            self.data.push_back(frame);
+            Ok(())
+        }
+
+        fn recv_data(&mut self, _: Instant, _: u64) -> Arrival {
+            Ok(self.data.pop_front().map(|f| (f, RxStatus::Ok)))
+        }
+
+        fn send_feedback(&mut self, _: Instant, frame: Frame, _: u64) -> Result<(), String> {
+            self.feedback.push_back(frame);
+            Ok(())
+        }
+
+        fn recv_feedback(&mut self, _: Instant, _: u64) -> Arrival {
+            Ok(self.feedback.pop_front().map(|f| (f, RxStatus::Ok)))
+        }
+    }
+
+    #[test]
+    fn a_clean_frame_with_a_wrong_payload_ends_the_run() {
+        let cfg = LamsConfig::paper_default();
+        let pump = Pump {
+            sdus: 5,
+            payload_len: 8,
+            trace: Trace::disabled(),
+        };
+        let run = pump.run(
+            &ManualClock::new(),
+            &mut Sender::new(cfg.clone()),
+            &mut Receiver::new(cfg),
+            &mut Flipper::default(),
+            |_, _| Ok(None),
+        );
+        assert_eq!(
+            run.outcome,
+            Err("payload mismatch: SDU 2 is not 8 copies of 0x02".to_string())
+        );
+        assert_eq!(run.delivered, 2);
     }
 
     /// A machine with no timers that refuses every SDU and never speaks.

@@ -17,6 +17,15 @@
 //! * answers a Request-NAK immediately with an Enforced-NAK covering the
 //!   resolving period (or a Resolving Command if it has nothing to
 //!   report).
+//!
+//! Errors are recorded in ascending order. Gap inference, corruption and
+//! overflow each record numbers above `highest_seen` and then raise it,
+//! so every error exceeds every earlier one; the one exception is a
+//! frame numbered 0 arriving again before any other, which repeats 0.
+//! Each checkpoint interval keeps its errors as a sorted `Vec`, and the
+//! cumulative NAK list is the in-order concatenation of the last
+//! `C_depth` intervals with repeats dropped: one linear pass, no set
+//! union and no sort.
 
 use crate::config::LamsConfig;
 use crate::dedup::DedupWindow;
@@ -25,7 +34,7 @@ use crate::frame::{CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, RxStatu
 use bytes::Bytes;
 use proto_core::Instant;
 use proto_core::{Trace, TraceEvent};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A datagram handed to the network layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,12 +78,13 @@ pub struct Receiver {
     cfg: LamsConfig,
     /// Highest logical sequence number accounted for (arrived or inferred).
     highest_seen: u64,
-    /// Errors detected during the current (open) checkpoint interval.
-    current_errors: BTreeSet<u64>,
-    /// Error sets of the most recent completed intervals, newest at the
-    /// back; at most `C_depth` kept, so the union over `history` is
+    /// Errors detected during the current (open) checkpoint interval,
+    /// in ascending order.
+    current_errors: Vec<u64>,
+    /// Errors of the most recent completed intervals, newest at the
+    /// back; at most `C_depth` kept, so their in-order concatenation is
     /// exactly the cumulative NAK content.
-    history: VecDeque<BTreeSet<u64>>,
+    history: VecDeque<Vec<u64>>,
     cp_index: u64,
     next_cp_at: Option<Instant>,
     /// Deterministic single-server processing queue: (ready_at, delivery).
@@ -109,7 +119,7 @@ impl Receiver {
         Receiver {
             cfg,
             highest_seen: 0,
-            current_errors: BTreeSet::new(),
+            current_errors: Vec::new(),
             history: VecDeque::new(),
             cp_index: 0,
             next_cp_at: None,
@@ -287,7 +297,11 @@ impl Receiver {
     }
 
     fn record_error(&mut self, now: Instant, seq: u64, arrived: bool) {
-        self.current_errors.insert(seq);
+        debug_assert!(
+            self.last_error().is_none_or(|last| last <= seq),
+            "error {seq} recorded after a higher one"
+        );
+        self.current_errors.push(seq);
         self.events
             .push_back(ReceiverEvent::ErrorRecorded { seq, arrived });
         // The open interval closes into checkpoint `cp_index + 1`: that is
@@ -296,6 +310,13 @@ impl Receiver {
             seq,
             cp_index: self.cp_index + 1,
         });
+    }
+
+    /// The highest error still held, if any: the newest non-empty
+    /// interval's last entry.
+    fn last_error(&self) -> Option<u64> {
+        let mut newest = std::iter::once(&self.current_errors).chain(self.history.iter().rev());
+        newest.find_map(|errors| errors.last().copied())
     }
 
     fn handle_request_nak(&mut self, now: Instant, probe: u64) {
@@ -309,21 +330,23 @@ impl Receiver {
     }
 
     fn emit_checkpoint(&mut self, now: Instant, enforced: bool, probe: Option<u64>) {
-        // Close the current interval into history; keep C_depth intervals.
+        // Close the current interval into history; keep C_depth intervals,
+        // recycling the oldest one's buffer as the next open interval.
         let closing = core::mem::take(&mut self.current_errors);
         self.history.push_back(closing);
         while self.history.len() > self.cfg.c_depth as usize {
-            self.history.pop_front();
+            if let Some(mut aged) = self.history.pop_front() {
+                aged.clear();
+                self.current_errors = aged;
+            }
         }
-        let mut naks: Vec<u64> = self
-            .history
-            .iter()
-            .flatten()
-            .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        naks.sort_unstable();
+        let mut naks = Vec::with_capacity(self.history.iter().map(Vec::len).sum());
+        for interval in &self.history {
+            naks.extend_from_slice(interval);
+        }
+        // Only a repeated seq 0 can record a number twice (see the
+        // module doc); the list is sorted, so `dedup` makes it a set.
+        naks.dedup();
         self.cp_index += 1;
         let stop_go = if self.processing.len() >= self.stop_watermark {
             StopGo::Stop
@@ -434,7 +457,24 @@ impl proto_core::ReceiverMachine for Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use proto_core::Duration;
+    use std::collections::BTreeSet;
+
+    /// The cumulative NAK list as a union of interval sets, then sorted:
+    /// the computation the linear concatenation replaced, kept as the
+    /// oracle for it.
+    fn cumulative_naks_by_union(history: &VecDeque<BTreeSet<u64>>) -> Vec<u64> {
+        let mut naks: Vec<u64> = history
+            .iter()
+            .flatten()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        naks.sort_unstable();
+        naks
+    }
 
     fn cfg() -> LamsConfig {
         LamsConfig::paper_default()
@@ -767,6 +807,79 @@ mod tests {
         let t = now + cfg().t_proc * 4;
         assert!(r.poll_deliver(t).is_some());
         assert!(r.poll_deliver(t).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn checkpoint_naks_match_the_set_union_oracle(
+            c_depth in 1u32..6,
+            capacity in 1usize..12,
+            dedup in proptest::bool::ANY,
+            ops in proptest::collection::vec((0u8..7, 0u64..6), 1..300),
+        ) {
+            let cfg = LamsConfig { c_depth, ..cfg() };
+            let mut r = Receiver::with_capacity(cfg.clone(), capacity, capacity);
+            if dedup {
+                r = r.with_dedup();
+            }
+            r.start(Instant::ZERO);
+            let mut now = Instant::ZERO;
+            let mut current = BTreeSet::new();
+            let mut history: VecDeque<BTreeSet<u64>> = VecDeque::new();
+            let mut checkpoints = 0;
+            for (kind, k) in ops {
+                let fresh = r.highest_seen() + 1 + k; // k numbers lost before it
+                let packet_id = PacketId(fresh % 8); // repeats for the dedup window
+                let arrival = |seq| Frame::Info(InfoFrame {
+                    seq,
+                    packet_id,
+                    payload: Bytes::from_static(b"data"),
+                });
+                match kind {
+                    // Clean or corrupted arrivals after a gap of `k`; clean
+                    // ones overflow a full processing queue.
+                    0 | 1 => r.handle_frame(now, arrival(fresh), RxStatus::Ok),
+                    2 => r.handle_frame(now, arrival(fresh), RxStatus::PayloadCorrupted),
+                    // A stale number, or 0 (repeatable while nothing else
+                    // has arrived).
+                    3 => r.handle_frame(
+                        now,
+                        arrival(r.highest_seen().saturating_sub(k)),
+                        RxStatus::PayloadCorrupted,
+                    ),
+                    4 => r.handle_frame(
+                        now,
+                        Frame::Control(ControlFrame::RequestNak { probe: k }),
+                        RxStatus::Ok,
+                    ),
+                    // Time passes: due checkpoints fire, processing drains.
+                    _ => {
+                        now += cfg.w_cp * k / 2 + cfg.t_proc * k;
+                        r.on_timeout(now);
+                        while r.poll_deliver(now).is_some() {}
+                    }
+                }
+                while let Some(event) = r.poll_event() {
+                    if let ReceiverEvent::ErrorRecorded { seq, .. } = event {
+                        current.insert(seq);
+                    }
+                }
+                while let Some(frame) = r.poll_transmit(now) {
+                    let Frame::Control(ControlFrame::CheckPoint(cp)) = frame else {
+                        panic!("receiver sent {frame:?}");
+                    };
+                    history.push_back(core::mem::take(&mut current));
+                    while history.len() > c_depth as usize {
+                        history.pop_front();
+                    }
+                    prop_assert_eq!(cp.naks, cumulative_naks_by_union(&history));
+                    checkpoints += 1;
+                }
+            }
+            prop_assert_eq!(r.stats().checkpoints_sent, checkpoints);
+        }
     }
 
     #[test]

@@ -156,6 +156,10 @@ where
         self.inner.occupancy()
     }
 
+    fn discard_events(&mut self) {
+        while self.inner.poll_event().is_some() {}
+    }
+
     fn meta(frame: &Self::Frame) -> FrameMeta {
         FrameMeta {
             bytes: frame.wire_len(),

@@ -48,9 +48,9 @@
 //!   each shard's lane and pump orders are the global ones restricted
 //!   to the shard.
 
-use crate::event_queue::{Calendar, Event};
 use crate::collect::Collect;
 use crate::endpoint::{RxEndpoint, TxEndpoint};
+use crate::event_queue::{Calendar, Event};
 use crate::link::{Channel, DelayModel, Fate};
 use crate::topology::{
     ColId, EndpointId, LinkId, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
@@ -958,6 +958,9 @@ where
                 self.holding_buf.clear();
                 self.txs[t.0].drain_holding(&mut self.holding_buf);
                 self.collectors[col.0].on_holding(&self.holding_buf);
+            }
+            for r in self.rxs.iter_mut() {
+                r.discard_events();
             }
             if self.locally_done() {
                 if self.done_since.is_none() {
