@@ -114,7 +114,7 @@ pub fn calendar_link(iters: u64) -> MicroResult {
                 }
             }
             instants += 1;
-            let wake = if instants % 8 == 0 {
+            let wake = if instants.is_multiple_of(8) {
                 REF_FRAME / 2
             } else {
                 REF_FRAME * 4
@@ -209,17 +209,17 @@ pub fn trace_emit_disabled(iters: u64) -> MicroResult {
 /// buffered [`telemetry::JsonlSink`] into a discarding writer.
 pub fn trace_emit_jsonl(iters: u64) -> MicroResult {
     time("trace_emit_jsonl", iters, || {
-        use telemetry::TraceSink;
+        use telemetry::{ProtoTrace, TraceSink};
         let mut sink = telemetry::JsonlSink::to_writer(std::io::sink());
         for i in 0..iters {
-            sink.record(&telemetry::TraceRecord {
-                t: Instant::from_nanos(i),
-                node: "bench",
-                event: telemetry::TraceEvent::Nak {
+            sink.record(
+                Instant::from_nanos(i),
+                "bench",
+                telemetry::TraceEvent::Nak {
                     seq: i,
                     cp_index: 0,
                 },
-            });
+            );
         }
         sink.flush();
         assert_eq!(sink.dropped(), 0);
@@ -262,6 +262,51 @@ pub fn monitor_observe(iters: u64) -> MicroResult {
             }
             let report = m.take_report();
             assert_eq!(report.total_findings, 0, "replayed trace must audit clean");
+            std::hint::black_box(report);
+        }
+        passes * trace.len() as u64
+    })
+}
+
+/// Machine-style emission into a live [`monitor::Monitor`]: the
+/// `lams_trace` records re-emitted through [`telemetry::sink_trace`]
+/// handles (one per node label, as the machines hold them) until at
+/// least `iters` went in, one fresh monitor per pass. The same audit
+/// work as [`monitor_observe`] plus the path a live event takes from
+/// [`telemetry::Trace::emit`] into the monitor.
+pub fn trace_emit_monitor(iters: u64) -> MicroResult {
+    use std::{cell::RefCell, rc::Rc};
+    let trace = lams_trace();
+    // Each record's node label, resolved to a handle slot up front.
+    let mut labels: Vec<&'static str> = Vec::new();
+    let slots: Vec<usize> = trace
+        .iter()
+        .map(|rec| match labels.iter().position(|&l| l == rec.node) {
+            Some(i) => i,
+            None => {
+                labels.push(rec.node);
+                labels.len() - 1
+            }
+        })
+        .collect();
+    let passes = iters.div_ceil(trace.len() as u64).max(1);
+    time("trace_emit_monitor", iters, || {
+        for _ in 0..passes {
+            let mon = Rc::new(RefCell::new(monitor::Monitor::new(
+                monitor::MonitorConfig::default(),
+            )));
+            let handles: Vec<telemetry::Trace> = labels
+                .iter()
+                .map(|&l| telemetry::sink_trace(mon.clone(), l))
+                .collect();
+            for (rec, &slot) in trace.iter().zip(&slots) {
+                handles[slot].emit(rec.t, || rec.event);
+            }
+            let report = mon.borrow_mut().take_report();
+            assert_eq!(
+                report.total_findings, 0,
+                "re-emitted trace must audit clean"
+            );
             std::hint::black_box(report);
         }
         passes * trace.len() as u64
@@ -320,7 +365,7 @@ impl lams_dlc::pump::Link for DropEvery7th {
     fn send_data(&mut self, _: Instant, frame: lams_dlc::Frame, _: u64) -> Result<(), String> {
         if let lams_dlc::Frame::Info(info) = &frame {
             self.info_sent += 1;
-            if self.info_sent % 7 == 0 {
+            if self.info_sent.is_multiple_of(7) {
                 return Ok(());
             }
             self.arrived.push(info.packet_id.0);
@@ -499,6 +544,7 @@ pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
         trace_emit_disabled(iters),
         trace_emit_jsonl(iters),
         monitor_observe(iters),
+        trace_emit_monitor(iters),
         crc32_frame(iters),
         wire_roundtrip(iters),
         machine_pair(iters),

@@ -112,7 +112,7 @@ impl BitBuf {
     /// multiple of 8 (use when the content is byte-aligned payload).
     pub fn to_bytes_exact(&self) -> Vec<u8> {
         assert!(
-            self.len % 8 == 0,
+            self.len.is_multiple_of(8),
             "to_bytes_exact: bit length {} is not byte aligned",
             self.len
         );
@@ -127,7 +127,7 @@ impl BitBuf {
         for (i, (&a, &b)) in self.bytes.iter().zip(&other.bytes).enumerate() {
             let mut x = a ^ b;
             // Mask padding bits of the last byte.
-            if i == self.bytes.len() - 1 && self.len % 8 != 0 {
+            if i == self.bytes.len() - 1 && !self.len.is_multiple_of(8) {
                 x &= !(0xFFu8 >> (self.len % 8));
             }
             d += x.count_ones() as usize;

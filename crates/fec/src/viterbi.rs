@@ -37,7 +37,7 @@ impl Viterbi {
     /// the zero tail. Returns `None` if the received length is not an even
     /// number of symbols or is shorter than the tail.
     pub fn decode(&self, received: &BitBuf) -> Option<BitBuf> {
-        if received.len() % 2 != 0 {
+        if !received.len().is_multiple_of(2) {
             return None;
         }
         let n_sym = received.len() / 2;

@@ -35,8 +35,8 @@ use crate::relay::RelayConfig;
 use crate::scenario::ScenarioConfig;
 use crate::traffic::TrafficGen;
 use netsim::{
-    link::Channel, DelayModel, FinishedShard, LinkId, NodeId, NodeRole, Partition, ShardBuilder,
-    ShardSim, Topology, TopologyError,
+    link::Channel, CutPlan, DelayModel, FinishedShard, LinkId, NodeId, NodeRole, Partition,
+    ShardBuilder, ShardSim, Topology, TopologyError,
 };
 use netsim::{Collect, Machine};
 use sim_core::SeedSplitter;
@@ -139,34 +139,172 @@ where
     R: RxEndpoint<Frame = T::Frame>,
     T::Frame: Send,
 {
-    assert!(cfg.hops >= 1, "need at least one link");
     let h = cfg.hops;
     let base = &cfg.base;
-    let shards = match runtime {
-        Shards::Coordinated(n) => n.max(1).min(h + 1),
-        Shards::Direct => 1,
+    let layout = ChainLayout::new(
+        cfg,
+        match runtime {
+            Shards::Coordinated(n) => n,
+            Shards::Direct => 1,
+        },
+    );
+    let ranges = &layout.ranges;
+    let build = |s: usize| layout.shard(cfg, s, &mk_tx, &mk_rx);
+
+    let fin = |s: usize, mut out: FinishedShard<T, R, Collector>| -> ChainShardOut {
+        let (lo, hi) = ranges[s];
+        let failed = out.txs.iter().any(|t| t.is_failed());
+        let transmissions: u64 = out.txs.iter().map(|t| t.transmissions()).sum();
+        let retransmissions: u64 = out.txs.iter().map(|t| t.retransmissions()).sum();
+        let tx0_extras = (lo == 0).then(|| out.txs[0].extra_stats());
+        let sink = hi == h;
+        let report = out.collectors.pop().map(|col| {
+            let rx_extras = match out.rxs.last() {
+                Some(rx) if sink => rx.extra_stats(),
+                _ => Registry::new(),
+            };
+            // `offered` is a placeholder (the source shard knows the
+            // real count); passing the delivered count keeps the
+            // `lost` subtraction at zero until the coordinator patches
+            // both fields.
+            let delivered = col.delivered_unique();
+            Box::new(col.finish(
+                protocol,
+                delivered,
+                out.finished_at,
+                out.deadline_hit,
+                false,
+                0,
+                0,
+                base.t_f(),
+                Registry::new(),
+                rx_extras,
+            ))
+        });
+        ChainShardOut {
+            issued: out.issued.iter().sum(),
+            failed,
+            transmissions,
+            retransmissions,
+            tx0_extras,
+            report,
+            sink,
+        }
     };
 
-    let (topo, delays) = chain_topology(cfg);
-    let part = Partition::contiguous(h + 1, shards);
-    let plan = part
-        .plan(&topo, &delays)
-        .expect("chain partition is valid: contiguous over a positive-delay chain");
+    let (outputs, queue, wall_secs) = match runtime {
+        Shards::Coordinated(_) => {
+            let outcome = netsim::run_sharded(&layout.plan, base.deadline, build, fin)
+                .expect("chain shard wiring is valid");
+            crate::metrics::shard_absorb(&outcome.shard, outcome.supersteps);
+            (outcome.outputs, outcome.queue, outcome.wall_secs)
+        }
+        Shards::Direct => {
+            let run = build(0)
+                .expect("chain wiring is valid")
+                .run_solo(base.deadline);
+            (vec![fin(0, run.finished)], run.queue, run.wall_secs)
+        }
+    };
 
-    // Node range [lo, hi] owned by each shard (contiguous by
-    // construction).
-    let mut ranges = vec![(usize::MAX, 0usize); shards];
-    for node in 0..=h {
-        let s = part.shard_of(NodeId(node)).expect("node assigned");
-        let r = &mut ranges[s];
-        r.0 = r.0.min(node);
-        r.1 = r.1.max(node);
+    let mut offered = 0;
+    let mut failed = false;
+    let mut transmissions = 0;
+    let mut retransmissions = 0;
+    let mut tx0_extras = None;
+    let mut report = None;
+    let mut sampled = None;
+    for o in outputs {
+        offered += o.issued;
+        failed |= o.failed;
+        transmissions += o.transmissions;
+        retransmissions += o.retransmissions;
+        tx0_extras = tx0_extras.or(o.tx0_extras);
+        if o.sink {
+            report = o.report;
+        } else {
+            sampled = sampled.or(o.report);
+        }
+    }
+    let mut report = *report.expect("exactly one shard owns the sink");
+    if let Some(src) = sampled {
+        report.holding = src.holding;
+        report.tx_buffer = src.tx_buffer;
+        report.tx_buffer_tw = src.tx_buffer_tw;
+        report.rx_buffer = src.rx_buffer;
+        report.rate = src.rate;
+    }
+    report.offered = offered;
+    report.lost = offered.saturating_sub(report.delivered_unique);
+    report.link_failed = failed;
+    report.transmissions = transmissions;
+    report.retransmissions = retransmissions;
+    if let Some(x) = tx0_extras {
+        report.tx_extras = x;
+    }
+    report.queue = queue;
+    report.wall_secs = wall_secs;
+    crate::metrics::perf_absorb(&report.queue, report.wall_secs);
+    report
+}
+
+/// How a chain splits over its shards: the topology, the contiguous
+/// node partition, its cut plan, and each shard's node range.
+struct ChainLayout {
+    topo: Topology,
+    part: Partition,
+    plan: CutPlan,
+    /// Node range `[lo, hi]` owned by each shard (contiguous by
+    /// construction).
+    ranges: Vec<(usize, usize)>,
+}
+
+impl ChainLayout {
+    /// The layout of `cfg`'s chain over `shards` shards, clamped to
+    /// `1..=hops + 1` (one node per shard being the finest cut).
+    fn new(cfg: &RelayConfig, shards: usize) -> Self {
+        assert!(cfg.hops >= 1, "need at least one link");
+        let h = cfg.hops;
+        let shards = shards.max(1).min(h + 1);
+        let (topo, delays) = chain_topology(cfg);
+        let part = Partition::contiguous(h + 1, shards);
+        let plan = part
+            .plan(&topo, &delays)
+            .expect("chain partition is valid: contiguous over a positive-delay chain");
+        let mut ranges = vec![(usize::MAX, 0usize); shards];
+        for node in 0..=h {
+            let s = part.shard_of(NodeId(node)).expect("node assigned");
+            let r = &mut ranges[s];
+            r.0 = r.0.min(node);
+            r.1 = r.1.max(node);
+        }
+        ChainLayout {
+            topo,
+            part,
+            plan,
+            ranges,
+        }
     }
 
-    let build = |s: usize| -> Result<ShardSim<T, R, Collector>, TopologyError> {
-        let (lo, hi) = ranges[s];
+    /// Wire shard `s`: its links, endpoints (`mk_tx(i)` / `mk_rx(i)`
+    /// for hop `i`), the source on the first shard and the sink's
+    /// collector on the last.
+    fn shard<T, R>(
+        &self,
+        cfg: &RelayConfig,
+        s: usize,
+        mk_tx: &impl Fn(usize) -> T,
+        mk_rx: &impl Fn(usize) -> R,
+    ) -> Result<ShardSim<T, R, Collector>, TopologyError>
+    where
+        T: TxEndpoint,
+        R: RxEndpoint<Frame = T::Frame>,
+    {
+        let h = cfg.hops;
+        let base = &cfg.base;
+        let (lo, hi) = self.ranges[s];
         let mut b: ShardBuilder<T, R, Collector> = ShardBuilder::new(base.payload_bytes);
-        b.place(&topo, &part, s);
+        b.place(&self.topo, &self.part, s);
         b.sample_every(base.sample_every);
 
         // Links in ascending global-id order. Upstream boundary hop
@@ -240,103 +378,7 @@ where
             b.holding(col, txs[&0]);
         }
         b.build()
-    };
-
-    let fin = |s: usize, mut out: FinishedShard<T, R, Collector>| -> ChainShardOut {
-        let (lo, hi) = ranges[s];
-        let failed = out.txs.iter().any(|t| t.is_failed());
-        let transmissions: u64 = out.txs.iter().map(|t| t.transmissions()).sum();
-        let retransmissions: u64 = out.txs.iter().map(|t| t.retransmissions()).sum();
-        let tx0_extras = (lo == 0).then(|| out.txs[0].extra_stats());
-        let sink = hi == h;
-        let report = out.collectors.pop().map(|col| {
-            let rx_extras = match out.rxs.last() {
-                Some(rx) if sink => rx.extra_stats(),
-                _ => Registry::new(),
-            };
-            // `offered` is a placeholder (the source shard knows the
-            // real count); passing the delivered count keeps the
-            // `lost` subtraction at zero until the coordinator patches
-            // both fields.
-            let delivered = col.delivered_unique();
-            Box::new(col.finish(
-                protocol,
-                delivered,
-                out.finished_at,
-                out.deadline_hit,
-                false,
-                0,
-                0,
-                base.t_f(),
-                Registry::new(),
-                rx_extras,
-            ))
-        });
-        ChainShardOut {
-            issued: out.issued.iter().sum(),
-            failed,
-            transmissions,
-            retransmissions,
-            tx0_extras,
-            report,
-            sink,
-        }
-    };
-
-    let (outputs, queue, wall_secs) = match runtime {
-        Shards::Coordinated(_) => {
-            let outcome = netsim::run_sharded(&plan, base.deadline, build, fin)
-                .expect("chain shard wiring is valid");
-            crate::metrics::shard_absorb(&outcome.shard, outcome.supersteps);
-            (outcome.outputs, outcome.queue, outcome.wall_secs)
-        }
-        Shards::Direct => {
-            let run = build(0)
-                .expect("chain wiring is valid")
-                .run_solo(base.deadline);
-            (vec![fin(0, run.finished)], run.queue, run.wall_secs)
-        }
-    };
-
-    let mut offered = 0;
-    let mut failed = false;
-    let mut transmissions = 0;
-    let mut retransmissions = 0;
-    let mut tx0_extras = None;
-    let mut report = None;
-    let mut sampled = None;
-    for o in outputs {
-        offered += o.issued;
-        failed |= o.failed;
-        transmissions += o.transmissions;
-        retransmissions += o.retransmissions;
-        tx0_extras = tx0_extras.or(o.tx0_extras);
-        if o.sink {
-            report = o.report;
-        } else {
-            sampled = sampled.or(o.report);
-        }
     }
-    let mut report = *report.expect("exactly one shard owns the sink");
-    if let Some(src) = sampled {
-        report.holding = src.holding;
-        report.tx_buffer = src.tx_buffer;
-        report.tx_buffer_tw = src.tx_buffer_tw;
-        report.rx_buffer = src.rx_buffer;
-        report.rate = src.rate;
-    }
-    report.offered = offered;
-    report.lost = offered.saturating_sub(report.delivered_unique);
-    report.link_failed = failed;
-    report.transmissions = transmissions;
-    report.retransmissions = retransmissions;
-    if let Some(x) = tx0_extras {
-        report.tx_extras = x;
-    }
-    report.queue = queue;
-    report.wall_secs = wall_secs;
-    crate::metrics::perf_absorb(&report.queue, report.wall_secs);
-    report
 }
 
 /// Per-hop trace labels: hop `i`'s sender/receiver pair shares the
@@ -440,6 +482,28 @@ mod tests {
         let serial = run_chain_lams(&cfg, 1);
         assert_eq!(wide.delivered_unique, serial.delivered_unique);
         assert_eq!(wide.finished_at, serial.finished_at);
+    }
+
+    /// Only the source's sender feeds a holding collector; every relay
+    /// hop's sender must still have its notifications drained, or it
+    /// keeps one per SDU it forwards for the whole run.
+    #[test]
+    fn every_sender_holds_no_notifications_after_a_run() {
+        let cfg = chain(4, 1_200, 1e-6);
+        let lcfg = cfg.base.lams_config();
+        let mk_tx = |_| Driver::new(lams_dlc::Sender::new(lcfg.clone()));
+        let mk_rx = |_| Driver::new(lams_dlc::Receiver::new(lcfg.clone()));
+        let mut out = ChainLayout::new(&cfg, 1)
+            .shard(&cfg, 0, &mk_tx, &mk_rx)
+            .expect("chain wiring is valid")
+            .run_solo(cfg.base.deadline)
+            .finished;
+        assert!(!out.deadline_hit);
+        assert_eq!(out.txs.len(), 4);
+        for (hop, tx) in out.txs.iter_mut().enumerate() {
+            assert!(tx.inner.stats().released >= 1_200, "hop {hop}");
+            assert_eq!(tx.inner.poll_event(), None, "hop {hop}");
+        }
     }
 
     /// The source shard samples and drains its sender the same way at

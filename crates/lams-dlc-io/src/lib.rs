@@ -505,7 +505,7 @@ impl Link for WireLink<'_> {
         let c = &mut self.counters;
         if matches!(frame, Frame::Info(_)) {
             c.info_sent += 1;
-            if self.cfg.drop_every != 0 && c.info_sent % self.cfg.drop_every == 0 {
+            if self.cfg.drop_every != 0 && c.info_sent.is_multiple_of(self.cfg.drop_every) {
                 c.drops += 1;
                 self.chan_trace
                     .emit(t, || TraceEvent::ChannelDrop { dir: "fwd" });

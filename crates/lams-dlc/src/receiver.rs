@@ -18,14 +18,15 @@
 //!   resolving period (or a Resolving Command if it has nothing to
 //!   report).
 //!
-//! Errors are recorded in ascending order. Gap inference, corruption and
-//! overflow each record numbers above `highest_seen` and then raise it,
-//! so every error exceeds every earlier one; the one exception is a
-//! frame numbered 0 arriving again before any other, which repeats 0.
-//! Each checkpoint interval keeps its errors as a sorted `Vec`, and the
-//! cumulative NAK list is the in-order concatenation of the last
-//! `C_depth` intervals with repeats dropped: one linear pass, no set
-//! union and no sort.
+//! Errors are recorded in strictly ascending order. Gap inference,
+//! corruption and overflow each record numbers above `highest_seen` (or
+//! the first arrival's own number) and then raise it, and any later
+//! arrival at or below `highest_seen` — a frame numbered 0 repeated
+//! included — is dropped as stale, so every error exceeds every earlier
+//! one. Each checkpoint interval keeps its errors as a sorted `Vec`, and
+//! the cumulative NAK list is the in-order concatenation of the last
+//! `C_depth` intervals: one linear pass, no set union, no sort and no
+//! deduplication.
 
 use crate::config::LamsConfig;
 use crate::dedup::DedupWindow;
@@ -78,6 +79,9 @@ pub struct Receiver {
     cfg: LamsConfig,
     /// Highest logical sequence number accounted for (arrived or inferred).
     highest_seen: u64,
+    /// True once any I-frame has arrived: until then `highest_seen` is 0
+    /// without 0 having been seen.
+    any_arrived: bool,
     /// Errors detected during the current (open) checkpoint interval,
     /// in ascending order.
     current_errors: Vec<u64>,
@@ -119,6 +123,7 @@ impl Receiver {
         Receiver {
             cfg,
             highest_seen: 0,
+            any_arrived: false,
             current_errors: Vec::new(),
             history: VecDeque::new(),
             cp_index: 0,
@@ -238,12 +243,13 @@ impl Receiver {
         });
         // Gap inference: wire numbers are strictly monotone, so numbers
         // skipped below this arrival are lost frames (assumption 9).
-        if info.seq <= self.highest_seen && self.highest_seen != 0 {
+        if self.any_arrived && info.seq <= self.highest_seen {
             // Duplicate or reordered wire frame — cannot happen on the
             // FIFO link; drop defensively.
             self.stats.stale_seq_dropped += 1;
             return;
         }
+        self.any_arrived = true;
         let expected = self.highest_seen + 1;
         for missing in expected..info.seq {
             self.record_error(now, missing, false);
@@ -298,8 +304,8 @@ impl Receiver {
 
     fn record_error(&mut self, now: Instant, seq: u64, arrived: bool) {
         debug_assert!(
-            self.last_error().is_none_or(|last| last <= seq),
-            "error {seq} recorded after a higher one"
+            self.last_error().is_none_or(|last| last < seq),
+            "error {seq} recorded after an equal or higher one"
         );
         self.current_errors.push(seq);
         self.events
@@ -341,12 +347,11 @@ impl Receiver {
             }
         }
         let mut naks = Vec::with_capacity(self.history.iter().map(Vec::len).sum());
+        // Errors are strictly ascending (see the module doc), so the
+        // concatenation is already a sorted set.
         for interval in &self.history {
             naks.extend_from_slice(interval);
         }
-        // Only a repeated seq 0 can record a number twice (see the
-        // module doc); the list is sorted, so `dedup` makes it a set.
-        naks.dedup();
         self.cp_index += 1;
         let stop_go = if self.processing.len() >= self.stop_watermark {
             StopGo::Stop
@@ -695,6 +700,17 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_seq_zero_is_stale() {
+        let (mut r, now) = started();
+        r.handle_frame(now, info(0), RxStatus::Ok);
+        r.handle_frame(now, info(0), RxStatus::Ok);
+        assert_eq!(r.stats().accepted, 1);
+        assert_eq!(r.stats().stale_seq_dropped, 1);
+        let delivered = std::iter::from_fn(|| r.poll_deliver(now + cfg().t_proc * 2)).count();
+        assert_eq!(delivered, 1);
+    }
+
+    #[test]
     fn processing_is_single_server_fifo() {
         // Two frames arriving together complete t_proc apart.
         let (mut r, now) = started();
@@ -842,8 +858,8 @@ mod tests {
                     // ones overflow a full processing queue.
                     0 | 1 => r.handle_frame(now, arrival(fresh), RxStatus::Ok),
                     2 => r.handle_frame(now, arrival(fresh), RxStatus::PayloadCorrupted),
-                    // A stale number, or 0 (repeatable while nothing else
-                    // has arrived).
+                    // A stale number, or 0 while nothing has arrived (a
+                    // repeated 0 is stale too).
                     3 => r.handle_frame(
                         now,
                         arrival(r.highest_seen().saturating_sub(k)),

@@ -50,7 +50,7 @@ pub use series::{LinkSeries, WindowAcc};
 
 use sim_core::stats::Histogram;
 use sim_core::{Duration, Instant};
-use telemetry::{Json, Registry, TraceEvent, TraceRecord, TraceSink};
+use telemetry::{Json, ProtoTrace, Registry, TraceEvent, TraceRecord, TraceSink};
 
 /// Counter of link records stamped earlier than a link record already
 /// observed in the same run. A simulated or wall-clock trace never has
@@ -493,11 +493,16 @@ impl Monitor {
         hit
     }
 
-    /// Process one trace record.
+    /// Process one stored trace record: the offline-replay form of
+    /// [`ProtoTrace::record`], which live streams call directly.
     pub fn observe(&mut self, rec: &TraceRecord) {
+        self.process(rec.t, rec.node, rec.event);
+    }
+
+    /// Process one record, whichever way it arrived.
+    fn process(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
         self.seen += 1;
-        let t = rec.t;
-        match rec.event {
+        match event {
             TraceEvent::ExperimentStarted { id } => {
                 self.experiment_id = id;
                 self.cur_exp = self.experiment_slot(id);
@@ -516,7 +521,7 @@ impl Monitor {
             // belongs to no link; they aggregate at experiment level.
             TraceEvent::ReseqHold { held_ns, .. } => self.run_reseq.add(held_ns),
             ref event => {
-                let Some((slot, side)) = self.resolve(rec.node) else {
+                let Some((slot, side)) = self.resolve(node) else {
                     return;
                 };
                 if t < self.run_clock {
@@ -533,7 +538,6 @@ impl Monitor {
                     ..
                 } = &mut self.links[slot];
                 let out = &mut self.findings;
-                let node = rec.node;
                 match (side, event) {
                     (
                         Side::Tx,
@@ -678,11 +682,15 @@ impl Monitor {
     }
 }
 
-impl TraceSink for Monitor {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.observe(rec);
+impl ProtoTrace for Monitor {
+    /// The per-record entry point of live [`telemetry::sink_trace`]
+    /// handles and of [`TraceSink::record_all`] replays.
+    fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
+        self.process(t, node, event);
     }
+}
 
+impl TraceSink for Monitor {
     fn len(&self) -> u64 {
         self.seen
     }
@@ -800,6 +808,36 @@ mod tests {
         let p50 = exp.delivery_quantile(0.5).expect("one sample");
         assert!((p50 - 0.014).abs() < 2e-3, "{p50}");
         assert!(!report.window_lines.is_empty());
+    }
+
+    /// A live stream reaches the monitor through `sink_trace` handles
+    /// (the sink upcast to `ProtoTrace`, no adapter between); it must
+    /// audit exactly as a replay of the same records does.
+    #[test]
+    fn live_emission_matches_replay() {
+        let records: Vec<TraceRecord> = clean_run()
+            .into_iter()
+            .filter(|r| !matches!(r.event, TraceEvent::BufferRelease { .. }))
+            .collect();
+        let replayed = feed(&records).take_report();
+        let live = std::rc::Rc::new(std::cell::RefCell::new(Monitor::new(
+            MonitorConfig::default(),
+        )));
+        for r in &records {
+            telemetry::sink_trace(live.clone(), r.node).emit(r.t, || r.event);
+        }
+        let live = live.borrow_mut().take_report();
+        assert_eq!(live.records, records.len() as u64);
+        assert_eq!(live.total_findings, 1);
+        assert_eq!(live.total_findings, replayed.total_findings);
+        assert_eq!(
+            format!("{:?}", live.findings),
+            format!("{:?}", replayed.findings)
+        );
+        let lines = |r: &MonitorReport| -> Vec<String> {
+            r.window_lines.iter().map(Json::render).collect()
+        };
+        assert_eq!(lines(&live), lines(&replayed));
     }
 
     #[test]
@@ -1658,11 +1696,13 @@ mod tests {
             },
             11 => TraceEvent::EnforcedRecoveryStarted { outstanding: a },
             12 => TraceEvent::EnforcedRecoveryResolved,
-            13 => TraceEvent::StopGo { stop: a % 2 == 0 },
+            13 => TraceEvent::StopGo {
+                stop: a.is_multiple_of(2),
+            },
             14 => TraceEvent::LinkFailed,
             15 => TraceEvent::RunStarted,
             16 => TraceEvent::RunFinished {
-                deadline_hit: a % 2 == 0,
+                deadline_hit: a.is_multiple_of(2),
             },
             17 => TraceEvent::ExperimentStarted { id: "e1" },
             _ => {

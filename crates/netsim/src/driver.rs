@@ -102,6 +102,10 @@ where
         out.append(&mut self.holding);
     }
 
+    fn discard_events(&mut self) {
+        while self.inner.poll_event().is_some() {}
+    }
+
     fn rate(&self) -> f64 {
         self.inner.rate()
     }

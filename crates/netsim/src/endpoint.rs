@@ -48,6 +48,11 @@ pub trait TxEndpoint {
     /// Drain (holding-time, release) samples recorded since the last call:
     /// `(held_seconds)` per released frame.
     fn drain_holding(&mut self, out: &mut Vec<f64>);
+    /// Drop the protocol notifications queued since the last call. The
+    /// engine calls this every instant for each sender no collector
+    /// drains through [`TxEndpoint::drain_holding`] (relay hops), so
+    /// their notifications do not pile up for the whole run.
+    fn discard_events(&mut self) {}
     /// Current flow-controlled sending-rate fraction (1.0 when the
     /// protocol has no rate control).
     fn rate(&self) -> f64 {

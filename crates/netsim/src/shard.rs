@@ -646,6 +646,10 @@ where
         for (i, after) in self.rx_drain_after.iter().enumerate() {
             drains[after.unwrap_or(links - 1)].push(RxId(i));
         }
+        let undrained_txs = (0..n_tx)
+            .map(TxId)
+            .filter(|&t| self.holdings.iter().all(|&(_, h)| h != t))
+            .collect();
         Ok(ShardSim {
             cal: Calendar::new(self.sources.len(), links),
             payload: Bytes::from(vec![0u8; self.payload_bytes]),
@@ -659,6 +663,7 @@ where
             sources: self.sources,
             samplers: self.samplers,
             holdings: self.holdings,
+            undrained_txs,
             holding_buf: Vec::new(),
             sample_every: self.sample_every,
             deadline: Instant::ZERO,
@@ -824,6 +829,9 @@ where
     sources: Vec<ShardSource>,
     samplers: Vec<Sampler>,
     holdings: Vec<(ColId, TxId)>,
+    /// Senders no holding collector drains: their notifications are
+    /// discarded every instant instead.
+    undrained_txs: Vec<TxId>,
     /// Scratch for holding-time drains, reused across pump passes.
     holding_buf: Vec<f64>,
     sample_every: Duration,
@@ -958,6 +966,9 @@ where
                 self.holding_buf.clear();
                 self.txs[t.0].drain_holding(&mut self.holding_buf);
                 self.collectors[col.0].on_holding(&self.holding_buf);
+            }
+            for &t in &self.undrained_txs {
+                self.txs[t.0].discard_events();
             }
             for r in self.rxs.iter_mut() {
                 r.discard_events();

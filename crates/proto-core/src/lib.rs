@@ -19,7 +19,7 @@
 //!   test-faked) time, [`WallClock`] for monotonic real time;
 //! * [`TraceEvent`] / [`ProtoTrace`] / [`Trace`] — the protocol event
 //!   vocabulary and the pluggable sink contract hosts implement
-//!   (`telemetry` bridges it onto its timestamped-record sinks);
+//!   (every `telemetry` record sink is one);
 //! * [`Machine`] / [`SenderMachine`] / [`ReceiverMachine`] — the sans-IO
 //!   state-machine contract every ARQ engine implements, letting one
 //!   generic driver run any protocol under the simulator, over real UDP

@@ -6,9 +6,9 @@
 //! branch on an `Option` — no allocation, no formatting.
 //!
 //! Persistence is the host's business: the [`ProtoTrace`] trait is the
-//! only thing a protocol crate knows about. The `telemetry` crate
-//! bridges it onto its timestamped-record sinks (JSONL writers, rings,
-//! fan-outs); a bare host (the model checker, the UDP demo) can ignore
+//! only thing a protocol crate knows about. The `telemetry` crate's
+//! timestamped-record sinks (JSONL writers, rings, fan-outs, the live
+//! monitor) implement it directly; a bare host (the model checker, the UDP demo) can ignore
 //! tracing entirely or plug in a closure-sized recorder.
 
 use crate::time::Instant;
@@ -19,7 +19,7 @@ use std::rc::Rc;
 ///
 /// Field vocabulary: `seq` is a wire sequence number, `index` a
 /// checkpoint index, `len` a payload length in bytes.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceEvent {
     /// An I-frame left the sender (first transmission or retransmission).
     IFrameTx {

@@ -3,7 +3,8 @@
 //! Three facilities, all dependency-free and deterministic:
 //!
 //! * [`trace`] — a stream of sim-time-stamped protocol events
-//!   ([`TraceRecord`]) emitted through the [`TraceSink`] trait. Sinks
+//!   ([`TraceRecord`]) delivered to [`TraceSink`]s, each of which is a
+//!   [`ProtoTrace`] that protocol machines' trace handles call directly. Sinks
 //!   include a no-op sink (disabled tracing costs one branch per
 //!   potential record), a bounded in-memory ring buffer, and a JSONL
 //!   file writer. A process-wide sink can be installed so deeply nested
@@ -32,6 +33,6 @@ pub use registry::{is_canonical_name, CounterHandle, Registry};
 pub use timeline::{timeline_doc, SuperstepSpan, TimelineGroup, TIMELINE_SCHEMA};
 pub use trace::{
     global_handle, global_sink, install_global, parse_line, sink_trace, uninstall_global,
-    BufferSink, FanoutSink, JsonlSink, RingSink, SharedSink, Trace, TraceEvent, TraceRecord,
-    TraceSink,
+    BufferSink, FanoutSink, JsonlSink, ProtoTrace, RingSink, SharedSink, Trace, TraceEvent,
+    TraceRecord, TraceSink,
 };

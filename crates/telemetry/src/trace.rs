@@ -427,18 +427,20 @@ fn intern(s: &str) -> &'static str {
 }
 
 /// Destination for trace records.
-pub trait TraceSink {
-    /// Accept one record. Sinks must not panic on I/O trouble; they
-    /// degrade to dropping records and report via [`TraceSink::dropped`].
-    fn record(&mut self, rec: &TraceRecord);
-
-    /// Accept a batch of records, oldest first. Equivalent to calling
-    /// [`TraceSink::record`] per record, but replayers (the parallel
-    /// runner draining a worker's [`BufferSink`]) pay one virtual
-    /// dispatch per batch instead of one per record.
+///
+/// A sink is a [`ProtoTrace`]: [`ProtoTrace::record`] is its one
+/// per-record entry point, so a [`Trace`] handle from [`sink_trace`]
+/// reaches it in one dynamic call. This trait adds what record stores
+/// need beyond that: replaying stored [`TraceRecord`]s, counters and
+/// flushing.
+pub trait TraceSink: ProtoTrace {
+    /// Accept a batch of stored records, oldest first. Equivalent to
+    /// calling [`ProtoTrace::record`] per record, but replayers (the
+    /// parallel runner draining a worker's [`BufferSink`]) pay one
+    /// virtual dispatch per batch instead of one per record.
     fn record_all(&mut self, recs: &[TraceRecord]) {
         for rec in recs {
-            self.record(rec);
+            self.record(rec.t, rec.node, rec.event);
         }
     }
 
@@ -450,7 +452,9 @@ pub trait TraceSink {
         self.len() == 0
     }
 
-    /// Records dropped (ring eviction, write failures).
+    /// Records dropped (ring eviction, write failures). Sinks must not
+    /// panic on I/O trouble; they degrade to dropping records and count
+    /// them here.
     fn dropped(&self) -> u64 {
         0
     }
@@ -487,15 +491,17 @@ impl RingSink {
     }
 }
 
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: &TraceRecord) {
+impl ProtoTrace for RingSink {
+    fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
-        self.buf.push_back(rec.clone());
+        self.buf.push_back(TraceRecord { t, node, event });
         self.seen += 1;
     }
+}
 
+impl TraceSink for RingSink {
     fn len(&self) -> u64 {
         self.seen
     }
@@ -529,12 +535,14 @@ impl BufferSink {
     }
 }
 
-impl TraceSink for BufferSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.buf.push(rec.clone());
+impl ProtoTrace for BufferSink {
+    fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
+        self.buf.push(TraceRecord { t, node, event });
         self.seen += 1;
     }
+}
 
+impl TraceSink for BufferSink {
     fn record_all(&mut self, recs: &[TraceRecord]) {
         self.buf.extend_from_slice(recs);
         self.seen += recs.len() as u64;
@@ -651,10 +659,10 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, rec: &TraceRecord) {
+impl<W: Write> ProtoTrace for JsonlSink<W> {
+    fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
         let render_span = profile::span("sink.render");
-        rec.render_into(&mut self.buf);
+        TraceRecord { t, node, event }.render_into(&mut self.buf);
         self.buf.push('\n');
         self.pending += 1;
         drop(render_span);
@@ -662,7 +670,9 @@ impl<W: Write> TraceSink for JsonlSink<W> {
             self.write_batch();
         }
     }
+}
 
+impl<W: Write> TraceSink for JsonlSink<W> {
     fn len(&self) -> u64 {
         self.written + self.pending
     }
@@ -710,14 +720,16 @@ impl FanoutSink {
     }
 }
 
-impl TraceSink for FanoutSink {
-    fn record(&mut self, rec: &TraceRecord) {
+impl ProtoTrace for FanoutSink {
+    fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
         for sink in &self.sinks {
-            sink.borrow_mut().record(rec);
+            sink.borrow_mut().record(t, node, event);
         }
         self.seen += 1;
     }
+}
 
+impl TraceSink for FanoutSink {
     fn record_all(&mut self, recs: &[TraceRecord]) {
         for sink in &self.sinks {
             sink.borrow_mut().record_all(recs);
@@ -743,26 +755,13 @@ impl TraceSink for FanoutSink {
 /// Shared, dynamically-dispatched sink handle.
 pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
 
-/// A [`SharedSink`] viewed through the host-agnostic [`ProtoTrace`]
-/// contract: events arriving from protocol machines are stamped into
-/// [`TraceRecord`]s and forwarded to the wrapped record sink.
-struct SinkBridge {
-    sink: SharedSink,
-}
-
-impl ProtoTrace for SinkBridge {
-    fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
-        self.sink
-            .borrow_mut()
-            .record(&TraceRecord { t, node, event });
-    }
-}
-
 /// A [`Trace`] handle feeding a record sink, labelling records with
 /// `node`. This is the telemetry-side constructor for the
-/// [`proto_core::trace::Trace`] handle protocol machines carry.
+/// [`proto_core::trace::Trace`] handle protocol machines carry: the sink
+/// itself, upcast to the [`ProtoTrace`] it extends, so each emitted
+/// event is one dynamic call into the sink.
 pub fn sink_trace(sink: SharedSink, node: &'static str) -> Trace {
-    Trace::to_sink(Rc::new(RefCell::new(SinkBridge { sink })), node)
+    Trace::to_sink(sink, node)
 }
 
 thread_local! {
@@ -800,6 +799,17 @@ pub fn global_handle(node: &'static str) -> Trace {
 mod tests {
     use super::*;
 
+    /// Feed a stored record through the sink's one entry point.
+    trait Put {
+        fn put(&mut self, rec: TraceRecord);
+    }
+
+    impl<S: TraceSink + ?Sized> Put for S {
+        fn put(&mut self, rec: TraceRecord) {
+            self.record(rec.t, rec.node, rec.event);
+        }
+    }
+
     fn rec(t_ns: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord {
             t: Instant::from_nanos(t_ns),
@@ -818,7 +828,7 @@ mod tests {
     fn ring_sink_bounds_and_counts() {
         let mut ring = RingSink::new(3);
         for i in 0..5 {
-            ring.record(&rec(
+            ring.put(rec(
                 i,
                 TraceEvent::Nak {
                     seq: i,
@@ -843,7 +853,7 @@ mod tests {
     fn buffer_sink_drains_in_insertion_order() {
         let mut buf = BufferSink::new();
         for i in 0..100 {
-            buf.record(&rec(
+            buf.put(rec(
                 i,
                 TraceEvent::Nak {
                     seq: i,
@@ -883,7 +893,7 @@ mod tests {
     #[test]
     fn jsonl_lines_parse_back() {
         let mut sink = JsonlSink::to_writer(Vec::new());
-        sink.record(&rec(
+        sink.put(rec(
             1_500_000_000,
             TraceEvent::CheckpointEmitted {
                 index: 7,
@@ -893,7 +903,7 @@ mod tests {
                 stop: true,
             },
         ));
-        sink.record(&rec(
+        sink.put(rec(
             2_000_000_000,
             TraceEvent::Renumbered {
                 old_seq: 9,
@@ -918,7 +928,7 @@ mod tests {
     fn buffer_sink_takes_in_order() {
         let mut sink = BufferSink::new();
         for i in 0..4 {
-            sink.record(&rec(
+            sink.put(rec(
                 i,
                 TraceEvent::Nak {
                     seq: i,
@@ -942,14 +952,14 @@ mod tests {
         let a: SharedSink = Rc::new(RefCell::new(RingSink::new(8)));
         let b: SharedSink = Rc::new(RefCell::new(BufferSink::new()));
         let mut fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        fan.record(&rec(
+        fan.put(rec(
             1,
             TraceEvent::Nak {
                 seq: 7,
                 cp_index: 2,
             },
         ));
-        fan.record(&rec(2, TraceEvent::LinkFailed));
+        fan.put(rec(2, TraceEvent::LinkFailed));
         assert_eq!(fan.len(), 2);
         assert_eq!(a.borrow().len(), 2);
         assert_eq!(b.borrow().len(), 2);
@@ -1098,14 +1108,14 @@ mod tests {
             ok_writes: 0,
             accepted: Vec::new(),
         });
-        sink.record(&rec(
+        sink.put(rec(
             1,
             TraceEvent::Nak {
                 seq: 1,
                 cp_index: 0,
             },
         ));
-        sink.record(&rec(
+        sink.put(rec(
             2,
             TraceEvent::Nak {
                 seq: 2,
@@ -1121,7 +1131,7 @@ mod tests {
         assert_eq!(sink.len(), 0, "failed records are not counted written");
         assert_eq!(sink.error().expect("sticky error").to_string(), "disk full");
         // The error stays sticky on subsequent flushes.
-        sink.record(&rec(
+        sink.put(rec(
             3,
             TraceEvent::Nak {
                 seq: 3,
@@ -1148,7 +1158,7 @@ mod tests {
 
         {
             let mut sink = JsonlSink::to_writer(SharedWriter(accepted.clone()));
-            sink.record(&rec(1, TraceEvent::LinkFailed));
+            sink.put(rec(1, TraceEvent::LinkFailed));
             assert!(accepted.borrow().is_empty(), "record is buffered");
         } // dropped without an explicit flush
         let text = String::from_utf8(accepted.borrow().clone()).unwrap();
@@ -1164,7 +1174,7 @@ mod tests {
         });
         let n = (JsonlSink::<FailingWriter>::BATCH_BYTES / 40) as u64 + 2;
         for i in 0..n {
-            sink.record(&rec(
+            sink.put(rec(
                 i,
                 TraceEvent::Nak {
                     seq: i,

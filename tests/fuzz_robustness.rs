@@ -593,7 +593,7 @@ impl lams_dlc_io::Transport for Hostile {
         };
         self.tx_reference = self.tx_reference.max(info.seq);
         self.info_seen += 1;
-        if self.far_every != 0 && self.info_seen % self.far_every == 0 {
+        if self.far_every != 0 && self.info_seen.is_multiple_of(self.far_every) {
             let ahead = [1 << 16, 1 << 32, u64::MAX - info.packet_id.0][self.next() as usize % 3];
             let forged = lams_dlc::Frame::Info(lams_dlc::InfoFrame {
                 packet_id: lams_dlc::PacketId(info.packet_id.0.saturating_add(ahead)),
@@ -608,7 +608,7 @@ impl lams_dlc_io::Transport for Hostile {
             }
         }
         self.inner.send_data(datagram)?;
-        if self.replay_every != 0 && self.info_seen % self.replay_every == 0 {
+        if self.replay_every != 0 && self.info_seen.is_multiple_of(self.replay_every) {
             let pick = self.next() as usize % self.recent.len().max(1);
             if let Some(old) = self.recent.get(pick).cloned() {
                 self.inner.send_data(&old)?;
@@ -639,7 +639,7 @@ impl lams_dlc_io::Transport for Hostile {
         self.checkpoints_seen += 1;
         let covered = self.covered;
         self.covered = self.covered.max(cp.covered);
-        if self.nak_every == 0 || self.checkpoints_seen % self.nak_every != 0 {
+        if self.nak_every == 0 || !self.checkpoints_seen.is_multiple_of(self.nak_every) {
             return self.inner.send_feedback(datagram);
         }
         // Numbers at or below an earlier checkpoint's horizon are no
