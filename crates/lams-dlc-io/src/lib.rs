@@ -327,9 +327,10 @@ impl StatsOut {
     }
 }
 
-/// The numbers a stats document carries, sourced either from a mid-run
-/// [`LiveSnapshot`] or from the folded end-of-run report.
-#[derive(Default)]
+/// The numbers a stats document carries, from a [`LiveSnapshot`]: of
+/// the run so far mid-way, of the finished run in the closing document.
+/// Both read the exact latency samples, so a closing document over the
+/// same samples as the last mid-run one reports the same quantiles.
 struct StatsNums {
     findings: u64,
     records: u64,
@@ -344,8 +345,8 @@ struct StatsNums {
     series: Vec<Json>,
 }
 
-impl StatsNums {
-    fn from_snapshot(snap: LiveSnapshot) -> StatsNums {
+impl From<LiveSnapshot> for StatsNums {
+    fn from(snap: LiveSnapshot) -> StatsNums {
         StatsNums {
             findings: snap.findings,
             records: snap.records,
@@ -359,27 +360,6 @@ impl StatsNums {
             p99_s: snap.delivery_quantile(0.99),
             series: snap.series,
         }
-    }
-
-    fn from_report(report: &monitor::MonitorReport) -> StatsNums {
-        let mut n = StatsNums {
-            findings: report.total_findings,
-            records: report.records,
-            series: report.window_lines.clone(),
-            ..StatsNums::default()
-        };
-        for exp in &report.experiments {
-            n.frames += exp.frames;
-            n.delivered += exp.delivered;
-            n.naks += exp.naks;
-            n.retransmissions += exp.retransmissions;
-            n.max_outstanding = n.max_outstanding.max(exp.max_outstanding);
-            n.lat_count += exp.delivery_count();
-            // One experiment per host run; last one wins is exact here.
-            n.p50_s = exp.delivery_quantile(0.5).or(n.p50_s);
-            n.p99_s = exp.delivery_quantile(0.99).or(n.p99_s);
-        }
-        n
     }
 }
 
@@ -627,7 +607,7 @@ pub fn run_transfer(
             if let Some(out) = stats.as_mut() {
                 let next = next_stats.get_or_insert(pass.start.saturating_add(stats_interval));
                 if pass.t >= *next {
-                    let nums = StatsNums::from_snapshot(mon.borrow().live_snapshot());
+                    let nums = StatsNums::from(mon.borrow().live_snapshot());
                     let elapsed_s = (pass.t - pass.start).as_secs_f64();
                     out.write_doc(&stats_doc(
                         domain,
@@ -655,11 +635,10 @@ pub fn run_transfer(
     );
 
     // The pump has closed the trace, so the auditor has run its final
-    // checks; render the closing stats document from the folded report.
+    // checks; render the closing stats document from the finished run.
     let counters = wire_link.counters;
-    let report = mon.borrow_mut().take_report();
     if let Some(out) = stats.as_mut() {
-        let nums = StatsNums::from_report(&report);
+        let nums = StatsNums::from(mon.borrow().last_run_snapshot());
         let elapsed_s = run.elapsed.as_secs_f64();
         out.write_doc(&stats_doc(
             domain,
@@ -671,6 +650,7 @@ pub fn run_transfer(
             &nums,
         ))?;
     }
+    let report = mon.borrow_mut().take_report();
     if let Some(j) = &jsonl {
         j.borrow_mut()
             .try_flush()

@@ -391,6 +391,62 @@ fn offline_replay_of_the_trace_matches_the_live_audit() {
     );
 }
 
+#[test]
+fn every_stats_document_takes_exact_latency_quantiles() {
+    let stats = temp_path("exact_quantiles_stats.jsonl");
+    let cfg = IoConfig {
+        sdus: 400,
+        payload_len: 48,
+        drop_every: 7,
+        corrupt_every: 13,
+        stats: Some(stats.display().to_string()),
+        stats_interval: std::time::Duration::from_millis(1),
+        trace: Some(temp_path("exact_quantiles.jsonl")),
+        ..IoConfig::default()
+    };
+    let (_, trace) = run_traced(&cfg);
+
+    // The exact samples, rebuilt from the trace's lifecycles.
+    let mut mon = Monitor::new(MonitorConfig {
+        keep_lifecycles: true,
+        ..MonitorConfig::default()
+    });
+    for line in trace.lines() {
+        mon.observe(&parse_line(line).expect("trace line parses"));
+    }
+    let mut samples: Vec<f64> = mon
+        .take_report()
+        .lifecycles
+        .iter()
+        .filter_map(|l| l.delivery_latency_s())
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let nearest_rank = |q: f64| samples[((q * samples.len() as f64).ceil() as usize).max(1) - 1];
+
+    let text = std::fs::read_to_string(&stats).expect("stats readable");
+    let docs: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).expect("stats line parses"))
+        .collect();
+    let latency = |d: &Json, key: &str| {
+        d.get("delivery_latency")
+            .and_then(|l| l.get(key))
+            .and_then(Json::as_f64)
+    };
+    let last = docs.last().expect("a closing document");
+    assert_eq!(last.get("final").and_then(Json::as_bool), Some(true));
+    assert_eq!(latency(last, "count"), Some(samples.len() as f64));
+    assert_eq!(latency(last, "p50_s"), Some(nearest_rank(0.5)));
+    assert_eq!(latency(last, "p99_s"), Some(nearest_rank(0.99)));
+    // A mid-run document over the same samples agrees with it exactly.
+    let before = &docs[docs.len() - 2];
+    if latency(before, "count") == latency(last, "count") {
+        for key in ["p50_s", "p99_s"] {
+            assert_eq!(latency(before, key), latency(last, key), "{key}");
+        }
+    }
+}
+
 /// A manual clock that counts the pump's sleeps, and the zero-length
 /// ones among them: a pump that sleeps for nothing is busy-spinning.
 #[derive(Default)]

@@ -22,7 +22,15 @@
 //! audit, the monitor maintains fixed-interval windowed series
 //! (throughput, NAK rate, retransmissions in flight, buffer occupancy
 //! high-water marks) and per-frame lifecycles feeding delivery-latency
-//! histograms — summarized per experiment in [`ExperimentMetrics`].
+//! histograms — summarized per experiment in [`ExperimentMetrics`] —
+//! and splits every delivered SDU's latency into causal phases
+//! ([`attribution`]).
+//!
+//! Each link keeps one frame table for all of it: one entry per
+//! unresolved user frame, keyed by its current wire sequence number,
+//! carries both the audit fields and the attribution fields, and each
+//! record makes one call into the link's state, which audits first and
+//! attributes second.
 //!
 //! The same state machine powers the `trace-tools` binary, which
 //! replays a `--trace` JSONL file offline and reconstructs identical
@@ -31,23 +39,24 @@
 //! Everything is keyed by *link*: trace node labels pair up by prefix
 //! (`"tx"`/`"rx"`, `"a2b.tx"`/`"a2b.rx"`, `"hop3.tx"`/`"hop3.rx"`).
 //! Only links announcing a [`telemetry::TraceEvent::SenderConfig`]
-//! (LAMS-DLC senders) are audited; the HDLC baselines reuse sequence
-//! numbers by design and pass through unaudited.
+//! (LAMS-DLC senders) are audited and attributed; the HDLC baselines
+//! reuse sequence numbers by design and pass through with no frame
+//! state kept.
 
 #![warn(missing_docs)]
 
 pub mod attribution;
-pub mod audit;
 pub mod finding;
 pub mod lifecycle;
+mod link;
 pub mod series;
 
-pub use attribution::{AttributionAgg, LinkAttribution, Phase, PhaseAgg, PHASE_NAMES};
-pub use audit::{LinkAuditor, LinkTiming};
+pub use attribution::{AttributionAgg, Phase, PhaseAgg, PHASE_NAMES};
 pub use finding::{AuditFinding, Findings, Invariant};
 pub use lifecycle::FrameLifecycle;
 pub use series::{LinkSeries, WindowAcc};
 
+use link::{LinkState, LinkTally, LinkTiming};
 use sim_core::stats::Histogram;
 use sim_core::{Duration, Instant};
 use telemetry::{Json, ProtoTrace, Registry, TraceEvent, TraceRecord, TraceSink};
@@ -83,11 +92,10 @@ fn split_node(node: &'static str) -> Option<(&'static str, Side)> {
     }
 }
 
-/// One link's audit and attribution state over the current run.
+/// One link's monitor state over the current run.
 struct Link {
     key: &'static str,
-    audit: LinkAuditor,
-    attr: LinkAttribution,
+    state: LinkState,
 }
 
 /// Identity of a `&'static str` label: its address and length. Static
@@ -272,9 +280,10 @@ impl MonitorReport {
     }
 }
 
-/// A point-in-time view of the current run's audited links, taken
-/// mid-run without disturbing any audit or series state — the data
-/// behind a live `--stats` snapshot on a wall-clock host.
+/// A view of one run's audited links — the current run mid-way, taken
+/// without disturbing any audit or series state, or the run that
+/// finished last. The data behind every `--stats` document of a
+/// wall-clock host, so mid-run and closing documents share one rule.
 pub struct LiveSnapshot {
     /// Findings so far (monitor lifetime, capped-out ones included).
     pub findings: u64,
@@ -297,6 +306,22 @@ pub struct LiveSnapshot {
 }
 
 impl LiveSnapshot {
+    fn new(monitor: &Monitor, mut run: LinkTally, series: Vec<Json>) -> Self {
+        run.latencies
+            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        LiveSnapshot {
+            findings: monitor.findings.total(),
+            records: monitor.seen,
+            frames: run.frames,
+            delivered: run.delivered,
+            naks: run.naks,
+            retransmissions: run.retransmissions,
+            max_outstanding: run.max_outstanding,
+            series,
+            latencies: run.latencies,
+        }
+    }
+
     /// Delivery-latency samples in the snapshot.
     pub fn delivery_count(&self) -> u64 {
         self.latencies.len() as u64
@@ -339,6 +364,9 @@ pub struct Monitor {
     counters: Registry,
     window_lines: Vec<Json>,
     lifecycles: Vec<FrameLifecycle>,
+    /// The last finished run's tallies, summed over its audited links,
+    /// and where its lines start in `window_lines`.
+    last_run: (LinkTally, usize),
     /// Clock domain announced by the stream's `trace_header`, if any.
     clock_domain: Option<&'static str>,
     /// Self-profiling handle, resolved at construction (create the
@@ -365,6 +393,7 @@ impl Monitor {
             counters: Registry::new(),
             window_lines: Vec::new(),
             lifecycles: Vec::new(),
+            last_run: (LinkTally::default(), 0),
             clock_domain: None,
             prof: profile::current(),
         }
@@ -423,44 +452,40 @@ impl Monitor {
         let _span = self.prof.span("monitor.rebuild");
         self.cur_exp = self.experiment_slot(self.experiment_id);
         let order = self.key_order();
-        let run = self.run_ordinal;
-        for &i in &order {
-            let Link { key, audit: la, .. } = &mut self.links[i];
-            la.on_run_finished(t, deadline_hit, &mut self.findings);
-            if !la.audited() {
-                continue;
-            }
-            let exp = &mut self.experiments[self.cur_exp];
-            exp.frames += la.tally.frames;
-            exp.delivered += la.tally.delivered;
-            exp.naks += la.tally.naks;
-            exp.retransmissions += la.tally.retransmissions;
-            exp.max_outstanding = exp.max_outstanding.max(la.tally.max_outstanding);
-            for &l in &la.tally.latencies {
-                exp.delivery.record(l);
-            }
-            self.window_lines
-                .extend(la.series.drain_lines(exp.id, run, key));
-            self.lifecycles.append(&mut la.lifecycles);
-        }
-        for &i in &order {
-            let at = &mut self.links[i].attr;
-            at.on_run_finished();
-            if !at.armed() {
-                continue;
-            }
-            if at.agg.incomplete > 0 {
-                self.counters
-                    .add("monitor.attribution.incomplete", at.agg.incomplete as f64);
-            }
-            self.experiments[self.cur_exp].attribution.absorb(&at.agg);
-        }
         let exp = &mut self.experiments[self.cur_exp];
+        let (mut run, lines_from) = (LinkTally::default(), self.window_lines.len());
+        for i in order {
+            let Link { key, state } = &mut self.links[i];
+            state.on_run_finished(t, deadline_hit, &mut self.findings);
+            if !state.armed() {
+                continue;
+            }
+            run.add(&state.tally);
+            self.window_lines
+                .extend(state.series.drain_lines(exp.id, self.run_ordinal, key));
+            self.lifecycles.append(&mut state.lifecycles);
+            if state.agg.incomplete > 0 {
+                self.counters.add(
+                    "monitor.attribution.incomplete",
+                    state.agg.incomplete as f64,
+                );
+            }
+            exp.attribution.absorb(&state.agg);
+        }
+        exp.frames += run.frames;
+        exp.delivered += run.delivered;
+        exp.naks += run.naks;
+        exp.retransmissions += run.retransmissions;
+        exp.max_outstanding = exp.max_outstanding.max(run.max_outstanding);
+        for &l in &run.latencies {
+            exp.delivery.record(l);
+        }
         exp.attribution.reseq.absorb(&self.run_reseq);
         self.run_reseq = PhaseAgg::default();
         exp.runs += 1;
         exp.findings += self.findings.total() - self.run_base;
         self.run_base = self.findings.total();
+        self.last_run = (run, lines_from);
         self.links.clear();
         self.labels.clear();
         self.run_ordinal += 1;
@@ -481,8 +506,7 @@ impl Monitor {
                     let exp_id = self.experiment_id;
                     self.links.push(Link {
                         key,
-                        audit: LinkAuditor::new(key, exp_id, window, keep),
-                        attr: LinkAttribution::new(exp_id),
+                        state: LinkState::new(key, exp_id, window, keep),
                     });
                     self.links.len() - 1
                 }
@@ -530,13 +554,9 @@ impl Monitor {
                     self.run_clock = t;
                 }
                 let _span = self.prof.span("monitor.observe");
-                // One dispatch: the invariant auditor, then the latency
-                // attribution, each against this link's state.
-                let Link {
-                    audit: la,
-                    attr: at,
-                    ..
-                } = &mut self.links[slot];
+                // One dispatch, one call: each handler audits the
+                // invariants first and attributes latency second.
+                let state = &mut self.links[slot].state;
                 let out = &mut self.findings;
                 match (side, event) {
                     (
@@ -550,31 +570,25 @@ impl Monitor {
                             failure_ns,
                         },
                     ) => {
-                        let slack = wall_slack_ns(&self.cfg, self.clock_domain);
-                        la.on_sender_config(
-                            t,
-                            node,
-                            LinkTiming {
-                                w_cp: Duration::from_nanos(w_cp_ns + slack),
-                                cp_timeout: Duration::from_nanos(cp_timeout_ns + slack),
-                                rtt: Duration::from_nanos(rtt_ns),
-                                resolving: Duration::from_nanos(resolving_ns + slack),
-                                failure: Duration::from_nanos(failure_ns + slack),
-                            },
+                        let timing = LinkTiming::announced(
+                            w_cp_ns,
+                            c_depth,
+                            rtt_ns,
+                            cp_timeout_ns,
+                            resolving_ns,
+                            failure_ns,
+                            wall_slack_ns(&self.cfg, self.clock_domain),
                         );
-                        at.on_sender_config(node, w_cp_ns, rtt_ns, c_depth, slack);
+                        state.on_sender_config(t, node, timing);
                     }
                     (Side::Tx, &TraceEvent::IFrameTx { seq, retx, .. }) => {
-                        la.on_tx(t, node, seq, retx, out);
-                        at.on_tx(t, seq, retx);
+                        state.on_tx(t, node, seq, retx, out)
                     }
                     (Side::Tx, &TraceEvent::CheckpointReceived { index, covered, .. }) => {
-                        la.on_cp_rx(t, node, index, covered, out);
-                        at.on_cp_rx(t, index);
+                        state.on_cp_rx(t, node, index, covered, out)
                     }
                     (Side::Tx, &TraceEvent::Renumbered { old_seq, new_seq }) => {
-                        la.on_renumbered(t, node, old_seq, new_seq, out);
-                        at.on_renumbered(old_seq, new_seq);
+                        state.on_renumbered(t, node, old_seq, new_seq, out)
                     }
                     (
                         Side::Tx,
@@ -583,37 +597,24 @@ impl Monitor {
                             cause,
                             cp_index,
                         },
-                    ) => at.on_retx_cause(t, seq, cause, cp_index, out),
+                    ) => state.on_retx_cause(t, seq, cause, cp_index, out),
                     (Side::Tx, &TraceEvent::EnforcedRecoveryStarted { .. }) => {
-                        la.on_enforced_start(t);
-                        at.on_enforced_start(t);
+                        state.on_enforced_start(t)
                     }
-                    (Side::Tx, &TraceEvent::EnforcedRecoveryResolved) => {
-                        la.on_enforced_end(t);
-                        at.on_enforced_end(t);
-                    }
-                    (Side::Tx, &TraceEvent::StopGo { stop }) => {
-                        if stop {
-                            la.on_stop(t);
-                        }
-                        at.on_stop_go(t, stop);
-                    }
+                    (Side::Tx, &TraceEvent::EnforcedRecoveryResolved) => state.on_enforced_end(t),
+                    (Side::Tx, &TraceEvent::StopGo { stop }) => state.on_stop_go(t, stop),
                     (Side::Tx, &TraceEvent::BufferRelease { seq, .. }) => {
-                        la.on_release(t, node, seq, out);
-                        at.on_release(seq);
+                        state.on_release(t, node, seq, out)
                     }
-                    (Side::Tx, &TraceEvent::LinkFailed) => la.on_link_failed(),
+                    (Side::Tx, &TraceEvent::LinkFailed) => state.on_link_failed(),
                     (Side::Rx, &TraceEvent::IFrameRx { seq, clean, .. }) => {
-                        la.on_rx(t, seq, clean);
-                        at.on_rx(t, seq, clean, out);
+                        state.on_rx(t, seq, clean, out)
                     }
                     (Side::Rx, &TraceEvent::CheckpointEmitted { index, .. }) => {
-                        la.on_cp_emit(t, node, index, out);
-                        at.on_cp_emit(t, index);
+                        state.on_cp_emit(t, node, index, out)
                     }
                     (Side::Rx, &TraceEvent::Nak { seq, cp_index }) => {
-                        la.on_nak(t, seq);
-                        at.on_nak(t, seq, cp_index);
+                        state.on_nak(t, seq, cp_index)
                     }
                     _ => {}
                 }
@@ -633,36 +634,28 @@ impl Monitor {
     /// over audited links in key order. Reading is non-destructive —
     /// the run keeps accumulating and `finish_run` folds as usual.
     pub fn live_snapshot(&self) -> LiveSnapshot {
-        let mut snap = LiveSnapshot {
-            findings: self.findings.total(),
-            records: self.seen,
-            frames: 0,
-            delivered: 0,
-            naks: 0,
-            retransmissions: 0,
-            max_outstanding: 0,
-            series: Vec::new(),
-            latencies: Vec::new(),
-        };
+        let (mut run, mut series) = (LinkTally::default(), Vec::new());
         for i in self.key_order() {
-            let Link { key, audit: la, .. } = &self.links[i];
-            if !la.audited() {
-                continue;
+            let Link { key, state } = &self.links[i];
+            if state.armed() {
+                run.add(&state.tally);
+                series.extend(
+                    state
+                        .series
+                        .peek_lines(self.experiment_id, self.run_ordinal, key),
+                );
             }
-            snap.frames += la.tally.frames;
-            snap.delivered += la.tally.delivered;
-            snap.naks += la.tally.naks;
-            snap.retransmissions += la.tally.retransmissions;
-            snap.max_outstanding = snap.max_outstanding.max(la.tally.max_outstanding);
-            snap.latencies.extend_from_slice(&la.tally.latencies);
-            snap.series.extend(
-                la.series
-                    .peek_lines(self.experiment_id, self.run_ordinal, key),
-            );
         }
-        snap.latencies
-            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        snap
+        LiveSnapshot::new(self, run, series)
+    }
+
+    /// The same view of the run that finished last, end-of-run findings
+    /// included: what a host's closing `--stats` document reports. Read
+    /// it before [`Monitor::take_report`], which resets the monitor.
+    pub fn last_run_snapshot(&self) -> LiveSnapshot {
+        let (run, lines_from) = &self.last_run;
+        let series = self.window_lines.get(*lines_from..).unwrap_or_default();
+        LiveSnapshot::new(self, run.clone(), series.to_vec())
     }
 
     /// Drain everything accumulated into a report, resetting the
@@ -670,6 +663,7 @@ impl Monitor {
     pub fn take_report(&mut self) -> MonitorReport {
         let total_findings = self.findings.total();
         self.run_base = 0;
+        self.last_run = (LinkTally::default(), 0);
         MonitorReport {
             findings: self.findings.take(),
             total_findings,
@@ -1360,7 +1354,7 @@ mod tests {
 
     #[test]
     fn hdlc_links_without_sender_config_are_not_audited() {
-        let records = vec![
+        let records = [
             rec(0, "sim", TraceEvent::RunStarted),
             rec(
                 MS,
@@ -1384,13 +1378,30 @@ mod tests {
             ),
             rec(
                 3 * MS,
+                "rx",
+                TraceEvent::IFrameRx {
+                    seq: 5,
+                    clean: true,
+                    len: 1024,
+                },
+            ),
+            rec(
+                4 * MS,
                 "sim",
                 TraceEvent::RunFinished {
                     deadline_hit: false,
                 },
             ),
         ];
-        let m = feed(&records);
+        let (mid_run, end) = records.split_at(records.len() - 1);
+        let mut m = feed(mid_run);
+        assert_eq!(m.links.len(), 1);
+        assert_eq!(
+            m.links[0].state.open_frames(),
+            0,
+            "an unarmed link keeps no frame state"
+        );
+        m.observe(&end[0]);
         assert_eq!(m.total_findings(), 0);
     }
 
@@ -1425,6 +1436,12 @@ mod tests {
         // the same tallies and series into the report.
         m.observe(&records[records.len() - 1]);
         assert_eq!(m.total_findings(), 0, "{:?}", m.findings());
+        // The finished run reads back the same way, by the same rule.
+        let last = m.last_run_snapshot();
+        assert_eq!((last.delivered, last.frames), (snap.delivered, snap.frames));
+        assert_eq!(last.delivery_quantile(0.5), snap.delivery_quantile(0.5));
+        assert_eq!(last.series, snap.series);
+        assert_eq!(last.records, records.len() as u64);
         let report = m.take_report();
         assert_eq!(report.experiments[0].delivered, 1);
         assert!(!report.window_lines.is_empty());
@@ -1739,8 +1756,7 @@ mod tests {
                 let event = arbitrary_event(kind, a, b, &mut fresh);
                 m.observe(&rec(t, NODES[node], event));
                 for link in &m.links {
-                    proptest::prop_assert!(link.audit.ring_span() <= WINDOW_CAP);
-                    proptest::prop_assert!(link.attr.ring_span() <= WINDOW_CAP);
+                    proptest::prop_assert!(link.state.ring_span() <= WINDOW_CAP);
                 }
             }
             let snap = m.live_snapshot();

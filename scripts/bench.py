@@ -31,7 +31,8 @@ writes one `lams-dlc.bench/1` document:
 /proc/cpuinfo and the vCPU count. Only numbers from one machine class
 are comparable.
 
-With --parent DIR (a checkout of the parent commit), the parent's own
+With --parent DIR (a git checkout of the parent commit; anything else
+is refused, since the row must name its commit), the parent's own
 bench_suite (built there unless --no-build) times the quick experiments
 once per repetition, alternating with the fresh runs, and its median
 quick-all total is recorded under `parent` with the checkout's commit:
@@ -358,6 +359,18 @@ def main():
         fail("--reps must be >= 1")
 
     parent = Path(args.parent).resolve() if args.parent else None
+    parent_commit = None
+    if parent:
+        # A ledger row must say what it was compared against: refuse a
+        # DIR that is not a git checkout before spending any time on it.
+        if not parent.is_dir():
+            fail(f"--parent {parent}: no such directory")
+        r = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                           cwd=parent, capture_output=True, text=True)
+        parent_commit = r.stdout.strip()
+        if r.returncode != 0 or not parent_commit:
+            fail(f"--parent {parent}: not a git checkout, so its commit "
+                 f"is unknown ({r.stderr.strip() or 'no HEAD'})")
     if not args.no_build:
         for tree in [REPO] + ([parent] if parent else []):
             r = subprocess.run(
@@ -395,11 +408,8 @@ def main():
         "profile": reps[0].get("profile"),
     }
     if parent:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=parent,
-            capture_output=True, text=True).stdout.strip()
         merged["parent"] = {
-            "commit": commit or None,
+            "commit": parent_commit,
             "reps": len(parent_totals),
             "total": median_total([{"total": t} for t in parent_totals]),
         }

@@ -52,8 +52,9 @@ the live monitor must reconstruct the same causal story.
 Each `--live FILE` must be a `lams-dlc.live/1` JSONL stream (as written
 by `lams-dlc-io --stats`): every snapshot well-formed with one constant
 clock domain, cumulative counters monotone non-decreasing across
-snapshots, zero audit findings throughout, and exactly the last
-document marked final.
+snapshots, zero audit findings throughout, exactly the last
+document marked final, and a final document whose latency quantiles
+equal the previous document's when both cover the same samples.
 
 Each `--mcheck FILE` must be a `lams-dlc.mcheck/1` sweep document (as
 written by `model-check --json`): zero violations, every schedule
@@ -724,7 +725,8 @@ def validate_live_doc(doc, where, path):
 def check_live(path):
     """A whole `--stats` stream: per-line validity plus the cross-line
     invariants (constant domain, monotone cumulative numbers, exactly
-    one final document, at the end)."""
+    one final document, at the end, quantiles that agree with the
+    document before it over the same samples)."""
     try:
         with open(path) as f:
             lines = [ln for ln in f.read().splitlines() if ln.strip()]
@@ -764,6 +766,17 @@ def check_live(path):
         fail(f"{path}: final document delivered "
              f"{final['progress']['delivered']} of "
              f"{final['progress']['sdus']} SDUs")
+    # Every document takes its quantiles from the exact samples, so a
+    # final document over the same samples as the one before it must
+    # report the same quantiles.
+    if len(docs) > 1:
+        prev, last = docs[-2]["delivery_latency"], final["delivery_latency"]
+        if prev["count"] == last["count"]:
+            for key in ("p50_s", "p99_s"):
+                if prev[key] != last[key]:
+                    fail(f"{path}:{len(docs)}: final delivery_latency "
+                         f"{key} {last[key]} differs from {prev[key]} on "
+                         f"the same {last['count']} samples")
 
 
 # The model-check sweep document. Every adversary knob must have fired:
