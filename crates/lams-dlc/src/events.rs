@@ -1,4 +1,7 @@
-//! Events surfaced by the protocol endpoints to the layer above.
+//! Events surfaced by the LAMS-DLC sender to the layer above.
+//!
+//! The receiver has no notification stream: everything it could report
+//! is a [`crate::receiver::ReceiverStats`] counter or a trace record.
 
 use crate::frame::PacketId;
 use proto_core::Instant;
@@ -16,16 +19,6 @@ pub enum SenderEvent {
         seq: u64,
         /// Sender-buffer holding time, nanoseconds.
         held_for_ns: u64,
-    },
-    /// A NAK arrived for `old_seq`; the frame was renumbered to `new_seq`
-    /// and queued for retransmission.
-    Renumbered {
-        /// The datagram being retransmitted.
-        packet_id: PacketId,
-        /// The superseded sequence number.
-        old_seq: u64,
-        /// The fresh sequence number (§3.2 renumbering).
-        new_seq: u64,
     },
     /// The checkpoint timer expired: entering enforced recovery, a
     /// Request-NAK is queued (§3.2).
@@ -47,71 +40,9 @@ pub enum SenderEvent {
         /// When failure was declared.
         at: Instant,
     },
-    /// A frame passed its resolving deadline without any checkpoint
-    /// accounting for it and was preemptively renumbered/retransmitted.
-    /// Rare by construction; non-zero counts indicate tail losses (e.g. a
-    /// corrupted final frame followed by traffic silence).
-    ResolvingExpired {
-        /// The datagram being retransmitted.
-        packet_id: PacketId,
-        /// The expired sequence number.
-        old_seq: u64,
-        /// The fresh sequence number.
-        new_seq: u64,
-    },
     /// Flow control changed the sending-rate fraction.
     RateChanged {
         /// New rate fraction in `[min_rate, 1]`.
         rate: f64,
-    },
-}
-
-/// Events emitted by the [`crate::receiver::Receiver`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReceiverEvent {
-    /// A clean I-frame was delivered upward (out-of-order delivery is
-    /// normal: §2.3 relaxes the in-sequence constraint, the destination
-    /// resequences).
-    Delivered {
-        /// The delivered datagram.
-        packet_id: PacketId,
-        /// The sequence number it arrived under.
-        seq: u64,
-    },
-    /// An erroneous I-frame (or a gap implying a lost frame) was recorded
-    /// for NAKing at the next checkpoint.
-    ErrorRecorded {
-        /// The erroneous/missing sequence number.
-        seq: u64,
-        /// True if a corrupted frame physically arrived; false for a
-        /// gap-inferred loss.
-        arrived: bool,
-    },
-    /// A Request-NAK was answered with an Enforced-NAK.
-    EnforcedNakSent {
-        /// The probe id echoed back.
-        probe: u64,
-    },
-    /// The receive buffer crossed its occupancy watermark; subsequent
-    /// checkpoints carry Stop until it drains (§3.4).
-    CongestionOnset,
-    /// The receive buffer drained below the watermark; checkpoints carry
-    /// Go again.
-    CongestionCleared,
-    /// An arriving clean I-frame found the receive buffer full and was
-    /// discarded (it will be NAK'd and retransmitted; §3.4 allows the
-    /// receiver to discard overflow while signalling Stop).
-    OverflowDiscarded {
-        /// The discarded frame's sequence number.
-        seq: u64,
-    },
-    /// The zero-duplication extension suppressed a repeated datagram
-    /// (§3.2 "more recent version"; only with
-    /// [`crate::receiver::Receiver::with_dedup`]).
-    DuplicateSuppressed {
-        /// The repeated datagram.
-        packet_id: PacketId,
-        /// The sequence number it arrived under.
-        seq: u64,
     },
 }

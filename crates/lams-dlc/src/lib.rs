@@ -77,9 +77,34 @@ pub mod wire;
 
 pub use config::{FlowConfig, LamsConfig};
 pub use dedup::DedupWindow;
-pub use events::{ReceiverEvent, SenderEvent};
+pub use events::SenderEvent;
 pub use flow::RateController;
 pub use frame::{CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, RxStatus, StopGo};
 pub use receiver::{Delivery, Receiver, ReceiverStats};
 pub use resequencer::{Resequencer, ResequencerStats};
 pub use sender::{QueueFull, Sender, SenderState, SenderStats};
+
+/// A trace sink for the machines' unit tests, which read what a
+/// machine reports on its trace.
+#[cfg(test)]
+pub(crate) mod recorded {
+    use proto_core::{Instant, ProtoTrace, Trace, TraceEvent};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Every event recorded, oldest first.
+    #[derive(Default)]
+    pub(crate) struct Recorded(pub Vec<TraceEvent>);
+
+    impl ProtoTrace for Recorded {
+        fn record(&mut self, _: Instant, _: &'static str, event: TraceEvent) {
+            self.0.push(event);
+        }
+    }
+
+    /// A trace handle labelled `node` feeding a fresh [`Recorded`].
+    pub(crate) fn recorder(node: &'static str) -> (Trace, Rc<RefCell<Recorded>>) {
+        let sink = Rc::new(RefCell::new(Recorded::default()));
+        (Trace::to_sink(sink.clone(), node), sink)
+    }
+}

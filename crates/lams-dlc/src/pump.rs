@@ -12,7 +12,7 @@
 //! 4. application delivery, resequenced and checked to be in order and
 //!    to carry the SDU's payload;
 //! 5. receiver frames → [`Link::send_feedback`] → arrivals to the sender;
-//! 6. both event queues drained.
+//! 6. the sender's notifications drained (the receiver has none).
 //!
 //! So a Request-NAK reaching the receiver at `t` is answered at `t`. The
 //! pump then sleeps to the earliest of both machines' `poll_timeout()`,
@@ -255,9 +255,8 @@ impl RunState {
                 sender.handle_frame(t, frame, status);
             }
 
-            // No host consumes the machines' notifications.
+            // No host consumes the sender's notifications.
             while sender.poll_event().is_some() {}
-            while receiver.poll_event().is_some() {}
 
             let pass = Pass {
                 t,

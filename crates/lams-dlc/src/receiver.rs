@@ -18,6 +18,11 @@
 //!   resolving period (or a Resolving Command if it has nothing to
 //!   report).
 //!
+//! It has no notification stream (`Event = ()`): what it could report
+//! (errors recorded, Enforced-NAKs sent, overflow, duplicates, congestion
+//! onset and clearance) is a [`ReceiverStats`] counter or a trace record
+//! (`nak`, `checkpoint_emitted`, `buffer_watermark`).
+//!
 //! Errors are recorded in strictly ascending order. Gap inference,
 //! corruption and overflow each record numbers above `highest_seen` (or
 //! the first arrival's own number) and then raise it, and any later
@@ -30,7 +35,6 @@
 
 use crate::config::LamsConfig;
 use crate::dedup::DedupWindow;
-use crate::events::ReceiverEvent;
 use crate::frame::{CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, RxStatus, StopGo};
 use bytes::Bytes;
 use proto_core::Instant;
@@ -100,7 +104,6 @@ pub struct Receiver {
     stop_watermark: usize,
     congested: bool,
     pending_tx: VecDeque<Frame>,
-    events: VecDeque<ReceiverEvent>,
     stats: ReceiverStats,
     /// Optional link-level duplicate suppression (§3.2 extension).
     dedup: Option<DedupWindow>,
@@ -134,7 +137,6 @@ impl Receiver {
             stop_watermark,
             congested: false,
             pending_tx: VecDeque::new(),
-            events: VecDeque::new(),
             stats: ReceiverStats::default(),
             dedup: None,
             trace: Trace::disabled(),
@@ -174,11 +176,6 @@ impl Receiver {
     /// Highest sequence number accounted for.
     pub fn highest_seen(&self) -> u64 {
         self.highest_seen
-    }
-
-    /// Drain the next protocol notification.
-    pub fn poll_event(&mut self) -> Option<ReceiverEvent> {
-        self.events.pop_front()
     }
 
     /// Earliest instant at which the receiver has time-driven work.
@@ -252,7 +249,7 @@ impl Receiver {
         self.any_arrived = true;
         let expected = self.highest_seen + 1;
         for missing in expected..info.seq {
-            self.record_error(now, missing, false);
+            self.record_error(now, missing);
             self.stats.gaps_inferred += 1;
         }
         self.highest_seen = info.seq;
@@ -260,16 +257,12 @@ impl Receiver {
         match status {
             RxStatus::PayloadCorrupted => {
                 self.stats.corrupted += 1;
-                self.record_error(now, info.seq, true);
+                self.record_error(now, info.seq);
             }
             RxStatus::Ok => {
                 if let Some(d) = self.dedup.as_mut() {
                     if !d.accept(now, info.packet_id) {
                         self.stats.duplicates_suppressed += 1;
-                        self.events.push_back(ReceiverEvent::DuplicateSuppressed {
-                            packet_id: info.packet_id,
-                            seq: info.seq,
-                        });
                         return;
                     }
                 }
@@ -278,18 +271,12 @@ impl Receiver {
                     // signalling Stop; the discarded frame is NAK'd so the
                     // sender retransmits it later.
                     self.stats.overflow_discards += 1;
-                    self.record_error(now, info.seq, true);
-                    self.events
-                        .push_back(ReceiverEvent::OverflowDiscarded { seq: info.seq });
+                    self.record_error(now, info.seq);
                 } else {
                     self.stats.accepted += 1;
                     let start = self.server_free_at.max(now);
                     let ready_at = start + self.cfg.t_proc;
                     self.server_free_at = ready_at;
-                    self.events.push_back(ReceiverEvent::Delivered {
-                        packet_id: info.packet_id,
-                        seq: info.seq,
-                    });
                     self.processing.push_back(Delivery {
                         packet_id: info.packet_id,
                         seq: info.seq,
@@ -302,14 +289,12 @@ impl Receiver {
         }
     }
 
-    fn record_error(&mut self, now: Instant, seq: u64, arrived: bool) {
+    fn record_error(&mut self, now: Instant, seq: u64) {
         debug_assert!(
             self.last_error().is_none_or(|last| last < seq),
             "error {seq} recorded after an equal or higher one"
         );
         self.current_errors.push(seq);
-        self.events
-            .push_back(ReceiverEvent::ErrorRecorded { seq, arrived });
         // The open interval closes into checkpoint `cp_index + 1`: that is
         // the first checkpoint whose cumulative NAK list carries this error.
         self.trace.emit(now, || TraceEvent::Nak {
@@ -331,8 +316,6 @@ impl Receiver {
         // from the resolving period — which the cumulative window spans.
         self.emit_checkpoint(now, true, Some(probe));
         self.stats.enforced_sent += 1;
-        self.events
-            .push_back(ReceiverEvent::EnforcedNakSent { probe });
     }
 
     fn emit_checkpoint(&mut self, now: Instant, enforced: bool, probe: Option<u64>) {
@@ -381,7 +364,6 @@ impl Receiver {
         let now_congested = self.processing.len() >= self.stop_watermark;
         if now_congested && !self.congested {
             self.congested = true;
-            self.events.push_back(ReceiverEvent::CongestionOnset);
             self.trace.emit(now, || TraceEvent::BufferWatermark {
                 buffer: "rx",
                 level: self.processing.len() as u64,
@@ -389,7 +371,6 @@ impl Receiver {
             });
         } else if !now_congested && self.congested {
             self.congested = false;
-            self.events.push_back(ReceiverEvent::CongestionCleared);
             self.trace.emit(now, || TraceEvent::BufferWatermark {
                 buffer: "rx",
                 level: self.processing.len() as u64,
@@ -401,7 +382,7 @@ impl Receiver {
 
 impl proto_core::Machine for Receiver {
     type Frame = Frame;
-    type Event = ReceiverEvent;
+    type Event = ();
 
     fn start(&mut self, now: Instant) {
         Receiver::start(self, now);
@@ -421,10 +402,6 @@ impl proto_core::Machine for Receiver {
 
     fn on_timeout(&mut self, now: Instant) {
         Receiver::on_timeout(self, now);
-    }
-
-    fn poll_event(&mut self) -> Option<ReceiverEvent> {
-        Receiver::poll_event(self)
     }
 
     fn set_trace(&mut self, trace: Trace) {
@@ -462,9 +439,18 @@ impl proto_core::ReceiverMachine for Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorded::{recorder, Recorded};
     use proptest::prelude::*;
-    use proto_core::Duration;
+    use proto_core::{Duration, Machine};
+    use std::cell::RefCell;
     use std::collections::BTreeSet;
+    use std::rc::Rc;
+
+    /// `r` emitting into a fresh [`Recorded`].
+    fn traced(r: Receiver) -> (Receiver, Rc<RefCell<Recorded>>) {
+        let (trace, sink) = recorder("rx");
+        (r.with_trace(trace), sink)
+    }
 
     /// The cumulative NAK list as a union of interval sets, then sorted:
     /// the computation the linear concatenation replaced, kept as the
@@ -597,7 +583,8 @@ mod tests {
 
     #[test]
     fn request_nak_answered_immediately_with_enforced() {
-        let (mut r, now) = started();
+        let (r, now) = started();
+        let (mut r, sink) = traced(r);
         r.handle_frame(now, info(1), RxStatus::PayloadCorrupted);
         let t = now + Duration::from_micros(100);
         r.handle_frame(
@@ -614,8 +601,16 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(r.stats().enforced_sent, 1);
-        let sent = std::iter::from_fn(|| r.poll_event())
-            .any(|e| matches!(e, ReceiverEvent::EnforcedNakSent { probe: 7 }));
+        let sent = sink.borrow().0.iter().any(|e| {
+            matches!(
+                e,
+                TraceEvent::CheckpointEmitted {
+                    enforced: true,
+                    naks: 1,
+                    ..
+                }
+            )
+        });
         assert!(sent);
     }
 
@@ -664,7 +659,7 @@ mod tests {
 
     #[test]
     fn stop_go_tracks_watermark() {
-        let mut r = Receiver::with_capacity(cfg(), 10, 2);
+        let (mut r, sink) = traced(Receiver::with_capacity(cfg(), 10, 2));
         r.start(Instant::ZERO);
         let now = Instant::ZERO;
         r.handle_frame(now, info(1), RxStatus::Ok);
@@ -683,9 +678,16 @@ mod tests {
                 drained += 1;
             }
         }
-        let events: Vec<_> = std::iter::from_fn(|| r.poll_event()).collect();
-        assert!(events.contains(&ReceiverEvent::CongestionOnset));
-        assert!(events.contains(&ReceiverEvent::CongestionCleared));
+        let crossings: Vec<bool> = sink
+            .borrow()
+            .0
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::BufferWatermark { rising, .. } => Some(rising),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crossings, vec![true, false], "onset, then clearance");
         let cp = next_cp(&mut r, t.max(now + cfg().w_cp * 3));
         assert_eq!(cp.stop_go, StopGo::Go);
     }
@@ -807,16 +809,6 @@ mod tests {
         );
         assert_eq!(r.stats().duplicates_suppressed, 1);
         assert_eq!(r.stats().accepted, 1);
-        let suppressed = std::iter::from_fn(|| r.poll_event()).any(|e| {
-            matches!(
-                e,
-                ReceiverEvent::DuplicateSuppressed {
-                    packet_id: PacketId(500),
-                    seq: 2
-                }
-            )
-        });
-        assert!(suppressed);
         // Coverage still advances past the duplicate's sequence number.
         assert_eq!(r.highest_seen(), 2);
         // Exactly one delivery comes out.
@@ -840,6 +832,7 @@ mod tests {
             if dedup {
                 r = r.with_dedup();
             }
+            let (mut r, sink) = traced(r);
             r.start(Instant::ZERO);
             let mut now = Instant::ZERO;
             let mut current = BTreeSet::new();
@@ -877,8 +870,8 @@ mod tests {
                         while r.poll_deliver(now).is_some() {}
                     }
                 }
-                while let Some(event) = r.poll_event() {
-                    if let ReceiverEvent::ErrorRecorded { seq, .. } = event {
+                for event in sink.borrow_mut().0.drain(..) {
+                    if let TraceEvent::Nak { seq, .. } = event {
                         current.insert(seq);
                     }
                 }

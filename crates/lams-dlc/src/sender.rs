@@ -4,12 +4,17 @@
 //! [`Sender::handle_frame`], drains outbound frames via
 //! [`Sender::poll_transmit`], fires timers via [`Sender::on_timeout`] at
 //! the instant returned by [`Sender::poll_timeout`], and drains
-//! notifications via [`Sender::poll_event`].
+//! notifications via [`Sender::poll_event`]. The notifications are the
+//! few a host can act on (buffer releases, enforced recovery, link
+//! failure, rate changes); renumbering and its cause travel only on the
+//! trace, as `renumbered` and `retx_cause` records.
 //!
 //! ## Operation
 //!
 //! * New SDUs queue in the sending buffer and are transmitted at the line
-//!   rate scaled by the Stop-Go [`RateController`]. Each transmission —
+//!   rate scaled by the Stop-Go [`RateController`]. Retransmissions wait
+//!   in a queue of their own ahead of them, so picking the next frame is
+//!   one pop in every state. Each transmission —
 //!   first or repeat — consumes a **fresh sequence number** (§3.2), so
 //!   wire numbers are strictly monotone and the receiver detects losses by
 //!   gaps.
@@ -73,6 +78,75 @@ struct QueuedSdu {
     reason: TxReason,
 }
 
+/// SDUs awaiting (re)transmission, in two queues. Retransmissions go
+/// to the front of their own queue, so the one queued last leaves
+/// first; fresh SDUs go to the back of theirs. Retransmissions always
+/// leave before fresh SDUs, and enforced recovery holds back only the
+/// fresh queue, so the next frame is one pop.
+#[derive(Debug, Default)]
+struct TxQueue {
+    retx: VecDeque<QueuedSdu>,
+    fresh: VecDeque<QueuedSdu>,
+    /// Test-only reference rule: one deque, retransmissions pushed to
+    /// its front and fresh SDUs to its back, and the first entry that
+    /// may leave removed. When set, every operation uses it instead, so
+    /// a test can drive both rules side by side.
+    #[cfg(test)]
+    single: Option<VecDeque<QueuedSdu>>,
+}
+
+impl TxQueue {
+    fn len(&self) -> usize {
+        #[cfg(test)]
+        if let Some(q) = &self.single {
+            return q.len();
+        }
+        self.retx.len() + self.fresh.len()
+    }
+
+    fn push_fresh(&mut self, sdu: QueuedSdu) {
+        #[cfg(test)]
+        if let Some(q) = &mut self.single {
+            return q.push_back(sdu);
+        }
+        self.fresh.push_back(sdu);
+    }
+
+    fn push_retx(&mut self, sdu: QueuedSdu) {
+        #[cfg(test)]
+        if let Some(q) = &mut self.single {
+            return q.push_front(sdu);
+        }
+        self.retx.push_front(sdu);
+    }
+
+    /// True when [`TxQueue::pop`] would yield an SDU.
+    fn has_transmittable(&self, running: bool) -> bool {
+        #[cfg(test)]
+        if let Some(q) = &self.single {
+            return q.iter().any(|q| q.reason != TxReason::New || running);
+        }
+        !self.retx.is_empty() || running && !self.fresh.is_empty()
+    }
+
+    /// The next SDU to send: a retransmission if any, else a fresh SDU
+    /// while `running`.
+    fn pop(&mut self, running: bool) -> Option<QueuedSdu> {
+        #[cfg(test)]
+        if let Some(q) = &mut self.single {
+            let idx = q
+                .iter()
+                .position(|q| q.reason != TxReason::New || running)?;
+            return q.remove(idx);
+        }
+        match self.retx.pop_front() {
+            Some(sdu) => Some(sdu),
+            None if running => self.fresh.pop_front(),
+            None => None,
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Outstanding {
     packet_id: PacketId,
@@ -121,7 +195,7 @@ pub struct Sender {
     cfg: LamsConfig,
     state: SenderState,
     next_seq: u64,
-    queue: VecDeque<QueuedSdu>,
+    queue: TxQueue,
     /// The retransmission buffer, keyed by wire sequence number. Every
     /// transmission takes a fresh number and holds it for at most about
     /// one resolving period, so the live numbers form one narrow band.
@@ -140,6 +214,12 @@ pub struct Sender {
     /// re-probing to one per expected response time).
     last_probe_at: Option<Instant>,
     rate: RateController,
+    /// `t_f` stretched by the current rate; recomputed only when
+    /// Stop-Go changes the rate.
+    spacing: Duration,
+    /// The configured resolving period, which every transmission's
+    /// resolving deadline adds.
+    resolving: Duration,
     next_tx_allowed: Instant,
     events: VecDeque<SenderEvent>,
     stats: SenderStats,
@@ -157,11 +237,14 @@ impl Sender {
     pub fn new(cfg: LamsConfig) -> Self {
         cfg.validate().expect("invalid LamsConfig");
         let flow = cfg.flow.clone();
+        let rate = RateController::new(flow);
         Sender {
+            spacing: cfg.t_f.mul_f64(rate.spacing_multiplier()),
+            resolving: cfg.resolving_period(),
             cfg,
             state: SenderState::Running,
             next_seq: 1,
-            queue: VecDeque::new(),
+            queue: TxQueue::default(),
             outstanding: SeqWindow::default(),
             cp_deadline: None,
             failure_deadline: None,
@@ -169,7 +252,7 @@ impl Sender {
             probe_counter: 0,
             pending_request_nak: None,
             last_probe_at: None,
-            rate: RateController::new(flow),
+            rate,
             next_tx_allowed: Instant::ZERO,
             events: VecDeque::new(),
             stats: SenderStats::default(),
@@ -199,7 +282,7 @@ impl Sender {
             c_depth: self.cfg.c_depth as u64,
             rtt_ns: self.cfg.expected_rtt.as_nanos(),
             cp_timeout_ns: self.cfg.checkpoint_timeout().as_nanos(),
-            resolving_ns: self.cfg.resolving_period().as_nanos(),
+            resolving_ns: self.resolving.as_nanos(),
             failure_ns: self.cfg.failure_timeout().as_nanos(),
         });
     }
@@ -247,7 +330,7 @@ impl Sender {
                 return Err(QueueFull);
             }
         }
-        self.queue.push_back(QueuedSdu {
+        self.queue.push_fresh(QueuedSdu {
             packet_id,
             payload,
             reason: TxReason::New,
@@ -285,8 +368,7 @@ impl Sender {
 
     fn has_transmittable(&self) -> bool {
         self.queue
-            .iter()
-            .any(|q| q.reason != TxReason::New || self.state == SenderState::Running)
+            .has_transmittable(self.state == SenderState::Running)
     }
 
     /// Fire any timers due at `now`.
@@ -302,7 +384,7 @@ impl Sender {
             }
             let o = self.outstanding.remove(seq).expect("present");
             self.stats.resolve_expiries += 1;
-            self.queue.push_front(QueuedSdu {
+            self.queue.push_retx(QueuedSdu {
                 packet_id: o.packet_id,
                 payload: o.payload,
                 reason: TxReason::ResolveExpired(seq),
@@ -342,7 +424,7 @@ impl Sender {
         // outstanding frame's resolving deadline past the recovery window
         // so the expiry safety-net doesn't duplicate frames the enforced
         // recovery is about to account for.
-        let extended = now + self.cfg.failure_timeout() + self.cfg.resolving_period();
+        let extended = now + self.cfg.failure_timeout() + self.resolving;
         for o in self.outstanding.values_mut() {
             o.resolve_deadline = o.resolve_deadline.max(extended);
         }
@@ -370,24 +452,13 @@ impl Sender {
         if now < self.next_tx_allowed {
             return None;
         }
-        // Retransmissions are queued at the front (push_front in the NAK
-        // and expiry paths), so a FIFO pop naturally prioritises them.
-        let idx = self
-            .queue
-            .iter()
-            .position(|q| q.reason != TxReason::New || self.state == SenderState::Running)?;
-        let sdu = self.queue.remove(idx).expect("indexed");
+        let sdu = self.queue.pop(self.state == SenderState::Running)?;
         let seq = self.next_seq;
         self.next_seq += 1;
         match sdu.reason {
             TxReason::New => self.stats.new_transmissions += 1,
             TxReason::Nak { old, cp } => {
                 self.stats.retransmissions += 1;
-                self.events.push_back(SenderEvent::Renumbered {
-                    packet_id: sdu.packet_id,
-                    old_seq: old,
-                    new_seq: seq,
-                });
                 self.trace.emit(now, || TraceEvent::Renumbered {
                     old_seq: old,
                     new_seq: seq,
@@ -400,11 +471,6 @@ impl Sender {
             }
             TxReason::ResolveExpired(old) => {
                 self.stats.retransmissions += 1;
-                self.events.push_back(SenderEvent::ResolvingExpired {
-                    packet_id: sdu.packet_id,
-                    old_seq: old,
-                    new_seq: seq,
-                });
                 self.trace.emit(now, || TraceEvent::Renumbered {
                     old_seq: old,
                     new_seq: seq,
@@ -440,12 +506,11 @@ impl Sender {
                 packet_id: sdu.packet_id,
                 payload: sdu.payload.clone(),
                 sent_at: now,
-                resolve_deadline: now + self.cfg.resolving_period(),
+                resolve_deadline: now + self.resolving,
             },
         );
         // Pace the next I-frame by the flow-controlled spacing.
-        let spacing = self.cfg.t_f.mul_f64(self.rate.spacing_multiplier());
-        self.next_tx_allowed = now + spacing;
+        self.next_tx_allowed = now + self.spacing;
         Some(Frame::Info(InfoFrame {
             seq,
             packet_id: sdu.packet_id,
@@ -535,7 +600,7 @@ impl Sender {
         // already renumbered and retransmitted — ignored, per §3.2.
         for &nak in &cp.naks {
             if let Some(o) = self.outstanding.remove(nak) {
-                self.queue.push_front(QueuedSdu {
+                self.queue.push_retx(QueuedSdu {
                     packet_id: o.packet_id,
                     payload: o.payload,
                     reason: TxReason::Nak {
@@ -567,7 +632,7 @@ impl Sender {
             }
             let o = self.outstanding.remove(seq).expect("present");
             if unsafe_release {
-                self.queue.push_front(QueuedSdu {
+                self.queue.push_retx(QueuedSdu {
                     packet_id: o.packet_id,
                     payload: o.payload,
                     reason: TxReason::Suspect {
@@ -593,6 +658,7 @@ impl Sender {
 
         // Flow control.
         if self.rate.on_stop_go(now, cp.stop_go) {
+            self.spacing = self.cfg.t_f.mul_f64(self.rate.spacing_multiplier());
             self.events.push_back(SenderEvent::RateChanged {
                 rate: self.rate.rate(),
             });
@@ -605,7 +671,7 @@ impl Sender {
     /// The resolving period currently configured (`R + W_cp/2 +
     /// C_depth·W_cp` plus slack) — exposed for tests and experiments.
     pub fn resolving_period(&self) -> Duration {
-        self.cfg.resolving_period()
+        self.resolving
     }
 }
 
@@ -694,6 +760,36 @@ impl proto_core::SenderMachine for Sender {
 mod tests {
     use super::*;
     use crate::frame::StopGo;
+    use crate::recorded::{recorder, Recorded};
+    use proptest::prelude::*;
+    use proto_core::Machine;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// A sender started at 0 and emitting into a fresh [`Recorded`];
+    /// with `single`, it picks its next frame by the queue's test-only
+    /// single-deque rule.
+    fn traced_sender(single: bool) -> (Sender, Rc<RefCell<Recorded>>) {
+        let (trace, sink) = recorder("tx");
+        let mut s = Sender::new(cfg()).with_trace(trace);
+        if single {
+            s.queue.single = Some(VecDeque::new());
+        }
+        s.start(Instant::ZERO);
+        (s, sink)
+    }
+
+    /// The `(old, new)` pairs of the sender's `renumbered` records.
+    fn renumbered(sink: &RefCell<Recorded>) -> Vec<(u64, u64)> {
+        let events = &sink.borrow().0;
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Renumbered { old_seq, new_seq } => Some((old_seq, new_seq)),
+                _ => None,
+            })
+            .collect()
+    }
 
     fn cfg() -> LamsConfig {
         LamsConfig::paper_default()
@@ -790,7 +886,7 @@ mod tests {
 
     #[test]
     fn nak_renumbers_and_retransmits() {
-        let (mut s, mut now) = started_sender();
+        let ((mut s, sink), mut now) = (traced_sender(false), Instant::ZERO);
         push_n(&mut s, 3);
         drain_tx(&mut s, &mut now);
         // NAK frame 2; frames 1 and 3 covered.
@@ -807,15 +903,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let renumbered = std::iter::from_fn(|| s.poll_event())
-            .find_map(|e| match e {
-                SenderEvent::Renumbered {
-                    old_seq, new_seq, ..
-                } => Some((old_seq, new_seq)),
-                _ => None,
-            })
-            .expect("renumber event");
-        assert_eq!(renumbered, (2, 4));
+        assert_eq!(renumbered(&sink), vec![(2, 4)]);
         assert_eq!(s.stats().retransmissions, 1);
     }
 
@@ -963,7 +1051,7 @@ mod tests {
 
     #[test]
     fn resolve_expiry_retransmits_tail_loss() {
-        let (mut s, mut now) = started_sender();
+        let ((mut s, sink), mut now) = (traced_sender(false), Instant::ZERO);
         push_n(&mut s, 1);
         drain_tx(&mut s, &mut now);
         // Keep checkpoints flowing (empty ones that never cover seq 1 —
@@ -983,9 +1071,18 @@ mod tests {
             Frame::Info(i) => assert_eq!(i.packet_id, PacketId(0)),
             other => panic!("{other:?}"),
         }
-        let seen = std::iter::from_fn(|| s.poll_event())
-            .any(|e| matches!(e, SenderEvent::ResolvingExpired { old_seq: 1, .. }));
-        assert!(seen);
+        assert_eq!(renumbered(&sink), vec![(1, 2)]);
+        let cause = sink.borrow().0.iter().any(|e| {
+            matches!(
+                e,
+                TraceEvent::RetxCause {
+                    seq: 2,
+                    cause: "resolve",
+                    ..
+                }
+            )
+        });
+        assert!(cause);
     }
 
     #[test]
@@ -1111,6 +1208,103 @@ mod tests {
         );
         assert_eq!(s.state(), SenderState::Failed);
         assert!(s.poll_transmit(d1 + Duration::from_secs(1)).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The two-queue sender picks the same frame as the single-deque
+        /// rule at every step, through pushes, checkpoint NAKs, resolving
+        /// expiries, unsafe index gaps and enforced recovery.
+        #[test]
+        fn pick_order_matches_the_single_queue_rule(
+            ops in proptest::collection::vec((0u8..8, 0u64..8), 1..200),
+        ) {
+            let cfg = cfg();
+            let (mut two, sink) = traced_sender(false);
+            let (mut one, one_sink) = traced_sender(true);
+            let (mut now, mut next_id, mut cp_index) = (Instant::ZERO, 0u64, 0u64);
+            let mut sent: Vec<u64> = Vec::new();
+            for (op, arg) in ops {
+                let highest = sent.last().copied().unwrap_or(0);
+                // NAK about a third of the last 16 numbers sent.
+                let naks: Vec<u64> = sent
+                    .iter()
+                    .rev()
+                    .take(16)
+                    .rev()
+                    .copied()
+                    .filter(|seq| (seq + arg) % 3 == 0)
+                    .collect();
+                let stop_go = if arg % 4 == 3 { StopGo::Stop } else { StopGo::Go };
+                let cp = |index: u64, enforced: bool| {
+                    Frame::Control(ControlFrame::CheckPoint(CheckPoint {
+                        index,
+                        covered: highest.saturating_sub(arg),
+                        naks: naks.clone(),
+                        enforced,
+                        probe: enforced.then_some(arg),
+                        stop_go,
+                    }))
+                };
+                let mut input = |frame: Frame, now: Instant| {
+                    two.handle_frame(now, frame.clone(), RxStatus::Ok);
+                    one.handle_frame(now, frame, RxStatus::Ok);
+                };
+                match op {
+                    0 | 1 => {
+                        for _ in 0..=arg {
+                            let a = two.push(PacketId(next_id), Bytes::from_static(b"sdu"));
+                            let b = one.push(PacketId(next_id), Bytes::from_static(b"sdu"));
+                            prop_assert_eq!(a, b);
+                            next_id += 1;
+                        }
+                    }
+                    2 => {
+                        cp_index += 1;
+                        input(cp(cp_index, false), now);
+                    }
+                    3 => {
+                        // More than C_depth checkpoints lost: unsafe release.
+                        cp_index += cfg.c_depth as u64 + 1 + arg % 2;
+                        input(cp(cp_index, false), now);
+                    }
+                    4 => {
+                        cp_index += 1;
+                        input(cp(cp_index, true), now);
+                    }
+                    5 | 6 => {
+                        // Silence: resolving expiries, then (for long
+                        // enough) the checkpoint timer and enforced
+                        // recovery.
+                        now += if op == 5 { cfg.resolving_period() } else { cfg.checkpoint_timeout() };
+                        now += Duration::from_micros(arg * 100);
+                        two.on_timeout(now);
+                        one.on_timeout(now);
+                    }
+                    _ => {}
+                }
+                // Transmit for a few frame times.
+                for _ in 0..=arg * 2 {
+                    loop {
+                        let (a, b) = (two.poll_transmit(now), one.poll_transmit(now));
+                        prop_assert_eq!(&a, &b);
+                        match a {
+                            Some(Frame::Info(i)) => sent.push(i.seq),
+                            Some(_) => {}
+                            None => break,
+                        }
+                    }
+                    now += cfg.t_f;
+                }
+                prop_assert_eq!(two.queued(), one.queued());
+                prop_assert_eq!(two.poll_timeout(), one.poll_timeout());
+                prop_assert_eq!(two.state(), one.state());
+            }
+            // Same frames, same retransmission flags, causes and
+            // renumberings, in the same order.
+            prop_assert_eq!(&sink.borrow().0, &one_sink.borrow().0);
+        }
     }
 
     #[test]

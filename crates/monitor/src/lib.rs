@@ -301,14 +301,14 @@ pub struct LiveSnapshot {
     pub max_outstanding: u64,
     /// Windowed series lines accumulated so far (all links, key order).
     pub series: Vec<Json>,
-    /// Delivery latencies recorded so far, seconds, sorted ascending.
-    latencies: Vec<f64>,
+    /// Delivery latencies recorded so far, nanoseconds, sorted
+    /// ascending.
+    latencies: Vec<u64>,
 }
 
 impl LiveSnapshot {
     fn new(monitor: &Monitor, mut run: LinkTally, series: Vec<Json>) -> Self {
-        run.latencies
-            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        run.latencies.sort_unstable();
         LiveSnapshot {
             findings: monitor.findings.total(),
             records: monitor.seen,
@@ -335,7 +335,7 @@ impl LiveSnapshot {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.latencies.len() as f64).ceil() as usize)
             .clamp(1, self.latencies.len());
-        Some(self.latencies[rank - 1])
+        Some(Duration::from_nanos(self.latencies[rank - 1]).as_secs_f64())
     }
 }
 
@@ -477,8 +477,8 @@ impl Monitor {
         exp.naks += run.naks;
         exp.retransmissions += run.retransmissions;
         exp.max_outstanding = exp.max_outstanding.max(run.max_outstanding);
-        for &l in &run.latencies {
-            exp.delivery.record(l);
+        for &ns in &run.latencies {
+            exp.delivery.record(Duration::from_nanos(ns).as_secs_f64());
         }
         exp.attribution.reseq.absorb(&self.run_reseq);
         self.run_reseq = PhaseAgg::default();
@@ -520,13 +520,14 @@ impl Monitor {
     /// Process one stored trace record: the offline-replay form of
     /// [`ProtoTrace::record`], which live streams call directly.
     pub fn observe(&mut self, rec: &TraceRecord) {
-        self.process(rec.t, rec.node, rec.event);
+        self.process(rec.t, rec.node, &rec.event);
     }
 
-    /// Process one record, whichever way it arrived.
-    fn process(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
+    /// Process one record, whichever way it arrived. The event is
+    /// borrowed: neither entry point copies it again.
+    fn process(&mut self, t: Instant, node: &'static str, event: &TraceEvent) {
         self.seen += 1;
-        match event {
+        match *event {
             TraceEvent::ExperimentStarted { id } => {
                 self.experiment_id = id;
                 self.cur_exp = self.experiment_slot(id);
@@ -544,7 +545,7 @@ impl Monitor {
             // Resequencer holds come from the collector node, which
             // belongs to no link; they aggregate at experiment level.
             TraceEvent::ReseqHold { held_ns, .. } => self.run_reseq.add(held_ns),
-            ref event => {
+            _ => {
                 let Some((slot, side)) = self.resolve(node) else {
                     return;
                 };
@@ -680,7 +681,7 @@ impl ProtoTrace for Monitor {
     /// The per-record entry point of live [`telemetry::sink_trace`]
     /// handles and of [`TraceSink::record_all`] replays.
     fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
-        self.process(t, node, event);
+        self.process(t, node, &event);
     }
 }
 

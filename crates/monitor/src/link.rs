@@ -3,8 +3,11 @@
 //!
 //! A [`LinkState`] mirrors the sender/receiver pair of one link, rebuilt
 //! from the trace alone. It keeps one [`Frame`] per unresolved user
-//! frame, keyed by its current wire sequence number — `Renumbered`
-//! moves it to the fresh number — and each event handler takes two
+//! frame in a [`FrameTable`]: the entries sit in a slab with a free
+//! list, and a window keyed by current wire sequence number maps each
+//! number to its slot. Handlers read and write an entry in place,
+//! `Renumbered` moves the slot to the fresh number, and a release frees
+//! the slot for the next fresh frame. Each event handler takes two
 //! steps on that entry:
 //!
 //! - the **audit** checks the five LAMS-DLC invariants (see
@@ -89,8 +92,8 @@ pub(crate) struct LinkTally {
     pub retransmissions: u64,
     /// Peak unresolved-frame count.
     pub max_outstanding: u64,
-    /// Delivery latency samples (first send → first clean arrival), s.
-    pub latencies: Vec<f64>,
+    /// Delivery latency samples (first send → first clean arrival), ns.
+    pub latencies: Vec<u64>,
 }
 
 impl LinkTally {
@@ -108,6 +111,7 @@ impl LinkTally {
 
 /// One unresolved user frame, keyed by its current wire sequence number.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Frame {
     /// The copy under the current wire number arrived clean. Per
     /// number, not per frame: renumbering leaves it behind.
@@ -129,6 +133,9 @@ struct Frame {
     /// equal `cursor − first_tx`.
     cursor: u64,
     phases: [u64; 8],
+    /// Bit `p` is set once phase `p` holds a charge; every other phase
+    /// holds 0, so a delivery reads and folds only the charged ones.
+    charged: u8,
     /// Copies the sender decided to send so far (1 = original only).
     copies: u32,
     /// First checkpoint index that carried the current NAK, if any.
@@ -141,13 +148,29 @@ struct Frame {
 }
 
 impl Frame {
+    /// Add `ns` to `phase`.
+    fn charge(&mut self, phase: Phase, ns: u64) {
+        self.phases[phase as usize] += ns;
+        self.charged |= u8::from(ns != 0) << phase as u8;
+    }
+
     /// Charge `[cursor, to]` to `phase` when `to` is ahead of the
     /// cursor; out-of-order milestones charge nothing.
     fn seg(&mut self, to: u64, phase: Phase) {
         if to > self.cursor {
-            self.phases[phase as usize] += to - self.cursor;
+            self.charge(phase, to - self.cursor);
             self.cursor = to;
         }
+    }
+
+    /// The charged phases' indices and charges, in phase order.
+    fn charges(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let mut bits = self.charged;
+        std::iter::from_fn(move || {
+            let phase = bits.trailing_zeros() as usize;
+            bits &= bits.checked_sub(1)?;
+            Some((phase, self.phases[phase]))
+        })
     }
 
     /// The flight phase a copy's arrival closes into.
@@ -156,6 +179,110 @@ impl Frame {
             Phase::FirstFlight
         } else {
             Phase::RetxFlight
+        }
+    }
+}
+
+/// A slot in a [`FrameTable`]'s slab.
+type Slot = u32;
+
+/// The unresolved frames of one link, keyed by current wire number.
+///
+/// Entries live in a slab with a free list, and a [`SeqWindow`] maps
+/// each wire number to its slot. Handlers read and write an entry in
+/// place, renumbering moves a slot from one number to another, and a
+/// released slot is reused by the next fresh frame: no entry is moved
+/// after it is written.
+#[derive(Debug, Default)]
+struct FrameTable {
+    slab: Vec<Frame>,
+    free: Vec<Slot>,
+    index: SeqWindow<Slot>,
+}
+
+impl FrameTable {
+    /// Frames held.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The slot holding the frame numbered `seq`.
+    fn slot(&self, seq: u64) -> Option<Slot> {
+        self.index.get(seq).copied()
+    }
+
+    /// The frame numbered `seq`.
+    fn get(&self, seq: u64) -> Option<&Frame> {
+        self.slot(seq).map(|slot| self.entry(slot))
+    }
+
+    /// The frame numbered `seq`, mutably.
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Frame> {
+        let slot = self.slot(seq)?;
+        Some(self.entry_mut(slot))
+    }
+
+    /// The frame in `slot`, which stays readable after [`FrameTable::remove`]
+    /// freed it until the next [`FrameTable::insert`].
+    fn entry(&self, slot: Slot) -> &Frame {
+        &self.slab[slot as usize]
+    }
+
+    /// The frame in `slot`, mutably.
+    fn entry_mut(&mut self, slot: Slot) -> &mut Frame {
+        &mut self.slab[slot as usize]
+    }
+
+    /// Store `frame` under `seq`, replacing any frame numbered `seq`.
+    fn insert(&mut self, seq: u64, frame: Frame) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = frame;
+                slot
+            }
+            None => {
+                self.slab.push(frame);
+                Slot::try_from(self.slab.len() - 1).expect("fewer than 2^32 open frames")
+            }
+        };
+        self.link(seq, slot);
+    }
+
+    /// Number the frame in `slot` `seq`, freeing the slot of any frame
+    /// numbered `seq` before.
+    fn link(&mut self, seq: u64, slot: Slot) {
+        if let Some(replaced) = self.index.insert(seq, slot) {
+            self.free.push(replaced);
+        }
+    }
+
+    /// Take the number `seq` away from its frame, keeping the slot.
+    fn unlink(&mut self, seq: u64) -> Option<Slot> {
+        self.index.remove(seq)
+    }
+
+    /// Drop the frame numbered `seq`, returning its freed slot.
+    fn remove(&mut self, seq: u64) -> Option<Slot> {
+        let slot = self.unlink(seq)?;
+        self.free.push(slot);
+        Some(slot)
+    }
+
+    /// Every frame with its number, in ascending order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Frame)> {
+        self.index
+            .iter()
+            .map(|(seq, &slot)| (seq, self.entry(slot)))
+    }
+
+    /// Restart every frame's resolution clock at `extended` at the
+    /// latest.
+    fn extend_deadlines(&mut self, extended: Instant) {
+        for &mut slot in self.index.values_mut() {
+            let frame = &mut self.slab[slot as usize];
+            if frame.deadline < extended {
+                frame.deadline = extended;
+            }
         }
     }
 }
@@ -182,7 +309,7 @@ pub(crate) struct LinkState {
     cfg_node: &'static str,
     cfg_at: Instant,
     last_wire_seq: Option<u64>,
-    frames: SeqWindow<Frame>,
+    frames: FrameTable,
     /// Wire numbers that arrived clean and hold no frame (any more):
     /// released frames, renumbered-away copies, stray arrivals. A live
     /// frame's number keeps the bit in [`Frame::arrived`] instead.
@@ -228,7 +355,7 @@ impl LinkState {
             cfg_node: "",
             cfg_at: Instant::ZERO,
             last_wire_seq: None,
-            frames: SeqWindow::default(),
+            frames: FrameTable::default(),
             arrived: SeqSet::default(),
             last_cp_rx: None,
             last_cp_emit: None,
@@ -263,7 +390,7 @@ impl LinkState {
     /// Sequence numbers the frame window's dense ring spans.
     #[cfg(test)]
     pub(crate) fn ring_span(&self) -> usize {
-        self.frames.ring_span()
+        self.frames.index.ring_span()
     }
 
     fn find(
@@ -297,16 +424,6 @@ impl LinkState {
             return s <= to && e >= from;
         }
         false
-    }
-
-    /// Restart every open frame's resolution clock at `extended` at
-    /// the latest.
-    fn extend_deadlines(&mut self, extended: Instant) {
-        for frame in self.frames.values_mut() {
-            if frame.deadline < extended {
-                frame.deadline = extended;
-            }
-        }
     }
 
     /// `SenderConfig`: arm the link.
@@ -393,6 +510,7 @@ impl LinkState {
                     renumber_pending: false,
                     cursor: t.as_nanos(),
                     phases: [0; 8],
+                    charged: 0,
                     copies: 1,
                     err_cp_first: None,
                     pending_err: None,
@@ -428,7 +546,7 @@ impl LinkState {
                     frame.seg(tn, flight);
                     let agg = &mut self.agg;
                     let latency = tn.saturating_sub(frame.first_tx.as_nanos());
-                    let sum: u64 = frame.phases.iter().sum();
+                    let sum: u64 = frame.charges().map(|(_, ns)| ns).sum();
                     if sum != latency {
                         agg.audit_failures += 1;
                         out.push(AuditFinding {
@@ -450,8 +568,8 @@ impl LinkState {
                     }
                     agg.latency_total_ns += latency;
                     agg.max_nak_repeats = agg.max_nak_repeats.max(frame.max_repeats);
-                    for (agg, &ns) in agg.phases.iter_mut().zip(frame.phases.iter()) {
-                        agg.add(ns);
+                    for (phase, ns) in frame.charges() {
+                        agg.phases[phase].add(ns);
                     }
                 }
                 !std::mem::replace(&mut frame.arrived, true)
@@ -580,8 +698,9 @@ impl LinkState {
         out: &mut Findings,
     ) {
         let Some(timing) = self.timing else { return };
-        match self.frames.remove(old_seq) {
-            Some(mut frame) => {
+        match self.frames.unlink(old_seq) {
+            Some(slot) => {
+                let frame = self.frames.entry(slot);
                 if frame.arrived {
                     self.arrived.insert(old_seq);
                 }
@@ -599,12 +718,14 @@ impl LinkState {
                         ),
                     ));
                 }
-                frame.renumber_pending = true;
-                frame.arrived = match self.frames.get(new_seq) {
+                let arrived = match self.frames.get(new_seq) {
                     Some(live) => live.arrived,
                     None => self.arrived.contains(new_seq),
                 };
-                self.frames.insert(new_seq, frame);
+                let frame = self.frames.entry_mut(slot);
+                frame.renumber_pending = true;
+                frame.arrived = arrived;
+                self.frames.link(new_seq, slot);
             }
             None => out.push(self.find(
                 t,
@@ -670,8 +791,8 @@ impl LinkState {
                 if tn > f.cursor {
                     let tail = tn - f.cursor;
                     let stop = overlap(stop_spans, *stop_open, f.cursor, tn).min(tail);
-                    f.phases[Phase::StopGo as usize] += stop;
-                    f.phases[Phase::RetxWait as usize] += tail - stop;
+                    f.charge(Phase::StopGo, stop);
+                    f.charge(Phase::RetxWait, tail - stop);
                     f.cursor = tn;
                 }
                 // Resolution cross-check: error record → retx decision,
@@ -730,7 +851,8 @@ impl LinkState {
         if self.enforced_open.is_none() {
             self.enforced_open = Some(t.as_nanos());
         }
-        self.extend_deadlines(t + timing.failure + timing.resolving);
+        self.frames
+            .extend_deadlines(t + timing.failure + timing.resolving);
     }
 
     /// `EnforcedRecoveryResolved`: close the enforced span.
@@ -749,7 +871,7 @@ impl LinkState {
         let Some(timing) = self.timing else { return };
         let tn = t.as_nanos();
         if stop {
-            self.extend_deadlines(t + timing.resolving);
+            self.frames.extend_deadlines(t + timing.resolving);
             if self.stop_open.is_none() {
                 self.stop_open = Some(tn);
             }
@@ -806,8 +928,8 @@ impl LinkState {
             }
         }
         // (a) The released copy must have arrived clean at the receiver.
-        let frame = self.frames.remove(seq);
-        let arrived = match &frame {
+        let frame = self.frames.remove(seq).map(|slot| self.frames.entry(slot));
+        let arrived = match frame {
             Some(f) => f.arrived,
             None => self.arrived.contains(seq),
         };
@@ -853,7 +975,7 @@ impl LinkState {
             Some(d) => self
                 .tally
                 .latencies
-                .push(d.saturating_duration_since(frame.first_tx).as_secs_f64()),
+                .push(d.saturating_duration_since(frame.first_tx).as_nanos()),
             None => self.agg.incomplete += 1,
         }
         if frame.is_retx {
@@ -901,5 +1023,134 @@ impl LinkState {
                 self.agg.incomplete += 1;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proto_core::WINDOW_CAP;
+
+    const CAP: u64 = WINDOW_CAP as u64;
+
+    /// Sequence numbers on both sides of the table's dense ring: one
+    /// band near 0 and others `WINDOW_CAP` or more above it, so numbers
+    /// land below the ring's base and beyond its span as it moves.
+    const ANCHORS: [u64; 6] = [0, 5, CAP - 3, CAP + 2, 2 * CAP, 1 << 32];
+
+    /// A frame told apart from others by `tag`.
+    fn frame(tag: u64) -> Frame {
+        Frame {
+            arrived: tag.is_multiple_of(2),
+            first_seq: tag,
+            first_tx: Instant::from_nanos(tag),
+            deadline: Instant::from_nanos(tag + 1),
+            naks: 0,
+            retx: 0,
+            delivered_at: None,
+            is_retx: false,
+            renumber_pending: false,
+            cursor: tag,
+            phases: [tag; 8],
+            charged: 0xff,
+            copies: 1,
+            err_cp_first: None,
+            pending_err: None,
+            max_repeats: 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The slab-backed table answers like an ordered map of frames
+        /// under inserts, removals, renumberings and in-place writes, and
+        /// reuses freed slots instead of growing.
+        #[test]
+        fn frame_table_matches_an_ordered_map(
+            ops in proptest::collection::vec((0u8..6, 0usize..6, 0u64..8, 0usize..6, 0u64..8), 1..200),
+        ) {
+            let mut table = FrameTable::default();
+            let mut model: BTreeMap<u64, Frame> = BTreeMap::new();
+            let mut peak = 0;
+            for (i, (op, anchor, off, to_anchor, to_off)) in ops.into_iter().enumerate() {
+                let seq = ANCHORS[anchor] + off;
+                let to = ANCHORS[to_anchor] + to_off;
+                match op {
+                    0 | 1 => {
+                        table.insert(seq, frame(i as u64));
+                        model.insert(seq, frame(i as u64));
+                    }
+                    2 => {
+                        let removed = table.remove(seq).map(|slot| table.entry(slot).clone());
+                        prop_assert_eq!(removed, model.remove(&seq));
+                    }
+                    3 => {
+                        // Renumbering moves the slot; a frame already under
+                        // the fresh number is replaced.
+                        let slot = table.unlink(seq);
+                        if let Some(slot) = slot {
+                            table.entry_mut(slot).renumber_pending = true;
+                            table.link(to, slot);
+                        }
+                        let moved = model.remove(&seq);
+                        prop_assert_eq!(slot.is_some(), moved.is_some());
+                        if let Some(mut f) = moved {
+                            f.renumber_pending = true;
+                            model.insert(to, f);
+                        }
+                    }
+                    4 => {
+                        if let Some(f) = table.get_mut(seq) {
+                            f.naks += 1;
+                        }
+                        if let Some(f) = model.get_mut(&seq) {
+                            f.naks += 1;
+                        }
+                    }
+                    _ => {
+                        let extended = Instant::from_nanos(i as u64 * 3);
+                        table.extend_deadlines(extended);
+                        for f in model.values_mut() {
+                            f.deadline = f.deadline.max(extended);
+                        }
+                    }
+                }
+                peak = peak.max(model.len());
+                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(table.get(seq), model.get(&seq));
+                prop_assert_eq!(table.get(to), model.get(&to));
+                // Every slot is either numbered or free, and freed slots
+                // are reused: the slab outgrows the peak frame count by at
+                // most the one slot an insert takes before it frees the
+                // frame it replaces.
+                prop_assert_eq!(table.slab.len(), table.len() + table.free.len());
+                prop_assert!(table.slab.len() <= peak + 1);
+            }
+            let got: Vec<(u64, &Frame)> = table.iter().collect();
+            let want: Vec<(u64, &Frame)> = model.iter().map(|(&s, f)| (s, f)).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_released_slot_is_reused_and_renumbering_keeps_the_entry() {
+        let mut table = FrameTable::default();
+        table.insert(10, frame(1));
+        table.insert(11, frame(2));
+        let slot = table.remove(10).expect("held");
+        assert_eq!(table.entry(slot), &frame(1), "readable until reused");
+        table.insert(12, frame(3));
+        assert_eq!(table.slot(12), Some(slot), "the freed slot is reused");
+        assert_eq!(table.slab.len(), 2);
+        // Renumbering 11 far beyond the ring's span moves its slot, not
+        // its entry.
+        let moved = table.unlink(11).expect("held");
+        table.link(11 + 2 * CAP, moved);
+        assert_eq!(table.get(11 + 2 * CAP), Some(&frame(2)));
+        assert_eq!(table.get(11), None);
+        assert_eq!(table.slot(11 + 2 * CAP), Some(moved));
+        assert_eq!(table.len(), 2);
     }
 }

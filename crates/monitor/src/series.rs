@@ -3,9 +3,14 @@
 //! Windows are aligned to simulated time (`window index = t / width`),
 //! so the series depends only on the trace content — a parallel run
 //! reproduces a serial run's series byte-for-byte.
+//!
+//! Records arrive in time order, so almost every one lands in the
+//! newest window: the series caches that window's bounds, and such a
+//! record costs two compares. A record in a later window appends one;
+//! a rewound record (stamped before the newest window) binary-searches
+//! the windows, which are kept in index order.
 
 use sim_core::{Duration, Instant};
-use std::collections::BTreeMap;
 use telemetry::Json;
 
 /// One window's accumulators for one link.
@@ -31,7 +36,11 @@ pub struct WindowAcc {
 #[derive(Debug)]
 pub struct LinkSeries {
     width: Duration,
-    windows: BTreeMap<u64, WindowAcc>,
+    /// Touched windows by index, ascending.
+    windows: Vec<(u64, WindowAcc)>,
+    /// The newest window's bounds `[start, end)` in nanoseconds; empty
+    /// while no window is touched.
+    newest: (u64, u64),
 }
 
 impl LinkSeries {
@@ -43,14 +52,46 @@ impl LinkSeries {
             } else {
                 width
             },
-            windows: BTreeMap::new(),
+            windows: Vec::new(),
+            newest: (0, 0),
         }
     }
 
     /// The window accumulator covering instant `t`.
     pub fn at(&mut self, t: Instant) -> &mut WindowAcc {
-        let idx = t.as_nanos() / self.width.as_nanos();
-        self.windows.entry(idx).or_default()
+        let tn = t.as_nanos();
+        let (start, end) = self.newest;
+        if start <= tn && tn < end {
+            let (_, acc) = self.windows.last_mut().expect("a window is cached");
+            return acc;
+        }
+        self.locate(tn)
+    }
+
+    /// [`LinkSeries::at`] off the cached window: append a later window,
+    /// or find (or insert) an earlier one.
+    #[cold]
+    fn locate(&mut self, tn: u64) -> &mut WindowAcc {
+        let width = self.width.as_nanos();
+        let idx = tn / width;
+        let i = match self.windows.last() {
+            Some(&(newest, _)) if newest >= idx => {
+                match self.windows.binary_search_by_key(&idx, |&(i, _)| i) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        self.windows.insert(i, (idx, WindowAcc::default()));
+                        i
+                    }
+                }
+            }
+            _ => {
+                let start = idx * width;
+                self.newest = (start, start.saturating_add(width));
+                self.windows.push((idx, WindowAcc::default()));
+                self.windows.len() - 1
+            }
+        };
+        &mut self.windows[i].1
     }
 
     /// Number of touched windows.
@@ -69,6 +110,7 @@ impl LinkSeries {
     /// rate over the window.
     pub fn drain_lines(&mut self, experiment: &str, run: u64, link: &str) -> Vec<Json> {
         let windows = std::mem::take(&mut self.windows);
+        self.newest = (0, 0);
         self.render_lines(windows.iter(), experiment, run, link)
     }
 
@@ -81,14 +123,14 @@ impl LinkSeries {
 
     fn render_lines<'a>(
         &self,
-        windows: impl Iterator<Item = (&'a u64, &'a WindowAcc)>,
+        windows: impl Iterator<Item = &'a (u64, WindowAcc)>,
         experiment: &str,
         run: u64,
         link: &str,
     ) -> Vec<Json> {
         let width_s = self.width.as_secs_f64();
         windows
-            .map(|(&idx, w)| {
+            .map(|&(idx, ref w)| {
                 let t0 = idx as f64 * width_s;
                 Json::obj([
                     ("experiment", experiment.into()),
@@ -113,6 +155,91 @@ impl LinkSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Feed one record per stamp (ns): a transmission, plus the record's
+    /// position as NAKs so merged windows show which records they took.
+    fn feed(s: &mut LinkSeries, stamps: &[u64]) {
+        for (k, &ns) in stamps.iter().enumerate() {
+            let w = s.at(Instant::from_nanos(ns));
+            w.tx += 1;
+            w.naks += k as u64;
+        }
+    }
+
+    /// The same records through an ordered map keyed by window index,
+    /// the structure the cached window replaced: the oracle.
+    fn map_lines(width: Duration, stamps: &[u64]) -> Vec<Json> {
+        let mut map: BTreeMap<u64, WindowAcc> = BTreeMap::new();
+        for (k, &ns) in stamps.iter().enumerate() {
+            let w = map.entry(ns / width.as_nanos()).or_default();
+            w.tx += 1;
+            w.naks += k as u64;
+        }
+        let windows: Vec<(u64, WindowAcc)> = map.into_iter().collect();
+        LinkSeries::new(width).render_lines(windows.iter(), "e1", 0, "l")
+    }
+
+    fn series_lines(width: Duration, stamps: &[u64]) -> Vec<Json> {
+        let mut s = LinkSeries::new(width);
+        feed(&mut s, stamps);
+        let peeked = s.peek_lines("e1", 0, "l");
+        let drained = s.drain_lines("e1", 0, "l");
+        assert_eq!(peeked, drained);
+        drained
+    }
+
+    #[test]
+    fn a_record_on_a_window_boundary_opens_the_next_window() {
+        let width = Duration::from_millis(10);
+        let ms = 1_000_000;
+        let stamps = [0, 10 * ms - 1, 10 * ms, 20 * ms, 20 * ms, 30 * ms - 1];
+        let lines = series_lines(width, &stamps);
+        assert_eq!(lines, map_lines(width, &stamps));
+        let tx: Vec<f64> = lines.iter().filter_map(|l| l.get("tx")?.as_f64()).collect();
+        assert_eq!(tx, vec![2.0, 1.0, 3.0]);
+        // The last window of the clock, whose end does not fit in a u64.
+        let stamps = [u64::MAX - 1, u64::MAX, 0, u64::MAX];
+        assert_eq!(series_lines(width, &stamps), map_lines(width, &stamps));
+    }
+
+    #[test]
+    fn a_rewound_record_lands_in_its_earlier_window() {
+        let width = Duration::from_millis(10);
+        let ms = 1_000_000;
+        // Window 3, then 1 (new, before the newest), 3 again, 0 (new),
+        // 1 again (existing), and 4 (new, after the newest).
+        let stamps = [35 * ms, 12 * ms, 37 * ms, 3 * ms, 12 * ms, 45 * ms];
+        let lines = series_lines(width, &stamps);
+        assert_eq!(lines, map_lines(width, &stamps));
+        let t0: Vec<f64> = lines
+            .iter()
+            .filter_map(|l| l.get("t0_s")?.as_f64())
+            .collect();
+        assert_eq!(t0, vec![0.0, 0.01, 0.03, 0.04], "index order");
+        // A drained series starts over: the cached window is gone too.
+        let mut s = LinkSeries::new(width);
+        feed(&mut s, &stamps);
+        s.drain_lines("e1", 0, "l");
+        feed(&mut s, &[5 * ms]);
+        assert_eq!(s.drain_lines("e1", 0, "l"), map_lines(width, &[5 * ms]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn series_matches_the_ordered_map(
+            stamps in proptest::collection::vec(0u64..80, 1..60),
+            width_ms in 1u64..12,
+        ) {
+            // Mostly forward in time, with rewinds and equal stamps.
+            let stamps: Vec<u64> = stamps.iter().map(|&ms| ms * 1_000_000).collect();
+            let width = Duration::from_millis(width_ms);
+            prop_assert_eq!(series_lines(width, &stamps), map_lines(width, &stamps));
+        }
+    }
 
     #[test]
     fn events_land_in_their_window() {

@@ -87,10 +87,6 @@ pub trait RxEndpoint {
     fn poll_deliver(&mut self, now: Instant) -> Option<(u64, usize)>;
     /// Receive-side buffer occupancy in frames.
     fn occupancy(&self) -> usize;
-    /// Drop the protocol notifications queued since the last call. The
-    /// engine consumes none of them and calls this every instant, so
-    /// they do not pile up for the whole run.
-    fn discard_events(&mut self) {}
     /// Size/class of a frame.
     fn meta(frame: &Self::Frame) -> FrameMeta;
     /// Protocol-specific counters for experiment reports.

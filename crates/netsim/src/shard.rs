@@ -970,9 +970,6 @@ where
             for &t in &self.undrained_txs {
                 self.txs[t.0].discard_events();
             }
-            for r in self.rxs.iter_mut() {
-                r.discard_events();
-            }
             if self.locally_done() {
                 if self.done_since.is_none() {
                     self.done_since = Some(now);

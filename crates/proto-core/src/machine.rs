@@ -19,6 +19,13 @@
 //! at (or after) the requested instant, and drain
 //! [`Machine::poll_event`] at their leisure. Nothing happens between
 //! calls, which is what makes the machines model-checkable.
+//!
+//! Only senders have a notification stream, and only for what a host
+//! can act on: buffer releases (holding-time statistics), and for
+//! LAMS-DLC enforced recovery, link failure and rate changes. Every
+//! receiver has `Event = ()`: what it could report is a counter in its
+//! statistics or a trace record, so nothing is queued for a host to
+//! drain.
 
 use crate::time::Instant;
 use crate::trace::Trace;

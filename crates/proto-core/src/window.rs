@@ -109,9 +109,13 @@ impl<T> SeqWindow<T> {
     pub fn first(&self) -> Option<(u64, &T)> {
         // Spilled numbers lie below `base` or beyond the ring's span,
         // and the ring's first slot is always occupied.
+        let ring = || Some((self.base, self.ring.front()?.as_ref()?));
+        if self.spill.is_empty() {
+            return ring();
+        }
         match self.spill.first_key_value() {
             Some((&seq, value)) if seq < self.base => Some((seq, value)),
-            _ => Some((self.base, self.ring.front()?.as_ref()?)),
+            _ => ring(),
         }
     }
 
@@ -148,6 +152,9 @@ impl<T> SeqWindow<T> {
 
     /// Remove and return the entry for `seq`.
     pub fn remove(&mut self, seq: u64) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
         let old = match self.index(seq) {
             Some(i) if i < self.ring.len() => {
                 let old = self.ring[i].take();

@@ -24,7 +24,8 @@ writes one `lams-dlc.bench/1` document:
       "total": {"runs", "wall_secs", "events_per_sec", "popped"},
       "profile": {"wall_ns", "counters", "queue_depth", "alloc",
                   "spans": [...]} | null,
-      "parent": {"commit", "reps", "total": {...}}   (with --parent)
+      "parent": {"commit", "reps", "total": {...},
+                 "micro": [...]}                     (with --parent)
     }
 
 `machine` is the host's machine class: the CPU model from
@@ -34,9 +35,10 @@ are comparable.
 With --parent DIR (a git checkout of the parent commit; anything else
 is refused, since the row must name its commit), the parent's own
 bench_suite (built there unless --no-build) times the quick experiments
-once per repetition, alternating with the fresh runs, and its median
-quick-all total is recorded under `parent` with the checkout's commit:
-a before/after pair from one machine.
+and the micro kernels once per repetition, alternating with the fresh
+runs, and its median quick-all total and median micro kernels are
+recorded under `parent` with the checkout's commit: a before/after
+pair from one machine.
 
 Workloads are deterministic, so counted fields (queue profiles, runs,
 popped) must agree across repetitions — a mismatch fails the driver.
@@ -120,15 +122,16 @@ def run_once(binary, micro_iters, skip_profile=False, extra=()):
     return doc
 
 
-def run_parent(parent):
-    """One quick-experiments-only repetition of the parent checkout's
-    bench_suite; returns its quick-all total."""
-    doc = run_once(parent / "target/release/bench_suite", None,
-                   skip_profile=True, extra=["--skip-micro", "--skip-shards"])
+def run_parent(parent, micro_iters):
+    """One repetition of the parent checkout's bench_suite: the micro
+    kernels and the quick experiments, without the shard sweep or the
+    profiled pass."""
+    doc = run_once(parent / "target/release/bench_suite", micro_iters,
+                   skip_profile=True, extra=["--skip-shards"])
     total = doc["total"]
     print(f"bench: parent: quick-all {total['events_per_sec'] / 1e6:.3f}M "
           f"events/s", file=sys.stderr)
-    return total
+    return doc
 
 
 def median_micro(reps):
@@ -379,12 +382,12 @@ def main():
                 fail(f"cargo build failed in {tree}")
 
     reps = []
-    parent_totals = []
+    parent_reps = []
     for i in range(args.reps):
         # Alternate which side runs first, so drift on a shared machine
         # does not favour one of them.
         if parent and i % 2 == 0:
-            parent_totals.append(run_parent(parent))
+            parent_reps.append(run_parent(parent, args.micro_iters))
         doc = run_once(args.bin, args.micro_iters, skip_profile=(i > 0))
         total = doc["total"]
         eps = total["events_per_sec"]
@@ -393,7 +396,7 @@ def main():
               file=sys.stderr)
         reps.append(doc)
         if parent and i % 2 == 1:
-            parent_totals.append(run_parent(parent))
+            parent_reps.append(run_parent(parent, args.micro_iters))
 
     merged = {
         "schema": SCHEMA,
@@ -410,8 +413,9 @@ def main():
     if parent:
         merged["parent"] = {
             "commit": parent_commit,
-            "reps": len(parent_totals),
-            "total": median_total([{"total": t} for t in parent_totals]),
+            "reps": len(parent_reps),
+            "total": median_total(parent_reps),
+            "micro": median_micro(parent_reps),
         }
 
     rendered = json.dumps(merged, indent=2) + "\n"
