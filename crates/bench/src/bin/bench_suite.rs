@@ -6,7 +6,6 @@
 //! bench_suite --skip-micro         # experiments only
 //! bench_suite --skip-experiments   # micro-kernels only
 //! bench_suite --skip-profile       # omit the profiled pass
-//! bench_suite --skip-shards        # omit the shard-scaling sweep
 //! ```
 //!
 //! Prints one `lams-dlc.bench/1` JSON document to stdout:
@@ -20,8 +19,6 @@
 //!   "experiments": [ {"id", "runs", "wall_secs", "events_per_sec",
 //!                     "queue": {"scheduled", "popped", "cancelled",
 //!                               "peak_depth", "horizon_s"}} | perf-less ],
-//!   "shards": [ {"shards", "wall_secs", "events_per_sec", "popped",
-//!                "efficiency", "imbalance"} ],
 //!   "total": {"runs", "wall_secs", "events_per_sec", "popped"},
 //!   "profile": {"wall_ns", "counters", "queue_depth", "alloc",
 //!               "spans": [span tree]} | null
@@ -48,7 +45,7 @@ static ALLOC: profile::alloc::CountingAlloc = profile::alloc::CountingAlloc;
 
 const USAGE: &str = "\
 usage: bench_suite [--micro-iters N] [--skip-micro] [--skip-experiments]
-                   [--skip-profile] [--skip-shards]
+                   [--skip-profile]
 ";
 
 const DEFAULT_MICRO_ITERS: u64 = 100_000;
@@ -68,7 +65,6 @@ fn main() {
     let mut run_micro = true;
     let mut run_experiments = true;
     let mut run_profile = true;
-    let mut run_shards = true;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -87,7 +83,6 @@ fn main() {
             "--skip-micro" => run_micro = false,
             "--skip-experiments" => run_experiments = false,
             "--skip-profile" => run_profile = false,
-            "--skip-shards" => run_shards = false,
             flag => {
                 eprintln!("error: unknown flag: {flag}\n\n{USAGE}");
                 std::process::exit(2);
@@ -142,27 +137,6 @@ fn main() {
         })
         .collect();
 
-    // The core-count scaling sweep: one fixed sharded-chain workload
-    // per shard count. Simulated results are identical across counts
-    // (asserted inside the sweep); only the wall clock moves.
-    let shards_json: Vec<Json> = if run_shards {
-        bench::run_shard_sweep(bench::SHARD_SWEEP_COUNTS)
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("shards", (p.shards as u64).into()),
-                    ("wall_secs", p.wall_secs.into()),
-                    ("events_per_sec", p.events_per_sec.into()),
-                    ("popped", p.popped.into()),
-                    ("efficiency", p.efficiency.into()),
-                    ("imbalance", p.imbalance.into()),
-                ])
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     // The profiled pass runs last so its overhead cannot leak into the
     // timed figures above.
     let profile_block = if run_profile {
@@ -176,7 +150,6 @@ fn main() {
         ("quick", Json::from(true)),
         ("micro", Json::from(micro)),
         ("experiments", Json::from(experiments_json)),
-        ("shards", Json::from(shards_json)),
         (
             "total",
             Json::obj([

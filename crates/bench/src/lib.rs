@@ -82,7 +82,7 @@ const REF_FRAME: Duration = Duration::from_nanos(27_307);
 /// One-way propagation delay of the reference link's 4,000 km.
 const REF_DELAY: Duration = Duration::from_nanos(13_342_564);
 
-/// The shard loop's event pattern on the paper's reference link, on a
+/// The simulation loop's event pattern on the paper's reference link, on a
 /// bare [`netsim::Calendar`]: one source pushing an SDU per frame time,
 /// each SDU's frame queued on the data lane one propagation delay out
 /// (about 490 in flight), every 16th data arrival drawing a checkpoint
@@ -611,78 +611,6 @@ pub fn run_profiled_suite() -> harness::profile_report::ExperimentProfile {
     agg
 }
 
-/// One point of the core-count scaling sweep: the sharded chain kernel
-/// at a fixed workload, one shard count.
-#[derive(Clone, Debug)]
-pub struct ShardSweepPoint {
-    /// Shard (thread) count the simulation was split across.
-    pub shards: usize,
-    /// Wall-clock seconds for the whole sharded run.
-    pub wall_secs: f64,
-    /// Events popped across all shard queues. Protocol events are
-    /// identical at every count; the total can differ slightly because
-    /// wake timers coalesce per shard queue.
-    pub popped: u64,
-    /// `popped / wall_secs`.
-    pub events_per_sec: f64,
-    /// Parallel efficiency `Σ busy / (shards × wall)` from the
-    /// coordinator's superstep accounting (1.0 for one shard).
-    pub efficiency: f64,
-    /// Load-imbalance factor `max busy / mean busy` across shards.
-    pub imbalance: f64,
-}
-
-/// The sharded-chain scaling kernel: one fixed many-hop LAMS-DLC relay
-/// chain (the e18 workload shape) run once per shard count. Simulated
-/// results must be identical at every count — the sweep asserts the
-/// finish instant and the delivery and transmission counts agree — so
-/// the only thing that varies is the wall clock.
-///
-/// Wall-clock scaling is a property of the host: on a single core the
-/// extra shards are pure coordination overhead; speedup appears as
-/// cores do.
-pub fn run_shard_sweep(counts: &[usize]) -> Vec<ShardSweepPoint> {
-    let mut base = harness::ScenarioConfig::paper_default();
-    base.n_packets = 3_000;
-    base.data_residual_ber = 1e-5;
-    base.ctrl_residual_ber = 1e-6;
-    base.deadline = Duration::from_secs(600);
-    let cfg = harness::RelayConfig { hops: 8, base };
-    let mut witness: Option<(Instant, u64, u64, u64)> = None;
-    counts
-        .iter()
-        .map(|&shards| {
-            let _ = harness::metrics::shard_take(); // isolate this run's accounting
-            let r = harness::run_chain_lams(&cfg, shards);
-            let shard = harness::metrics::shard_take().map(|acc| acc.profile);
-            let key = (
-                r.finished_at,
-                r.delivered_unique,
-                r.transmissions,
-                r.retransmissions,
-            );
-            match &witness {
-                None => witness = Some(key),
-                Some(k) => assert_eq!(
-                    *k, key,
-                    "shard sweep must be deterministic across shard counts"
-                ),
-            }
-            ShardSweepPoint {
-                shards,
-                wall_secs: r.wall_secs,
-                popped: r.queue.popped,
-                events_per_sec: r.queue.events_per_sec(r.wall_secs),
-                efficiency: shard.as_ref().map_or(1.0, |p| p.efficiency()),
-                imbalance: shard.as_ref().map_or(1.0, |p| p.imbalance()),
-            }
-        })
-        .collect()
-}
-
-/// The default shard-count ladder for the committed baseline.
-pub const SHARD_SWEEP_COUNTS: &[usize] = &[1, 2, 4];
-
 /// Fold per-experiment perf into the quick-all total: the merged queue
 /// profile, total simulation wall seconds, and total runs.
 pub fn total_perf(experiments: &[ExperimentResult]) -> (QueueProfile, f64, u64) {
@@ -780,25 +708,6 @@ mod tests {
             .collect();
         assert!(roots.contains(&"experiment"), "{roots:?}");
         assert!(agg.queue_depth.count > 0, "sample ticks recorded depths");
-    }
-
-    #[test]
-    fn shard_sweep_is_deterministic_and_reports_throughput() {
-        let pts = run_shard_sweep(&[1, 2]);
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].shards, 1);
-        assert_eq!(pts[1].shards, 2);
-        for p in &pts {
-            assert!(p.popped > 0);
-            assert!(p.wall_secs > 0.0);
-            assert!(p.events_per_sec > 0.0);
-            assert!(p.efficiency > 0.0 && p.efficiency <= 1.0 + 1e-9, "{p:?}");
-            assert!(p.imbalance >= 1.0, "{p:?}");
-        }
-        assert_eq!(pts[0].efficiency, 1.0, "one shard is degenerate");
-        assert_eq!(pts[0].imbalance, 1.0);
-        // The cross-count identity assertion lives inside the sweep;
-        // reaching here means 1 and 2 shards agreed.
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! repro --profile p.json     # self-profile (span trees + table)
 //! repro --profile-folded p.folded  # collapsed stacks for flamegraphs
 //! repro --workers 4          # fan experiments out across 4 threads
-//! repro --shards 8 e18       # split sharded-family simulations over 8 cores
-//! repro --shards 3 --timeline t.json e18   # Perfetto superstep timeline
 //! ```
 //!
 //! `--json` writes one JSON document:
@@ -104,7 +102,6 @@ fn main() {
     }
 
     parallel::set_workers(cli.workers);
-    parallel::set_shards(cli.shards);
 
     if let Some(path) = &cli.trace {
         match telemetry::JsonlSink::create(std::path::Path::new(path)) {
@@ -138,11 +135,6 @@ fn main() {
                 // Where the CPU nanoseconds went, when profiled.
                 if let Some(p) = &run.profile {
                     print!("{}", p.table(&run.id, run.perf.as_ref().map(|(q, _, _)| q)));
-                }
-                // The sharded runtime's superstep accounting, when the
-                // experiment ran sharded simulations.
-                if let Some(acc) = &run.shard {
-                    print!("{}", runner::shard_table(&run.id, &acc.profile));
                 }
             }
             None => {
@@ -204,15 +196,6 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = &cli.timeline {
-        let doc = runner::timeline_json(&runs);
-        if let Err(e) = std::fs::write(path, doc.render_pretty() + "\n") {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path} (open in Perfetto / chrome://tracing)");
     }
 
     if let Some(path) = &cli.profile_folded {

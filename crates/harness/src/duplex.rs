@@ -68,8 +68,8 @@ where
     let c1 = b.collector(Collector::new());
     b.expect(c0, cfg.n_packets);
     b.expect(c1, cfg.n_packets);
-    b.source(gens.next().expect("gen a"), ta, Some(c0), 0);
-    b.source(gens.next().expect("gen b"), tb, Some(c1), 1);
+    b.source(gens.next().expect("gen a"), ta, c0, 0);
+    b.source(gens.next().expect("gen b"), tb, c1, 1);
     b.deliver(ra, c1);
     b.deliver(rb, c0);
     b.sample(c0, ta, vec![ra]);

@@ -25,7 +25,7 @@ pub mod e14_frame_size;
 pub mod e15_duplex;
 pub mod e16_delay_load;
 pub mod e17_gbn;
-pub mod e18_sharded_chain;
+pub mod e18_long_chain;
 
 use crate::report::Table;
 use sim_core::stats::Series;
@@ -128,7 +128,7 @@ pub fn run_by_id(id: &str, quick: bool) -> Option<ExperimentOutput> {
         "e15" => e15_duplex::run(quick),
         "e16" => e16_delay_load::run(quick),
         "e17" => e17_gbn::run(quick),
-        "e18" => e18_sharded_chain::run(quick),
+        "e18" => e18_long_chain::run(quick),
         _ => return None,
     })
 }

@@ -12,16 +12,16 @@
 //!   and SDU generators (kept at their historical harness paths);
 //! * [`scenario`] / [`duplex`] / [`chain`] — thin topology builders over
 //!   netsim's one event loop: 2 nodes/1 link each way, 2 duplex
-//!   nodes/2 links, and an N+1-node store-and-forward chain that any
-//!   number of shards can split ([`relay`] runs it at one shard; common
-//!   random numbers across protocols);
+//!   nodes/2 links, and an N+1-node store-and-forward chain ([`relay`]
+//!   runs it for both protocols with common random numbers);
 //! * [`metrics`] — per-run measurement collection and [`metrics::RunReport`];
 //! * [`parallel`] / [`runner`] — the experiment runner: worker-thread
 //!   fan-out with deterministic merging, CLI parsing, JSON reports;
 //! * [`profile_report`] — rendering for `repro --profile` self-profiles
 //!   (JSON document, human tables, folded flamegraph stacks);
 //! * [`experiments`] — the E1–E17 suite regenerating every table and
-//!   figure of the paper (see DESIGN.md for the index);
+//!   figure of the paper, plus E18's long relay chain (see DESIGN.md
+//!   for the index);
 //! * [`report`] — plain-text table/series rendering.
 
 pub mod chain;
@@ -39,7 +39,7 @@ pub mod scenario;
 
 pub use netsim::{link, traffic};
 
-pub use chain::{run_chain, run_chain_lams, Shards};
+pub use chain::{run_chain, run_chain_lams};
 pub use duplex::{run_duplex, run_duplex_lams, run_duplex_sr, DuplexReport};
 pub use metrics::{Collector, RunReport};
 pub use netsim::link::{Channel, DelayModel, ErrorModel, Fate, Outage};

@@ -229,93 +229,6 @@ pub fn perf_take() -> Option<(QueueProfile, f64, u64)> {
     PERF_ACC.with(|acc| acc.borrow_mut().take())
 }
 
-/// JSON view of a [`netsim::ShardProfile`] — the report's
-/// `shard_profile` block. `busy_ns`/`blocked_ns`/`wall_secs` and the
-/// wall-derived `efficiency`/`imbalance` are determinism-exempt (like
-/// `perf`); every other member is byte-identical across repeated runs,
-/// and `events` is invariant across shard counts too.
-pub fn shard_json(p: &netsim::ShardProfile) -> Json {
-    Json::obj([
-        ("shards", Json::from(p.shards)),
-        ("supersteps", p.supersteps.into()),
-        ("windows", p.windows.into()),
-        ("null_windows", p.null_windows.into()),
-        ("events", p.events.into()),
-        ("inbound", p.inbound.into()),
-        ("outbound", p.outbound.into()),
-        ("granted_ns", p.granted_ns.into()),
-        ("available_ns", p.available_ns.into()),
-        ("lookahead_utilization", p.lookahead_utilization().into()),
-        (
-            "critical_cuts",
-            Json::obj(
-                p.critical_cuts
-                    .iter()
-                    .map(|(link, count)| (format!("link{link}"), Json::from(*count))),
-            ),
-        ),
-        ("efficiency", p.efficiency().into()),
-        ("imbalance", p.imbalance().into()),
-        (
-            "busy_ns",
-            Json::Arr(p.busy_ns.iter().map(|&b| b.into()).collect()),
-        ),
-        (
-            "blocked_ns",
-            Json::Arr(p.blocked_ns.iter().map(|&b| b.into()).collect()),
-        ),
-        ("wall_secs", p.wall_secs.into()),
-    ])
-}
-
-/// Drained superstep accounting for a batch of sharded runs: the
-/// absorbed profile plus each run's raw spans, in run order.
-#[derive(Default)]
-pub struct ShardAcc {
-    /// Superstep accounting absorbed over every run in the batch.
-    pub profile: netsim::ShardProfile,
-    /// One span list per sharded run, in completion order on this
-    /// thread (run loops are serial per thread, so this is run order).
-    pub runs: Vec<Vec<telemetry::SuperstepSpan>>,
-}
-
-thread_local! {
-    /// Per-thread shard accumulator, the sharded-runtime sibling of
-    /// [`PERF_ACC`]: run loops feed it via [`shard_absorb`];
-    /// [`shard_take`] drains it for per-experiment `shard_profile`
-    /// blocks and the timeline export.
-    static SHARD_ACC: std::cell::RefCell<Option<ShardAcc>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Fold one sharded run's accounting and spans into the thread's shard
-/// accumulator.
-pub fn shard_absorb(profile: &netsim::ShardProfile, spans: Vec<telemetry::SuperstepSpan>) {
-    SHARD_ACC.with(|acc| {
-        let mut acc = acc.borrow_mut();
-        let a = acc.get_or_insert_with(ShardAcc::default);
-        a.profile.absorb(profile);
-        a.runs.push(spans);
-    });
-}
-
-/// Fold an already-drained accumulator into the thread's — used when
-/// replaying a worker thread's batch into the orchestrating thread's.
-pub fn shard_merge(other: ShardAcc) {
-    SHARD_ACC.with(|acc| {
-        let mut acc = acc.borrow_mut();
-        let a = acc.get_or_insert_with(ShardAcc::default);
-        a.profile.absorb(&other.profile);
-        a.runs.extend(other.runs);
-    });
-}
-
-/// Drain the thread's shard accumulator, or `None` if no sharded run
-/// fed it since the last call.
-pub fn shard_take() -> Option<ShardAcc> {
-    SHARD_ACC.with(|acc| acc.borrow_mut().take())
-}
-
 /// Accumulates measurements during a run.
 ///
 /// SDU ids are issued sequentially by the traffic generator, so the

@@ -38,36 +38,11 @@ pub fn workers() -> usize {
     WORKERS.load(Ordering::Relaxed).max(1)
 }
 
-/// Shard count for experiment families that split one simulation across
-/// threads (`repro --shards N`). Orthogonal to [`WORKERS`], which fans
-/// out *across* experiments; shards parallelise *within* one run.
-static SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Set the shard count for subsequent sharded runs. `0` selects the
-/// machine's available parallelism (the CLI rejects 0 before calling
-/// this; programmatic callers get auto).
-pub fn set_shards(n: usize) {
-    let n = if n == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        n
-    };
-    SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// The configured shard count.
-pub fn shards() -> usize {
-    SHARDS.load(Ordering::Relaxed).max(1)
-}
-
 /// What one worker item hands back besides its output: the side
 /// channels to replay on the orchestrating thread.
 struct ItemResult<O> {
     out: O,
     perf: Option<(QueueProfile, f64, u64)>,
-    shard: Option<crate::metrics::ShardAcc>,
     records: Vec<TraceRecord>,
 }
 
@@ -114,11 +89,9 @@ where
     std::thread::scope(|scope| {
         for _ in 0..n_workers {
             scope.spawn(|| {
-                // Each worker starts with clean perf and shard
-                // accumulators so the per-item delta is exactly that
-                // item's runs.
+                // Each worker starts with a clean perf accumulator so
+                // the per-item delta is exactly that item's runs.
                 let _ = crate::metrics::perf_take();
-                let _ = crate::metrics::shard_take();
                 loop {
                     let idx = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(slot) = slots.get(idx) else {
@@ -138,7 +111,6 @@ where
                         *results[idx].lock().expect("result slot") = Some(ItemResult {
                             out,
                             perf: crate::metrics::perf_take(),
-                            shard: crate::metrics::shard_take(),
                             records,
                         });
                         continue;
@@ -149,7 +121,6 @@ where
                     *results[idx].lock().expect("result slot") = Some(ItemResult {
                         out,
                         perf: crate::metrics::perf_take(),
-                        shard: crate::metrics::shard_take(),
                         records,
                     });
                 }
@@ -170,9 +141,6 @@ where
                 .expect("every item produced a result");
             if let Some((profile, wall, runs)) = r.perf {
                 crate::metrics::perf_merge(&profile, wall, runs);
-            }
-            if let Some(shard) = r.shard {
-                crate::metrics::shard_merge(shard);
             }
             if let Some(sink) = &caller_sink {
                 let mut sink = sink.borrow_mut();

@@ -16,12 +16,9 @@
 //!   resequencing delay is paid *per hop*, and a loss near the source
 //!   stalls the pipeline of every downstream link.
 //!
-//! The chain is [`crate::chain`]'s, run as one shard directly on the
-//! caller's thread: the relay runs here sit inside
-//! [`crate::parallel::map`] sweeps, and shards never nest inside
-//! workers.
+//! The chain is [`crate::chain`]'s.
 
-use crate::chain::{run_chain_lams_as, run_chain_sr_as, Shards};
+use crate::chain::{run_chain_lams_as, run_chain_sr_as};
 use crate::metrics::RunReport;
 use crate::scenario::ScenarioConfig;
 
@@ -37,12 +34,12 @@ pub struct RelayConfig {
 
 /// Relay chain under LAMS-DLC at every hop.
 pub fn run_relay_lams(cfg: &RelayConfig) -> RunReport {
-    run_chain_lams_as(cfg, Shards::Direct, "lams-relay")
+    run_chain_lams_as(cfg, "lams-relay")
 }
 
 /// Relay chain under SR-HDLC at every hop.
 pub fn run_relay_sr(cfg: &RelayConfig) -> RunReport {
-    run_chain_sr_as(cfg, Shards::Direct, "sr-relay")
+    run_chain_sr_as(cfg, "sr-relay")
 }
 
 #[cfg(test)]

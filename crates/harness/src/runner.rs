@@ -27,8 +27,6 @@ usage: repro [OPTIONS] [EXPERIMENT_ID...]
   repro --metrics m.jsonl    # also write windowed time-series metrics (JSONL)
   repro --profile p.json     # self-profile each experiment (span trees)
   repro --workers 4          # run experiments on 4 worker threads (0 = auto)
-  repro --shards 8 e18       # split sharded-family simulations over 8 cores
-  repro --shards 3 --timeline t.json e18   # Perfetto superstep timeline
 
 options:
   -q, --quick            shrink workloads for CI
@@ -39,25 +37,12 @@ options:
       --profile <path>         write the lams-dlc.profile/1 span-tree document
       --profile-folded <path>  write collapsed stacks for flamegraph tools
       --workers <n>      worker threads for the experiment fan-out (default 1)
-      --shards <n>       threads per sharded simulation (default 1; must be >= 1)
-      --timeline <path>  write the lams-dlc.timeline/1 Chrome trace-event JSON
-                         (superstep spans per shard; open in Perfetto)
 
 Profiling (--profile / --profile-folded) measures wall-clock spans and
 prints a per-experiment breakdown; simulated results are byte-identical
 with profiling on or off. Within a profiled experiment the inner
 simulation fan-out runs serially so span times nest correctly;
 experiments themselves still spread across --workers.
-
---shards splits each simulation of the sharded experiment family (e18)
-across conservative parallel-DES threads; results are byte-identical at
-any shard count (only the perf block's wall clock differs).
-
---timeline captures the sharded runtime's superstep accounting as a
-Chrome trace-event document (one track per shard, counter tracks for
-event rate / queue depth / grant horizon) loadable in Perfetto. Span
-placement uses the wall clock; every span argument (grants, critical
-cuts, event counts) is deterministic.
 
 Every run is audited live against the LAMS-DLC protocol invariants;
 violations are printed to stderr and fail the run (exit 1).
@@ -88,10 +73,7 @@ pub const INDEX: &[(&str, &str)] = &[
     ("e15", "Full-duplex operation (no-piggyback cost)"),
     ("e16", "Delay vs offered load (throughput/delay tradeoff)"),
     ("e17", "Go-Back-N baseline collapse"),
-    (
-        "e18",
-        "Sharded relay chain (conservative parallel execution)",
-    ),
+    ("e18", "Long relay chain (up to 12 hops)"),
 ];
 
 /// Parsed `repro` command line.
@@ -114,11 +96,6 @@ pub struct CliArgs {
     pub profile_folded: Option<String>,
     /// Worker threads for the experiment fan-out (0 = auto).
     pub workers: usize,
-    /// Threads per sharded simulation (≥ 1; the parser rejects 0).
-    pub shards: usize,
-    /// Path for the `lams-dlc.timeline/1` Chrome trace-event document,
-    /// if requested.
-    pub timeline: Option<String>,
     /// Explicit experiment ids (empty = all).
     pub ids: Vec<String>,
 }
@@ -137,7 +114,6 @@ impl CliArgs {
 pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     let mut cli = CliArgs {
         workers: 1,
-        shards: 1,
         ..CliArgs::default()
     };
     let mut it = args.iter();
@@ -156,24 +132,11 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--metrics" => cli.metrics = Some(value("--metrics", &mut it)?),
             "--profile" => cli.profile = Some(value("--profile", &mut it)?),
             "--profile-folded" => cli.profile_folded = Some(value("--profile-folded", &mut it)?),
-            "--timeline" => cli.timeline = Some(value("--timeline", &mut it)?),
             "--workers" => {
                 let v = value("--workers", &mut it)?;
                 cli.workers = v
                     .parse()
                     .map_err(|_| format!("--workers expects a number, got {v:?}"))?;
-            }
-            "--shards" => {
-                let v = value("--shards", &mut it)?;
-                cli.shards = v
-                    .parse()
-                    .map_err(|_| format!("--shards expects a number, got {v:?}"))?;
-                // Unlike --workers, 0 is not "auto": a sharded run's
-                // shape is part of its identity contract, so the count
-                // must be explicit.
-                if cli.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
             }
             "all" => {}
             flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
@@ -194,7 +157,6 @@ pub fn validate_paths(cli: &CliArgs) -> Result<(), String> {
         ("--metrics", &cli.metrics),
         ("--profile", &cli.profile),
         ("--profile-folded", &cli.profile_folded),
-        ("--timeline", &cli.timeline),
     ];
     for (flag, path) in targets {
         let Some(path) = path else { continue };
@@ -227,9 +189,6 @@ pub struct ExperimentRun {
     pub audit: monitor::MonitorReport,
     /// The wall-clock self-profile, when the run was profiled.
     pub profile: Option<ExperimentProfile>,
-    /// Superstep accounting + per-run spans — `None` unless the
-    /// experiment ran sharded simulations (the e18 family).
-    pub shard: Option<metrics::ShardAcc>,
 }
 
 /// The `&'static str` form of a known experiment id (trace node labels
@@ -269,7 +228,6 @@ pub fn run_experiments_with(ids: &[String], quick: bool, profiled: bool) -> Vec<
     use std::rc::Rc;
     parallel::map(ids.to_vec(), move |id| {
         metrics::perf_take(); // clear any carry-over before the experiment
-        metrics::shard_take();
         let wall = if profiled {
             profile::install();
             Some((std::time::Instant::now(), profile::alloc::snapshot()))
@@ -313,7 +271,6 @@ pub fn run_experiments_with(ids: &[String], quick: bool, profiled: bool) -> Vec<
         ExperimentRun {
             id,
             perf: metrics::perf_take(),
-            shard: metrics::shard_take(),
             output,
             audit,
             profile,
@@ -357,18 +314,11 @@ pub fn report_json(runs: &[ExperimentRun], quick: bool) -> Json {
                 Some(p) => p.to_json(),
                 None => Json::Null,
             };
-            // Superstep accounting: deterministic counts plus
-            // wall-exempt busy/blocked vectors (see shard_json).
-            let shard_profile = match &run.shard {
-                Some(acc) => metrics::shard_json(&acc.profile),
-                None => Json::Null,
-            };
             if let Json::Obj(members) = &mut doc {
                 members.push(("perf".into(), perf));
                 members.push(("metrics".into(), metrics));
                 members.push(("attribution".into(), attribution));
                 members.push(("profile".into(), profile));
-                members.push(("shard_profile".into(), shard_profile));
             }
             Some(doc)
         })
@@ -451,68 +401,6 @@ pub fn attribution_table(id: &str, a: &monitor::AttributionAgg) -> String {
     s
 }
 
-/// Render one experiment's superstep accounting as a human-readable
-/// table, printed next to the latency budget when the run was sharded.
-/// Efficiency/imbalance read the wall clock; everything else is
-/// deterministic. `wall_secs` itself is deliberately *not* printed:
-/// at one shard every figure here is a deterministic constant, which
-/// keeps default stdout byte-identical across `--workers` counts (the
-/// wall clock lives in the JSON report's exempt fields instead).
-pub fn shard_table(id: &str, p: &netsim::ShardProfile) -> String {
-    use std::fmt::Write as _;
-    if p.supersteps == 0 {
-        return String::new();
-    }
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "shard efficiency [{id}]: {} shard(s), {} superstep(s), {} window(s) ({} null)",
-        p.shards, p.supersteps, p.windows, p.null_windows
-    );
-    let _ = writeln!(
-        s,
-        "  parallel efficiency {:>6.1}%   load imbalance {:.2}x   lookahead utilization {:>5.1}%",
-        100.0 * p.efficiency(),
-        p.imbalance(),
-        100.0 * p.lookahead_utilization(),
-    );
-    let _ = writeln!(
-        s,
-        "  events {}   inbound {}   outbound {}",
-        p.events, p.inbound, p.outbound
-    );
-    if !p.critical_cuts.is_empty() {
-        let cuts: Vec<String> = p
-            .critical_cuts
-            .iter()
-            .map(|(link, count)| format!("link{link} x{count}"))
-            .collect();
-        let _ = writeln!(s, "  critical cuts: {}", cuts.join(", "));
-    }
-    s
-}
-
-/// Build the `lams-dlc.timeline/1` Chrome trace-event document over
-/// completed runs: one track group per sharded simulation, labelled
-/// `"<id> run <k>"` in run order — the same labels the offline
-/// `trace-tools timeline` replay reconstructs from the trace stream.
-pub fn timeline_json(runs: &[ExperimentRun]) -> Json {
-    let mut groups = Vec::new();
-    for run in runs {
-        let Some(acc) = &run.shard else { continue };
-        for (k, spans) in acc.runs.iter().enumerate() {
-            if spans.is_empty() {
-                continue;
-            }
-            groups.push(telemetry::TimelineGroup {
-                label: format!("{} run {k}", run.id),
-                spans: spans.clone(),
-            });
-        }
-    }
-    telemetry::timeline_doc(&groups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,20 +439,7 @@ mod tests {
         let cli = parse_args(&args(&["all"])).expect("valid");
         assert!(cli.ids.is_empty());
         assert_eq!(cli.workers, 1);
-        assert_eq!(cli.shards, 1);
         assert!(cli.json.is_none());
-    }
-
-    #[test]
-    fn parses_shards_and_rejects_bad_counts() {
-        let cli = parse_args(&args(&["--shards", "4", "e18"])).expect("valid");
-        assert_eq!(cli.shards, 4);
-        let err = parse_args(&args(&["--shards", "0"])).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse_args(&args(&["--shards", "many"])).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
-        let err = parse_args(&args(&["--shards"])).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
     }
 
     #[test]
@@ -697,55 +572,6 @@ mod tests {
         let doc = report_json(&plain, true);
         let exp = &doc.get("experiments").and_then(Json::as_arr).expect("arr")[0];
         assert_eq!(exp.get("profile"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn parses_timeline_flag() {
-        let cli = parse_args(&args(&["--timeline", "t.json", "e18"])).expect("valid");
-        assert_eq!(cli.timeline.as_deref(), Some("t.json"));
-        assert_eq!(cli.ids, vec!["e18"]);
-        let err = parse_args(&args(&["--timeline"])).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-        let cli = CliArgs {
-            timeline: Some("/definitely/not/a/dir/t.json".into()),
-            ..CliArgs::default()
-        };
-        let err = validate_paths(&cli).unwrap_err();
-        assert!(err.contains("--timeline"), "{err}");
-    }
-
-    #[test]
-    fn sharded_experiment_carries_shard_profile_and_timeline() {
-        let runs = run_experiments(&args(&["e18"]), true);
-        let acc = runs[0].shard.as_ref().expect("e18 runs sharded sims");
-        assert!(acc.profile.events > 0);
-        assert_eq!(acc.runs.len(), 2, "quick e18 sweeps two chain lengths");
-
-        let doc = report_json(&runs, true);
-        let exp = &doc.get("experiments").and_then(Json::as_arr).expect("arr")[0];
-        let sp = exp.get("shard_profile").expect("shard_profile key");
-        assert!(sp.get("events").and_then(Json::as_u64).expect("events") > 0);
-        assert!(sp.get("efficiency").is_some(), "{sp:?}");
-        assert!(sp.get("critical_cuts").is_some(), "{sp:?}");
-
-        let table = shard_table("e18", &acc.profile);
-        assert!(table.contains("parallel efficiency"), "{table}");
-        assert!(table.contains("superstep(s)"), "{table}");
-
-        let tl = timeline_json(&runs);
-        assert_eq!(
-            tl.get("schema").and_then(Json::as_str),
-            Some(telemetry::TIMELINE_SCHEMA)
-        );
-        let events = tl.get("traceEvents").and_then(Json::as_arr).expect("arr");
-        assert!(!events.is_empty());
-
-        // Non-sharded experiments contribute neither block.
-        let plain = run_experiments(&args(&["e1"]), true);
-        assert!(plain[0].shard.is_none());
-        let doc = report_json(&plain, true);
-        let exp = &doc.get("experiments").and_then(Json::as_arr).expect("arr")[0];
-        assert_eq!(exp.get("shard_profile"), Some(&Json::Null));
     }
 
     #[test]

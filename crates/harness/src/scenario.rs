@@ -3,10 +3,10 @@
 //! A scenario wires one sending endpoint and one receiving endpoint over
 //! a full-duplex [`Channel`] pair (two nodes, one link each way), feeds
 //! SDUs from a [`TrafficGen`], and collects a [`RunReport`]. The event
-//! loop itself is netsim's [`netsim::ShardSim`], run as one shard and
-//! generic over the endpoint traits, so LAMS-DLC, SR-HDLC and GBN-HDLC
-//! all run over **identical** channel error realisations for a given
-//! seed (common random numbers).
+//! loop itself is netsim's [`netsim::ShardSim`], generic over the
+//! endpoint traits, so LAMS-DLC, SR-HDLC and GBN-HDLC all run over
+//! **identical** channel error realisations for a given seed (common
+//! random numbers).
 
 use crate::link::{Channel, DelayModel, ErrorModel, Outage};
 use crate::metrics::{Collector, RunReport};
@@ -14,7 +14,7 @@ use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::traffic::{Pattern, TrafficGen};
 use netsim::channel::GilbertElliott;
 use netsim::Machine;
-use netsim::{LinkId, NodeRole, Partition, ShardBuilder, SoloRun, Topology};
+use netsim::{LinkId, NodeRole, ShardBuilder, SoloRun, Topology};
 use orbit::propagation_delay_s;
 use sim_core::{Duration, SeedSplitter};
 
@@ -226,7 +226,7 @@ impl ScenarioConfig {
     }
 }
 
-/// A one-shard builder over two nodes with the given roles, joined by
+/// A builder over two nodes with the given roles, joined by
 /// the scenario's forward channel (node 0 → 1, local link 0) and
 /// reverse channel (local link 1), sampling every `cfg.sample_every`.
 pub(crate) fn pair_builder<T, R>(
@@ -242,7 +242,7 @@ where
     topo.link(a, z, "fwd");
     topo.link(z, a, "rev");
     let mut b = ShardBuilder::new(cfg.payload_bytes);
-    b.place(&topo, &Partition::contiguous(2, 1), 0);
+    b.place(&topo);
     b.sample_every(cfg.sample_every);
     let (fwd, rev) = cfg.build_channels();
     let lf = b.link(0, fwd, "fwd");
@@ -281,8 +281,8 @@ where
     report
 }
 
-/// Wire the scenario's two nodes around `tx` and `rx` and run it on one
-/// shard, handing back the finished endpoints.
+/// Wire the scenario's two nodes around `tx` and `rx` and run it,
+/// handing back the finished endpoints.
 fn run_solo<T, R>(cfg: &ScenarioConfig, tx: T, rx: R) -> SoloRun<T, R, Collector>
 where
     T: TxEndpoint,
@@ -302,7 +302,7 @@ where
     b.listen(lr, t);
     let c = b.collector(Collector::new());
     b.expect(c, cfg.n_packets);
-    b.source(gen, t, Some(c), 0);
+    b.source(gen, t, c, 0);
     b.deliver(r, c);
     b.sample(c, t, vec![r]);
     b.holding(c, t);

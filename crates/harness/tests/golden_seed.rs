@@ -18,8 +18,8 @@
 //! and a multi-pass transfer).
 
 use harness::{
-    run_duplex_lams, run_gbn, run_lams, run_multi_pass_limited, run_relay_lams, run_sr, Pattern,
-    RelayConfig, RunReport, ScenarioConfig,
+    run_chain_lams, run_duplex_lams, run_gbn, run_lams, run_multi_pass_limited, run_relay_lams,
+    run_sr, Pattern, RelayConfig, RunReport, ScenarioConfig,
 };
 use orbit::{visibility_windows, LinkConstraints, LinkProfile, Satellite};
 use sim_core::stats::Series;
@@ -288,4 +288,58 @@ fn golden_multi_pass_limited() {
         .collect();
     assert_eq!(passes, vec![(4000, 2376, true), (1624, 1624, false)]);
     assert_eq!(r.total_time_s.to_bits(), 4661077411935583077);
+}
+
+/// E18's chain shape: 1,200 SDUs at residual BER 1e-5 (data) and 1e-6
+/// (control) with a 600 s deadline, over 2 and 6 hops. The values were
+/// captured through the multi-thread coordinator's one-shard path,
+/// before that runtime was removed.
+fn e18_chain(hops: usize) -> RelayConfig {
+    let mut base = ScenarioConfig::paper_default();
+    base.n_packets = 1_200;
+    base.data_residual_ber = 1e-5;
+    base.ctrl_residual_ber = 1e-6;
+    base.deadline = Duration::from_secs(600);
+    RelayConfig { hops, base }
+}
+
+#[test]
+fn golden_e18_chain() {
+    let got: Vec<Fingerprint> = [2, 6]
+        .iter()
+        .map(|&h| fp(&run_chain_lams(&e18_chain(h), 1)))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            Fingerprint {
+                delivered_unique: 1200,
+                duplicates: 0,
+                lost: 0,
+                transmissions: 2598,
+                retransmissions: 198,
+                finished_at_ns: 168344484,
+                delay_count: 1200,
+                e2e_delay_mean_bits: 4594496108226438083,
+                holding_mean_bits: 4584087044053557071,
+                samples: 34,
+                tx_buffer_mean_bits: 4646497850105867565,
+                rx_buffer_mean_bits: 4591022443666511511,
+            },
+            Fingerprint {
+                delivered_unique: 1200,
+                duplicates: 0,
+                lost: 0,
+                transmissions: 7819,
+                retransmissions: 619,
+                finished_at_ns: 293344484,
+                delay_count: 1200,
+                e2e_delay_mean_bits: 4598374666859709558,
+                holding_mean_bits: 4584087044053557071,
+                samples: 59,
+                tx_buffer_mean_bits: 4643182591245078597,
+                rx_buffer_mean_bits: 4589549681275905805,
+            },
+        ]
+    );
 }

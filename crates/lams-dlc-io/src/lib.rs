@@ -35,7 +35,7 @@
 //! demo never notices.
 
 use lams_dlc::pump::{Arrival, Link, Pump, Verdict};
-use lams_dlc::{wire, Frame, LamsConfig, Receiver, RxStatus, Sender};
+use lams_dlc::{wire, Frame, InfoFrame, LamsConfig, PacketId, Receiver, RxStatus, Sender};
 use monitor::{LiveSnapshot, Monitor, MonitorConfig};
 use proto_core::{Clock, Duration, Instant, WallClock};
 use std::cell::RefCell;
@@ -457,9 +457,33 @@ fn stats_doc(
 /// clock. See [`run_transfer`] for the clock- and transport-generic
 /// engine.
 pub fn run_loopback(cfg: &IoConfig) -> Result<IoSummary, String> {
+    check_payload(cfg.payload_len)?;
     let clock = WallClock::new();
     let mut link = UdpTransport::new()?;
     run_transfer(cfg, &clock, &mut link)
+}
+
+/// Bytes one received datagram may hold.
+const RECV_BUF: usize = 2048;
+
+/// Reject a payload whose I-frame would not fit [`RECV_BUF`]: the
+/// receive would truncate every I-frame, each would fail its CRC, and
+/// the transfer could never complete.
+fn check_payload(payload_len: usize) -> Result<(), String> {
+    let empty = Frame::Info(InfoFrame {
+        seq: 0,
+        packet_id: PacketId(0),
+        payload: Default::default(),
+    });
+    let overhead = wire::encoded_len(&empty);
+    let max = RECV_BUF - overhead;
+    if payload_len > max {
+        return Err(format!(
+            "payload of {payload_len} B exceeds the {max} B limit: an I-frame adds \
+             {overhead} B of header and CRC-32, and a received datagram holds {RECV_BUF} B"
+        ));
+    }
+    Ok(())
 }
 
 /// `d` in protocol time, saturating at `u64::MAX` ns (~584 years) instead of wrapping.
@@ -476,7 +500,7 @@ struct WireLink<'a> {
     modulus: u64,
     chan_trace: Trace,
     counters: HostCounters,
-    buf: [u8; 2048],
+    buf: [u8; RECV_BUF],
     out: Vec<u8>,
 }
 
@@ -546,15 +570,17 @@ impl Link for WireLink<'_> {
 /// [`UdpTransport`] (production) and a [`proto_core::ManualClock`] with
 /// [`MemTransport`] (deterministic tests).
 ///
-/// Returns an error if the transfer does not complete within
-/// [`IoConfig::timeout`], if delivery order is ever violated, or if
-/// the sender declares link failure. Audit findings do *not* fail the
+/// Returns an error if the payload's I-frame does not fit one received
+/// datagram (checked before any I/O), if the transfer does not complete
+/// within [`IoConfig::timeout`], if delivery order is ever violated, or
+/// if the sender declares link failure. Audit findings do *not* fail the
 /// transfer; they are reported in [`IoSummary::audit_findings`].
 pub fn run_transfer(
     cfg: &IoConfig,
     clock: &dyn Clock,
     link: &mut dyn Transport,
 ) -> Result<IoSummary, String> {
+    check_payload(cfg.payload_len)?;
     // Telemetry pipeline: both machines and the host trace into the live
     // monitor, or into a fan-out carrying it and a JSONL file.
     let mon = Rc::new(RefCell::new(Monitor::new(MonitorConfig::default())));
@@ -580,7 +606,7 @@ pub fn run_transfer(
         modulus: lcfg.seq_modulus(),
         chan_trace: sink_trace(sink.clone(), "channel"),
         counters: HostCounters::default(),
-        buf: [0; 2048],
+        buf: [0; RECV_BUF],
         out: Vec::new(),
     };
     let mut sender = Sender::new(lcfg.clone());
@@ -756,6 +782,40 @@ mod tests {
         )
         .expect("a budget of centuries does not run out");
         assert_eq!(s.delivered, 50);
+    }
+
+    fn mem_transfer(payload_len: usize) -> Result<IoSummary, String> {
+        let cfg = IoConfig {
+            sdus: 20,
+            payload_len,
+            ..IoConfig::default()
+        };
+        run_transfer(
+            &cfg,
+            &proto_core::ManualClock::new(),
+            &mut MemTransport::new(),
+        )
+    }
+
+    #[test]
+    fn largest_payload_that_fits_a_datagram_completes() {
+        let s = mem_transfer(2_029).expect("a 2,048-byte I-frame fits");
+        assert_eq!(s.delivered, 20);
+        assert_eq!(s.malformed, 0);
+    }
+
+    #[test]
+    fn oversized_payloads_are_rejected_before_the_transfer() {
+        for len in [2_030, 65_536] {
+            let err = mem_transfer(len).expect_err("the I-frame cannot fit");
+            assert_eq!(
+                err,
+                format!(
+                    "payload of {len} B exceeds the 2029 B limit: an I-frame adds 19 B \
+                     of header and CRC-32, and a received datagram holds 2048 B"
+                )
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! trace-tools lifecycle   run.trace.jsonl --limit 20
 //! trace-tools summary     run.trace.jsonl
 //! trace-tools attribution run.trace.jsonl
-//! trace-tools timeline    run.trace.jsonl --out t.json
 //! ```
 
 use monitor::{Monitor, MonitorConfig};
@@ -35,10 +34,6 @@ commands:
   attribution  per-experiment latency-attribution blocks, one
                \"<id>\\t<json>\" line each — byte-identical to the live
                report's \"attribution\" blocks
-  timeline     rebuild the lams-dlc.timeline/1 Chrome trace-event
-               document from the trace's superstep records (synthetic
-               span placement; deterministic fields match the live
-               repro --timeline export byte-for-byte)
 
 options:
   --window <ms>   metric window width in milliseconds (default 100)
@@ -101,7 +96,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let command = command.ok_or("missing command")?;
     if !matches!(
         command.as_str(),
-        "audit" | "metrics" | "lifecycle" | "summary" | "attribution" | "timeline"
+        "audit" | "metrics" | "lifecycle" | "summary" | "attribution"
     ) {
         return Err(format!("unknown command: {command}"));
     }
@@ -140,96 +135,6 @@ fn replay(path: &str, monitor: &mut Monitor) -> Result<BTreeMap<&'static str, u6
     Ok(kinds)
 }
 
-/// Rebuild timeline track groups from a trace's `superstep` records.
-///
-/// Runs of one experiment appear sequentially in the stream, each with
-/// unique `(round, shard)` pairs starting over at round 0 — so a
-/// repeated pair marks a run boundary. Spans carry zeroed wall-clock
-/// fields, which selects [`telemetry::timeline_doc`]'s synthetic
-/// placement; every other field is deterministic, so the document
-/// matches the live `repro --timeline` export on everything but
-/// `ts`/`dur`.
-fn timeline_groups(path: &str) -> Result<Vec<telemetry::TimelineGroup>, String> {
-    use std::collections::HashSet;
-    use telemetry::TraceEvent;
-
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let mut groups: Vec<telemetry::TimelineGroup> = Vec::new();
-    let mut current: Vec<telemetry::SuperstepSpan> = Vec::new();
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    let mut exp_id = String::from("(unlabeled)");
-    let mut run_idx = 0usize;
-
-    fn flush(
-        groups: &mut Vec<telemetry::TimelineGroup>,
-        current: &mut Vec<telemetry::SuperstepSpan>,
-        seen: &mut HashSet<(u64, u64)>,
-        exp_id: &str,
-        run_idx: &mut usize,
-    ) {
-        if !current.is_empty() {
-            groups.push(telemetry::TimelineGroup {
-                label: format!("{exp_id} run {run_idx}"),
-                spans: std::mem::take(current),
-            });
-            *run_idx += 1;
-        }
-        seen.clear();
-    }
-
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| format!("read error in {path}: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = Json::parse(&line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        if v.get("schema").is_some() {
-            continue;
-        }
-        let rec = telemetry::TraceRecord::from_json(&v)
-            .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        match rec.event {
-            TraceEvent::ExperimentStarted { id } => {
-                flush(&mut groups, &mut current, &mut seen, &exp_id, &mut run_idx);
-                exp_id = id.to_string();
-                run_idx = 0;
-            }
-            TraceEvent::Superstep {
-                round,
-                shard,
-                grant_ns,
-                cut_bound,
-                critical_link,
-                events,
-                inbound,
-                outbound,
-                queue_depth,
-            } => {
-                if !seen.insert((round, shard)) {
-                    flush(&mut groups, &mut current, &mut seen, &exp_id, &mut run_idx);
-                    seen.insert((round, shard));
-                }
-                current.push(telemetry::SuperstepSpan {
-                    round,
-                    shard,
-                    grant_ns,
-                    cut_bound,
-                    critical_link,
-                    events,
-                    inbound,
-                    outbound,
-                    queue_depth,
-                    t0_ns: 0,
-                    busy_ns: 0,
-                });
-            }
-            _ => {}
-        }
-    }
-    flush(&mut groups, &mut current, &mut seen, &exp_id, &mut run_idx);
-    Ok(groups)
-}
-
 fn open_out(out: &Option<String>) -> Result<Box<dyn Write>, String> {
     match out {
         Some(path) => {
@@ -259,16 +164,6 @@ fn emit_lines(
 }
 
 fn run(args: &Args) -> Result<ExitCode, String> {
-    if args.command == "timeline" {
-        let groups = timeline_groups(&args.trace)?;
-        let doc = telemetry::timeline_doc(&groups);
-        let mut w = open_out(&args.out)?;
-        // Same bytes as `repro --timeline`: pretty JSON + newline.
-        writeln!(w, "{}", doc.render_pretty()).map_err(|e| format!("write failed: {e}"))?;
-        w.flush().map_err(|e| format!("write failed: {e}"))?;
-        eprintln!("timeline: {} track group(s)", groups.len());
-        return Ok(ExitCode::SUCCESS);
-    }
     let cfg = MonitorConfig {
         window: Duration::from_millis(args.window_ms),
         keep_lifecycles: args.command == "lifecycle",
@@ -388,79 +283,5 @@ fn main() -> ExitCode {
             eprintln!("trace-tools: {msg}");
             ExitCode::from(2)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sim_core::Instant;
-    use telemetry::{TraceEvent, TraceRecord};
-
-    fn superstep(round: u64, shard: u64, events: u64) -> String {
-        TraceRecord {
-            t: Instant::from_nanos(round * 10 + shard),
-            node: "coord",
-            event: TraceEvent::Superstep {
-                round,
-                shard,
-                grant_ns: round * 10 + shard,
-                cut_bound: shard > 0,
-                critical_link: shard,
-                events,
-                inbound: 0,
-                outbound: 0,
-                queue_depth: 0,
-            },
-        }
-        .to_json()
-        .render()
-    }
-
-    fn started(id: &'static str) -> String {
-        TraceRecord {
-            t: Instant::ZERO,
-            node: "runner",
-            event: TraceEvent::ExperimentStarted { id },
-        }
-        .to_json()
-        .render()
-    }
-
-    #[test]
-    fn groups_split_on_markers_and_repeated_rounds() {
-        // Two runs of e18 (round restarts at 0), then one run of e13.
-        let lines = [
-            started("e18"),
-            superstep(0, 0, 5),
-            superstep(0, 1, 3),
-            superstep(1, 0, 2),
-            superstep(0, 0, 7), // (0,0) again → new run
-            superstep(0, 1, 1),
-            started("e13"),
-            superstep(0, 0, 9),
-        ]
-        .join("\n");
-        let path = std::env::temp_dir().join("trace_tools_timeline_test.jsonl");
-        std::fs::write(&path, lines).expect("write temp trace");
-        let groups = timeline_groups(path.to_str().expect("utf8 path")).expect("parse");
-        let _ = std::fs::remove_file(&path);
-
-        let labels: Vec<&str> = groups.iter().map(|g| g.label.as_str()).collect();
-        assert_eq!(labels, ["e18 run 0", "e18 run 1", "e13 run 0"]);
-        assert_eq!(groups[0].spans.len(), 3);
-        assert_eq!(groups[1].spans.len(), 2);
-        assert_eq!(groups[1].spans[0].events, 7);
-        assert!(
-            groups
-                .iter()
-                .all(|g| g.spans.iter().all(|s| s.t0_ns == 0 && s.busy_ns == 0)),
-            "offline spans carry no wall clock"
-        );
-        let doc = telemetry::timeline_doc(&groups);
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some(telemetry::TIMELINE_SCHEMA)
-        );
     }
 }

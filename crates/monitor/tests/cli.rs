@@ -1,6 +1,7 @@
 //! CLI contract tests for the `trace-tools` binary: error paths must
-//! print usage and exit 2, and the `attribution` subcommand must replay
-//! a trace into the same per-experiment blocks the live monitor builds.
+//! print usage and exit 2, malformed traces must exit 2, and the
+//! `attribution` subcommand must replay a trace into the same
+//! per-experiment blocks the live monitor builds.
 
 use std::process::Command;
 
@@ -50,6 +51,29 @@ fn bad_window_value_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--window"), "{stderr}");
+}
+
+#[test]
+fn retired_superstep_record_exits_2() {
+    // The multi-thread shard coordinator once wrote these; no writer
+    // emits the kind now, so an old trace is malformed input.
+    let line = r#"{"t":600,"node":"coord","event":"superstep","round":0,"shard":0,"grant_ns":600000000000,"cut_bound":false,"critical_link":0,"events":3860,"inbound":0,"outbound":0,"queue_depth":6}"#;
+    let path = std::env::temp_dir().join(format!(
+        "trace_tools_superstep_{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::write(&path, format!("{line}\n")).expect("write temp trace");
+    let out = trace_tools()
+        .args(["audit", path.to_str().expect("utf8 path")])
+        .output()
+        .expect("spawn trace-tools");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(r#":1: unknown event kind "superstep""#),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -1,22 +1,21 @@
-//! The lane calendar: the shard loop's event queue.
+//! The lane calendar: the simulation loop's event queue.
 //!
-//! A shard only ever has a fixed shape of pending events: at most one
-//! push per traffic source, any number of arrivals per local link, at
+//! A simulation only ever has a fixed shape of pending events: at most
+//! one push per traffic source, any number of arrivals per link, at
 //! most one sampling tick and at most one wake. The calendar stores
 //! exactly that shape — a push slot per source, a FIFO lane per link, a
 //! sample slot and a wake slot — so scheduling is O(1) and the next
-//! instant is the minimum over the lane heads (a linear scan: a shard
-//! has a handful of sources and a few dozen links at most).
+//! instant is the minimum over the lane heads (a linear scan: a run has
+//! a handful of sources and a few dozen links at most).
 //!
 //! **Per-link FIFO.** Arrivals on one link are queued in non-decreasing
 //! time order: the channel's FIFO clamp never lets a frame arrive before
-//! its predecessor, and the coordinator injects cut-link arrivals sorted
-//! by `(at, link, seq)`. [`Calendar::arrive`] asserts it, so a lane's
-//! head is always its earliest arrival.
+//! its predecessor. [`Calendar::arrive`] asserts it, so a lane's head is
+//! always its earliest arrival.
 //!
 //! **Canonical order is structural.** Lanes are indexed in canonical
-//! order — sources by ascending global ordinal, links by ascending
-//! global id (the builder rejects any other registration order) — so
+//! order — sources by ascending ordinal, links by ascending topology id
+//! (the builder rejects any other registration order) — so
 //! [`Calendar::pop_round`] hands out an instant's events already in
 //! canonical dispatch order: pushes, then arrivals (FIFO within a link,
 //! which is per-link transmit order), then the sampling tick, then the
@@ -25,7 +24,7 @@
 use sim_core::{Instant, QueueProfile};
 use std::collections::VecDeque;
 
-/// One event handed to the shard loop by [`Calendar::pop_round`].
+/// One event handed to the simulation loop by [`Calendar::pop_round`].
 pub enum Event<F> {
     /// SDU `id` arrives at local source `source`.
     Push {
@@ -56,7 +55,7 @@ struct Arrival<F> {
     clean: bool,
 }
 
-/// The schedule of one shard: push slots, arrival lanes, and the sample
+/// The schedule of one simulation: push slots, arrival lanes, and the sample
 /// and wake slots, with the lifetime counters a [`QueueProfile`]
 /// reports.
 pub struct Calendar<F> {

@@ -9,9 +9,8 @@
 //! topology of protocol endpoints. The harness crate's point-to-point,
 //! full-duplex and store-and-forward relay runners are all thin
 //! topology builders over it, which guarantees they share *identical*
-//! event scheduling, channel realisations and pump semantics. A run on
-//! one shard is a plain call on the caller's thread; a run split across
-//! shards is the same loop driven in conservative windows:
+//! event scheduling, channel realisations and pump semantics. Every run
+//! is a plain call on the caller's thread:
 //!
 //! * [`endpoint`] — the sans-IO driving contract ([`TxEndpoint`] /
 //!   [`RxEndpoint`]) the event loop polls;
@@ -31,22 +30,18 @@
 //!   calendar with one push slot per source, one FIFO arrival lane per
 //!   link, a sample slot and a wake slot, popped in canonical order
 //!   without a sort;
-//! * [`shard`] — [`ShardBuilder`] / [`ShardSim`]: the builder and the
-//!   event loop (push / arrive / sample / wake), plus the
-//!   [`Partition`] that cuts a topology into shards;
-//! * [`coordinator`] — [`run_sharded`]: one simulation over several
-//!   shards in conservative supersteps (or, at one shard, a single
-//!   window on the caller's thread).
+//! * [`shard`] — [`ShardBuilder`] / [`ShardSim`]: the builder that
+//!   wires and checks a topology, and the event loop (push / arrive /
+//!   sample / wake).
 //!
 //! Determinism: all randomness flows through per-stream
 //! [`sim_core::SeedSplitter`] RNGs owned by channels and traffic
 //! generators (common random numbers), and events at the same instant
 //! dispatch in one canonical order (see [`shard`]) — a run is a pure
-//! function of its configuration and seed, at any shard count.
+//! function of its configuration and seed.
 
 pub mod channel;
 pub mod collect;
-pub mod coordinator;
 pub mod driver;
 pub mod endpoint;
 pub mod event_queue;
@@ -57,16 +52,12 @@ pub mod traffic;
 
 pub use channel::{ErrorProcess, GeState, GilbertElliott, Lossless, UniformBer};
 pub use collect::Collect;
-pub use coordinator::{run_sharded, ShardProfile, ShardedOutcome};
 pub use driver::Driver;
 pub use endpoint::{FrameMeta, RxEndpoint, TxEndpoint};
 pub use event_queue::Calendar;
 pub use link::{Channel, DelayModel, ErrorModel, Fate, Outage};
 pub use proto_core::{Machine, ReceiverMachine, SenderMachine};
-pub use shard::{
-    CutLink, CutPlan, FinishedShard, Inbound, Partition, ShardBuilder, ShardSim, SoloRun,
-    WindowSummary,
-};
+pub use shard::{FinishedShard, ShardBuilder, ShardSim, SoloRun};
 pub use topology::{
     ColId, EndpointId, LinkId, LinkSpec, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
 };

@@ -1,16 +1,4 @@
-//! The simulation loop, and the builder that wires a shard of a
-//! topology into it.
-//!
-//! A [`Partition`] assigns every node of a [`Topology`] to exactly one
-//! shard. Links whose endpoints land in different shards become **cut
-//! links**: the sending shard keeps the real [`Channel`] (its RNG, FIFO
-//! clamp and outage schedule), while the receiving shard registers a
-//! channel-less *stub* that only dispatches injected arrivals to its
-//! listeners. [`Partition::plan`] validates the assignment and extracts
-//! the per-cut-link **lookahead** (the fixed propagation delay) that the
-//! coordinator's conservative horizon rule depends on — a cut link with
-//! zero or time-varying delay is rejected at partition time. Links
-//! inside a shard may use any [`DelayModel`].
+//! The simulation loop, and the builder that wires a topology into it.
 //!
 //! [`ShardSim`] is the one event loop. Every simulation is four event
 //! kinds on one [`Calendar`] — push, arrive, sample, wake — and after
@@ -20,38 +8,26 @@
 //! the link order (a store-and-forward relay forwards into the *next*
 //! link's sender before that link is pumped), holding samples flow to
 //! collectors, and the completion / failure / wake checks run. A whole
-//! simulation on one shard is [`ShardSim::run_solo`]: one window to the
-//! deadline on the caller's thread. Across shards the loop runs in
-//! **granted windows**: [`ShardSim::run_window`] consumes every queued
-//! event with `at ≤ grant`, accumulating frames that crossed an
-//! outbound cut link into a timestamped batch for the coordinator to
-//! route.
+//! simulation is [`ShardSim::run_solo`]: one pass to the deadline on the
+//! caller's thread, ending at the first instant the run completes or a
+//! sender declares link failure.
 //!
-//! Determinism across shard counts rests on three rules the types here
-//! enforce or document:
+//! Determinism rests on two rules the types here enforce:
 //!
 //! * **Canonical intra-instant order.** Same-instant events are
-//!   dispatched in a globally defined order — pushes by source ordinal,
-//!   then arrivals by global link id and, within a link, transmit
-//!   order, then the sampling tick, then the wake — so the dispatch
-//!   sequence is independent of how events happened to interleave
-//!   across shards. The order is structural: it is the calendar's lane
-//!   order, nothing sorts.
-//! * **Per-link arrival sequences assigned at transmit.** The shard
-//!   owning a cut link numbers its arrivals; the FIFO clamp can
-//!   collapse distinct transmissions onto one arrival instant, and the
-//!   coordinator's `(at, link, seq)` routing order injects them into
-//!   the receiving shard's lane in transmit order.
-//! * **Global registration order.** Builders must register links in
-//!   ascending global-id order and sources in ascending ordinal order
-//!   (both validated), and endpoints in global order (documented), so
-//!   each shard's lane and pump orders are the global ones restricted
-//!   to the shard.
+//!   dispatched in one defined order — pushes by source ordinal, then
+//!   arrivals by link id and, within a link, transmit order, then the
+//!   sampling tick, then the wake. The order is structural: it is the
+//!   calendar's lane order, nothing sorts.
+//! * **Registration order is the topology's order.** Builders must
+//!   register links in ascending topology-id order and sources in
+//!   ascending ordinal order (both validated), so lane and pump orders
+//!   follow the topology rather than the call sites.
 
 use crate::collect::Collect;
 use crate::endpoint::{RxEndpoint, TxEndpoint};
 use crate::event_queue::{Calendar, Event};
-use crate::link::{Channel, DelayModel, Fate};
+use crate::link::{Channel, Fate};
 use crate::topology::{
     ColId, EndpointId, LinkId, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
 };
@@ -60,175 +36,7 @@ use bytes::Bytes;
 use sim_core::{Duration, Instant, QueueProfile, RunTimer};
 use telemetry::TraceEvent;
 
-/// Deterministic node → shard assignment.
-#[derive(Clone, Debug)]
-pub struct Partition {
-    assign: Vec<usize>,
-    n_shards: usize,
-}
-
-impl Partition {
-    /// Explicit assignment: `assign[node] = shard`.
-    pub fn explicit(assign: Vec<usize>, n_shards: usize) -> Self {
-        Partition { assign, n_shards }
-    }
-
-    /// Contiguous balanced ranges: nodes split into `n_shards` runs of
-    /// near-equal length (the first `n_nodes % n_shards` runs get one
-    /// extra node). The natural partition for chain topologies.
-    pub fn contiguous(n_nodes: usize, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
-        let base = n_nodes / n_shards;
-        let extra = n_nodes % n_shards;
-        let mut assign = Vec::with_capacity(n_nodes);
-        for s in 0..n_shards {
-            let len = base + usize::from(s < extra);
-            assign.extend(std::iter::repeat_n(s, len));
-        }
-        Partition { assign, n_shards }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Shard owning `node`, if assigned.
-    pub fn shard_of(&self, node: NodeId) -> Option<usize> {
-        self.assign.get(node.0).copied()
-    }
-
-    /// Validate the assignment against `topo` and extract the cut-link
-    /// plan. `delays[link]` is each link's propagation model; cut links
-    /// must have a fixed, strictly positive delay — that delay is the
-    /// conservative lookahead the coordinator grants windows by.
-    ///
-    /// Rejected with one precise message each: links naming unknown
-    /// nodes or looping back, wrong assignment length, out-of-range
-    /// shard indices, empty shards, cut links whose delay is zero or
-    /// time-varying, and multi-shard partitions with no cross-shard
-    /// links at all (no cuts means no lookahead to grant windows by).
-    pub fn plan(&self, topo: &Topology, delays: &[DelayModel]) -> Result<CutPlan, TopologyError> {
-        let mut errors = topo.problems();
-        let nodes = topo.nodes();
-        if self.n_shards == 0 {
-            errors.push("partition has zero shards".to_string());
-        }
-        if self.assign.len() != nodes {
-            errors.push(format!(
-                "partition assigns {} nodes but the topology has {nodes}",
-                self.assign.len()
-            ));
-        }
-        let mut populated = vec![false; self.n_shards];
-        for (i, &s) in self.assign.iter().enumerate() {
-            match populated.get_mut(s) {
-                Some(slot) => *slot = true,
-                None => errors.push(format!(
-                    "node {i} assigned to shard {s} but there are only {} shards",
-                    self.n_shards
-                )),
-            }
-        }
-        for (s, present) in populated.iter().enumerate() {
-            if !present {
-                errors.push(format!("shard {s} has no nodes"));
-            }
-        }
-        if delays.len() != topo.link_count() {
-            errors.push(format!(
-                "got {} delay models for {} links",
-                delays.len(),
-                topo.link_count()
-            ));
-        }
-        let mut cuts = Vec::new();
-        if errors.is_empty() {
-            for (i, l) in topo.links.iter().enumerate() {
-                let (from_shard, to_shard) = (self.assign[l.from.0], self.assign[l.to.0]);
-                if from_shard == to_shard {
-                    continue;
-                }
-                match &delays[i] {
-                    DelayModel::Fixed(d) if *d > Duration::ZERO => cuts.push(CutLink {
-                        link: LinkId(i),
-                        from_shard,
-                        to_shard,
-                        delay: *d,
-                    }),
-                    DelayModel::Fixed(_) => errors.push(format!(
-                        "cut link {i} has zero propagation delay; \
-                         cross-shard lookahead needs a positive fixed delay"
-                    )),
-                    DelayModel::Profile { .. } => errors.push(format!(
-                        "cut link {i} has a time-varying delay profile; \
-                         cross-shard lookahead needs a fixed delay"
-                    )),
-                }
-            }
-        }
-        if errors.is_empty() && self.n_shards > 1 && cuts.is_empty() {
-            // A multi-shard partition with no cross-shard links means
-            // the shards never exchange anything and every horizon is
-            // infinite — the "parallelism" is really independent runs.
-            // Reject it so a miswired partition fails loudly instead of
-            // silently degenerating.
-            errors.push(format!(
-                "partition has {} shards but no cross-shard links; \
-                 conservative windows need at least one cut",
-                self.n_shards
-            ));
-        }
-        if !errors.is_empty() {
-            return Err(TopologyError(errors));
-        }
-        Ok(CutPlan {
-            n_shards: self.n_shards,
-            cuts,
-        })
-    }
-}
-
-/// One link crossing a shard boundary.
-#[derive(Clone, Copy, Debug)]
-pub struct CutLink {
-    /// Global link id.
-    pub link: LinkId,
-    /// Shard owning the channel (the sending side).
-    pub from_shard: usize,
-    /// Shard hosting the listeners (the receiving side).
-    pub to_shard: usize,
-    /// Fixed propagation delay — the conservative lookahead.
-    pub delay: Duration,
-}
-
-/// A validated partition's cut-link plan, consumed by the coordinator.
-#[derive(Clone, Debug)]
-pub struct CutPlan {
-    /// Number of shards.
-    pub n_shards: usize,
-    /// Every link crossing a shard boundary.
-    pub cuts: Vec<CutLink>,
-}
-
-/// A frame in flight across a cut link, in coordinator-routable form.
-/// `(at, link, seq)` is the canonical injection order.
-pub struct Inbound<F> {
-    /// Arrival instant at the receiving shard.
-    pub at: Instant,
-    /// Global id of the cut link it travelled.
-    pub link: usize,
-    /// Per-link arrival sequence assigned at transmit.
-    pub seq: u64,
-    /// The frame.
-    pub frame: F,
-    /// True if it survived the channel uncorrupted.
-    pub clean: bool,
-}
-
-/// Where a receiver's completed deliveries go (shard-local; forwarding
-/// never crosses shards — co-located endpoints share a node, and a node
-/// lives in exactly one shard).
+/// Where a receiver's completed deliveries go.
 enum Delivery {
     Collect(ColId),
     Forward(TxId),
@@ -237,11 +45,9 @@ enum Delivery {
 struct ShardSource {
     gen: TrafficGen,
     tx: TxId,
-    /// Local collector credited with pushes, if this shard has one.
-    /// `None` on shards whose flow is accounted remotely (the sink
-    /// shard's collector is pre-seeded with the push schedule instead).
-    col: Option<ColId>,
-    /// Global source ordinal — the canonical same-instant dispatch key,
+    /// Collector credited with pushes.
+    col: ColId,
+    /// Source ordinal — the canonical same-instant dispatch key,
     /// checked ascending at build.
     ordinal: u64,
 }
@@ -254,36 +60,23 @@ struct Sampler {
     rxs: Vec<RxId>,
 }
 
-/// One local link: an owned channel (intra-shard or outbound cut) or an
-/// inbound stub.
+/// One link: its channel, the endpoints competing for its transmitter,
+/// and the endpoints its arrivals are offered to.
 struct LinkSlot {
+    /// Topology link id.
     global: usize,
     dir: &'static str,
-    /// `None` = inbound stub (listeners only).
-    channel: Option<Channel>,
-    /// Owned cut link: arrivals are exported as batches, not scheduled.
-    export: bool,
+    channel: Channel,
     senders: Vec<EndpointId>,
     listeners: Vec<EndpointId>,
-    /// Next per-link arrival sequence (outbound cut links only).
-    next_seq: u64,
 }
 
-/// The global topology a shard is a slice of, and which of its nodes
-/// the shard hosts.
-struct Placement {
-    topo: Topology,
-    hosted: Vec<bool>,
-}
-
-/// Builder for one shard's slice of a simulation, with global link ids
-/// and explicit cut-link roles. Registration order is semantic: links
-/// pump in registration order (which must be ascending global id), a
-/// link's senders are served in registration order (first registered
-/// wins the transmitter), and arrivals are offered to listeners in
-/// registration order (all but the last get a clone). Register
-/// endpoints in global registration order: each shard's pump order
-/// must be the global order restricted to the shard.
+/// Builder for one simulation, with topology link ids. Registration
+/// order is semantic: links pump in registration order (which must be
+/// ascending topology id), a link's senders are served in registration
+/// order (first registered wins the transmitter), and arrivals are
+/// offered to listeners in registration order (all but the last get a
+/// clone).
 pub struct ShardBuilder<T, R, C> {
     payload_bytes: usize,
     links: Vec<LinkSlot>,
@@ -299,7 +92,8 @@ pub struct ShardBuilder<T, R, C> {
     samplers: Vec<Sampler>,
     holdings: Vec<(ColId, TxId)>,
     sample_every: Duration,
-    placement: Option<Placement>,
+    /// The topology [`ShardBuilder::place`] checks the wiring against.
+    topo: Option<Topology>,
     /// Wiring mistakes caught at registration, reported by `build`.
     errors: Vec<String>,
 }
@@ -327,66 +121,34 @@ where
             samplers: Vec::new(),
             holdings: Vec::new(),
             sample_every: Duration::ZERO,
-            placement: None,
+            topo: None,
             errors: Vec::new(),
         }
     }
 
-    /// Check this shard's wiring against `topo` at build time, hosting
-    /// the nodes `part` assigns to `shard`. Endpoints live at the node
-    /// their transmit link leaves from (so a placed shard has no silent
-    /// receivers); `build` then rejects links that do not fit their
-    /// shard role, listeners away from their link's far end, forwarding
-    /// across nodes, and hosted nodes whose wiring does not exhibit
-    /// their [`NodeRole`].
-    pub fn place(&mut self, topo: &Topology, part: &Partition, shard: usize) {
-        let hosted = (0..topo.nodes())
-            .map(|n| part.shard_of(NodeId(n)) == Some(shard))
-            .collect();
+    /// Check the wiring against `topo` at build time. Endpoints live at
+    /// the node their transmit link leaves from; `build` then rejects
+    /// links missing from the topology, listeners away from their
+    /// link's far end, forwarding across nodes, and nodes whose wiring
+    /// does not exhibit their [`NodeRole`].
+    pub fn place(&mut self, topo: &Topology) {
         self.errors.extend(topo.problems());
-        self.placement = Some(Placement {
-            topo: topo.clone(),
-            hosted,
-        });
+        self.topo = Some(topo.clone());
     }
 
-    fn push_link(
-        &mut self,
-        global: usize,
-        dir: &'static str,
-        channel: Option<Channel>,
-        export: bool,
-    ) -> LinkId {
+    /// Add a link carried by `channel` (topology id `global`).
+    pub fn link(&mut self, global: usize, channel: Channel, dir: &'static str) -> LinkId {
         self.links.push(LinkSlot {
             global,
             dir,
             channel,
-            export,
             senders: Vec::new(),
             listeners: Vec::new(),
-            next_seq: 0,
         });
         LinkId(self.links.len() - 1)
     }
 
-    /// Add an intra-shard link carried by `channel` (global id `global`).
-    pub fn link(&mut self, global: usize, channel: Channel, dir: &'static str) -> LinkId {
-        self.push_link(global, dir, Some(channel), false)
-    }
-
-    /// Add an outbound cut link: this shard owns the channel; arrivals
-    /// are exported to the coordinator instead of scheduled locally.
-    pub fn cut_out(&mut self, global: usize, channel: Channel, dir: &'static str) -> LinkId {
-        self.push_link(global, dir, Some(channel), true)
-    }
-
-    /// Add an inbound cut-link stub: no channel, only listeners for
-    /// arrivals the coordinator injects.
-    pub fn cut_in(&mut self, global: usize) -> LinkId {
-        self.push_link(global, "", None, false)
-    }
-
-    /// Host a sending endpoint transmitting on local `link`.
+    /// Host a sending endpoint transmitting on `link`.
     pub fn tx(&mut self, link: LinkId, endpoint: T) -> TxId {
         let id = TxId(self.txs.len());
         self.txs.push(endpoint);
@@ -405,9 +167,9 @@ where
     }
 
     /// Host a receiving endpoint transmitting its control frames on
-    /// local `link`. Register the receiver before a co-located sender
-    /// on the same link to give its control frames priority, as
-    /// full-duplex nodes do.
+    /// `link`. Register the receiver before a co-located sender on the
+    /// same link to give its control frames priority, as full-duplex
+    /// nodes do.
     pub fn rx(&mut self, link: LinkId, endpoint: R) -> RxId {
         let id = RxId(self.rxs.len());
         self.rxs.push(endpoint);
@@ -416,19 +178,8 @@ where
         id
     }
 
-    /// Host a receiving endpoint that never transmits: a pure listener
-    /// (a protocol without reverse traffic, or a receiver whose control
-    /// path lives on another shard's links).
-    pub fn rx_silent(&mut self, endpoint: R) -> RxId {
-        let id = RxId(self.rxs.len());
-        self.rxs.push(endpoint);
-        self.rx_link.push(usize::MAX);
-        id
-    }
-
-    /// Deliver local `link`'s arrivals to `endpoint`. Listeners are
-    /// offered frames in registration order; all but the last receive
-    /// a clone.
+    /// Deliver `link`'s arrivals to `endpoint`. Listeners are offered
+    /// frames in registration order; all but the last receive a clone.
     pub fn listen(&mut self, link: LinkId, endpoint: impl Into<EndpointId>) {
         let endpoint = endpoint.into();
         match self.links.get_mut(link.0) {
@@ -446,17 +197,16 @@ where
         ColId(self.collectors.len() - 1)
     }
 
-    /// Shard-local completion condition: `col` must reach `total`
-    /// unique deliveries (a sink's half of "safe delivery").
+    /// Completion condition: `col` must reach `total` unique deliveries
+    /// (a sink's half of "safe delivery").
     pub fn expect(&mut self, col: ColId, total: u64) {
         self.expects.push((col, total));
     }
 
-    /// Feed `gen`'s SDUs into `tx`. `col` credits pushes locally when
-    /// the accounting collector lives on this shard; `ordinal` is the
-    /// source's global registration index (canonical dispatch key).
-    /// Register sources in ascending ordinal order.
-    pub fn source(&mut self, gen: TrafficGen, tx: TxId, col: Option<ColId>, ordinal: u64) {
+    /// Feed `gen`'s SDUs into `tx`, crediting each push to `col`.
+    /// `ordinal` is the source's registration index (the canonical
+    /// dispatch key); register sources in ascending ordinal order.
+    pub fn source(&mut self, gen: TrafficGen, tx: TxId, col: ColId, ordinal: u64) {
         self.sources.push(ShardSource {
             gen,
             tx,
@@ -478,15 +228,15 @@ where
     }
 
     /// Store-and-forward receiver: `rx`'s deliveries push into `tx`
-    /// (both endpoints co-located on this shard by construction).
+    /// (both endpoints co-located at one node).
     pub fn forward(&mut self, rx: RxId, tx: TxId) {
         self.set_delivery(rx, Delivery::Forward(tx));
     }
 
-    /// Drain `rx`'s deliveries right after local `link` is pumped
-    /// (default: after the last local link). A relay drains hop `i`'s
-    /// receiver before hop `i + 1`'s link pumps, so forwarded frames
-    /// catch the same pump pass.
+    /// Drain `rx`'s deliveries right after `link` is pumped (default:
+    /// after the last link). A relay drains hop `i`'s receiver before
+    /// hop `i + 1`'s link pumps, so forwarded frames catch the same
+    /// pump pass.
     pub fn drain_after(&mut self, rx: RxId, link: LinkId) {
         if self.rx_drain_after.len() <= rx.0 {
             self.rx_drain_after.resize_with(rx.0 + 1, || None);
@@ -500,8 +250,7 @@ where
     }
 
     /// On every sampling tick, sample `tx`'s buffer and the worst
-    /// occupancy among `rxs` into `col`, in registration order. All
-    /// subjects must be registered on this shard.
+    /// occupancy among `rxs` into `col`, in registration order.
     pub fn sample(&mut self, col: ColId, tx: TxId, rxs: Vec<RxId>) {
         self.samplers.push(Sampler { col, tx, rxs });
     }
@@ -511,7 +260,7 @@ where
         self.holdings.push((col, tx));
     }
 
-    /// Validate the shard wiring and produce a runnable [`ShardSim`].
+    /// Validate the wiring and produce a runnable [`ShardSim`].
     pub fn build(mut self) -> Result<ShardSim<T, R, C>, TopologyError> {
         let mut errors = std::mem::take(&mut self.errors);
         let (n_tx, n_rx, n_col, links) = (
@@ -547,24 +296,7 @@ where
             EndpointId::Tx(t) => t.0 < n_tx,
             EndpointId::Rx(r) => r.0 < n_rx,
         };
-        for (i, slot) in self.links.iter().enumerate() {
-            if slot.channel.is_none() {
-                if !slot.senders.is_empty() {
-                    errors.push(format!(
-                        "local link {i} (global {}) is an inbound stub but has senders",
-                        slot.global
-                    ));
-                }
-                if slot.listeners.is_empty() {
-                    errors.push(format!("inbound cut link {} has no listeners", slot.global));
-                }
-            }
-            if slot.export && !slot.listeners.is_empty() {
-                errors.push(format!(
-                    "outbound cut link {} cannot have local listeners",
-                    slot.global
-                ));
-            }
+        for slot in &self.links {
             for ep in slot.listeners.iter().filter(|ep| !known(ep)) {
                 errors.push(format!(
                     "link {} listener {ep:?} is not registered",
@@ -604,7 +336,7 @@ where
             if s.tx.0 >= n_tx {
                 errors.push(format!("source {i} feeds an unknown tx"));
             }
-            if s.col.is_some_and(|c| c.0 >= n_col) {
+            if s.col.0 >= n_col {
                 errors.push(format!("source {i} uses an unknown collector"));
             }
         }
@@ -613,14 +345,12 @@ where
                 errors.push(format!("expect {i} references an unknown collector"));
             }
         }
-        // Samplers and holding drains read endpoints directly, so every
-        // subject must live on this shard.
         for (i, s) in self.samplers.iter().enumerate() {
             if s.col.0 >= n_col {
                 errors.push(format!("sampler {i} feeds an unknown collector"));
             }
             if s.tx.0 >= n_tx || s.rxs.iter().any(|r| r.0 >= n_rx) {
-                errors.push(format!("sampler {i} names an endpoint not on this shard"));
+                errors.push(format!("sampler {i} names an unknown endpoint"));
             }
         }
         if !self.samplers.is_empty() && self.sample_every == Duration::ZERO {
@@ -631,12 +361,12 @@ where
                 errors.push(format!("holding {i} feeds an unknown collector"));
             }
             if t.0 >= n_tx {
-                errors.push(format!("holding {i} names a tx not on this shard"));
+                errors.push(format!("holding {i} names an unknown tx"));
             }
         }
         if errors.is_empty() {
-            if let Some(p) = &self.placement {
-                self.check_placement(p, &deliveries, &mut errors);
+            if let Some(topo) = &self.topo {
+                self.check_placement(topo, &deliveries, &mut errors);
             }
         }
         if !errors.is_empty() {
@@ -669,19 +399,13 @@ where
             deadline: Instant::ZERO,
             trace: telemetry::global_handle("channel"),
             prof: profile::current(),
-            last_event_at: Instant::ZERO,
-            done_since: None,
-            failed_at: None,
-            events: 0,
             round: Vec::new(),
         })
     }
 
     /// The topology checks of [`ShardBuilder::place`]; runs only on
     /// wiring whose ids are already known to be in range.
-    fn check_placement(&self, p: &Placement, deliveries: &[Delivery], errors: &mut Vec<String>) {
-        let topo = &p.topo;
-        let hosted = |n: NodeId| p.hosted.get(n.0).copied().unwrap_or(false);
+    fn check_placement(&self, topo: &Topology, deliveries: &[Delivery], errors: &mut Vec<String>) {
         let specs: Option<Vec<_>> = self
             .links
             .iter()
@@ -691,32 +415,16 @@ where
             errors.push("a link is not in the topology".to_string());
             return;
         };
-        for (slot, l) in self.links.iter().zip(&specs) {
-            let (role, fits) = match (&slot.channel, slot.export) {
-                (Some(_), false) => ("intra-shard", hosted(l.from) && hosted(l.to)),
-                (Some(_), true) => ("outbound cut", hosted(l.from) && !hosted(l.to)),
-                (None, _) => ("inbound cut", !hosted(l.from) && hosted(l.to)),
-            };
-            if !fits {
-                errors.push(format!(
-                    "link {} from node {} to node {} cannot be an {role} link on this shard",
-                    slot.global, l.from.0, l.to.0
-                ));
-            }
-        }
-        // An endpoint lives at the node its transmit link leaves from (a
-        // silent receiver has no placement).
+        // An endpoint lives at the node its transmit link leaves from.
         let tx_host: Vec<NodeId> = self.tx_link.iter().map(|&l| specs[l].from).collect();
-        let rx_host: Vec<Option<NodeId>> = (self.rx_link.iter())
-            .map(|&l| specs.get(l).map(|s| s.from))
-            .collect();
+        let rx_host: Vec<NodeId> = self.rx_link.iter().map(|&l| specs[l].from).collect();
         let host = |ep: EndpointId| match ep {
-            EndpointId::Tx(t) => Some(tx_host[t.0]),
+            EndpointId::Tx(t) => tx_host[t.0],
             EndpointId::Rx(r) => rx_host[r.0],
         };
         for (slot, spec) in self.links.iter().zip(&specs) {
             for &ep in &slot.listeners {
-                if host(ep) != Some(spec.to) {
+                if host(ep) != spec.to {
                     errors.push(format!(
                         "link {} listener {ep:?} is not hosted at its far end",
                         slot.global
@@ -726,19 +434,16 @@ where
         }
         for (r, d) in deliveries.iter().enumerate() {
             if let Delivery::Forward(t) = d {
-                if rx_host[r] != Some(tx_host[t.0]) {
+                if rx_host[r] != tx_host[t.0] {
                     errors.push(format!("rx {r} forwards into a tx at a different node"));
                 }
             }
         }
         for (node, role) in (0..).map(NodeId).zip(&topo.roles) {
-            if !hosted(node) {
-                continue;
-            }
             let sourced = self.sources.iter().any(|s| tx_host[s.tx.0] == node);
             let receiving = |collect: bool| {
                 deliveries.iter().enumerate().any(|(r, d)| {
-                    rx_host[r] == Some(node) && matches!(d, Delivery::Collect(_)) == collect
+                    rx_host[r] == node && matches!(d, Delivery::Collect(_)) == collect
                 })
             };
             let ok = match role {
@@ -757,7 +462,7 @@ where
     }
 }
 
-/// Everything a finished shard hands back for report assembly, in
+/// Everything a finished run hands back for report assembly, in
 /// registration order.
 pub struct FinishedShard<T, R, C> {
     /// The senders.
@@ -766,17 +471,17 @@ pub struct FinishedShard<T, R, C> {
     pub rxs: Vec<R>,
     /// The collectors.
     pub collectors: Vec<C>,
-    /// SDUs issued per local source.
+    /// SDUs issued per source.
     pub issued: Vec<u64>,
-    /// Global finish instant (coordinator-decided).
+    /// Instant the run completed, failed, ran dry or hit the deadline.
     pub finished_at: Instant,
     /// True if the deadline fired before completion.
     pub deadline_hit: bool,
 }
 
-/// A whole simulation run on one shard ([`ShardSim::run_solo`]).
+/// A whole simulation run ([`ShardSim::run_solo`]).
 pub struct SoloRun<T, R, C> {
-    /// The shard's endpoints, collectors and run outcome.
+    /// The endpoints, collectors and run outcome.
     pub finished: FinishedShard<T, R, C>,
     /// The calendar's profiling snapshot for this run.
     pub queue: QueueProfile,
@@ -784,36 +489,8 @@ pub struct SoloRun<T, R, C> {
     pub wall_secs: f64,
 }
 
-/// One granted window's result, reported to the coordinator.
-pub struct WindowSummary<F> {
-    /// Simulated time this shard has now committed up to (the grant, or
-    /// the failure instant if a sender declared link failure mid-window).
-    pub committed: Instant,
-    /// Earliest still-queued local event, for the coordinator's
-    /// finish-time lower bound.
-    pub next_event: Option<Instant>,
-    /// Instant the shard-local completion condition last became true
-    /// (and has held since); `None` while incomplete.
-    pub done_since: Option<Instant>,
-    /// Instant a local sender declared link failure, if any.
-    pub failed_at: Option<Instant>,
-    /// Most recent locally processed event instant.
-    pub last_event_at: Instant,
-    /// Events processed this window: pushes and arrivals only. Sampling
-    /// ticks and wakes are engine bookkeeping whose count varies with
-    /// the window schedule, so excluding them keeps the sum over shards
-    /// invariant across shard counts.
-    pub events: u64,
-    /// Events still pending on the shard calendar at window end.
-    pub queue_depth: u64,
-    /// Frames that crossed outbound cut links this window, sorted by
-    /// `(at, link, seq)`.
-    pub outbound: Vec<Inbound<F>>,
-}
-
-/// One shard's runnable slice of a simulation: the pump over local
-/// links, run whole ([`ShardSim::run_solo`]) or in coordinator-granted
-/// windows.
+/// A runnable simulation: the pump over its links, driven by
+/// [`ShardSim::run_solo`].
 pub struct ShardSim<T, R, C>
 where
     T: TxEndpoint,
@@ -840,12 +517,6 @@ where
     cal: Calendar<T::Frame>,
     trace: telemetry::Trace,
     prof: profile::Prof,
-    last_event_at: Instant,
-    done_since: Option<Instant>,
-    failed_at: Option<Instant>,
-    /// Cumulative pushes + arrivals dispatched (ticks and wakes
-    /// excluded); windows report the per-window delta.
-    events: u64,
     /// Scratch buffer for one same-instant dispatch round.
     round: Vec<Event<T::Frame>>,
 }
@@ -857,10 +528,9 @@ where
     C: Collect,
 {
     /// Start all endpoints at t = 0 and schedule the initial events
-    /// (first push per source, the first sampling tick when the shard
-    /// samples, one wake). Sampling ticks stop at `deadline`. Call
-    /// once, before the first window.
-    pub fn start(&mut self, deadline: Instant) {
+    /// (first push per source, the first sampling tick when the run
+    /// samples, one wake). Sampling ticks stop at `deadline`.
+    fn start(&mut self, deadline: Instant) {
         self.deadline = deadline;
         for t in self.txs.iter_mut() {
             t.start(Instant::ZERO);
@@ -879,20 +549,9 @@ where
         self.cal.rearm_wake(Instant::ZERO);
     }
 
-    /// Run this shard as the whole simulation on the caller's thread:
-    /// one window to `deadline` that ends at the first instant the run
-    /// completes, between `run_started`/`run_finished` trace markers.
-    pub fn run_solo(self, deadline: Duration) -> SoloRun<T, R, C> {
-        self.run_solo_with(deadline, |_| {})
-    }
-
-    /// [`ShardSim::run_solo`], handing the window summary to
-    /// `before_finish` just before the `run_finished` marker.
-    pub(crate) fn run_solo_with(
-        mut self,
-        deadline: Duration,
-        before_finish: impl FnOnce(&WindowSummary<T::Frame>),
-    ) -> SoloRun<T, R, C> {
+    /// Run the whole simulation on the caller's thread, up to
+    /// `deadline`, between `run_started`/`run_finished` trace markers.
+    pub fn run_solo(mut self, deadline: Duration) -> SoloRun<T, R, C> {
         let _run_span = self.prof.span("sim.run");
         let timer = RunTimer::start();
         // Structural run markers: observers (the live auditor, offline
@@ -903,16 +562,7 @@ where
         sim_trace.emit(Instant::ZERO, || TraceEvent::RunStarted);
         let deadline = Instant::ZERO + deadline;
         self.start(deadline);
-        let w = self.run_window(deadline, true);
-        // One window to the deadline: the run failed, completed, ran out
-        // of events, or still had events past the deadline.
-        let (finished_at, deadline_hit) = match (w.failed_at, w.done_since, w.next_event) {
-            (Some(f), _, _) => (f, false),
-            (None, Some(d), _) => (d, false),
-            (None, None, None) => (w.last_event_at, false),
-            (None, None, Some(_)) => (deadline, true),
-        };
-        before_finish(&w);
+        let (finished_at, deadline_hit) = self.run();
         sim_trace.emit(finished_at, || TraceEvent::RunFinished { deadline_hit });
         SoloRun {
             queue: self.cal.profile(),
@@ -921,24 +571,10 @@ where
         }
     }
 
-    /// Queue coordinator-routed cut-link arrivals on their links'
-    /// lanes. The caller sorts by `(at, link, seq)`, so each lane stays
-    /// FIFO and same-instant arrivals keep their transmit order.
-    pub fn inject(&mut self, arrivals: Vec<Inbound<T::Frame>>) {
-        for a in arrivals {
-            let local = self
-                .links
-                .binary_search_by_key(&a.link, |l| l.global)
-                .unwrap_or_else(|_| panic!("injected arrival on unknown global link {}", a.link));
-            self.cal.arrive(local, a.at, a.frame, a.clean);
-        }
-    }
-
-    /// The shard-local completion condition ("safe delivery", §4):
-    /// every local source exhausted, every expected collector total
-    /// met, every local sender drained (each frame positively
-    /// acknowledged).
-    fn locally_done(&self) -> bool {
+    /// The completion condition ("safe delivery", §4): every source
+    /// exhausted, every expected collector total met, every sender
+    /// drained (each frame positively acknowledged).
+    fn done(&self) -> bool {
         self.sources.iter().all(|s| s.gen.issued() >= s.gen.total())
             && self
                 .expects
@@ -947,20 +583,19 @@ where
             && self.txs.iter().all(|t| t.buffered() == 0)
     }
 
-    /// Process every queued event with `at ≤ grant`. With
-    /// `stop_on_done` (single-shard runs, where local done is global
-    /// done) the window also ends at the first instant the completion
-    /// condition holds.
-    pub fn run_window(&mut self, grant: Instant, stop_on_done: bool) -> WindowSummary<T::Frame> {
-        let mut outbound: Vec<Inbound<T::Frame>> = Vec::new();
-        let mut committed = grant;
-        let events_before = self.events;
-        while let Some(now) = self.cal.next_instant().filter(|&t| t <= grant) {
-            self.last_event_at = now;
+    /// Process queued events up to the deadline, returning the finish
+    /// instant and whether the deadline cut the run short. The run
+    /// ends at the first instant it completes or a sender declares
+    /// link failure; a run whose calendar empties ends at its last
+    /// event.
+    fn run(&mut self) -> (Instant, bool) {
+        let mut last_event_at = Instant::ZERO;
+        while let Some(now) = self.cal.next_instant().filter(|&t| t <= self.deadline) {
+            last_event_at = now;
             let dispatch_span = self.prof.span("sim.dispatch");
             self.dispatch_instant(now);
             drop(dispatch_span);
-            self.pump(now, &mut outbound);
+            self.pump(now);
             let collect_span = self.prof.span("sim.collect");
             for &(col, t) in &self.holdings {
                 self.holding_buf.clear();
@@ -970,36 +605,17 @@ where
             for &t in &self.undrained_txs {
                 self.txs[t.0].discard_events();
             }
-            if self.locally_done() {
-                if self.done_since.is_none() {
-                    self.done_since = Some(now);
-                }
-            } else {
-                self.done_since = None;
-            }
+            let done = self.done();
             drop(collect_span);
-            if self.txs.iter().any(|t| t.is_failed()) {
-                self.failed_at = Some(now);
-                committed = now;
-                break;
-            }
-            if stop_on_done && self.done_since.is_some() {
-                committed = now;
-                break;
+            if done || self.txs.iter().any(|t| t.is_failed()) {
+                return (now, false);
             }
             let _wake_span = self.prof.span("sim.wake");
             self.rearm_wake(now);
         }
-        outbound.sort_by_key(|a| (a.at, a.link, a.seq));
-        WindowSummary {
-            committed,
-            next_event: self.cal.next_instant(),
-            done_since: self.done_since,
-            failed_at: self.failed_at,
-            last_event_at: self.last_event_at,
-            events: self.events - events_before,
-            queue_depth: self.cal.len() as u64,
-            outbound,
+        match self.cal.next_instant() {
+            Some(_) => (self.deadline, true),
+            None => (last_event_at, false),
         }
     }
 
@@ -1028,11 +644,8 @@ where
     fn dispatch(&mut self, now: Instant, ev: Event<T::Frame>) -> bool {
         match ev {
             Event::Push { source, id } => {
-                self.events += 1;
                 let src = &mut self.sources[source];
-                if let Some(col) = src.col {
-                    self.collectors[col.0].on_push(now, id);
-                }
+                self.collectors[src.col.0].on_push(now, id);
                 self.txs[src.tx.0].push(id, self.payload.clone());
                 if let Some((at, nid)) = src.gen.next() {
                     let at = at.max(now);
@@ -1041,7 +654,6 @@ where
                 }
             }
             Event::Arrive { link, frame, clean } => {
-                self.events += 1;
                 // Single listener — the common wiring — moves the frame
                 // straight through; only genuine fan-out (duplex links
                 // feeding both co-located endpoints) pays a clone, and
@@ -1090,9 +702,8 @@ where
         false
     }
 
-    /// The pump, over local links: timers, per-link serve/transmit
-    /// (exported on cut links), drains.
-    fn pump(&mut self, now: Instant, outbound: &mut Vec<Inbound<T::Frame>>) {
+    /// The pump: timers, per-link serve/transmit, drains.
+    fn pump(&mut self, now: Instant) {
         let timer_span = self.prof.span("sim.pump_timers");
         for t in self.txs.iter_mut() {
             t.on_timeout(now);
@@ -1107,10 +718,7 @@ where
             // transmitter is idle (re-checking priority after each
             // frame: a control frame freed mid-pump still wins).
             let tx_span = self.prof.span("sim.tx_serve");
-            while let Some(channel) = self.links[li].channel.as_ref() {
-                if !channel.idle(now) {
-                    break;
-                }
+            while self.links[li].channel.idle(now) {
                 let mut found = None;
                 for ep in &self.links[li].senders {
                     found = match *ep {
@@ -1129,22 +737,8 @@ where
                     break;
                 };
                 let slot = &mut self.links[li];
-                let channel = slot.channel.as_mut().expect("owned link has channel");
-                match channel.transmit(now, meta.bytes, meta.is_info) {
-                    Fate::Arrives { at, clean } => {
-                        if slot.export {
-                            outbound.push(Inbound {
-                                at,
-                                link: slot.global,
-                                seq: slot.next_seq,
-                                frame,
-                                clean,
-                            });
-                            slot.next_seq += 1;
-                        } else {
-                            self.cal.arrive(li, at, frame, clean);
-                        }
-                    }
+                match slot.channel.transmit(now, meta.bytes, meta.is_info) {
+                    Fate::Arrives { at, clean } => self.cal.arrive(li, at, frame, clean),
                     Fate::Lost => {
                         let dir = slot.dir;
                         self.trace.emit(now, || TraceEvent::ChannelDrop { dir });
@@ -1169,9 +763,9 @@ where
     }
 
     /// Re-arm the single wake at the earliest pending protocol instant
-    /// over local endpoints and owned channels. Exactly one wake is ever
-    /// pending: re-arming an earlier wake *moves* it instead of piling
-    /// up stale duplicates that would each buy a no-op pump.
+    /// over endpoints and channels. Exactly one wake is ever pending:
+    /// re-arming an earlier wake *moves* it instead of piling up stale
+    /// duplicates that would each buy a no-op pump.
     fn rearm_wake(&mut self, now: Instant) {
         let mut want: Option<Instant> = None;
         let mut consider = |c: Option<Instant>| {
@@ -1186,10 +780,8 @@ where
             consider(r.poll_timeout());
         }
         for slot in &self.links {
-            if let Some(c) = &slot.channel {
-                if !c.idle(now) {
-                    consider(Some(c.free_at()));
-                }
+            if !slot.channel.idle(now) {
+                consider(Some(slot.channel.free_at()));
             }
         }
         let Some(t) = want else {
@@ -1205,7 +797,7 @@ where
         } else {
             self.links
                 .iter()
-                .filter_map(|s| s.channel.as_ref())
+                .map(|s| &s.channel)
                 .filter(|c| !c.idle(now))
                 .map(|c| c.free_at())
                 .min()
@@ -1216,13 +808,8 @@ where
         }
     }
 
-    /// The calendar's profiling snapshot so far.
-    pub fn queue_profile(&self) -> QueueProfile {
-        self.cal.profile()
-    }
-
-    /// Consume the shard into its report-assembly pieces.
-    pub fn into_finished(self, finished_at: Instant, deadline_hit: bool) -> FinishedShard<T, R, C> {
+    /// Consume the simulation into its report-assembly pieces.
+    fn into_finished(self, finished_at: Instant, deadline_hit: bool) -> FinishedShard<T, R, C> {
         FinishedShard {
             issued: self.sources.iter().map(|s| s.gen.issued()).collect(),
             txs: self.txs,
@@ -1238,7 +825,7 @@ where
 mod tests {
     use super::*;
     use crate::endpoint::FrameMeta;
-    use crate::link::ErrorModel;
+    use crate::link::{DelayModel, ErrorModel};
     use crate::topology::LinkSpec;
     use crate::traffic::Pattern;
     use sim_core::SeedSplitter;
@@ -1386,7 +973,7 @@ mod tests {
     fn p2p_with(n: u64, fwd: Channel) -> (EchoBuilder, TxId, RxId, ColId) {
         let topo = p2p_topology(NodeRole::Sink);
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        b.place(&topo);
         let lf = b.link(0, fwd, "fwd");
         let lr = b.link(1, clean_channel(), "rev");
         let t = b.tx(lf, EchoTx::default());
@@ -1395,7 +982,7 @@ mod tests {
         b.listen(lr, t);
         let c = b.collector(CountCollector::default());
         b.expect(c, n);
-        b.source(batch(n), t, Some(c), 0);
+        b.source(batch(n), t, c, 0);
         b.deliver(r, c);
         b.sample_every(Duration::from_millis(5));
         b.sample(c, t, vec![r]);
@@ -1429,27 +1016,6 @@ mod tests {
         assert!(!out.finished.deadline_hit);
         assert!(out.finished.finished_at > Instant::ZERO);
         assert!(out.queue.popped > 0);
-    }
-
-    #[test]
-    fn run_window_stops_past_the_grant() {
-        // Frames take 1 ms to cross; a window granted to 0.5 ms commits
-        // the grant and leaves the first arrivals queued beyond it.
-        let mut sim = p2p(5).build().expect("valid");
-        sim.start(Instant::from_secs(60));
-        let grant = Instant::from_micros(500);
-        let w = sim.run_window(grant, false);
-        assert_eq!(w.committed, grant);
-        assert!(w.last_event_at <= grant);
-        assert!(
-            w.next_event.is_some_and(|t| t > grant),
-            "{:?}",
-            w.next_event
-        );
-        assert!(w.queue_depth > 0);
-        let rest = sim.run_window(Instant::from_secs(60), true);
-        assert!(rest.done_since.is_some());
-        assert_eq!((w.events, rest.events), (5, 5), "pushes, then arrivals");
     }
 
     #[test]
@@ -1514,7 +1080,7 @@ mod tests {
             ErrorModel::Clean,
         );
         let (b, ..) = p2p_with(40, fwd);
-        let out = b.build().expect("profile delay on an intra-shard link");
+        let out = b.build().expect("profile delay on a link");
         let out = out.run_solo(Duration::from_secs(60));
         assert_eq!(out.finished.collectors[0].delivered, 40);
         assert!(!out.finished.deadline_hit);
@@ -1531,7 +1097,7 @@ mod tests {
         topo.link(na, nb, "fwd");
         topo.link(nb, na, "rev");
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        b.place(&topo);
         let la = b.link(0, clean_channel(), "fwd");
         let lb = b.link(1, clean_channel(), "rev");
         let ra = b.rx(la, EchoRx::default());
@@ -1546,8 +1112,8 @@ mod tests {
         let c1 = b.collector(CountCollector::default());
         b.expect(c0, 6);
         b.expect(c1, 4);
-        b.source(batch(6), ta, Some(c0), 0);
-        b.source(batch(4), tb, Some(c1), 1);
+        b.source(batch(6), ta, c0, 0);
+        b.source(batch(4), tb, c1, 1);
         b.deliver(rb, c0);
         b.deliver(ra, c1);
         let out = b
@@ -1567,14 +1133,14 @@ mod tests {
     fn build_rejects_unwired_receiver() {
         let topo = p2p_topology(NodeRole::Sink);
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        b.place(&topo);
         let lf = b.link(0, clean_channel(), "fwd");
         let lr = b.link(1, clean_channel(), "rev");
         let t = b.tx(lf, EchoTx::default());
         let r = b.rx(lr, EchoRx::default());
         b.listen(lf, r);
         let c = b.collector(CountCollector::default());
-        b.source(batch(1), t, Some(c), 0);
+        b.source(batch(1), t, c, 0);
         // No deliver()/forward() for r: must be rejected.
         let err = build_err(b);
         assert!(err.contains("no delivery target"), "{err}");
@@ -1587,7 +1153,7 @@ mod tests {
         // Self-loop link, and a Source node with no source feeding it.
         topo.link(a, a, "fwd");
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(1, 1), 0);
+        b.place(&topo);
         b.link(0, clean_channel(), "fwd");
         let err = build_err(b);
         assert!(err.contains("self-loop"), "{err}");
@@ -1599,7 +1165,7 @@ mod tests {
             dir: "rev",
         });
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        b.place(&topo);
         b.link(2, clean_channel(), "rev");
         let err = build_err(b);
         assert!(err.contains("link 2 references an unknown node"), "{err}");
@@ -1616,14 +1182,14 @@ mod tests {
         // sink node is left without a delivering receiver.
         let topo = p2p_topology(NodeRole::Sink);
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        b.place(&topo);
         let lf = b.link(0, clean_channel(), "fwd");
         b.link(1, clean_channel(), "rev");
         let t = b.tx(lf, EchoTx::default());
         let r = b.rx(lf, EchoRx::default());
         b.listen(lf, r);
         let c = b.collector(CountCollector::default());
-        b.source(batch(1), t, Some(c), 0);
+        b.source(batch(1), t, c, 0);
         b.deliver(r, c);
         let err = build_err(b);
         assert!(err.contains("is not hosted at its far end"), "{err}");
@@ -1634,25 +1200,20 @@ mod tests {
         // A relay role wired to forward into the sender at the other node.
         let topo = p2p_topology(NodeRole::Relay);
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 1), 0);
+        b.place(&topo);
         let lf = b.link(0, clean_channel(), "fwd");
         let lr = b.link(1, clean_channel(), "rev");
         let t = b.tx(lf, EchoTx::default());
         let r = b.rx(lr, EchoRx::default());
         b.listen(lf, r);
-        b.source(batch(1), t, None, 0);
+        let c = b.collector(CountCollector::default());
+        b.source(batch(1), t, c, 0);
         b.forward(r, t);
         let err = build_err(b);
         assert!(
             err.contains("rx 0 forwards into a tx at a different node"),
             "{err}"
         );
-        // A link wired as intra-shard whose far end another shard hosts.
-        let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 2), 0);
-        b.link(0, clean_channel(), "fwd");
-        let err = build_err(b);
-        assert!(err.contains("cannot be an intra-shard link"), "{err}");
     }
 
     #[test]
@@ -1675,27 +1236,12 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_sampler_subject_on_another_shard() {
-        // Shard 1 of a two-shard point-to-point cut hosts only the
-        // receiver; a sampler naming the source's sender (tx 0 on shard
-        // 0) names nothing here.
-        let topo = p2p_topology(NodeRole::Sink);
-        let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(2, 2), 1);
-        let lf = b.cut_in(0);
-        let lr = b.cut_out(1, clean_channel(), "rev");
-        let r = b.rx(lr, EchoRx::default());
-        b.listen(lf, r);
-        let c = b.collector(CountCollector::default());
-        b.deliver(r, c);
-        b.sample_every(Duration::from_millis(5));
-        b.sample(c, TxId(0), vec![r]);
+    fn build_rejects_sampler_on_unknown_endpoint() {
+        let mut b = p2p(1);
+        b.sample(ColId(0), TxId(4), vec![RxId(0)]);
         let err = build_err(b);
-        assert!(
-            err.contains("sampler 0 names an endpoint not on this shard"),
-            "{err}"
-        );
-        // The same sampler without a tick period is rejected as well.
+        assert!(err.contains("sampler 1 names an unknown endpoint"), "{err}");
+        // A sampler without a tick period is rejected as well.
         let mut b = p2p(1);
         b.sample_every(Duration::ZERO);
         let err = build_err(b);
@@ -1703,14 +1249,11 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_holding_subject_on_another_shard() {
+    fn build_rejects_holding_on_unknown_tx() {
         let mut b = p2p(1);
         b.holding(ColId(0), TxId(3));
         let err = build_err(b);
-        assert!(
-            err.contains("holding 1 names a tx not on this shard"),
-            "{err}"
-        );
+        assert!(err.contains("holding 1 names an unknown tx"), "{err}");
     }
 
     #[test]
@@ -1724,7 +1267,7 @@ mod tests {
             topo.link(nodes[h + 1], nodes[h], "rev");
         }
         let mut b = EchoBuilder::new(64);
-        b.place(&topo, &Partition::contiguous(3, 1), 0);
+        b.place(&topo);
         let mut txs = Vec::new();
         let mut rxs = Vec::new();
         for h in 0..2 {
@@ -1740,7 +1283,7 @@ mod tests {
         }
         let c = b.collector(CountCollector::default());
         b.expect(c, 7);
-        b.source(batch(7), txs[0], Some(c), 0);
+        b.source(batch(7), txs[0], c, 0);
         b.forward(rxs[0], txs[1]);
         b.deliver(rxs[1], c);
         b.sample_every(Duration::from_millis(5));
@@ -1758,222 +1301,23 @@ mod tests {
         );
     }
 
-    fn chain_topo(hops: usize) -> Topology {
-        let mut t = Topology::default();
-        t.roles.push(NodeRole::Source);
-        for _ in 1..hops {
-            t.roles.push(NodeRole::Relay);
-        }
-        t.roles.push(NodeRole::Sink);
-        for i in 0..hops {
-            t.links.push(LinkSpec {
-                from: NodeId(i),
-                to: NodeId(i + 1),
-                dir: "fwd",
-            });
-            t.links.push(LinkSpec {
-                from: NodeId(i + 1),
-                to: NodeId(i),
-                dir: "rev",
-            });
-        }
-        t
-    }
-
-    fn fixed_delays(n: usize, ms: u64) -> Vec<DelayModel> {
-        vec![DelayModel::Fixed(Duration::from_millis(ms)); n]
-    }
-
     #[test]
-    fn contiguous_partition_is_balanced_and_total() {
-        let p = Partition::contiguous(5, 2);
-        assert_eq!(p.n_shards(), 2);
-        assert_eq!(p.shard_of(NodeId(0)), Some(0));
-        assert_eq!(p.shard_of(NodeId(2)), Some(0));
-        assert_eq!(p.shard_of(NodeId(3)), Some(1));
-        assert_eq!(p.shard_of(NodeId(4)), Some(1));
-        assert_eq!(p.shard_of(NodeId(5)), None);
-    }
-
-    #[test]
-    fn plan_accepts_chain_and_finds_cuts() {
-        let topo = chain_topo(3);
-        let p = Partition::contiguous(4, 2);
-        let plan = p
-            .plan(&topo, &fixed_delays(topo.link_count(), 13))
-            .expect("valid partition");
-        assert_eq!(plan.n_shards, 2);
-        // Nodes 0,1 | 2,3: hop 1 (links 2 fwd, 3 rev) is cut.
-        assert_eq!(plan.cuts.len(), 2);
-        assert_eq!(plan.cuts[0].link, LinkId(2));
-        assert_eq!(plan.cuts[0].from_shard, 0);
-        assert_eq!(plan.cuts[0].to_shard, 1);
-        assert_eq!(plan.cuts[1].link, LinkId(3));
-        assert_eq!(plan.cuts[1].from_shard, 1);
-        assert_eq!(plan.cuts[1].to_shard, 0);
-        assert_eq!(plan.cuts[0].delay, Duration::from_millis(13));
-    }
-
-    #[test]
-    fn plan_rejects_wrong_length_and_range() {
-        let topo = chain_topo(2);
-        let err = Partition::explicit(vec![0, 1], 2)
-            .plan(&topo, &fixed_delays(topo.link_count(), 1))
-            .expect_err("3 nodes, 2 assigned");
-        assert!(err.to_string().contains("assigns 2 nodes"), "{err}");
-        let err = Partition::explicit(vec![0, 5, 1], 2)
-            .plan(&topo, &fixed_delays(topo.link_count(), 1))
-            .expect_err("shard 5 of 2");
-        assert!(
-            err.to_string().contains("node 1 assigned to shard 5"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn plan_rejects_empty_shards() {
-        let topo = chain_topo(2);
-        let err = Partition::explicit(vec![0, 0, 0], 2)
-            .plan(&topo, &fixed_delays(topo.link_count(), 1))
-            .expect_err("shard 1 empty");
-        assert!(err.to_string().contains("shard 1 has no nodes"), "{err}");
-        // Every node in exactly one shard, no shard empty: the valid case.
-        assert!(Partition::explicit(vec![0, 0, 1], 2)
-            .plan(&topo, &fixed_delays(topo.link_count(), 1))
-            .is_ok());
-    }
-
-    #[test]
-    fn plan_rejects_zero_delay_cut_links() {
-        let topo = chain_topo(2);
-        let mut delays = fixed_delays(topo.link_count(), 1);
-        delays[2] = DelayModel::Fixed(Duration::ZERO); // hop 1 fwd: cut
-        let err = Partition::explicit(vec![0, 0, 1], 2)
-            .plan(&topo, &delays)
-            .expect_err("zero-delay cut link");
-        assert!(
-            err.to_string()
-                .contains("cut link 2 has zero propagation delay"),
-            "{err}"
-        );
-        // The same zero delay on an intra-shard link is fine.
-        let mut delays = fixed_delays(topo.link_count(), 1);
-        delays[0] = DelayModel::Fixed(Duration::ZERO); // hop 0: internal
-        assert!(Partition::explicit(vec![0, 0, 1], 2)
-            .plan(&topo, &delays)
-            .is_ok());
-    }
-
-    #[test]
-    fn plan_rejects_multi_shard_partition_without_cuts() {
-        // Two disconnected nodes: a 2-shard split has no cross-shard
-        // links, so there is no lookahead to grant windows by.
-        let mut topo = Topology::default();
-        topo.roles.push(NodeRole::Source);
-        topo.roles.push(NodeRole::Sink);
-        let err = Partition::explicit(vec![0, 1], 2)
-            .plan(&topo, &[])
-            .expect_err("no cross-shard links");
-        assert!(err.to_string().contains("no cross-shard links"), "{err}");
-        // The same topology in one shard is fine: single-shard runs
-        // never need cuts.
-        assert!(Partition::explicit(vec![0, 0], 1).plan(&topo, &[]).is_ok());
-    }
-
-    #[test]
-    fn builder_rejects_bad_cut_wiring() {
-        struct NoTx;
-        impl TxEndpoint for NoTx {
-            type Frame = u64;
-            fn start(&mut self, _: Instant) {}
-            fn push(&mut self, _: u64, _: Bytes) -> bool {
-                false
-            }
-            fn poll_transmit(&mut self, _: Instant) -> Option<u64> {
-                None
-            }
-            fn handle_frame(&mut self, _: Instant, _: u64, _: bool) {}
-            fn on_timeout(&mut self, _: Instant) {}
-            fn poll_timeout(&self) -> Option<Instant> {
-                None
-            }
-            fn buffered(&self) -> usize {
-                0
-            }
-            fn meta(_: &u64) -> crate::endpoint::FrameMeta {
-                crate::endpoint::FrameMeta {
-                    bytes: 1,
-                    is_info: true,
-                }
-            }
-            fn drain_holding(&mut self, _: &mut Vec<f64>) {}
-            fn transmissions(&self) -> u64 {
-                0
-            }
-            fn retransmissions(&self) -> u64 {
-                0
-            }
-        }
-        struct NoRx;
-        impl RxEndpoint for NoRx {
-            type Frame = u64;
-            fn start(&mut self, _: Instant) {}
-            fn handle_frame(&mut self, _: Instant, _: u64, _: bool) {}
-            fn on_timeout(&mut self, _: Instant) {}
-            fn poll_timeout(&self) -> Option<Instant> {
-                None
-            }
-            fn poll_transmit(&mut self, _: Instant) -> Option<u64> {
-                None
-            }
-            fn poll_deliver(&mut self, _: Instant) -> Option<(u64, usize)> {
-                None
-            }
-            fn occupancy(&self) -> usize {
-                0
-            }
-            fn meta(_: &u64) -> crate::endpoint::FrameMeta {
-                crate::endpoint::FrameMeta {
-                    bytes: 1,
-                    is_info: true,
-                }
-            }
-        }
-        struct NoCol;
-        impl Collect for NoCol {
-            fn on_push(&mut self, _: Instant, _: u64) {}
-            fn on_deliver(&mut self, _: Instant, _: u64) {}
-            fn on_holding(&mut self, _: &[f64]) {}
-            fn sample(&mut self, _: Instant, _: usize, _: usize, _: f64) {}
-            fn delivered_unique(&self) -> u64 {
-                0
-            }
-        }
-
-        // A sender on an inbound stub, a listener on an outbound cut
-        // link, and descending global-id registration: all rejected.
-        let mut b: ShardBuilder<NoTx, NoRx, NoCol> = ShardBuilder::new(8);
-        let chan = || {
-            Channel::new(
-                1e6,
-                DelayModel::Fixed(Duration::from_millis(1)),
-                ErrorModel::Clean,
-            )
-        };
-        let out = b.cut_out(3, chan(), "fwd");
-        let stub = b.cut_in(1); // descending: 1 after 3
-        b.tx(stub, NoTx);
-        b.listen(out, EndpointId::Rx(RxId(0)));
-        let r = b.rx(out, NoRx);
-        b.deliver(r, ColId(0)); // unknown collector
-        let err = match b.build() {
-            Err(e) => e,
-            Ok(_) => panic!("invalid shard wiring accepted"),
-        };
-        let msg = err.to_string();
+    fn builder_rejects_bad_link_wiring() {
+        // Descending topology-id registration, a listener that was never
+        // registered, and a delivery to an unknown collector: all
+        // rejected.
+        let mut b = EchoBuilder::new(64);
+        let fwd = b.link(3, clean_channel(), "fwd");
+        b.link(1, clean_channel(), "rev"); // descending: 1 after 3
+        b.listen(fwd, RxId(5));
+        let r = b.rx(fwd, EchoRx::default());
+        b.deliver(r, ColId(0));
+        let msg = build_err(b);
         assert!(msg.contains("ascending global-id order"), "{msg}");
-        assert!(msg.contains("inbound stub but has senders"), "{msg}");
-        assert!(msg.contains("cannot have local listeners"), "{msg}");
+        assert!(
+            msg.contains("listener Rx(RxId(5)) is not registered"),
+            "{msg}"
+        );
         assert!(msg.contains("delivers to an unknown collector"), "{msg}");
     }
 
@@ -1988,7 +1332,7 @@ mod tests {
             topo.link(na, nb, "fwd");
             topo.link(nb, na, "rev");
             let mut b = EchoBuilder::new(64);
-            b.place(&topo, &Partition::contiguous(2, 1), 0);
+            b.place(&topo);
             let la = b.link(0, clean_channel(), "fwd");
             let lb = b.link(1, clean_channel(), "rev");
             let ra = b.rx(la, EchoRx::default());
@@ -1998,8 +1342,8 @@ mod tests {
             b.listen(la, rb);
             b.listen(lb, ra);
             let c = b.collector(CountCollector::default());
-            b.source(batch(1), ta, Some(c), first);
-            b.source(batch(1), tb, Some(c), second);
+            b.source(batch(1), ta, c, first);
+            b.source(batch(1), tb, c, second);
             b.deliver(rb, c);
             b.deliver(ra, c);
             b

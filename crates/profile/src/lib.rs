@@ -96,18 +96,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     current().into_span(name)
 }
 
-/// Fold a finished [`Report`] from another thread into this thread's
-/// profiler (no-op when none is installed). The sharded coordinator
-/// uses this to merge worker-thread span trees into the profiled run's
-/// report, so `--profile` attribution covers shard workers too.
-pub fn absorb(report: &Report) {
-    PROFILER.with(|p| {
-        if let Some(rc) = p.borrow().as_ref() {
-            rc.borrow_mut().absorb_report(report);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,33 +126,6 @@ mod tests {
         let root = report.tree.node(report.tree.roots()[0]);
         assert_eq!(root.name, "root");
         assert_eq!(root.count, 1);
-    }
-
-    #[test]
-    fn absorb_is_inert_when_disabled_and_merges_when_installed() {
-        // Build a "worker" report on this thread, then absorb it.
-        install();
-        {
-            let _g = span("superstep");
-        }
-        let worker = take().expect("installed");
-
-        absorb(&worker); // disabled: must not panic or install anything
-        assert!(!enabled());
-
-        install();
-        {
-            let _g = span("merge");
-        }
-        absorb(&worker);
-        let report = take().expect("installed");
-        let names: Vec<&str> = report
-            .tree
-            .roots()
-            .iter()
-            .map(|&i| report.tree.node(i).name)
-            .collect();
-        assert_eq!(names, vec!["merge", "superstep"]);
     }
 
     #[test]

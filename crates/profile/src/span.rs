@@ -113,9 +113,6 @@ pub struct Profiler {
     dropped: u64,
     truncated: u64,
     queue_depth: SampleSummary,
-    /// Trees absorbed from other threads' reports (shard workers),
-    /// merged into the final tree at finish.
-    foreign: SpanTree,
 }
 
 impl Profiler {
@@ -135,7 +132,6 @@ impl Profiler {
             dropped: 0,
             truncated: 0,
             queue_depth: SampleSummary::default(),
-            foreign: SpanTree::default(),
         }
     }
 
@@ -208,18 +204,6 @@ impl Profiler {
         self.queue_depth.record(depth);
     }
 
-    /// Fold another thread's finished [`Report`] into this profiler:
-    /// its tree merges by call path into the final report (as top-level
-    /// siblings of this thread's own spans), and its capacity counters
-    /// and queue-depth samples sum. Used by the sharded coordinator to
-    /// attribute worker-thread spans to the profiled run.
-    pub fn absorb_report(&mut self, report: &Report) {
-        self.foreign.absorb(&report.tree);
-        self.dropped += report.dropped;
-        self.truncated += report.truncated;
-        self.queue_depth.absorb(&report.queue_depth);
-    }
-
     /// Consume the profiler into a report, force-closing open frames.
     pub fn finish(mut self) -> Report {
         self.finish_in_place()
@@ -238,13 +222,8 @@ impl Profiler {
                 children: n.children,
             })
             .collect();
-        let mut tree = SpanTree { nodes };
-        let foreign = std::mem::take(&mut self.foreign);
-        if !foreign.is_empty() {
-            tree.absorb(&foreign);
-        }
         Report {
-            tree,
+            tree: SpanTree { nodes },
             dropped: std::mem::take(&mut self.dropped),
             truncated: std::mem::take(&mut self.truncated),
             queue_depth: std::mem::take(&mut self.queue_depth),
@@ -674,39 +653,6 @@ mod tests {
             r1.tree.node(r1.tree.roots()[0]).total_ns + r2.tree.node(r2.tree.roots()[0]).total_ns
         );
         assert_eq!(agg.node(agg.roots()[1]).name, "c");
-    }
-
-    #[test]
-    fn absorbed_report_merges_into_finished_tree() {
-        let worker = fresh(DEFAULT_SPAN_CAP);
-        {
-            let _s = worker.span("superstep");
-            let _a = worker.span("advance");
-        }
-        worker.sample_queue_depth(7);
-        let worker_report = finish(worker);
-
-        let main = fresh(DEFAULT_SPAN_CAP);
-        {
-            let _m = main.span("merge");
-        }
-        main.inner
-            .as_ref()
-            .expect("enabled")
-            .borrow_mut()
-            .absorb_report(&worker_report);
-        let r = finish(main);
-        let names: Vec<&str> = r
-            .tree
-            .roots()
-            .iter()
-            .map(|&i| r.tree.node(i).name)
-            .collect();
-        assert_eq!(names, vec!["merge", "superstep"]);
-        let ss = r.tree.node(r.tree.roots()[1]);
-        assert_eq!(r.tree.node(ss.children[0]).name, "advance");
-        assert_eq!(r.queue_depth.count, 1);
-        assert_eq!(r.queue_depth.max, 7);
     }
 
     #[test]

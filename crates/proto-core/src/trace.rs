@@ -190,35 +190,6 @@ pub enum TraceEvent {
         /// `"wall"` (monotonic real time, run-local origin).
         clock_domain: &'static str,
     },
-    /// One shard's granted window within a conservative-parallel
-    /// superstep, emitted by the sharded coordinator under the `"coord"`
-    /// node label at the window's grant instant. Carries only
-    /// deterministic fields (no wall-clock timing), so traces stay
-    /// byte-identical across repeated runs at the same shard count.
-    Superstep {
-        /// Coordinator round index (0-based superstep counter).
-        round: u64,
-        /// Shard the window was granted to.
-        shard: u64,
-        /// Granted horizon `G_s` in nanoseconds of simulated time.
-        grant_ns: u64,
-        /// True when an inbound cut's `C_sender + delay` bound the
-        /// grant (rather than the finish-time lower bound or deadline).
-        cut_bound: bool,
-        /// Global id of the binding inbound cut link — the *critical
-        /// cut* (0 when `cut_bound` is false).
-        critical_link: u64,
-        /// Events processed in the window (pushes and arrivals; wakes
-        /// are bookkeeping and excluded, so the sum over shards is
-        /// invariant across shard counts).
-        events: u64,
-        /// Cross-shard arrivals injected at the start of the window.
-        inbound: u64,
-        /// Frames exported across outbound cut links during the window.
-        outbound: u64,
-        /// Events still pending on the shard queue at window end.
-        queue_depth: u64,
-    },
 }
 
 impl TraceEvent {
@@ -247,7 +218,6 @@ impl TraceEvent {
             TraceEvent::BufferRelease { .. } => "buffer_release",
             TraceEvent::ReseqHold { .. } => "reseq_hold",
             TraceEvent::TraceHeader { .. } => "trace_header",
-            TraceEvent::Superstep { .. } => "superstep",
         }
     }
 }

@@ -17,20 +17,15 @@
 //!   and parsing, used for machine-readable run reports. No external
 //!   serialisation crates are available offline, so this is the one
 //!   JSON implementation the workspace shares.
-//! * [`timeline`] — Chrome trace-event rendering for the sharded
-//!   runtime's superstep spans ([`SuperstepSpan`]), loadable in
-//!   Perfetto.
 
 #![warn(missing_docs)]
 
 pub mod json;
 pub mod registry;
-pub mod timeline;
 pub mod trace;
 
 pub use json::Json;
 pub use registry::{is_canonical_name, CounterHandle, Registry};
-pub use timeline::{timeline_doc, SuperstepSpan, TimelineGroup, TIMELINE_SCHEMA};
 pub use trace::{
     global_handle, global_sink, install_global, parse_line, sink_trace, uninstall_global,
     BufferSink, FanoutSink, JsonlSink, ProtoTrace, RingSink, SharedSink, Trace, TraceEvent,

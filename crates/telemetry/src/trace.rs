@@ -129,27 +129,6 @@ fn event_fields(event: &TraceEvent) -> Vec<(&'static str, Json)> {
         TraceEvent::TraceHeader { clock_domain } => {
             vec![("clock_domain", clock_domain.into())]
         }
-        TraceEvent::Superstep {
-            round,
-            shard,
-            grant_ns,
-            cut_bound,
-            critical_link,
-            events,
-            inbound,
-            outbound,
-            queue_depth,
-        } => vec![
-            ("round", round.into()),
-            ("shard", shard.into()),
-            ("grant_ns", grant_ns.into()),
-            ("cut_bound", cut_bound.into()),
-            ("critical_link", critical_link.into()),
-            ("events", events.into()),
-            ("inbound", inbound.into()),
-            ("outbound", outbound.into()),
-            ("queue_depth", queue_depth.into()),
-        ],
     }
 }
 
@@ -341,17 +320,6 @@ impl TraceRecord {
             "trace_header" => TraceEvent::TraceHeader {
                 clock_domain: word("clock_domain")?,
             },
-            "superstep" => TraceEvent::Superstep {
-                round: num("round")?,
-                shard: num("shard")?,
-                grant_ns: num("grant_ns")?,
-                cut_bound: flag("cut_bound")?,
-                critical_link: num("critical_link")?,
-                events: num("events")?,
-                inbound: num("inbound")?,
-                outbound: num("outbound")?,
-                queue_depth: num("queue_depth")?,
-            },
             other => return Err(format!("unknown event kind {other:?}")),
         };
         Ok(TraceRecord {
@@ -381,7 +349,6 @@ const KNOWN_LABELS: &[&str] = &[
     "rx",
     "channel",
     "collector",
-    "coord",
     "sim",
     "runner",
     "host",
@@ -1042,17 +1009,6 @@ mod tests {
             TraceEvent::TraceHeader {
                 clock_domain: "wall",
             },
-            TraceEvent::Superstep {
-                round: 17,
-                shard: 2,
-                grant_ns: 1_002_000_000,
-                cut_bound: true,
-                critical_link: 5,
-                events: 143,
-                inbound: 7,
-                outbound: 9,
-                queue_depth: 21,
-            },
         ];
         for (i, event) in events.into_iter().enumerate() {
             // Deliberately awkward timestamp: exercises the f64 round trip.
@@ -1280,6 +1236,13 @@ mod tests {
         assert!(parse_line("not json").is_err());
         assert!(parse_line(r#"{"t":1,"node":"tx"}"#).is_err());
         assert!(parse_line(r#"{"t":1,"node":"tx","event":"martian"}"#).is_err());
+        // A kind no current writer emits: the old shard coordinator's
+        // superstep record is outside input now, not a known event.
+        let retired = r#"{"t":600,"node":"coord","event":"superstep","round":0,"shard":0,"grant_ns":600000000000,"cut_bound":false,"critical_link":0,"events":3860,"inbound":0,"outbound":0,"queue_depth":6}"#;
+        assert_eq!(
+            parse_line(retired).unwrap_err(),
+            r#"unknown event kind "superstep""#
+        );
         assert!(parse_line(r#"{"t":-1,"node":"tx","event":"link_failed"}"#).is_err());
         // Missing event-specific field.
         assert!(parse_line(r#"{"t":1,"node":"tx","event":"nak"}"#).is_err());

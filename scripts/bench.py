@@ -20,7 +20,6 @@ writes one `lams-dlc.bench/1` document:
                   "ns_per_op", "ops_per_sec"} ],
       "experiments": [ {"id", "runs", "wall_secs", "events_per_sec",
                         "queue": {...} | null} ],
-      "shards": [ {"shards", "wall_secs", "events_per_sec", "popped"} ],
       "total": {"runs", "wall_secs", "events_per_sec", "popped"},
       "profile": {"wall_ns", "counters", "queue_depth", "alloc",
                   "spans": [...]} | null,
@@ -100,13 +99,12 @@ def machine_class():
     return {"cpu": cpu, "vcpus": os.cpu_count() or 0}
 
 
-def run_once(binary, micro_iters, skip_profile=False, extra=()):
+def run_once(binary, micro_iters, skip_profile=False):
     cmd = [str(binary)]
     if micro_iters is not None:
         cmd += ["--micro-iters", str(micro_iters)]
     if skip_profile:
         cmd += ["--skip-profile"]
-    cmd += list(extra)
     try:
         out = subprocess.run(cmd, capture_output=True, text=True, check=True)
     except FileNotFoundError:
@@ -124,10 +122,9 @@ def run_once(binary, micro_iters, skip_profile=False, extra=()):
 
 def run_parent(parent, micro_iters):
     """One repetition of the parent checkout's bench_suite: the micro
-    kernels and the quick experiments, without the shard sweep or the
-    profiled pass."""
+    kernels and the quick experiments, without the profiled pass."""
     doc = run_once(parent / "target/release/bench_suite", micro_iters,
-                   skip_profile=True, extra=["--skip-shards"])
+                   skip_profile=True)
     total = doc["total"]
     print(f"bench: parent: quick-all {total['events_per_sec'] / 1e6:.3f}M "
           f"events/s", file=sys.stderr)
@@ -176,33 +173,6 @@ def median_experiments(reps):
             entry["events_per_sec"] = statistics.median(
                 row["events_per_sec"] for row in rows)
         merged.append(entry)
-    return merged
-
-
-def median_shards(reps):
-    """Median the wall-clock fields of each shard-sweep point (including
-    the efficiency/imbalance ratios, which read the wall clock); the
-    shard count and popped totals are counted fields and must agree."""
-    merged = []
-    for i, first in enumerate(reps[0].get("shards", [])):
-        rows = [r["shards"][i] for r in reps]
-        for row in rows:
-            if row["shards"] != first["shards"] or row["popped"] != first["popped"]:
-                fail(f"shard sweep point {i}: counted fields differ across "
-                     f"reps — the workload is not deterministic")
-        point = {
-            "shards": first["shards"],
-            "wall_secs": statistics.median(row["wall_secs"] for row in rows),
-            "events_per_sec": statistics.median(
-                row["events_per_sec"] for row in rows),
-            "popped": first["popped"],
-        }
-        if "efficiency" in first:
-            point["efficiency"] = statistics.median(
-                row["efficiency"] for row in rows)
-            point["imbalance"] = statistics.median(
-                row["imbalance"] for row in rows)
-        merged.append(point)
     return merged
 
 
@@ -274,11 +244,8 @@ def load_trajectory(root):
 
 def print_trajectory(docs, as_json):
     """Per-PR events/s trajectory table (or JSON) over the committed
-    baselines, with the delta against the previous baseline, plus the
-    shard-scaling block of every baseline that recorded one
-    (BENCH_0006.json onward)."""
+    baselines, with the delta against the previous baseline."""
     rows = []
-    shard_rows = []
     prev = None
     for name, doc in docs:
         total = doc["total"]
@@ -294,20 +261,9 @@ def print_trajectory(docs, as_json):
             "delta_pct": delta,
         })
         prev = eps
-        for point in doc.get("shards") or []:
-            shard_rows.append({
-                "baseline": name,
-                "shards": point["shards"],
-                "wall_secs": point["wall_secs"],
-                "events_per_sec": point["events_per_sec"],
-                "popped": point["popped"],
-                "efficiency": point.get("efficiency"),
-                "imbalance": point.get("imbalance"),
-            })
     if as_json:
         print(json.dumps({"schema": "lams-dlc.bench-trajectory/1",
-                          "trajectory": rows,
-                          "shards": shard_rows}, indent=2))
+                          "trajectory": rows}, indent=2))
         return
     print(f"{'baseline':<20} {'runs':>5} {'popped':>12} "
           f"{'wall s':>8} {'events/s':>12} {'delta':>8}")
@@ -317,21 +273,6 @@ def print_trajectory(docs, as_json):
         print(f"{row['baseline']:<20} {row['runs']:>5} {row['popped']:>12} "
               f"{row['wall_secs']:>8.3f} {row['events_per_sec']:>12.0f} "
               f"{delta}")
-    if not shard_rows:
-        return
-    print()
-    print(f"{'shard scaling':<20} {'shards':>6} {'popped':>12} "
-          f"{'wall s':>8} {'events/s':>12} {'effic':>7} {'imbal':>7}")
-    for row in shard_rows:
-        eff = ("     --" if row["efficiency"] is None
-               else f"{row['efficiency'] * 100:6.1f}%")
-        imb = ("     --" if row["imbalance"] is None
-               else f"{row['imbalance']:6.2f}x")
-        print(f"{row['baseline']:<20} {row['shards']:>6} {row['popped']:>12} "
-              f"{row['wall_secs']:>8.3f} {row['events_per_sec']:>12.0f} "
-              f"{eff} {imb}")
-
-
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, add_help=True,
@@ -405,7 +346,6 @@ def main():
         "machine": machine_class(),
         "micro": median_micro(reps),
         "experiments": median_experiments(reps),
-        "shards": median_shards(reps),
         "total": median_total(reps),
         # Wall-clock-bearing throughout: rep 1's profiled pass, verbatim.
         "profile": reps[0].get("profile"),

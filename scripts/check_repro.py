@@ -9,9 +9,6 @@ Usage:
                    [--profile PROFILE.json]...
                    [--live STATS.jsonl]...
                    [--mcheck MCHECK.json]...
-                   [--timeline TIMELINE.json]...
-                   [--timeline-identical FILE_A FILE_B]...
-                   [--same-records TRACE_A TRACE_B]...
 
 With one positional argument: validate the `lams-dlc.repro/1` schema
 (top-level fields, per-experiment structure, perf blocks, live-monitor
@@ -21,11 +18,9 @@ zero resolution-bound violations).
 
 With two positional arguments: additionally require the two documents to
 be identical once every `perf` and `profile` block (the wall-clock-
-bearing fields) is nulled out and every `shard_profile` block is reduced
-to its shard-count-invariant core (the protocol event total) — the
-parallel runner (`--workers`) and the sharded simulation runtime
-(`--shards`) must both be pure speed knobs, and self-profiling must
-never perturb simulated results.
+bearing fields) is nulled out — the parallel runner (`--workers`) must
+be a pure speed knob, and self-profiling must never perturb simulated
+results.
 
 Each `--profile FILE` must be a valid `lams-dlc.profile/1` document (as
 written by `repro --profile`): per experiment, every span node must
@@ -60,33 +55,9 @@ Each `--mcheck FILE` must be a `lams-dlc.mcheck/1` sweep document (as
 written by `model-check --json`): zero violations, every schedule
 accounted for, and nonzero coverage for every adversary knob — a sweep
 whose coverage shows a zero proved nothing about that knob.
-
-Each `--timeline FILE` must be a `lams-dlc.timeline/1` Chrome
-trace-event document (as written by `repro --timeline` or `trace-tools
-timeline`): metadata naming every track, superstep spans non-overlapping
-per (pid, tid) track, complete deterministic args on every span,
-grant-horizon counters monotone non-decreasing per shard series — and,
-when a report is given, the span event totals must equal the report's
-`shard_profile` event accounting.
-
-Each `--timeline-identical A B` pair must be identical timeline
-documents once the `ts`/`dur` members (the only wall-clock-bearing
-fields) are stripped from every trace event — a live export and its
-offline `trace-tools timeline` replay, or two repeated runs at the same
-shard count, must agree on every deterministic field.
-
-Each `--same-records A B` pair must be `--trace` JSONL files holding the
-same records run by run: split at every `run_started` record (records
-outside a run stay with the run before them), with the
-coordinator's `coord` superstep records dropped and each run's records
-stable-sorted by `(t, node)`, the two files must match line for line.
-A one-shard run writes records in emission order while a multi-shard
-run merges them sorted by `(t, node)`, so this is the trace contract
-between shard counts (DESIGN.md §11).
 """
 
 import json
-import re
 import sys
 
 EXPECTED_IDS = [f"E{i}" for i in range(1, 19)]
@@ -195,52 +166,6 @@ def validate_attribution(attr, exp_id, path):
              f"violations")
 
 
-SHARD_PROFILE_COUNT_KEYS = ("shards", "supersteps", "windows",
-                            "null_windows", "events", "inbound", "outbound",
-                            "granted_ns", "available_ns")
-SHARD_PROFILE_KEYS = SHARD_PROFILE_COUNT_KEYS + (
-    "lookahead_utilization", "critical_cuts", "efficiency", "imbalance",
-    "busy_ns", "blocked_ns", "wall_secs")
-
-
-def validate_shard_profile(sp, exp_id, path):
-    """The sharded runtime's superstep accounting: present for the
-    sharded experiment family, null elsewhere. Counts are deterministic;
-    busy/blocked/wall (and the derived efficiency/imbalance) read the
-    wall clock."""
-    for key in SHARD_PROFILE_KEYS:
-        if key not in sp:
-            fail(f"{path}: {exp_id} shard_profile missing '{key}'")
-    for key in SHARD_PROFILE_COUNT_KEYS:
-        if not isinstance(sp[key], int) or sp[key] < 0:
-            fail(f"{path}: {exp_id} shard_profile '{key}' must be a "
-                 f"non-negative integer")
-    if sp["shards"] < 1 or sp["windows"] < 1 or sp["events"] < 1:
-        fail(f"{path}: {exp_id} shard_profile recorded no work: {sp}")
-    if sp["null_windows"] > sp["windows"]:
-        fail(f"{path}: {exp_id} shard_profile null_windows exceeds windows")
-    if not 0.0 < sp["efficiency"]:
-        fail(f"{path}: {exp_id} shard_profile efficiency must be positive")
-    if sp["imbalance"] < 1.0 - 1e-9:
-        fail(f"{path}: {exp_id} shard_profile imbalance below 1.0")
-    if not 0.0 <= sp["lookahead_utilization"] <= 1.0 + 1e-9:
-        fail(f"{path}: {exp_id} shard_profile lookahead_utilization "
-             f"outside [0, 1]")
-    cuts = sp["critical_cuts"]
-    if not isinstance(cuts, dict):
-        fail(f"{path}: {exp_id} shard_profile critical_cuts must be a map")
-    for link, count in cuts.items():
-        if not link.startswith("link") or not isinstance(count, int) \
-                or count < 1:
-            fail(f"{path}: {exp_id} critical_cuts entry "
-                 f"{link!r}: {count!r} malformed")
-    for key in ("busy_ns", "blocked_ns"):
-        vec = sp[key]
-        if not isinstance(vec, list) or len(vec) != sp["shards"]:
-            fail(f"{path}: {exp_id} shard_profile '{key}' must list one "
-                 f"entry per shard")
-
-
 def validate(doc, path):
     if doc.get("schema") != "lams-dlc.repro/1":
         fail(f"{path}: schema is {doc.get('schema')!r}, want 'lams-dlc.repro/1'")
@@ -271,10 +196,6 @@ def validate(doc, path):
             fail(f"{path}: {e['id']} missing 'profile' block")
         if e["profile"] is not None:
             validate_profile_block(e["profile"], e["id"], path)
-        if "shard_profile" not in e:
-            fail(f"{path}: {e['id']} missing 'shard_profile' block")
-        if e["shard_profile"] is not None:
-            validate_shard_profile(e["shard_profile"], e["id"], path)
         perf = e.get("perf")
         if perf is None:
             continue  # an experiment with no simulations (analysis-only)
@@ -337,33 +258,6 @@ def validate_bench(doc, path):
                 fail(f"{path}: {e['id']} queue profile missing '{key}'")
         if q["popped"] <= 0 or e["events_per_sec"] <= 0:
             fail(f"{path}: {e['id']} ran simulations but popped nothing")
-    # The shard-scaling sweep: optional (older baselines predate it;
-    # --skip-shards omits it), but when present each point must be
-    # well-formed and the shard counts strictly increasing.
-    shards = doc.get("shards")
-    if shards is not None and shards != []:
-        if not isinstance(shards, list):
-            fail(f"{path}: 'shards' must be an array")
-        prev = 0
-        for p in shards:
-            for key in ("shards", "wall_secs", "events_per_sec", "popped"):
-                if key not in p:
-                    fail(f"{path}: shard sweep point missing '{key}': {p}")
-            if p["shards"] <= prev:
-                fail(f"{path}: shard counts must be strictly increasing, "
-                     f"got {p['shards']} after {prev}")
-            prev = p["shards"]
-            if p["popped"] <= 0 or p["events_per_sec"] <= 0:
-                fail(f"{path}: shard sweep at {p['shards']} shard(s) "
-                     f"popped no events")
-            # Efficiency/imbalance arrived with the superstep accounting;
-            # older committed baselines legitimately lack them.
-            if "efficiency" in p and not 0 < p["efficiency"] <= 1 + 1e-9:
-                fail(f"{path}: shard sweep at {p['shards']} shard(s) has "
-                     f"efficiency {p['efficiency']} outside (0, 1]")
-            if "imbalance" in p and p["imbalance"] < 1 - 1e-9:
-                fail(f"{path}: shard sweep at {p['shards']} shard(s) has "
-                     f"imbalance {p['imbalance']} below 1")
     total = doc.get("total")
     if not isinstance(total, dict):
         fail(f"{path}: missing 'total' block")
@@ -474,144 +368,19 @@ WALL_CLOCK_KEYS = ("perf", "profile")
 
 
 def strip_perf(node):
-    """Null out the wall-clock-bearing blocks (perf, profile) and reduce
-    each shard_profile to its shard-count-invariant core (the protocol
-    event total) so the rest of the document can be compared for
-    determinism. Superstep shapes, grants and critical cuts legitimately
-    depend on the cut, but the committed event set never does."""
+    """Null out the wall-clock-bearing blocks (perf, profile) so the
+    rest of the document can be compared for determinism."""
     if isinstance(node, dict):
         out = {}
         for k, v in node.items():
             if k in WALL_CLOCK_KEYS:
                 out[k] = None
-            elif k == "shard_profile":
-                out[k] = None if v is None else {"events": v.get("events")}
             else:
                 out[k] = strip_perf(v)
         return out
     if isinstance(node, list):
         return [strip_perf(v) for v in node]
     return node
-
-
-# --- timeline (`lams-dlc.timeline/1`) validation ---------------------
-
-TIMELINE_SCHEMA = "lams-dlc.timeline/1"
-TIMELINE_SPAN_ARGS = ("round", "shard", "grant_ns", "cut_bound",
-                      "critical_link", "events", "inbound", "outbound",
-                      "queue_depth")
-TIMELINE_COUNTERS = ("events", "queue_depth", "grant_horizon_s")
-
-
-def check_timeline(path, report_doc, report_path):
-    """One Chrome trace-event timeline document: schema, track metadata,
-    non-overlapping superstep spans per track, monotone grant-horizon
-    counters, and (when a report rides along) span event totals matching
-    the report's shard_profile accounting."""
-    doc = load(path)
-    if doc.get("schema") != TIMELINE_SCHEMA:
-        fail(f"{path}: schema is {doc.get('schema')!r}, "
-             f"want {TIMELINE_SCHEMA!r}")
-    events = doc.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        fail(f"{path}: 'traceEvents' must be a non-empty array")
-    named_pids, named_tids = set(), set()
-    tracks = {}    # (pid, tid) -> [(ts, dur, index)]
-    horizons = {}  # (pid, series) -> [(ts, index, value)]
-    total_events = 0
-    for n, ev in enumerate(events):
-        where = f"{path}: traceEvents[{n}]"
-        ph = ev.get("ph")
-        if ph == "M":
-            name = ev.get("name")
-            if name == "process_name":
-                named_pids.add(ev.get("pid"))
-            elif name == "thread_name":
-                named_tids.add((ev.get("pid"), ev.get("tid")))
-            else:
-                fail(f"{where}: unknown metadata event {name!r}")
-            if not isinstance((ev.get("args") or {}).get("name"), str):
-                fail(f"{where}: metadata without an args.name label")
-            continue
-        if not isinstance(ev.get("pid"), int) or \
-                not isinstance(ev.get("ts"), (int, float)):
-            fail(f"{where}: missing pid/ts")
-        if ph == "X":
-            if ev.get("name") != "superstep":
-                fail(f"{where}: unexpected span {ev.get('name')!r}")
-            if not isinstance(ev.get("dur"), (int, float)) or ev["dur"] < 0:
-                fail(f"{where}: span without a non-negative dur")
-            args = ev.get("args") or {}
-            for key in TIMELINE_SPAN_ARGS:
-                if key not in args:
-                    fail(f"{where}: span args missing '{key}'")
-            if args["cut_bound"] not in (True, False):
-                fail(f"{where}: cut_bound must be a bool")
-            tracks.setdefault((ev["pid"], ev.get("tid")), []).append(
-                (ev["ts"], ev["dur"], n))
-            total_events += args["events"]
-        elif ph == "C":
-            if ev.get("name") not in TIMELINE_COUNTERS:
-                fail(f"{where}: unknown counter {ev.get('name')!r}")
-            args = ev.get("args") or {}
-            if len(args) != 1:
-                fail(f"{where}: counter must carry exactly one series")
-            (series, value), = args.items()
-            if not isinstance(value, (int, float)) or value < 0:
-                fail(f"{where}: counter value must be non-negative")
-            if ev["name"] == "grant_horizon_s":
-                horizons.setdefault((ev["pid"], series), []).append(
-                    (ev["ts"], n, value))
-        else:
-            fail(f"{where}: unknown ph {ph!r}")
-    if not tracks:
-        fail(f"{path}: no superstep spans")
-    for (pid, tid), spans in tracks.items():
-        if pid not in named_pids or (pid, tid) not in named_tids:
-            fail(f"{path}: track pid={pid} tid={tid} has spans but no "
-                 f"metadata name")
-        end = None
-        for ts, dur, n in sorted(spans):
-            if end is not None and ts < end:
-                fail(f"{path}: traceEvents[{n}]: span at ts={ts} overlaps "
-                     f"the previous span on track pid={pid} tid={tid} "
-                     f"(ends at {end})")
-            end = ts + dur
-    for (pid, series), points in horizons.items():
-        prev = None
-        for ts, n, value in sorted(points):
-            if prev is not None and value < prev:
-                fail(f"{path}: traceEvents[{n}]: grant_horizon_s went "
-                     f"backwards on pid={pid} {series} "
-                     f"({prev} -> {value}) — grants must advance")
-            prev = value
-    if report_doc is not None:
-        want = sum(e["shard_profile"]["events"]
-                   for e in report_doc["experiments"]
-                   if e.get("shard_profile"))
-        if total_events != want:
-            fail(f"{path}: timeline spans account {total_events} event(s) "
-                 f"but {report_path} shard_profile blocks account {want}")
-
-
-def strip_timeline_wall(doc, path):
-    """Drop the ts/dur members (the only wall-clock-bearing fields) from
-    every trace event."""
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        fail(f"{path}: 'traceEvents' must be an array")
-    return {**doc,
-            "traceEvents": [
-                {k: v for k, v in ev.items() if k not in ("ts", "dur")}
-                for ev in events]}
-
-
-def check_timeline_identical(a, b):
-    da = strip_timeline_wall(load(a), a)
-    db = strip_timeline_wall(load(b), b)
-    if da != db:
-        fail(f"{a} and {b} differ beyond ts/dur: the timeline's "
-             f"deterministic fields are not reproducible")
 
 
 def check_attribution_replay(tsv_path, doc, report_path):
@@ -832,67 +601,20 @@ def check_identical(a, b):
         fail(str(e))
 
 
-# The leading members of every trace record, as the trace writer emits
-# them: `{"t":<seconds>,"node":"<label>",...`.
-RECORD_HEAD = re.compile(r'\{"t":([-+0-9.eE]+),"node":"((?:[^"\\]|\\.)*)"')
-
-
-def trace_runs(path):
-    """The runs of a --trace file, each a list of (t, node, line), with
-    the coordinator's superstep records dropped. Records outside any run
-    (the runner's experiment markers) stay with the run before them;
-    those ahead of the first run form a prelude."""
-    runs = [[]]
-    try:
-        with open(path) as f:
-            for n, line in enumerate(f, 1):
-                m = RECORD_HEAD.match(line)
-                if not m:
-                    fail(f"{path}:{n}: not a trace record")
-                node = m.group(2)
-                if node == "coord":
-                    continue
-                if '"event":"run_started"' in line:
-                    runs.append([])
-                runs[-1].append((float(m.group(1)), node, line))
-    except OSError as e:
-        fail(str(e))
-    return runs
-
-
-def check_same_records(a, b):
-    runs_a, runs_b = trace_runs(a), trace_runs(b)
-    if len(runs_a) != len(runs_b):
-        fail(f"{a} holds {len(runs_a) - 1} runs but {b} holds {len(runs_b) - 1}")
-    for k, (ra, rb) in enumerate(zip(runs_a, runs_b)):
-        ra.sort(key=lambda r: (r[0], r[1]))
-        rb.sort(key=lambda r: (r[0], r[1]))
-        if ra == rb:
-            continue
-        for x, y in zip(ra, rb):
-            if x != y:
-                fail(f"run {k}: {a} and {b} differ after sorting by (t, node):\n"
-                     f"  {x[2].rstrip()}\n  {y[2].rstrip()}")
-        fail(f"run {k}: {a} holds {len(ra)} records but {b} holds {len(rb)}")
-
-
 def main():
     args = sys.argv[1:]
-    positional, pairs, timeline_pairs, record_pairs = [], [], [], []
+    positional, pairs = [], []
     benches, replays, profiles, lives, mchecks = [], [], [], [], []
-    timelines = []
     single = {"--bench": benches, "--profile": profiles,
               "--attribution": replays, "--live": lives,
-              "--mcheck": mchecks, "--timeline": timelines}
+              "--mcheck": mchecks}
     i = 0
     while i < len(args):
-        if args[i] in ("--identical", "--timeline-identical", "--same-records"):
+        if args[i] == "--identical":
             if len(args) - i < 3:
                 print(__doc__, file=sys.stderr)
                 sys.exit(2)
-            dest = {"--identical": pairs, "--timeline-identical": timeline_pairs,
-                    "--same-records": record_pairs}[args[i]]
-            dest.append((args[i + 1], args[i + 2]))
+            pairs.append((args[i + 1], args[i + 2]))
             i += 3
         elif args[i] in single:
             if len(args) - i < 2:
@@ -904,8 +626,7 @@ def main():
             positional.append(args[i])
             i += 1
     if len(positional) not in (1, 2) and not (
-            (benches or profiles or lives or mchecks or timelines
-             or timeline_pairs or record_pairs) and not positional):
+            (benches or profiles or lives or mchecks) and not positional):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
     if replays and not positional:
@@ -913,7 +634,6 @@ def main():
         print(__doc__, file=sys.stderr)
         sys.exit(2)
     checks = []
-    a = None
     if positional:
         a = validate(load(positional[0]), positional[0])
         checks.append("schema valid")
@@ -947,19 +667,6 @@ def main():
         check_mcheck(load(path), path)
     if mchecks:
         checks.append(f"{len(mchecks)} model-check sweep(s) covered")
-    for path in timelines:
-        check_timeline(path, a, positional[0] if positional else None)
-    if timelines:
-        checks.append(f"{len(timelines)} timeline(s) valid")
-    for pa, pb in timeline_pairs:
-        check_timeline_identical(pa, pb)
-    if timeline_pairs:
-        checks.append(
-            f"{len(timeline_pairs)} timeline pair(s) deterministic")
-    for pa, pb in record_pairs:
-        check_same_records(pa, pb)
-    if record_pairs:
-        checks.append(f"{len(record_pairs)} trace pair(s) hold the same records")
     print(f"check_repro: OK ({', '.join(checks)})")
 
 
