@@ -117,6 +117,7 @@ impl Crc16Ccitt {
     }
 
     /// Verify `data` whose trailing two bytes are the little-endian FCS.
+    #[inline]
     pub fn verify(data_with_fcs: &[u8]) -> bool {
         if data_with_fcs.len() < 2 {
             return false;
@@ -127,6 +128,7 @@ impl Crc16Ccitt {
     }
 
     /// Append the FCS (little-endian) to `data`.
+    #[inline]
     pub fn append(data: &mut Vec<u8>) {
         let fcs = Self::checksum(data);
         data.extend_from_slice(&fcs.to_le_bytes());
@@ -172,6 +174,7 @@ impl Crc32 {
     }
 
     /// Verify `data` whose trailing four bytes are the little-endian CRC.
+    #[inline]
     pub fn verify(data_with_crc: &[u8]) -> bool {
         if data_with_crc.len() < 4 {
             return false;
@@ -182,6 +185,7 @@ impl Crc32 {
     }
 
     /// Append the CRC (little-endian) to `data`.
+    #[inline]
     pub fn append(data: &mut Vec<u8>) {
         let crc = Self::checksum(data);
         data.extend_from_slice(&crc.to_le_bytes());

@@ -568,3 +568,69 @@ fn pump_wakes_at_most_twice_per_sdu_plus_checkpoints() {
         );
     }
 }
+
+/// A [`MemTransport`] whose feedback direction loses everything: the
+/// sender never hears a checkpoint or an answer to its Request-NAKs.
+struct DeafSender {
+    medium: MemTransport,
+}
+
+impl Transport for DeafSender {
+    fn send_data(&mut self, datagram: &[u8]) -> Result<(), String> {
+        self.medium.send_data(datagram)
+    }
+
+    fn recv_data(&mut self, buf: &mut [u8]) -> Result<Option<usize>, String> {
+        self.medium.recv_data(buf)
+    }
+
+    fn send_feedback(&mut self, _: &[u8]) -> Result<(), String> {
+        Ok(())
+    }
+
+    fn recv_feedback(&mut self, _: &mut [u8]) -> Result<Option<usize>, String> {
+        Ok(None)
+    }
+}
+
+#[test]
+fn a_silent_feedback_path_ends_in_a_link_failure_verdict() {
+    let cfg = IoConfig {
+        sdus: 50,
+        payload_len: 32,
+        drop_every: 0,
+        trace: Some(temp_path("link_failed.jsonl")),
+        ..IoConfig::default()
+    };
+    let err = run_transfer(
+        &cfg,
+        &ManualClock::new(),
+        &mut DeafSender {
+            medium: MemTransport::new(),
+        },
+    )
+    .expect_err("a sender that never hears back must fail the link");
+    // The data direction still works, so every SDU reaches the
+    // receiver; none is ever released at the sender.
+    assert_eq!(err, "sender declared link failure after 50 of 50 SDUs");
+
+    let trace = std::fs::read_to_string(cfg.trace.as_ref().expect("trace configured"))
+        .expect("trace file readable");
+    let last = parse_line(trace.lines().last().expect("a non-empty trace")).expect("parses");
+    assert_eq!(last.node, "host");
+    assert!(
+        matches!(
+            last.event,
+            telemetry::TraceEvent::RunFinished { deadline_hit: true }
+        ),
+        "the trace must close with a failed run, got {:?}",
+        last.event
+    );
+    assert!(
+        trace.lines().any(|l| matches!(
+            parse_line(l).map(|r| r.event),
+            Ok(telemetry::TraceEvent::LinkFailed)
+        )),
+        "the sender's failure must be on the trace"
+    );
+}

@@ -20,7 +20,9 @@
 
 use crate::{Frame, PacketId, Resequencer, RxStatus};
 use bytes::Bytes;
-use proto_core::{Clock, Duration, Instant, ReceiverMachine, SenderMachine, Trace, TraceEvent};
+use proto_core::{
+    earliest, Clock, Duration, Instant, ReceiverMachine, SenderMachine, Trace, TraceEvent,
+};
 
 /// The frame-level medium between the machines: it may lose, delay,
 /// duplicate or corrupt frames, or fail and end the run. Never blocks.
@@ -284,15 +286,6 @@ impl RunState {
                 slept_to = Some(wake);
             }
         }
-    }
-}
-
-/// The earlier of two optional deadlines; `None` only when both are.
-fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
     }
 }
 

@@ -37,7 +37,7 @@ use crate::config::LamsConfig;
 use crate::dedup::DedupWindow;
 use crate::frame::{CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, RxStatus, StopGo};
 use bytes::Bytes;
-use proto_core::Instant;
+use proto_core::{earliest, Instant};
 use proto_core::{Trace, TraceEvent};
 use std::collections::VecDeque;
 
@@ -169,6 +169,7 @@ impl Receiver {
     }
 
     /// Frames currently in the processing queue.
+    #[inline]
     pub fn processing_occupancy(&self) -> usize {
         self.processing.len()
     }
@@ -179,17 +180,13 @@ impl Receiver {
     }
 
     /// Earliest instant at which the receiver has time-driven work.
+    #[inline]
     pub fn poll_timeout(&self) -> Option<Instant> {
-        let cp = self.next_cp_at;
-        let ready = self.processing.front().map(|d| d.ready_at);
-        match (cp, ready) {
-            (None, r) => r,
-            (c, None) => c,
-            (Some(c), Some(r)) => Some(c.min(r)),
-        }
+        earliest(self.next_cp_at, self.processing.front().map(|d| d.ready_at))
     }
 
     /// Fire timers due at `now` (checkpoint emission).
+    #[inline]
     pub fn on_timeout(&mut self, now: Instant) {
         while let Some(at) = self.next_cp_at {
             if at > now {
@@ -201,11 +198,13 @@ impl Receiver {
     }
 
     /// Drain the next outbound control frame.
+    #[inline]
     pub fn poll_transmit(&mut self, _now: Instant) -> Option<Frame> {
         self.pending_tx.pop_front()
     }
 
     /// Pop the next completed delivery whose processing finished by `now`.
+    #[inline]
     pub fn poll_deliver(&mut self, now: Instant) -> Option<Delivery> {
         if self.processing.front().is_some_and(|d| d.ready_at <= now) {
             let d = self.processing.pop_front().expect("front");
@@ -360,6 +359,7 @@ impl Receiver {
             })));
     }
 
+    #[inline]
     fn update_congestion(&mut self, now: Instant) {
         let now_congested = self.processing.len() >= self.stop_watermark;
         if now_congested && !self.congested {
@@ -384,32 +384,39 @@ impl proto_core::Machine for Receiver {
     type Frame = Frame;
     type Event = ();
 
+    #[inline]
     fn start(&mut self, now: Instant) {
         Receiver::start(self, now);
     }
 
+    #[inline]
     fn handle_frame(&mut self, now: Instant, frame: Frame, status: RxStatus) {
         Receiver::handle_frame(self, now, frame, status);
     }
 
+    #[inline]
     fn poll_transmit(&mut self, now: Instant) -> Option<Frame> {
         Receiver::poll_transmit(self, now)
     }
 
+    #[inline]
     fn poll_timeout(&self) -> Option<Instant> {
         Receiver::poll_timeout(self)
     }
 
+    #[inline]
     fn on_timeout(&mut self, now: Instant) {
         Receiver::on_timeout(self, now);
     }
 
+    #[inline]
     fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
 }
 
 impl proto_core::ReceiverMachine for Receiver {
+    #[inline]
     fn poll_deliver(&mut self, now: Instant) -> Option<proto_core::Delivered> {
         Receiver::poll_deliver(self, now).map(|d| proto_core::Delivered {
             id: d.packet_id.0,
@@ -417,10 +424,12 @@ impl proto_core::ReceiverMachine for Receiver {
         })
     }
 
+    #[inline]
     fn occupancy(&self) -> usize {
         self.processing_occupancy()
     }
 
+    #[inline]
     fn stat_pairs(&self) -> Vec<(&'static str, f64)> {
         let s = self.stats();
         vec![

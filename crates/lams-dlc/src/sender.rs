@@ -46,7 +46,7 @@ use crate::events::SenderEvent;
 use crate::flow::RateController;
 use crate::frame::{CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, RxStatus};
 use bytes::Bytes;
-use proto_core::{Duration, Instant};
+use proto_core::{earliest, Duration, Instant};
 use proto_core::{SeqWindow, Trace, TraceEvent};
 use std::collections::VecDeque;
 
@@ -96,6 +96,7 @@ struct TxQueue {
 }
 
 impl TxQueue {
+    #[inline]
     fn len(&self) -> usize {
         #[cfg(test)]
         if let Some(q) = &self.single {
@@ -104,6 +105,7 @@ impl TxQueue {
         self.retx.len() + self.fresh.len()
     }
 
+    #[inline]
     fn push_fresh(&mut self, sdu: QueuedSdu) {
         #[cfg(test)]
         if let Some(q) = &mut self.single {
@@ -121,6 +123,7 @@ impl TxQueue {
     }
 
     /// True when [`TxQueue::pop`] would yield an SDU.
+    #[inline]
     fn has_transmittable(&self, running: bool) -> bool {
         #[cfg(test)]
         if let Some(q) = &self.single {
@@ -131,6 +134,7 @@ impl TxQueue {
 
     /// The next SDU to send: a retransmission if any, else a fresh SDU
     /// while `running`.
+    #[inline]
     fn pop(&mut self, running: bool) -> Option<QueuedSdu> {
         #[cfg(test)]
         if let Some(q) = &mut self.single {
@@ -288,6 +292,7 @@ impl Sender {
     }
 
     /// Current lifecycle state.
+    #[inline]
     pub fn state(&self) -> SenderState {
         self.state
     }
@@ -319,11 +324,13 @@ impl Sender {
     }
 
     /// Total sending-buffer occupancy: queued plus outstanding.
+    #[inline]
     pub fn buffered(&self) -> usize {
         self.queue.len() + self.outstanding.len()
     }
 
     /// Accept an SDU from the network layer.
+    #[inline]
     pub fn push(&mut self, packet_id: PacketId, payload: Bytes) -> Result<(), QueueFull> {
         if let Some(cap) = self.queue_capacity {
             if self.queue.len() >= cap {
@@ -339,39 +346,36 @@ impl Sender {
     }
 
     /// Drain the next protocol notification.
+    #[inline]
     pub fn poll_event(&mut self) -> Option<SenderEvent> {
         self.events.pop_front()
     }
 
     /// Earliest instant at which [`Sender::on_timeout`] or
     /// [`Sender::poll_transmit`] has work to do, if any.
+    #[inline]
     pub fn poll_timeout(&self) -> Option<Instant> {
         if self.state == SenderState::Failed {
             return None;
         }
-        let mut t: Option<Instant> = None;
-        let mut consider = |c: Option<Instant>| {
-            t = match (t, c) {
-                (None, c) => c,
-                (Some(a), None) => Some(a),
-                (Some(a), Some(b)) => Some(a.min(b)),
-            };
-        };
-        consider(self.cp_deadline);
-        consider(self.failure_deadline);
-        consider(self.outstanding.first().map(|(_, o)| o.resolve_deadline));
+        let timers = earliest(self.cp_deadline, self.failure_deadline);
+        let resolve = self.outstanding.first().map(|(_, o)| o.resolve_deadline);
+        let t = earliest(timers, resolve);
         if self.pending_request_nak.is_some() || self.has_transmittable() {
-            consider(Some(self.next_tx_allowed));
+            earliest(t, Some(self.next_tx_allowed))
+        } else {
+            t
         }
-        t
     }
 
+    #[inline]
     fn has_transmittable(&self) -> bool {
         self.queue
             .has_transmittable(self.state == SenderState::Running)
     }
 
     /// Fire any timers due at `now`.
+    #[inline]
     pub fn on_timeout(&mut self, now: Instant) {
         if self.state == SenderState::Failed {
             return;
@@ -679,61 +683,75 @@ impl proto_core::Machine for Sender {
     type Frame = Frame;
     type Event = SenderEvent;
 
+    #[inline]
     fn start(&mut self, now: Instant) {
         Sender::start(self, now);
     }
 
+    #[inline]
     fn handle_frame(&mut self, now: Instant, frame: Frame, status: RxStatus) {
         Sender::handle_frame(self, now, frame, status);
     }
 
+    #[inline]
     fn poll_transmit(&mut self, now: Instant) -> Option<Frame> {
         Sender::poll_transmit(self, now)
     }
 
+    #[inline]
     fn poll_timeout(&self) -> Option<Instant> {
         Sender::poll_timeout(self)
     }
 
+    #[inline]
     fn on_timeout(&mut self, now: Instant) {
         Sender::on_timeout(self, now);
     }
 
+    #[inline]
     fn poll_event(&mut self) -> Option<SenderEvent> {
         Sender::poll_event(self)
     }
 
+    #[inline]
     fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
 }
 
 impl proto_core::SenderMachine for Sender {
+    #[inline]
     fn push(&mut self, id: u64, payload: Bytes) -> bool {
         Sender::push(self, PacketId(id), payload).is_ok()
     }
 
+    #[inline]
     fn buffered(&self) -> usize {
         Sender::buffered(self)
     }
 
+    #[inline]
     fn is_failed(&self) -> bool {
         self.state() == SenderState::Failed
     }
 
+    #[inline]
     fn rate(&self) -> f64 {
         Sender::rate(self)
     }
 
+    #[inline]
     fn transmissions(&self) -> u64 {
         let s = self.stats();
         s.new_transmissions + s.retransmissions
     }
 
+    #[inline]
     fn retransmissions(&self) -> u64 {
         self.stats().retransmissions
     }
 
+    #[inline]
     fn released_holding_ns(event: &SenderEvent) -> Option<u64> {
         match event {
             SenderEvent::Released { held_for_ns, .. } => Some(*held_for_ns),
@@ -741,6 +759,7 @@ impl proto_core::SenderMachine for Sender {
         }
     }
 
+    #[inline]
     fn stat_pairs(&self) -> Vec<(&'static str, f64)> {
         let s = self.stats();
         vec![

@@ -15,6 +15,7 @@
 //! reference.
 
 /// Reduce a logical sequence number to its wire representation.
+#[inline]
 pub fn compress(logical: u64, modulus: u64) -> u32 {
     debug_assert!(modulus > 1 && modulus <= u32::MAX as u64 + 1);
     (logical % modulus) as u32
@@ -25,6 +26,7 @@ pub fn compress(logical: u64, modulus: u64) -> u32 {
 ///
 /// Correct whenever the true logical value lies within `modulus / 2` of
 /// `reference` — guaranteed by the resolving-period bound.
+#[inline]
 pub fn expand(wire: u32, reference: u64, modulus: u64) -> u64 {
     debug_assert!((wire as u64) < modulus);
     let base = reference / modulus * modulus;

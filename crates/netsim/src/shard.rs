@@ -33,6 +33,7 @@ use crate::topology::{
 };
 use crate::traffic::TrafficGen;
 use bytes::Bytes;
+use proto_core::earliest;
 use sim_core::{Duration, Instant, QueueProfile, RunTimer};
 use telemetry::TraceEvent;
 
@@ -768,20 +769,15 @@ where
     /// duplicates that would each buy a no-op pump.
     fn rearm_wake(&mut self, now: Instant) {
         let mut want: Option<Instant> = None;
-        let mut consider = |c: Option<Instant>| {
-            if let Some(t) = c {
-                want = Some(want.map_or(t, |w| w.min(t)));
-            }
-        };
         for t in &self.txs {
-            consider(t.poll_timeout());
+            want = earliest(want, t.poll_timeout());
         }
         for r in &self.rxs {
-            consider(r.poll_timeout());
+            want = earliest(want, r.poll_timeout());
         }
         for slot in &self.links {
             if !slot.channel.idle(now) {
-                consider(Some(slot.channel.free_at()));
+                want = earliest(want, Some(slot.channel.free_at()));
             }
         }
         let Some(t) = want else {

@@ -13,7 +13,8 @@
 //!
 //! * [`Instant`] / [`Duration`] — plain-integer nanosecond time, with no
 //!   clock source attached (re-exported by `sim-core`, so simulator code
-//!   keeps its historical import paths);
+//!   keeps its historical import paths), and [`earliest`], the earlier
+//!   of two optional deadlines;
 //! * [`Clock`] / [`ClockDomain`] — the pluggable time-source contract
 //!   hosts implement: [`ManualClock`] for virtual (simulated, or
 //!   test-faked) time, [`WallClock`] for monotonic real time;
@@ -40,6 +41,6 @@ pub mod window;
 
 pub use clock::{Clock, ClockDomain, ManualClock, WallClock};
 pub use machine::{Delivered, Machine, ReceiverMachine, RxStatus, SenderMachine, WireFrame};
-pub use time::{Duration, Instant};
+pub use time::{earliest, Duration, Instant};
 pub use trace::{ProtoTrace, SharedTrace, Trace, TraceEvent};
 pub use window::{SeqSet, SeqWindow, WINDOW_CAP};

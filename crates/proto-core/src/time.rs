@@ -231,6 +231,19 @@ impl Duration {
     }
 }
 
+/// The earlier of two optional deadlines; `None` only when both are.
+///
+/// Unlike `Option::min`, which ranks `None` below every `Some`, an
+/// absent deadline here never wins over a present one.
+#[inline]
+pub fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
+}
+
 impl Add<Duration> for Instant {
     type Output = Instant;
     #[inline]
@@ -435,6 +448,16 @@ mod tests {
             Instant::ZERO.max(Instant::from_nanos(4)),
             Instant::from_nanos(4)
         );
+    }
+
+    #[test]
+    fn earliest_ignores_an_absent_deadline() {
+        let (a, b) = (Instant::from_nanos(3), Instant::from_nanos(5));
+        assert_eq!(earliest(Some(a), Some(b)), Some(a));
+        assert_eq!(earliest(Some(b), Some(a)), Some(a));
+        assert_eq!(earliest(Some(b), None), Some(b));
+        assert_eq!(earliest(None, Some(b)), Some(b));
+        assert_eq!(earliest(None, None), None);
     }
 
     #[test]

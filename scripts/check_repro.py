@@ -10,6 +10,9 @@ Usage:
                    [--live STATS.jsonl]...
                    [--mcheck MCHECK.json]...
 
+Any other argument that starts with `--` is an unknown flag: the usage
+is printed and the exit status is 2.
+
 With one positional argument: validate the `lams-dlc.repro/1` schema
 (top-level fields, per-experiment structure, perf blocks, live-monitor
 metrics blocks, and latency-attribution blocks — phases must partition
@@ -622,6 +625,10 @@ def main():
                 sys.exit(2)
             single[args[i]].append(args[i + 1])
             i += 2
+        elif args[i].startswith("--"):
+            print(f"check_repro: unknown flag {args[i]}", file=sys.stderr)
+            print(__doc__, file=sys.stderr)
+            sys.exit(2)
         else:
             positional.append(args[i])
             i += 1
