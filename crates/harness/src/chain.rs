@@ -16,7 +16,7 @@ use crate::relay::RelayConfig;
 use crate::scenario::ScenarioConfig;
 use crate::traffic::TrafficGen;
 use netsim::Machine;
-use netsim::{link::Channel, NodeRole, ShardBuilder, ShardSim, Topology, TopologyError};
+use netsim::{link::Channel, Engine, EngineBuilder, NodeRole, Topology, TopologyError};
 use sim_core::SeedSplitter;
 
 /// Per-hop channels from a per-hop shifted seed, so a hop's
@@ -54,7 +54,7 @@ fn chain_sim<T, R>(
     cfg: &RelayConfig,
     mk_tx: impl Fn(usize) -> T,
     mk_rx: impl Fn(usize) -> R,
-) -> Result<ShardSim<T, R, Collector>, TopologyError>
+) -> Result<Engine<T, R, Collector>, TopologyError>
 where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
@@ -62,7 +62,7 @@ where
     assert!(cfg.hops >= 1, "need at least one link");
     let h = cfg.hops;
     let base = &cfg.base;
-    let mut b: ShardBuilder<T, R, Collector> = ShardBuilder::new(base.payload_bytes);
+    let mut b: EngineBuilder<T, R, Collector> = EngineBuilder::new(base.payload_bytes);
     b.place(&chain_topology(h));
     b.sample_every(base.sample_every);
     let mut fwd = Vec::with_capacity(h);
@@ -115,7 +115,7 @@ where
 {
     let run = chain_sim(cfg, mk_tx, mk_rx)
         .expect("chain wiring is valid")
-        .run_solo(cfg.base.deadline);
+        .run(cfg.base.deadline);
     let out = run.finished;
     let col = out.collectors.into_iter().next().expect("one collector");
     let mut report = col.finish(
@@ -179,11 +179,8 @@ pub(crate) fn run_chain_sr_as(cfg: &RelayConfig, protocol: &str) -> RunReport {
 }
 
 /// Relay chain under LAMS-DLC at every hop, reported as `lams-chain`
-/// like E18's runs. `shards` is the split the removed multi-thread runtime
-/// took; that runtime's contract was a result identical to one shard's,
-/// so every count runs the one simulation.
-pub fn run_chain_lams(cfg: &RelayConfig, shards: usize) -> RunReport {
-    let _ = shards;
+/// like E18's runs.
+pub fn run_chain_lams(cfg: &RelayConfig) -> RunReport {
     run_chain_lams_as(cfg, "lams-chain")
 }
 
@@ -212,7 +209,7 @@ mod tests {
         let mk_rx = |_| Driver::new(lams_dlc::Receiver::new(lcfg.clone()));
         let mut out = chain_sim(&cfg, mk_tx, mk_rx)
             .expect("chain wiring is valid")
-            .run_solo(cfg.base.deadline)
+            .run(cfg.base.deadline)
             .finished;
         assert!(!out.deadline_hit);
         assert_eq!(out.txs.len(), 4);

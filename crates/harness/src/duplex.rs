@@ -77,10 +77,7 @@ where
     b.holding(c0, ta);
     b.holding(c1, tb);
 
-    let run = b
-        .build()
-        .expect("duplex wiring is valid")
-        .run_solo(cfg.deadline);
+    let run = b.build().expect("duplex wiring is valid").run(cfg.deadline);
     let out = run.finished;
     // Both directions ran on the one event queue; each report carries
     // the whole run's perf block.

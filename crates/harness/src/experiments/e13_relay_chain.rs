@@ -13,6 +13,16 @@ use sim_core::Duration;
 /// Chain lengths swept.
 pub const HOPS: &[usize] = &[1, 2, 3, 4];
 
+/// An `hops`-hop chain carrying `n` SDUs at residual BER 1e-5.
+fn config(hops: usize, n: u64) -> RelayConfig {
+    let mut base = ScenarioConfig::paper_default();
+    base.n_packets = n;
+    base.data_residual_ber = 1e-5;
+    base.ctrl_residual_ber = 1e-6;
+    base.deadline = Duration::from_secs(300);
+    RelayConfig { hops, base }
+}
+
 /// Run E13.
 pub fn run(quick: bool) -> ExperimentOutput {
     let n: u64 = if quick { 1_500 } else { 6_000 };
@@ -32,12 +42,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         ],
     );
     let runs = parallel::map(hops.to_vec(), |h| {
-        let mut base = ScenarioConfig::paper_default();
-        base.n_packets = n;
-        base.data_residual_ber = 1e-5;
-        base.ctrl_residual_ber = 1e-6;
-        base.deadline = Duration::from_secs(300);
-        let cfg = RelayConfig { hops: h, base };
+        let cfg = config(h, n);
         (run_relay_lams(&cfg), run_relay_sr(&cfg))
     });
     for (&h, (lams, sr)) in hops.iter().zip(runs) {
@@ -45,8 +50,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
             (h as u64).into(),
             (lams.e2e_delay.mean() * 1e3).into(),
             (sr.e2e_delay.mean() * 1e3).into(),
-            (lams.e2e_delay_hist.quantile(0.99).unwrap_or(0.0) * 1e3).into(),
-            (sr.e2e_delay_hist.quantile(0.99).unwrap_or(0.0) * 1e3).into(),
+            (lams.e2e_delay_quantile(0.99).unwrap_or(0.0) * 1e3).into(),
+            (sr.e2e_delay_quantile(0.99).unwrap_or(0.0) * 1e3).into(),
             lams.efficiency().into(),
             sr.efficiency().into(),
             lams.lost.into(),
@@ -87,6 +92,25 @@ mod tests {
             let gap = sr - lams;
             assert!(gap > last_gap, "gap must widen with hops");
             last_gap = gap;
+        }
+    }
+
+    /// The p99 columns are the nearest rank of the exact in-order
+    /// delays, the rule every other latency quantile follows.
+    #[test]
+    fn e13_p99_is_the_nearest_rank_of_the_delays() {
+        let out = run(true);
+        let (lams, sr) = {
+            let cfg = config(1, 1_500);
+            (run_relay_lams(&cfg), run_relay_sr(&cfg))
+        };
+        for (col, r) in [(3, lams), (4, sr)] {
+            let mut sorted = r.e2e_delays_ns.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted.len() as u64, r.delivered_unique);
+            let p99_ns = sim_core::stats::nearest_rank(&sorted, 0.99).unwrap();
+            let want = Duration::from_nanos(p99_ns).as_secs_f64() * 1e3;
+            assert_eq!(out.tables[0].value(0, col), Some(want), "column {col}");
         }
     }
 }

@@ -39,7 +39,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         table.row(vec![
             (h as u64).into(),
             (r.e2e_delay.mean() * 1e3).into(),
-            (r.e2e_delay_hist.quantile(0.99).unwrap_or(0.0) * 1e3).into(),
+            (r.e2e_delay_quantile(0.99).unwrap_or(0.0) * 1e3).into(),
             r.efficiency().into(),
             r.retransmissions.into(),
             r.lost.into(),

@@ -1,6 +1,6 @@
 //! Run-level measurement collection.
 
-use sim_core::stats::{Histogram, Series, Summary, TimeWeighted};
+use sim_core::stats::{nearest_rank, Series, Summary, TimeWeighted};
 use sim_core::{Duration, Instant, QueueProfile};
 use telemetry::{Json, Registry, Trace, TraceEvent};
 
@@ -29,9 +29,9 @@ pub struct RunReport {
     /// End-to-end in-order delay: SDU push → in-order release at the
     /// destination resequencer, seconds.
     pub e2e_delay: Summary,
-    /// Distribution of the in-order delay (histogram over [0, 2 s),
-    /// 400 bins of 5 ms — quantiles via [`Histogram::quantile`]).
-    pub e2e_delay_hist: Histogram,
+    /// Every in-order delay sample, nanoseconds, in release order
+    /// (quantiles via [`RunReport::e2e_delay_quantile`]).
+    pub e2e_delays_ns: Vec<u64>,
     /// Sender-side holding times of released frames, seconds.
     pub holding: Summary,
     /// Sender-buffer occupancy trace, frames.
@@ -75,9 +75,7 @@ impl RunReport {
             .or_else(|| self.rx_extras.get(name))
             .or_else(|| self.counters.get(name))
     }
-}
 
-impl RunReport {
     /// Wall-clock of the run in seconds.
     pub fn elapsed_s(&self) -> f64 {
         self.finished_at.as_secs_f64()
@@ -108,79 +106,13 @@ impl RunReport {
         }
     }
 
-    /// Machine-readable form of the whole report. Schema (all times in
-    /// seconds, all counters numbers):
-    ///
-    /// ```text
-    /// {
-    ///   "protocol": str,
-    ///   "offered" | "delivered_unique" | "duplicates" | "lost": n,
-    ///   "deadline_hit" | "link_failed": bool,
-    ///   "elapsed_s" | "throughput_fps" | "efficiency"
-    ///     | "retransmission_ratio" | "t_f_channel_s": n,
-    ///   "transmissions" | "retransmissions": n,
-    ///   "delay" | "e2e_delay" | "holding":
-    ///     {"count", "mean", "std_dev", "min", "max"},
-    ///   "e2e_delay_quantiles": {"p50", "p90", "p99"},   // null if empty
-    ///   "tx_buffer": {"mean_tw", "peak"},
-    ///   "reseq_peak": n,
-    ///   "tx_extras" | "rx_extras" | "counters": {name: n, ...},
-    ///   "perf": {"scheduled", "popped", "cancelled", "peak_depth",
-    ///            "horizon_s", "wall_secs", "events_per_sec"}
-    /// }
-    /// ```
-    pub fn to_json(&self) -> Json {
-        let q = |p: f64| Json::from(self.e2e_delay_hist.quantile(p));
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("offered", self.offered.into()),
-            ("delivered_unique", self.delivered_unique.into()),
-            ("duplicates", self.duplicates.into()),
-            ("lost", self.lost.into()),
-            ("deadline_hit", self.deadline_hit.into()),
-            ("link_failed", self.link_failed.into()),
-            ("elapsed_s", self.elapsed_s().into()),
-            ("throughput_fps", self.throughput_fps().into()),
-            ("efficiency", self.efficiency().into()),
-            ("retransmission_ratio", self.retransmission_ratio().into()),
-            ("t_f_channel_s", self.t_f_channel.into()),
-            ("transmissions", self.transmissions.into()),
-            ("retransmissions", self.retransmissions.into()),
-            ("delay", summary_json(&self.delay)),
-            ("e2e_delay", summary_json(&self.e2e_delay)),
-            (
-                "e2e_delay_quantiles",
-                Json::obj([("p50", q(0.5)), ("p90", q(0.9)), ("p99", q(0.99))]),
-            ),
-            ("holding", summary_json(&self.holding)),
-            (
-                "tx_buffer",
-                Json::obj([
-                    (
-                        "mean_tw",
-                        self.tx_buffer_tw.mean_at(self.finished_at).into(),
-                    ),
-                    ("peak", self.tx_buffer_tw.peak().into()),
-                ]),
-            ),
-            ("reseq_peak", (self.reseq_peak as u64).into()),
-            ("tx_extras", self.tx_extras.to_json()),
-            ("rx_extras", self.rx_extras.to_json()),
-            ("counters", self.counters.to_json()),
-            ("perf", perf_json(&self.queue, self.wall_secs)),
-        ])
+    /// In-order delay quantile in seconds ([`nearest_rank`] over the
+    /// exact samples; `None` with no samples).
+    pub fn e2e_delay_quantile(&self, q: f64) -> Option<f64> {
+        let mut sorted = self.e2e_delays_ns.clone();
+        sorted.sort_unstable();
+        nearest_rank(&sorted, q).map(|ns| Duration::from_nanos(ns).as_secs_f64())
     }
-}
-
-/// JSON view of a [`Summary`] (`count`/`mean`/`std_dev`/`min`/`max`).
-pub fn summary_json(s: &Summary) -> Json {
-    Json::obj([
-        ("count", s.count().into()),
-        ("mean", s.mean().into()),
-        ("std_dev", s.std_dev().into()),
-        ("min", s.min().into()),
-        ("max", s.max().into()),
-    ])
 }
 
 /// JSON view of a queue profile plus the wall clock that drove it.
@@ -252,8 +184,8 @@ pub struct Collector {
     pub delay: Summary,
     /// Delay push → in-order release.
     pub e2e_delay: Summary,
-    /// In-order delay distribution.
-    pub e2e_delay_hist: Histogram,
+    /// In-order delay samples, nanoseconds.
+    pub e2e_delays_ns: Vec<u64>,
     /// Holding-time samples.
     pub holding: Summary,
     /// Occupancy traces.
@@ -299,7 +231,7 @@ impl Collector {
             reseq_arrival: Vec::new(),
             delay: Summary::new(),
             e2e_delay: Summary::new(),
-            e2e_delay_hist: Histogram::new(0.0, 2.0, 400),
+            e2e_delays_ns: Vec::new(),
             holding: Summary::new(),
             tx_buffer: Series::new("tx_buffer_frames"),
             tx_buffer_tw: TimeWeighted::new(Instant::ZERO, 0.0),
@@ -366,7 +298,7 @@ impl Collector {
             link_failed,
             delay: self.delay,
             e2e_delay: self.e2e_delay,
-            e2e_delay_hist: self.e2e_delay_hist,
+            e2e_delays_ns: self.e2e_delays_ns,
             holding: self.holding,
             tx_buffer: self.tx_buffer,
             tx_buffer_tw: self.tx_buffer_tw,
@@ -440,9 +372,9 @@ impl netsim::Collect for Collector {
         for (rid, _) in &released {
             match self.push_time(rid.0) {
                 Some(p) => {
-                    let d = now.duration_since(p).as_secs_f64();
-                    self.e2e_delay.record(d);
-                    self.e2e_delay_hist.record(d);
+                    let d = now.duration_since(p);
+                    self.e2e_delay.record(d.as_secs_f64());
+                    self.e2e_delays_ns.push(d.as_nanos());
                 }
                 None => self.counters.inc_handle(self.unmatched),
             }
@@ -530,6 +462,7 @@ mod tests {
         // e2e delays recorded at release time: both released at 12 ms.
         assert_eq!(c.e2e_delay.count(), 2);
         assert!(c.e2e_delay.min().unwrap() >= 0.012 - 1e-12);
+        assert_eq!(c.e2e_delays_ns, [12_000_000, 12_000_000]);
     }
 
     #[test]
@@ -600,51 +533,5 @@ mod tests {
         assert_eq!(r.throughput_fps(), 0.0);
         assert_eq!(r.retransmission_ratio(), 0.0);
         assert_eq!(r.extra("anything"), None);
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let mut c = Collector::new();
-        c.on_push(Instant::ZERO, 0);
-        c.on_push(Instant::ZERO, 1);
-        c.on_deliver(Instant::from_millis(2), 0);
-        c.on_deliver(Instant::from_millis(3), 1);
-        let mut r = c.finish(
-            "lams",
-            2,
-            Instant::from_millis(3),
-            false,
-            false,
-            2,
-            0,
-            Duration::from_micros(50),
-            Registry::from_iter([("lams.sender.request_naks", 4.0)]),
-            Registry::from_iter([("lams.receiver.checkpoints_sent", 9.0)]),
-        );
-        r.wall_secs = 0.5;
-        let rendered = r.to_json().render();
-        let back = Json::parse(&rendered).expect("report JSON must parse");
-        assert_eq!(back.get("protocol").and_then(Json::as_str), Some("lams"));
-        assert_eq!(
-            back.get("delivered_unique").and_then(Json::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(back.get("lost").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(
-            back.get("tx_extras")
-                .and_then(|e| e.get("lams.sender.request_naks"))
-                .and_then(Json::as_f64),
-            Some(4.0)
-        );
-        assert_eq!(
-            back.get("delay")
-                .and_then(|d| d.get("count"))
-                .and_then(Json::as_f64),
-            Some(2.0)
-        );
-        let perf = back.get("perf").expect("perf block");
-        assert_eq!(perf.get("wall_secs").and_then(Json::as_f64), Some(0.5));
-        // Round-trip is idempotent.
-        assert_eq!(Json::parse(&back.render()).unwrap(), back);
     }
 }

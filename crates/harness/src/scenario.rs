@@ -3,7 +3,7 @@
 //! A scenario wires one sending endpoint and one receiving endpoint over
 //! a full-duplex [`Channel`] pair (two nodes, one link each way), feeds
 //! SDUs from a [`TrafficGen`], and collects a [`RunReport`]. The event
-//! loop itself is netsim's [`netsim::ShardSim`], generic over the
+//! loop itself is netsim's [`netsim::Engine`], generic over the
 //! endpoint traits, so LAMS-DLC, SR-HDLC and GBN-HDLC all run over
 //! **identical** channel error realisations for a given seed (common
 //! random numbers).
@@ -14,7 +14,7 @@ use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::traffic::{Pattern, TrafficGen};
 use netsim::channel::GilbertElliott;
 use netsim::Machine;
-use netsim::{LinkId, NodeRole, ShardBuilder, SoloRun, Topology};
+use netsim::{EngineBuilder, EngineRun, LinkId, NodeRole, Topology};
 use orbit::propagation_delay_s;
 use sim_core::{Duration, SeedSplitter};
 
@@ -232,7 +232,7 @@ impl ScenarioConfig {
 pub(crate) fn pair_builder<T, R>(
     cfg: &ScenarioConfig,
     roles: [NodeRole; 2],
-) -> (ShardBuilder<T, R, Collector>, LinkId, LinkId)
+) -> (EngineBuilder<T, R, Collector>, LinkId, LinkId)
 where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
@@ -241,7 +241,7 @@ where
     let [a, z] = roles.map(|r| topo.node(r));
     topo.link(a, z, "fwd");
     topo.link(z, a, "rev");
-    let mut b = ShardBuilder::new(cfg.payload_bytes);
+    let mut b = EngineBuilder::new(cfg.payload_bytes);
     b.place(&topo);
     b.sample_every(cfg.sample_every);
     let (fwd, rev) = cfg.build_channels();
@@ -258,7 +258,7 @@ where
     R: RxEndpoint<Frame = T::Frame>,
 {
     let t_f_channel = cfg.t_f();
-    let run = run_solo(cfg, tx, rx);
+    let run = run_engine(cfg, tx, rx);
     let out = run.finished;
     let tx = &out.txs[0];
     let rx = &out.rxs[0];
@@ -283,7 +283,7 @@ where
 
 /// Wire the scenario's two nodes around `tx` and `rx` and run it,
 /// handing back the finished endpoints.
-fn run_solo<T, R>(cfg: &ScenarioConfig, tx: T, rx: R) -> SoloRun<T, R, Collector>
+fn run_engine<T, R>(cfg: &ScenarioConfig, tx: T, rx: R) -> EngineRun<T, R, Collector>
 where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
@@ -309,7 +309,7 @@ where
 
     b.build()
         .expect("point-to-point wiring is valid")
-        .run_solo(cfg.deadline)
+        .run(cfg.deadline)
 }
 
 /// Run the scenario under LAMS-DLC.
@@ -376,7 +376,7 @@ mod tests {
         let lcfg = cfg.lams_config();
         let tx = Driver::new(lams_dlc::Sender::new(lcfg.clone()));
         let rx = Driver::new(lams_dlc::Receiver::new(lcfg));
-        let mut out = run_solo(&cfg, tx, rx).finished;
+        let mut out = run_engine(&cfg, tx, rx).finished;
         assert!(!out.deadline_hit);
         assert!(out.rxs[0].inner.stats().accepted >= 20_000);
         assert_eq!(out.rxs[0].inner.poll_event(), None);

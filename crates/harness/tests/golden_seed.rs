@@ -307,7 +307,7 @@ fn e18_chain(hops: usize) -> RelayConfig {
 fn golden_e18_chain() {
     let got: Vec<Fingerprint> = [2, 6]
         .iter()
-        .map(|&h| fp(&run_chain_lams(&e18_chain(h), 1)))
+        .map(|&h| fp(&run_chain_lams(&e18_chain(h))))
         .collect();
     assert_eq!(
         got,

@@ -29,12 +29,15 @@
 //! [`crate::Invariant::AttributionSum`] finding if the bookkeeping ever drifts.
 //!
 //! The same pass cross-checks observed NAK resolution cycles (receiver
-//! records the error → sender decides the retransmission) against the
-//! analytic resolving period `R + W_cp/2 + C_depth·W_cp` computed from
-//! the link's announced `sender_config` with the formula in
-//! `analysis::periods::resolving_period_raw`. Stop-Go throttle spans and
-//! enforced-recovery restarts pause the protocol clock, so their overlap
-//! with the cycle is excluded before comparing. Excesses surface as
+//! records the error → the checkpoint carrying the NAK reaches the
+//! sender) against the analytic resolving period `R + W_cp/2 +
+//! C_depth·W_cp` computed from the link's announced `sender_config` with
+//! the formula in `analysis::periods::resolving_period_raw`. The period
+//! bounds how long the sender takes to *learn* a frame's fate; the
+//! queueing before the retransmission leaves is `retx_wait` and
+//! `stop_go`, outside the cycle. Enforced-recovery restarts pause the
+//! protocol clock, so their overlap with the cycle is excluded before
+//! comparing. Excesses surface as
 //! [`crate::Invariant::ResolutionBound`] findings. This resolution bound
 //! is not the numbering bound the audit checks renumbering and release
 //! against: that one is the sender's own announced `resolving_ns`.
@@ -140,7 +143,8 @@ pub struct AttributionAgg {
     pub phases: [PhaseAgg; 8],
     /// Post-delivery resequencer hold (outside the per-SDU sum).
     pub reseq: PhaseAgg,
-    /// NAK resolution cycles measured (error record → retx decision).
+    /// NAK resolution cycles measured (error record → the NAK-bearing
+    /// checkpoint's arrival at the sender).
     pub res_cycles: u64,
     /// Worst adjusted resolution cycle, nanoseconds.
     pub res_max_ns: u64,
@@ -333,9 +337,33 @@ mod tests {
         s.on_run_finished(at(55), true, &mut out);
         assert_eq!(phase(&s, Phase::StopGo), 6 * MS);
         assert_eq!(phase(&s, Phase::RetxWait), 4 * MS);
-        // The stop span also pauses the resolution clock: 25 − 6 = 19.
-        assert_eq!(s.agg.res_max_ns, 19 * MS);
+        // The cycle ends when checkpoint 1 arrives: 15 → 30 ms.
+        assert_eq!(s.agg.res_max_ns, 15 * MS);
         assert_eq!(s.agg.res_violations, 0);
+        assert_eq!(phase_total(&s), s.agg.latency_total_ns);
+    }
+
+    #[test]
+    fn queueing_after_a_timely_nak_is_no_finding() {
+        let mut out = Findings::with_cap(16);
+        let mut s = armed();
+        tx(&mut s, 1, 1, false, &mut out);
+        s.on_nak(at(15), 1, 1);
+        // Checkpoints 1 and 2 lost; 3 carries the NAK in at 40 ms, a
+        // 25 ms cycle inside the 44.5 ms bound.
+        cp(&mut s, 16, None, 1, &mut out);
+        cp(&mut s, 21, None, 2, &mut out);
+        cp(&mut s, 26, Some(40), 3, &mut out);
+        s.on_renumbered(at(40), "tx", 1, 2, &mut out);
+        // The retransmission then queues 20 ms behind a burst: the
+        // decision at 60 ms is 45 ms after the error.
+        s.on_retx_cause(at(60), 2, "nak", 3, &mut out);
+        s.on_rx(at(74), 2, true, &mut out);
+        s.on_run_finished(at(75), true, &mut out);
+        assert_eq!(out.total(), 0, "{:?}", out.list());
+        assert_eq!((s.agg.res_cycles, s.agg.res_violations), (1, 0));
+        assert_eq!(s.agg.res_max_ns, 25 * MS);
+        assert_eq!(phase(&s, Phase::RetxWait), 20 * MS);
         assert_eq!(phase_total(&s), s.agg.latency_total_ns);
     }
 
@@ -362,9 +390,10 @@ mod tests {
         let mut s = armed();
         tx(&mut s, 1, 1, false, &mut out);
         s.on_nak(at(15), 1, 1);
-        cp(&mut s, 16, Some(30), 1, &mut out);
-        s.on_renumbered(at(30), "tx", 1, 2, &mut out);
-        // Decision only at 90 ms: 75 ms cycle > 44.5 ms bound.
+        // Checkpoint 1 reaches the sender only at 90 ms: 75 ms cycle >
+        // 44.5 ms bound.
+        cp(&mut s, 16, Some(90), 1, &mut out);
+        s.on_renumbered(at(90), "tx", 1, 2, &mut out);
         s.on_retx_cause(at(90), 2, "nak", 1, &mut out);
         assert_eq!(s.agg.res_violations, 1);
         assert_eq!(out.total(), 1);

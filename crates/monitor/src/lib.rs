@@ -21,8 +21,9 @@
 //! Violations surface as structured [`AuditFinding`]s. Alongside the
 //! audit, the monitor maintains fixed-interval windowed series
 //! (throughput, NAK rate, retransmissions in flight, buffer occupancy
-//! high-water marks) and per-frame lifecycles feeding delivery-latency
-//! histograms — summarized per experiment in [`ExperimentMetrics`] —
+//! high-water marks) and per-frame lifecycles feeding exact
+//! delivery-latency samples — summarized per experiment in
+//! [`ExperimentMetrics`], every quantile by one nearest-rank rule —
 //! and splits every delivered SDU's latency into causal phases
 //! ([`attribution`]).
 //!
@@ -57,7 +58,7 @@ pub use lifecycle::FrameLifecycle;
 pub use series::{LinkSeries, WindowAcc};
 
 use link::{LinkState, LinkTally, LinkTiming};
-use sim_core::stats::Histogram;
+use sim_core::stats::nearest_rank;
 use sim_core::{Duration, Instant};
 use telemetry::{Json, ProtoTrace, Registry, TraceEvent, TraceRecord, TraceSink};
 
@@ -171,8 +172,9 @@ pub struct ExperimentMetrics {
     /// Causal latency attribution: per-phase breakdown of delivery
     /// latency plus the resolution-bound cross-check.
     pub attribution: AttributionAgg,
-    /// Delivery-latency distribution (first send → clean arrival), s.
-    delivery: Histogram,
+    /// Delivery latencies (first send → clean arrival), nanoseconds,
+    /// in run order; sorted only where a quantile is read.
+    latencies: Vec<u64>,
 }
 
 impl ExperimentMetrics {
@@ -187,30 +189,31 @@ impl ExperimentMetrics {
             max_outstanding: 0,
             findings: 0,
             attribution: AttributionAgg::default(),
-            // [0, 5 s) in 1 ms bins: LAMS delivery latencies are a few
-            // RTTs at worst; the overflow bucket catches the rest.
-            delivery: Histogram::new(0.0, 5.0, 5000),
+            latencies: Vec::new(),
         }
     }
 
-    /// Delivery-latency quantile in seconds (`None` with no samples).
+    fn sorted_latencies(&self) -> Vec<u64> {
+        let mut sorted = self.latencies.clone();
+        sorted.sort_unstable();
+        sorted
+    }
+
+    /// Delivery-latency quantile in seconds ([`nearest_rank`] over the
+    /// exact samples; `None` with no samples).
     pub fn delivery_quantile(&self, q: f64) -> Option<f64> {
-        self.delivery.quantile(q)
+        quantile_s(&self.sorted_latencies(), q)
     }
 
     /// Delivery-latency samples recorded.
     pub fn delivery_count(&self) -> u64 {
-        self.delivery.count()
+        self.latencies.len() as u64
     }
 
     /// The report's `metrics` block for this experiment.
     pub fn to_json(&self) -> Json {
-        let q = |p: f64| {
-            self.delivery
-                .quantile(p)
-                .map(Json::Num)
-                .unwrap_or(Json::Null)
-        };
+        let sorted = self.sorted_latencies();
+        let q = |p: f64| quantile_s(&sorted, p).map(Json::Num).unwrap_or(Json::Null);
         Json::obj([
             ("runs", self.runs.into()),
             ("frames", self.frames.into()),
@@ -222,7 +225,7 @@ impl ExperimentMetrics {
             (
                 "delivery_latency",
                 Json::obj([
-                    ("count", self.delivery.count().into()),
+                    ("count", self.delivery_count().into()),
                     ("p50_s", q(0.5)),
                     ("p99_s", q(0.99)),
                 ]),
@@ -327,16 +330,17 @@ impl LiveSnapshot {
         self.latencies.len() as u64
     }
 
-    /// Delivery-latency quantile in seconds (nearest-rank over the
+    /// Delivery-latency quantile in seconds ([`nearest_rank`] over the
     /// samples so far; `None` with no samples).
     pub fn delivery_quantile(&self, q: f64) -> Option<f64> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.latencies.len() as f64).ceil() as usize)
-            .clamp(1, self.latencies.len());
-        Some(Duration::from_nanos(self.latencies[rank - 1]).as_secs_f64())
+        quantile_s(&self.latencies, q)
     }
+}
+
+/// The nearest-rank `q`-quantile of ascending nanosecond samples, in
+/// seconds.
+fn quantile_s(sorted_ns: &[u64], q: f64) -> Option<f64> {
+    nearest_rank(sorted_ns, q).map(|ns| Duration::from_nanos(ns).as_secs_f64())
 }
 
 /// The live auditor/metrics engine. Implements [`TraceSink`]; feed it
@@ -477,9 +481,7 @@ impl Monitor {
         exp.naks += run.naks;
         exp.retransmissions += run.retransmissions;
         exp.max_outstanding = exp.max_outstanding.max(run.max_outstanding);
-        for &ns in &run.latencies {
-            exp.delivery.record(Duration::from_nanos(ns).as_secs_f64());
-        }
+        exp.latencies.extend_from_slice(&run.latencies);
         exp.attribution.reseq.absorb(&self.run_reseq);
         self.run_reseq = PhaseAgg::default();
         exp.runs += 1;
@@ -799,10 +801,89 @@ mod tests {
         assert_eq!(exp.frames, 1);
         assert_eq!(exp.delivered, 1);
         assert_eq!(exp.delivery_count(), 1);
-        // Delivery latency 14 ms lands in the right quantile bin.
-        let p50 = exp.delivery_quantile(0.5).expect("one sample");
-        assert!((p50 - 0.014).abs() < 2e-3, "{p50}");
+        // The one 14 ms sample is every quantile, exactly.
+        assert_eq!(exp.delivery_quantile(0.5), Some(0.014));
         assert!(!report.window_lines.is_empty());
+    }
+
+    /// One clean run of five frames whose delivery latencies are
+    /// 10.1, 12.8, 10.2, 13.9 and 10.4 ms, all covered by one
+    /// checkpoint and released at its arrival.
+    fn five_latency_run() -> Vec<TraceRecord> {
+        const LATENCY_US: [u64; 5] = [10_100, 12_800, 10_200, 13_900, 10_400];
+        let mut records = vec![
+            rec(0, "sim", TraceEvent::RunStarted),
+            rec(0, "tx", sender_config()),
+        ];
+        for (seq, us) in (1..).zip(LATENCY_US) {
+            let len = 1024;
+            let sent = seq * MS;
+            let (retx, clean) = (false, true);
+            records.push(rec(sent, "tx", TraceEvent::IFrameTx { seq, retx, len }));
+            let arrived = sent + us * 1_000;
+            records.push(rec(arrived, "rx", TraceEvent::IFrameRx { seq, clean, len }));
+        }
+        records.sort_by_key(|r| r.t);
+        let (index, covered, naks) = (1, 5, 0);
+        let (enforced, stop) = (false, false);
+        records.push(rec(
+            18 * MS,
+            "rx",
+            TraceEvent::CheckpointEmitted {
+                index,
+                covered,
+                naks,
+                enforced,
+                stop,
+            },
+        ));
+        let at = 32 * MS;
+        records.push(rec(
+            at,
+            "tx",
+            TraceEvent::CheckpointReceived {
+                index,
+                covered,
+                naks,
+            },
+        ));
+        for seq in 1..=5 {
+            let held_ns = at - seq * MS;
+            let cp_index = index;
+            records.push(rec(
+                at,
+                "tx",
+                TraceEvent::BufferRelease {
+                    seq,
+                    held_ns,
+                    cp_index,
+                },
+            ));
+        }
+        let deadline_hit = false;
+        records.push(rec(
+            at + MS,
+            "sim",
+            TraceEvent::RunFinished { deadline_hit },
+        ));
+        records
+    }
+
+    /// The experiment summary and the closing host document read a
+    /// one-run experiment's quantiles by the same nearest-rank rule:
+    /// each is one of the exact samples.
+    #[test]
+    fn experiment_and_live_quantiles_share_one_rule() {
+        let m = feed(&five_latency_run());
+        assert_eq!(m.total_findings(), 0, "{:?}", m.findings());
+        let last = m.last_run_snapshot();
+        let exp = &m.experiments[0];
+        assert_eq!((exp.runs, exp.delivery_count()), (1, 5));
+        for (q, want_us) in [(0.5, 10_400), (0.99, 13_900)] {
+            let want = Some(Duration::from_micros(want_us).as_secs_f64());
+            assert_eq!(exp.delivery_quantile(q), want, "q={q}");
+            assert_eq!(last.delivery_quantile(q), want, "q={q}");
+        }
     }
 
     /// A live stream reaches the monitor through `sink_trace` handles
@@ -968,10 +1049,11 @@ mod tests {
 
     /// Resolution-bound findings for one NAK cycle 10 ms longer than
     /// the fixture's 44.5 ms analytic resolving period, on a stream of
-    /// the given clock domain.
+    /// the given clock domain: the checkpoint carrying the NAK reaches
+    /// the sender late.
     fn late_nak_cycle_findings(clock_domain: &'static str) -> usize {
         let nak_at = 15 * MS;
-        let decided_at = nak_at + 44_500_000 + 10 * MS;
+        let learned_at = nak_at + 44_500_000 + 10 * MS;
         let records = [
             rec(0, "host", TraceEvent::TraceHeader { clock_domain }),
             rec(0, "sim", TraceEvent::RunStarted),
@@ -1005,7 +1087,7 @@ mod tests {
                 },
             ),
             rec(
-                30 * MS,
+                learned_at,
                 "tx",
                 TraceEvent::CheckpointReceived {
                     index: 1,
@@ -1014,7 +1096,7 @@ mod tests {
                 },
             ),
             rec(
-                30 * MS,
+                learned_at,
                 "tx",
                 TraceEvent::Renumbered {
                     old_seq: 1,
@@ -1022,7 +1104,7 @@ mod tests {
                 },
             ),
             rec(
-                decided_at,
+                learned_at,
                 "tx",
                 TraceEvent::RetxCause {
                     seq: 2,

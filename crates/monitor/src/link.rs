@@ -739,8 +739,10 @@ impl LinkState {
 
     /// `RetxCause`: the sender decided to retransmit `seq` (already
     /// renumbered) and said why. Decompose the elapsed time into phases
-    /// and close the open resolution cycle against the resolution bound
-    /// (Stop-Go and enforced-recovery overlap excluded).
+    /// and close the open resolution cycle against the resolution bound:
+    /// the cycle ends when the checkpoint carrying the NAK reached the
+    /// sender (enforced-recovery overlap excluded). Queueing after that
+    /// is `retx_wait` and `stop_go`, which the numbering bound allows.
     pub fn on_retx_cause(
         &mut self,
         t: Instant,
@@ -795,12 +797,12 @@ impl LinkState {
                     f.charge(Phase::RetxWait, tail - stop);
                     f.cursor = tn;
                 }
-                // Resolution cross-check: error record → retx decision,
-                // minus spans where the protocol clock was paused.
+                // Resolution cross-check: error record → the sender
+                // learning of it, minus enforced-recovery restarts.
                 if let Some(err_t) = f.pending_err.take() {
-                    let cycle = tn.saturating_sub(err_t);
-                    let allow = overlap(stop_spans, *stop_open, err_t, tn)
-                        + overlap(enforced_spans, *enforced_open, err_t, tn);
+                    let learned = cp_rx.get(&cp_index).copied().unwrap_or(tn);
+                    let cycle = learned.saturating_sub(err_t);
+                    let allow = overlap(enforced_spans, *enforced_open, err_t, learned);
                     let adjusted = cycle.saturating_sub(allow);
                     agg.res_cycles += 1;
                     agg.res_max_ns = agg.res_max_ns.max(adjusted);
@@ -812,7 +814,7 @@ impl LinkState {
                             node: cfg_node,
                             experiment,
                             invariant: Invariant::ResolutionBound,
-                            window: (Instant::from_nanos(err_t), t),
+                            window: (Instant::from_nanos(err_t), Instant::from_nanos(learned)),
                             detail: format!(
                                 "NAK resolution took {:.3} ms (adjusted; raw {:.3} ms) \
                                  > resolving period bound {:.3} ms for seq {seq}",

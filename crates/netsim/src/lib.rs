@@ -5,7 +5,7 @@
 //!
 //! Topology-generic discrete-event network simulation engine.
 //!
-//! One event loop, [`ShardSim`], drives an arbitrary directed-link
+//! One event loop, [`Engine`], drives an arbitrary directed-link
 //! topology of protocol endpoints. The harness crate's point-to-point,
 //! full-duplex and store-and-forward relay runners are all thin
 //! topology builders over it, which guarantees they share *identical*
@@ -30,23 +30,23 @@
 //!   calendar with one push slot per source, one FIFO arrival lane per
 //!   link, a sample slot and a wake slot, popped in canonical order
 //!   without a sort;
-//! * [`shard`] — [`ShardBuilder`] / [`ShardSim`]: the builder that
+//! * [`engine`] — [`EngineBuilder`] / [`Engine`]: the builder that
 //!   wires and checks a topology, and the event loop (push / arrive /
 //!   sample / wake).
 //!
 //! Determinism: all randomness flows through per-stream
 //! [`sim_core::SeedSplitter`] RNGs owned by channels and traffic
 //! generators (common random numbers), and events at the same instant
-//! dispatch in one canonical order (see [`shard`]) — a run is a pure
+//! dispatch in one canonical order (see [`engine`]) — a run is a pure
 //! function of its configuration and seed.
 
 pub mod channel;
 pub mod collect;
 pub mod driver;
 pub mod endpoint;
+pub mod engine;
 pub mod event_queue;
 pub mod link;
-pub mod shard;
 pub mod topology;
 pub mod traffic;
 
@@ -54,10 +54,10 @@ pub use channel::{ErrorProcess, GeState, GilbertElliott, Lossless, UniformBer};
 pub use collect::Collect;
 pub use driver::Driver;
 pub use endpoint::{FrameMeta, RxEndpoint, TxEndpoint};
+pub use engine::{Engine, EngineBuilder, EngineRun, FinishedRun};
 pub use event_queue::Calendar;
 pub use link::{Channel, DelayModel, ErrorModel, Fate, Outage};
 pub use proto_core::{Machine, ReceiverMachine, SenderMachine};
-pub use shard::{FinishedShard, ShardBuilder, ShardSim, SoloRun};
 pub use topology::{
     ColId, EndpointId, LinkId, LinkSpec, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
 };

@@ -3,7 +3,7 @@
 //! A [`Topology`] is the static shape of a simulation: which nodes
 //! exist, what role each plays, and which directed links connect them.
 //! Endpoints, collectors and traffic sources attach to this shape
-//! through a [`crate::ShardBuilder`] placed on it; `build()` validates
+//! through a [`crate::EngineBuilder`] placed on it; `build()` validates
 //! the wiring against the declared roles and returns a
 //! [`TopologyError`] listing every inconsistency it finds.
 

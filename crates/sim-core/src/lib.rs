@@ -16,8 +16,8 @@
 //! * [`SimRng`] / [`SeedSplitter`] — per-component seeded RNG streams, so
 //!   protocols under comparison see *identical* channel error sequences
 //!   (common random numbers);
-//! * [`stats`] — streaming summaries, histograms, time-weighted averages
-//!   and traces for experiment output.
+//! * [`stats`] — streaming summaries, nearest-rank quantiles over exact
+//!   samples, time-weighted averages and traces for experiment output.
 //!
 //! Everything downstream (channel models, the LAMS-DLC and HDLC state
 //! machines, the experiment harness) is built on these primitives. The

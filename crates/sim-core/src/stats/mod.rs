@@ -1,18 +1,18 @@
 //! Measurement collection for simulation experiments.
 //!
 //! - [`Summary`] — streaming mean/variance/min/max (Welford).
-//! - [`Histogram`] — fixed-width bins with under/overflow, for latency
-//!   distributions.
+//! - [`nearest_rank`] — the one quantile rule: nearest rank over exact
+//!   integer samples, for latency distributions.
 //! - [`TimeWeighted`] — time-weighted average of a step function, for queue
 //!   and buffer occupancy.
 //! - [`Series`] — sampled `(t, value)` trace for plotting-style output.
 
-mod histogram;
+mod quantile;
 mod series;
 mod summary;
 mod time_weighted;
 
-pub use histogram::Histogram;
+pub use quantile::nearest_rank;
 pub use series::Series;
 pub use summary::Summary;
 pub use time_weighted::TimeWeighted;

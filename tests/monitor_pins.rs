@@ -100,27 +100,27 @@ fn assert_pin(name: &str, records: &[TraceRecord], want: &str) {
 
 #[test]
 fn e1_lossy_point_to_point_is_pinned() {
-    assert_pin("e1", &experiment_trace("e1"), "records=70330 findings=0/0 fh=cbf29ce484222325 exps=1 mh=62e9ccc10f460804 lines=12 lh=ccefca851d6eddab lifecycles=10000 lch=b63b883e3d038273 ch=c736581983dda06e");
+    assert_pin("e1", &experiment_trace("e1"), "records=70330 findings=0/0 fh=cbf29ce484222325 exps=1 mh=eed51607c778c874 lines=12 lh=ccefca851d6eddab lifecycles=10000 lch=b63b883e3d038273 ch=c736581983dda06e");
 }
 
 #[test]
 fn e9_outage_and_enforced_recovery_is_pinned() {
-    assert_pin("e9", &experiment_trace("e9"), "records=32549 findings=0/0 fh=cbf29ce484222325 exps=1 mh=aaee67af935ab675 lines=10 lh=cfe6ab2e0e1b6074 lifecycles=6056 lch=0cdc80fd636d2228 ch=16200b230d614cc2");
+    assert_pin("e9", &experiment_trace("e9"), "records=32549 findings=0/0 fh=cbf29ce484222325 exps=1 mh=5daeff093acfe485 lines=10 lh=cfe6ab2e0e1b6074 lifecycles=6056 lch=0cdc80fd636d2228 ch=16200b230d614cc2");
 }
 
 #[test]
 fn e11_stop_go_is_pinned() {
-    assert_pin("e11", &experiment_trace("e11"), "records=52182 findings=0/0 fh=cbf29ce484222325 exps=1 mh=36c031ad61d0b82a lines=13 lh=1c9aa82412be0099 lifecycles=10786 lch=67f8486ec7e11af4 ch=c736581983dda06e");
+    assert_pin("e11", &experiment_trace("e11"), "records=52182 findings=0/0 fh=cbf29ce484222325 exps=1 mh=d2614b64e81a0df0 lines=13 lh=1c9aa82412be0099 lifecycles=10786 lch=67f8486ec7e11af4 ch=c736581983dda06e");
 }
 
 #[test]
 fn e13_multi_link_labels_are_pinned() {
-    assert_pin("e13", &experiment_trace("e13"), "records=38206 findings=0/0 fh=cbf29ce484222325 exps=1 mh=15a32797699db1c8 lines=9 lh=c329c2a1605594ae lifecycles=6000 lch=2b60af03b668bcbd ch=c736581983dda06e");
+    assert_pin("e13", &experiment_trace("e13"), "records=38206 findings=0/0 fh=cbf29ce484222325 exps=1 mh=66b8c79b30aad4a9 lines=9 lh=c329c2a1605594ae lifecycles=6000 lch=2b60af03b668bcbd ch=c736581983dda06e");
 }
 
 #[test]
 fn e17_unarmed_hdlc_links_are_pinned() {
-    assert_pin("e17", &experiment_trace("e17"), "records=379851 findings=0/0 fh=cbf29ce484222325 exps=1 mh=82f865b9d2288251 lines=12 lh=5ccfff826efe5ac3 lifecycles=12000 lch=8555c002843d0022 ch=c736581983dda06e");
+    assert_pin("e17", &experiment_trace("e17"), "records=379851 findings=0/0 fh=cbf29ce484222325 exps=1 mh=7c783c77a5d7ec29 lines=12 lh=5ccfff826efe5ac3 lifecycles=12000 lch=8555c002843d0022 ch=c736581983dda06e");
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn lossy_manual_clock_transfer_is_pinned() {
         .lines()
         .map(|l| telemetry::parse_line(l).expect("valid line"))
         .collect();
-    assert_pin("transfer", &records, "records=2658 findings=0/0 fh=cbf29ce484222325 exps=1 mh=c2a410dc5e76e6fc lines=1 lh=1007e6e5b3341544 lifecycles=600 lch=ed5e34fcd11cafe9 ch=c736581983dda06e");
+    assert_pin("transfer", &records, "records=2658 findings=0/0 fh=cbf29ce484222325 exps=1 mh=07cbb7d465a31d61 lines=1 lh=1007e6e5b3341544 lifecycles=600 lch=ed5e34fcd11cafe9 ch=c736581983dda06e");
 }
 
 /// The stream `harness/tests/monitor_audit.rs` mutates: a 300-frame
@@ -180,7 +180,7 @@ fn fault_injected_streams_are_pinned() {
             !hit
         })
         .collect();
-    assert_pin("lost release", &lost, "records=1328 findings=1/1 fh=bcf52d25e53598b6 exps=1 mh=951367757da20d96 lines=1 lh=895365d882f7cf96 lifecycles=299 lch=9f417c271f9f3fea ch=c736581983dda06e");
+    assert_pin("lost release", &lost, "records=1328 findings=1/1 fh=bcf52d25e53598b6 exps=1 mh=6e5e7f45035c51fe lines=1 lh=895365d882f7cf96 lifecycles=299 lch=9f417c271f9f3fea ch=c736581983dda06e");
 
     // One release shifted 1 ms before its covering checkpoint.
     let mut shifted = false;
@@ -194,7 +194,7 @@ fn fault_injected_streams_are_pinned() {
             r
         })
         .collect();
-    assert_pin("early release", &early, "records=925 findings=1/1 fh=318009dab7d48e02 exps=1 mh=4b913c6adb825bee lines=1 lh=03cd1f63bb576999 lifecycles=300 lch=974eb1474fa86c5f ch=f79e8ad97aa301e3");
+    assert_pin("early release", &early, "records=925 findings=1/1 fh=318009dab7d48e02 exps=1 mh=5a7ac59802cd708b lines=1 lh=03cd1f63bb576999 lifecycles=300 lch=974eb1474fa86c5f ch=f79e8ad97aa301e3");
 
     // One transmission's wire number rewritten to its predecessor's.
     let (mut last, mut corrupted) = (None, false);
@@ -212,5 +212,5 @@ fn fault_injected_streams_are_pinned() {
             r
         })
         .collect();
-    assert_pin("duplicate wire seq", &dup, "records=925 findings=3/3 fh=67be216b061cd8d2 exps=1 mh=38e9cca02c6e7aa6 lines=1 lh=ef06b338f847550d lifecycles=299 lch=49595a538d36e3b4 ch=c736581983dda06e");
+    assert_pin("duplicate wire seq", &dup, "records=925 findings=3/3 fh=67be216b061cd8d2 exps=1 mh=7d88920ba5b5d3f9 lines=1 lh=ef06b338f847550d lifecycles=299 lch=49595a538d36e3b4 ch=c736581983dda06e");
 }
