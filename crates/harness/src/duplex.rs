@@ -19,7 +19,6 @@ use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::scenario::{pair_builder, ScenarioConfig};
 use crate::traffic::TrafficGen;
 use netsim::Machine;
-use netsim::NodeRole;
 use sim_core::SeedSplitter;
 
 /// Reports for the two directions: `a_to_b` and `b_to_a`.
@@ -55,7 +54,7 @@ where
             SeedSplitter::new(cfg.seed).stream(2 + i as u64),
         )
     });
-    let (mut b, la, lb) = pair_builder(cfg, [NodeRole::Duplex, NodeRole::Duplex]);
+    let (mut b, la, lb) = pair_builder(cfg);
     let ra = b.rx(la, mk_rx(0));
     let ta = b.tx(la, mk_tx(0));
     let rb = b.rx(lb, mk_rx(1));
@@ -68,8 +67,8 @@ where
     let c1 = b.collector(Collector::new());
     b.expect(c0, cfg.n_packets);
     b.expect(c1, cfg.n_packets);
-    b.source(gens.next().expect("gen a"), ta, c0, 0);
-    b.source(gens.next().expect("gen b"), tb, c1, 1);
+    b.source(gens.next().expect("gen a"), ta, c0);
+    b.source(gens.next().expect("gen b"), tb, c1);
     b.deliver(ra, c1);
     b.deliver(rb, c0);
     b.sample(c0, ta, vec![ra]);
@@ -78,17 +77,16 @@ where
     b.holding(c1, tb);
 
     let run = b.build().expect("duplex wiring is valid").run(cfg.deadline);
-    let out = run.finished;
     // Both directions ran on the one event queue; each report carries
     // the whole run's perf block.
     crate::metrics::perf_absorb(&run.queue, run.wall_secs);
-    let mut reports = out.collectors.into_iter().enumerate().map(|(i, col)| {
-        let (tx, peer_rx) = (&out.txs[i], &out.rxs[1 - i]);
+    let mut reports = run.collectors.into_iter().enumerate().map(|(i, col)| {
+        let (tx, peer_rx) = (&run.txs[i], &run.rxs[1 - i]);
         let mut r = col.finish(
             protocol,
             cfg.n_packets,
-            out.finished_at,
-            out.deadline_hit,
+            run.finished_at,
+            run.deadline_hit,
             tx.is_failed(),
             tx.transmissions(),
             tx.retransmissions(),

@@ -3,9 +3,9 @@
 //! forwards out-of-order at every intermediate hop and resequences once
 //! at the destination; SR-HDLC pays the in-order holding at *every* hop.
 
+use crate::chain::{run_relay_lams, run_relay_sr, RelayConfig};
 use crate::experiments::ExperimentOutput;
 use crate::parallel;
-use crate::relay::{run_relay_lams, run_relay_sr, RelayConfig};
 use crate::report::Table;
 use crate::scenario::ScenarioConfig;
 use sim_core::Duration;

@@ -3,9 +3,8 @@
 //! (2 and 6 hops) are pinned by `golden_e18_chain` in
 //! `tests/golden_seed.rs`.
 
-use crate::chain::run_chain_lams_as;
+use crate::chain::{run_chain_lams, RelayConfig};
 use crate::experiments::ExperimentOutput;
-use crate::relay::RelayConfig;
 use crate::report::Table;
 use crate::scenario::ScenarioConfig;
 use sim_core::Duration;
@@ -35,7 +34,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         base.ctrl_residual_ber = 1e-6;
         base.deadline = Duration::from_secs(600);
         let cfg = RelayConfig { hops: h, base };
-        let r = run_chain_lams_as(&cfg, "lams-chain");
+        let r = run_chain_lams(&cfg);
         table.row(vec![
             (h as u64).into(),
             (r.e2e_delay.mean() * 1e3).into(),

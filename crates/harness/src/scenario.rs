@@ -1,4 +1,4 @@
-//! Scenario construction: the point-to-point topology builder.
+//! Scenario construction: the point-to-point wiring.
 //!
 //! A scenario wires one sending endpoint and one receiving endpoint over
 //! a full-duplex [`Channel`] pair (two nodes, one link each way), feeds
@@ -14,7 +14,7 @@ use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::traffic::{Pattern, TrafficGen};
 use netsim::channel::GilbertElliott;
 use netsim::Machine;
-use netsim::{EngineBuilder, EngineRun, LinkId, NodeRole, Topology};
+use netsim::{EngineBuilder, EngineRun, LinkId};
 use orbit::propagation_delay_s;
 use sim_core::{Duration, SeedSplitter};
 
@@ -226,27 +226,21 @@ impl ScenarioConfig {
     }
 }
 
-/// A builder over two nodes with the given roles, joined by
-/// the scenario's forward channel (node 0 → 1, local link 0) and
-/// reverse channel (local link 1), sampling every `cfg.sample_every`.
+/// A builder over two nodes joined by the scenario's forward channel
+/// (link 0) and reverse channel (link 1), sampling every
+/// `cfg.sample_every`.
 pub(crate) fn pair_builder<T, R>(
     cfg: &ScenarioConfig,
-    roles: [NodeRole; 2],
 ) -> (EngineBuilder<T, R, Collector>, LinkId, LinkId)
 where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
 {
-    let mut topo = Topology::default();
-    let [a, z] = roles.map(|r| topo.node(r));
-    topo.link(a, z, "fwd");
-    topo.link(z, a, "rev");
     let mut b = EngineBuilder::new(cfg.payload_bytes);
-    b.place(&topo);
     b.sample_every(cfg.sample_every);
     let (fwd, rev) = cfg.build_channels();
-    let lf = b.link(0, fwd, "fwd");
-    let lr = b.link(1, rev, "rev");
+    let lf = b.link(fwd, "fwd");
+    let lr = b.link(rev, "rev");
     (b, lf, lr)
 }
 
@@ -259,15 +253,14 @@ where
 {
     let t_f_channel = cfg.t_f();
     let run = run_engine(cfg, tx, rx);
-    let out = run.finished;
-    let tx = &out.txs[0];
-    let rx = &out.rxs[0];
-    let col = out.collectors.into_iter().next().expect("one collector");
+    let tx = &run.txs[0];
+    let rx = &run.rxs[0];
+    let col = run.collectors.into_iter().next().expect("one collector");
     let mut report = col.finish(
         protocol,
-        out.issued[0],
-        out.finished_at,
-        out.deadline_hit,
+        run.issued[0],
+        run.finished_at,
+        run.deadline_hit,
         tx.is_failed(),
         tx.transmissions(),
         tx.retransmissions(),
@@ -295,14 +288,14 @@ where
         cfg.n_packets,
         SeedSplitter::new(cfg.seed).stream(2),
     );
-    let (mut b, lf, lr) = pair_builder(cfg, [NodeRole::Source, NodeRole::Sink]);
+    let (mut b, lf, lr) = pair_builder(cfg);
     let t = b.tx(lf, tx);
     let r = b.rx(lr, rx);
     b.listen(lf, r);
     b.listen(lr, t);
     let c = b.collector(Collector::new());
     b.expect(c, cfg.n_packets);
-    b.source(gen, t, c, 0);
+    b.source(gen, t, c);
     b.deliver(r, c);
     b.sample(c, t, vec![r]);
     b.holding(c, t);
@@ -376,7 +369,7 @@ mod tests {
         let lcfg = cfg.lams_config();
         let tx = Driver::new(lams_dlc::Sender::new(lcfg.clone()));
         let rx = Driver::new(lams_dlc::Receiver::new(lcfg));
-        let mut out = run_engine(&cfg, tx, rx).finished;
+        let mut out = run_engine(&cfg, tx, rx);
         assert!(!out.deadline_hit);
         assert!(out.rxs[0].inner.stats().accepted >= 20_000);
         assert_eq!(out.rxs[0].inner.poll_event(), None);

@@ -327,42 +327,6 @@ impl StatsOut {
     }
 }
 
-/// The numbers a stats document carries, from a [`LiveSnapshot`]: of
-/// the run so far mid-way, of the finished run in the closing document.
-/// Both read the exact latency samples, so a closing document over the
-/// same samples as the last mid-run one reports the same quantiles.
-struct StatsNums {
-    findings: u64,
-    records: u64,
-    frames: u64,
-    delivered: u64,
-    naks: u64,
-    retransmissions: u64,
-    max_outstanding: u64,
-    lat_count: u64,
-    p50_s: Option<f64>,
-    p99_s: Option<f64>,
-    series: Vec<Json>,
-}
-
-impl From<LiveSnapshot> for StatsNums {
-    fn from(snap: LiveSnapshot) -> StatsNums {
-        StatsNums {
-            findings: snap.findings,
-            records: snap.records,
-            frames: snap.frames,
-            delivered: snap.delivered,
-            naks: snap.naks,
-            retransmissions: snap.retransmissions,
-            max_outstanding: snap.max_outstanding,
-            lat_count: snap.delivery_count(),
-            p50_s: snap.delivery_quantile(0.5),
-            p99_s: snap.delivery_quantile(0.99),
-            series: snap.series,
-        }
-    }
-}
-
 /// Internal host state shared by the injection and stats paths.
 #[derive(Default)]
 struct HostCounters {
@@ -400,7 +364,11 @@ impl HostCounters {
     }
 }
 
-/// Render one `lams-dlc.live/1` document.
+/// Render one `lams-dlc.live/1` document. `snap` is the monitor's
+/// view of the run so far mid-way, of the finished run in the closing
+/// document; both read the exact latency samples, so a closing document
+/// over the same samples as the last mid-run one reports the same
+/// quantiles.
 fn stats_doc(
     domain: &'static str,
     is_final: bool,
@@ -408,7 +376,7 @@ fn stats_doc(
     sdus: u64,
     delivered_in_order: u64,
     counters: &HostCounters,
-    nums: &StatsNums,
+    snap: &LiveSnapshot,
 ) -> Json {
     let opt = |v: Option<f64>| v.map(Json::Num).unwrap_or(Json::Null);
     Json::obj([
@@ -427,29 +395,29 @@ fn stats_doc(
         (
             "audit",
             Json::obj([
-                ("findings", nums.findings.into()),
-                ("records", nums.records.into()),
+                ("findings", snap.findings.into()),
+                ("records", snap.records.into()),
             ]),
         ),
         (
             "link",
             Json::obj([
-                ("frames", nums.frames.into()),
-                ("delivered", nums.delivered.into()),
-                ("naks", nums.naks.into()),
-                ("retransmissions", nums.retransmissions.into()),
-                ("max_outstanding", nums.max_outstanding.into()),
+                ("frames", snap.frames.into()),
+                ("delivered", snap.delivered.into()),
+                ("naks", snap.naks.into()),
+                ("retransmissions", snap.retransmissions.into()),
+                ("max_outstanding", snap.max_outstanding.into()),
             ]),
         ),
         (
             "delivery_latency",
             Json::obj([
-                ("count", nums.lat_count.into()),
-                ("p50_s", opt(nums.p50_s)),
-                ("p99_s", opt(nums.p99_s)),
+                ("count", snap.delivery_count().into()),
+                ("p50_s", opt(snap.delivery_quantile(0.5))),
+                ("p99_s", opt(snap.delivery_quantile(0.99))),
             ]),
         ),
-        ("series", Json::Arr(nums.series.clone())),
+        ("series", Json::Arr(snap.series.clone())),
     ])
 }
 
@@ -633,7 +601,7 @@ pub fn run_transfer(
             if let Some(out) = stats.as_mut() {
                 let next = next_stats.get_or_insert(pass.start.saturating_add(stats_interval));
                 if pass.t >= *next {
-                    let nums = StatsNums::from(mon.borrow().live_snapshot());
+                    let snap = mon.borrow().live_snapshot();
                     let elapsed_s = (pass.t - pass.start).as_secs_f64();
                     out.write_doc(&stats_doc(
                         domain,
@@ -642,7 +610,7 @@ pub fn run_transfer(
                         cfg.sdus,
                         pass.delivered,
                         &link.counters,
-                        &nums,
+                        &snap,
                     ))?;
                     while *next <= pass.t {
                         *next = next.saturating_add(stats_interval);
@@ -664,7 +632,7 @@ pub fn run_transfer(
     // checks; render the closing stats document from the finished run.
     let counters = wire_link.counters;
     if let Some(out) = stats.as_mut() {
-        let nums = StatsNums::from(mon.borrow().last_run_snapshot());
+        let snap = mon.borrow().last_run_snapshot();
         let elapsed_s = run.elapsed.as_secs_f64();
         out.write_doc(&stats_doc(
             domain,
@@ -673,7 +641,7 @@ pub fn run_transfer(
             cfg.sdus,
             run.delivered,
             &counters,
-            &nums,
+            &snap,
         ))?;
     }
     let report = mon.borrow_mut().take_report();

@@ -15,13 +15,18 @@
 //! auditor; `--stats` streams periodic machine-readable
 //! `lams-dlc.live/1` snapshots (plus one final document), and
 //! `--trace` records the full telemetry stream for offline
-//! `trace-tools` replay. Exits non-zero if the transfer fails, the
-//! order check trips, or the audit reports findings.
+//! `trace-tools` replay. Exits 1 if the transfer fails, the order
+//! check trips, or the audit reports findings; a usage error (unknown
+//! flag, missing or malformed value) prints the usage and exits 2.
 
 #![forbid(unsafe_code)]
 
 use lams_dlc_io::{run_loopback, IoConfig};
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: lams-dlc-io [--sdus N] [--payload BYTES] \
+                     [--drop-every K] [--corrupt-every K] [--timeout-secs S] \
+                     [--stats <path|->] [--stats-interval-ms MS] [--trace <path>]";
 
 fn parse_args() -> Result<IoConfig, String> {
     let mut cfg = IoConfig::default();
@@ -70,11 +75,7 @@ fn parse_args() -> Result<IoConfig, String> {
             }
             "--trace" => cfg.trace = Some(value("--trace")?.into()),
             "--help" | "-h" => {
-                println!(
-                    "usage: lams-dlc-io [--sdus N] [--payload BYTES] \
-                     [--drop-every K] [--corrupt-every K] [--timeout-secs S] \
-                     [--stats <path|->] [--stats-interval-ms MS] [--trace <path>]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag: {other}")),
@@ -87,8 +88,8 @@ fn main() -> ExitCode {
     let cfg = match parse_args() {
         Ok(cfg) => cfg,
         Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     // With stats on stdout, the human banner moves to stderr so the

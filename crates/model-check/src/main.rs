@@ -17,10 +17,16 @@
 //! `--inject-stale-replay` arms the known-bad-machine fault on every
 //! schedule (replay the first information frame after the `N`-th
 //! emission) to prove the checker and its artifacts end to end. Exits
-//! non-zero if any invariant broke or a replay diverged.
+//! 1 if any invariant broke or a replay diverged; a usage error
+//! (unknown flag, missing or malformed value) prints the usage and
+//! exits 2.
 
 use model_check::{read_artifact, reproduces, run_schedule, run_sweep, write_artifact};
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: model-check [--schedules N] [--json <path|->] \
+                     [--artifact <path>] [--inject-stale-replay N] | \
+                     model-check --replay <artifact>";
 
 struct Opts {
     schedules: u64,
@@ -52,11 +58,7 @@ fn parse_args() -> Result<Opts, String> {
             "--replay" => opts.replay = Some(value()?),
             "--inject-stale-replay" => opts.inject_stale_replay = number(value()?)?,
             "--help" | "-h" => {
-                println!(
-                    "usage: model-check [--schedules N] [--json <path|->] \
-                     [--artifact <path>] [--inject-stale-replay N] | \
-                     model-check --replay <artifact>"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag: {other}")),
@@ -91,8 +93,8 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
         Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     if let Some(path) = &opts.replay {

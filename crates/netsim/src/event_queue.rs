@@ -13,9 +13,9 @@
 //! its predecessor. [`Calendar::arrive`] asserts it, so a lane's head is
 //! always its earliest arrival.
 //!
-//! **Canonical order is structural.** Lanes are indexed in canonical
-//! order — sources by ascending ordinal, links by ascending topology id
-//! (the builder rejects any other registration order) — so
+//! **Canonical order is structural.** Lanes are indexed in the
+//! builder's registration order — a push slot per source, an arrival
+//! lane per link — and that order is canonical, so
 //! [`Calendar::pop_round`] hands out an instant's events already in
 //! canonical dispatch order: pushes, then arrivals (FIFO within a link,
 //! which is per-link transmit order), then the sampling tick, then the

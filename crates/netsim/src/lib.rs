@@ -3,14 +3,14 @@
 
 //! # netsim
 //!
-//! Topology-generic discrete-event network simulation engine.
+//! Discrete-event network simulation engine over directed links.
 //!
-//! One event loop, [`Engine`], drives an arbitrary directed-link
-//! topology of protocol endpoints. The harness crate's point-to-point,
+//! One event loop, [`Engine`], drives protocol endpoints wired over any
+//! set of directed links. The harness crate's point-to-point,
 //! full-duplex and store-and-forward relay runners are all thin
-//! topology builders over it, which guarantees they share *identical*
-//! event scheduling, channel realisations and pump semantics. Every run
-//! is a plain call on the caller's thread:
+//! wirings over it, which guarantees they share *identical* event
+//! scheduling, channel realisations and pump semantics. Every run is a
+//! plain call on the caller's thread:
 //!
 //! * [`endpoint`] — the sans-IO driving contract ([`TxEndpoint`] /
 //!   [`RxEndpoint`]) the event loop polls;
@@ -23,16 +23,16 @@
 //! * [`link`] — the directional channel model: serialization, fixed or
 //!   orbital propagation delay, uniform/burst error processes, outages;
 //! * [`traffic`] — CBR / Poisson / on-off / batch SDU generators;
-//! * [`topology`] — nodes with [`NodeRole`]s, directed links, and the
-//!   id types wiring endpoints to them;
+//! * [`wiring`] — the ids wiring endpoints, links and collectors
+//!   together, and the [`WiringError`] a bad wiring builds into;
 //! * [`collect`] — the [`Collect`] measurement trait the loop feeds;
 //! * [`event_queue`] — [`Calendar`], the loop's event queue: a lane
 //!   calendar with one push slot per source, one FIFO arrival lane per
 //!   link, a sample slot and a wake slot, popped in canonical order
 //!   without a sort;
 //! * [`engine`] — [`EngineBuilder`] / [`Engine`]: the builder that
-//!   wires and checks a topology, and the event loop (push / arrive /
-//!   sample / wake).
+//!   registers and checks the wiring, and the event loop (push / arrive
+//!   / sample / wake).
 //!
 //! Determinism: all randomness flows through per-stream
 //! [`sim_core::SeedSplitter`] RNGs owned by channels and traffic
@@ -47,18 +47,16 @@ pub mod endpoint;
 pub mod engine;
 pub mod event_queue;
 pub mod link;
-pub mod topology;
 pub mod traffic;
+pub mod wiring;
 
 pub use channel::{ErrorProcess, GeState, GilbertElliott, Lossless, UniformBer};
 pub use collect::Collect;
 pub use driver::Driver;
 pub use endpoint::{FrameMeta, RxEndpoint, TxEndpoint};
-pub use engine::{Engine, EngineBuilder, EngineRun, FinishedRun};
+pub use engine::{Engine, EngineBuilder, EngineRun};
 pub use event_queue::Calendar;
 pub use link::{Channel, DelayModel, ErrorModel, Fate, Outage};
 pub use proto_core::{Machine, ReceiverMachine, SenderMachine};
-pub use topology::{
-    ColId, EndpointId, LinkId, LinkSpec, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
-};
 pub use traffic::{Pattern, TrafficGen};
+pub use wiring::{ColId, EndpointId, LinkId, RxId, TxId, WiringError};

@@ -26,7 +26,7 @@ fn key(ev: &Event<u64>) -> Key {
 }
 
 /// The reference: every pending event in a flat list with its
-/// canonical key `(at, kind, source ordinal or link, SDU id or
+/// canonical key `(at, kind, source or link index, SDU id or
 /// per-link arrival sequence)`. A round is every entry at the
 /// minimum instant, sorted by key.
 #[derive(Default)]
