@@ -9,8 +9,9 @@
 //!   lookup vs pre-resolved handle), trace emission (the disabled
 //!   fast path and the full JSONL render+write path), the live
 //!   protocol monitor's per-record cost, the real host's wire path
-//!   (CRC-32 of one frame, and one encode + decode round trip), the
-//!   LAMS machine pair alone, the destination resequencer, the I-frame
+//!   (CRC-32 of one I-frame, CRC-16 of one checkpoint, and one
+//!   encode + decode round trip), the LAMS machine pair alone, the
+//!   destination resequencer, the I-frame
 //!   FEC pipeline, the burst channel error process, and the paper's
 //!   closed-form model.
 //! * **Experiment kernels** running each quick-sized paper experiment
@@ -247,7 +248,7 @@ fn lams_trace() -> Vec<telemetry::TraceRecord> {
     records
 }
 
-/// Replay [`lams_trace`] through [`monitor::Monitor::observe`] until at
+/// Replay `lams_trace` through [`monitor::Monitor::observe`] until at
 /// least `iters` records went in, one fresh monitor per pass: the live
 /// audit's cost per trace record (invariant audit, latency attribution,
 /// series and lifecycles). Recording the trace is not timed.
@@ -322,6 +323,36 @@ pub fn crc32_frame(iters: u64) -> MicroResult {
         let mut sink = 0u32;
         for _ in 0..iters {
             sink ^= fec::Crc32::checksum(std::hint::black_box(&buf));
+        }
+        std::hint::black_box(sink);
+        iters
+    })
+}
+
+/// CRC-16 over the checked bytes of one 87-NAK checkpoint (366 bytes on
+/// the wire, the size a lossy `host_mem` checkpoint interval emits):
+/// the control-frame FCS every checkpoint pays in `wire::encode` and
+/// again in `wire::decode`.
+pub fn crc16_checkpoint(iters: u64) -> MicroResult {
+    use lams_dlc::{wire, CheckPoint, ControlFrame, Frame, StopGo};
+    let modulus = 1 << 16;
+    let frame = wire::encode(
+        &Frame::Control(ControlFrame::CheckPoint(CheckPoint {
+            index: 41,
+            covered: 20_000,
+            naks: (0..87).map(|i| 18_000 + 23 * i).collect(),
+            enforced: false,
+            probe: None,
+            stop_go: StopGo::Go,
+        })),
+        modulus,
+    );
+    assert_eq!(frame.len(), 366, "an 87-NAK checkpoint is 366 bytes");
+    let checked = &frame[..frame.len() - 2];
+    time("crc16_checkpoint", iters, || {
+        let mut sink = 0u16;
+        for _ in 0..iters {
+            sink ^= fec::Crc16Ccitt::checksum(std::hint::black_box(checked));
         }
         std::hint::black_box(sink);
         iters
@@ -421,7 +452,7 @@ fn lossy_pair_transfer() -> DropEvery7th {
     link
 }
 
-/// The LAMS sender and receiver alone: [`lossy_pair_transfer`] until
+/// The LAMS sender and receiver alone: `lossy_pair_transfer` until
 /// at least `iters` SDUs went through, with no simulator, codec, trace
 /// or monitor. One op is one SDU delivered in order.
 pub fn machine_pair(iters: u64) -> MicroResult {
@@ -434,7 +465,7 @@ pub fn machine_pair(iters: u64) -> MicroResult {
     })
 }
 
-/// Replay the packet ids of one [`lossy_pair_transfer`], in the order
+/// Replay the packet ids of one `lossy_pair_transfer`, in the order
 /// they reached the receiver (each lost frame's retransmission arrives
 /// about one checkpoint interval late), through a fresh
 /// [`lams_dlc::Resequencer`] until at least `iters` ids went in. One op
@@ -546,6 +577,7 @@ pub fn run_micro_suite(iters: u64) -> Vec<MicroResult> {
         monitor_observe(iters),
         trace_emit_monitor(iters),
         crc32_frame(iters),
+        crc16_checkpoint(iters),
         wire_roundtrip(iters),
         machine_pair(iters),
         resequencer_offer(iters),

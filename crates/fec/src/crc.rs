@@ -7,7 +7,9 @@
 //! Two generators are provided:
 //!
 //! * [`Crc16Ccitt`] — the X.25/HDLC FCS (poly 0x1021, reflected, init
-//!   0xFFFF, final XOR 0xFFFF), used for control frames;
+//!   0xFFFF, final XOR 0xFFFF), used for control frames, computed
+//!   slicing-by-8 like the CRC-32's portable path below (a LAMS
+//!   checkpoint carries its cumulative NAK list, a few hundred bytes);
 //! * [`Crc32`] — IEEE 802.3 (poly 0x04C11DB7 reflected), used for I-frames
 //!   whose payloads are large enough that 16 bits of check would leave a
 //!   non-negligible undetected-error rate.
@@ -28,51 +30,36 @@
 //!   `z` zero bytes instead of finishing with a byte loop: the fold is
 //!   seeded with the register that `z` zero bytes carry to the all-ones
 //!   initial value, so the padded input has exactly the unpadded CRC.
+//!   The padded first block is built in registers (the first 16 input
+//!   bytes as a `u128` shifted up by `z` bytes), not copied into a
+//!   stack buffer.
 //! * **Slicing-by-8** (every target, and inputs under 16 bytes): eight
 //!   table lookups advance the register by eight bytes.
 //!
 //! Both give bit-identical results; the tests check them against the
 //! byte-at-a-time loop at every length up to 2,100 bytes and at 16
-//! alignments. The folding kernel lives in the private `clmul`
-//! submodule, the only code in this crate allowed to use `unsafe`.
+//! alignments, and the CRC-16 against its own byte loop at every length
+//! up to 2,100 bytes and at 8 alignments. The folding kernel lives in
+//! the private `clmul` submodule, the only code in this crate allowed
+//! to use `unsafe`.
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod clmul;
 
-/// Table-driven CRC-16/X.25 (the HDLC frame check sequence).
+/// CRC-16/X.25 (the HDLC frame check sequence), table-driven eight
+/// bytes at a time (slicing-by-8).
 pub struct Crc16Ccitt;
 
 /// CRC-32 (IEEE 802.3): carry-less-multiply folding where the CPU has
 /// it, table-driven eight bytes at a time (slicing-by-8) elsewhere.
 pub struct Crc32;
 
-const fn make_table_16() -> [u16; 256] {
-    // Reflected polynomial for 0x1021 is 0x8408.
-    let mut table = [0u16; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u16;
-        let mut b = 0;
-        while b < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0x8408
-            } else {
-                crc >> 1
-            };
-            b += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// Slicing-by-8 tables: `t[0]` is the classic byte table, and `t[k][i]`
-/// is `t[0][i]` carried through `k` more zero bytes, so eight lookups,
-/// one per byte position, advance the CRC by eight bytes.
-const fn make_tables_32() -> [[u32; 256]; 8] {
-    // Reflected polynomial for 0x04C11DB7 is 0xEDB88320.
+/// Slicing-by-8 tables for a reflected CRC whose reflected polynomial
+/// is `poly`: `t[0]` is the classic byte table, and `t[k][i]` is
+/// `t[0][i]` carried through `k` more zero bytes, so eight lookups, one
+/// per byte position, advance the CRC by eight bytes.
+const fn make_tables(poly: u32) -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
@@ -80,7 +67,7 @@ const fn make_tables_32() -> [[u32; 256]; 8] {
         let mut b = 0;
         while b < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ poly
             } else {
                 crc >> 1
             };
@@ -102,16 +89,50 @@ const fn make_tables_32() -> [[u32; 256]; 8] {
     t
 }
 
-static TABLE_16: [u16; 256] = make_table_16();
-static TABLES_32: [[u32; 256]; 8] = make_tables_32();
+/// The CRC-16's tables (reflected polynomial `0x8408`, i.e. `0x1021`):
+/// a 16-bit polynomial keeps every entry below `2^16`, so they narrow
+/// to `u16` exactly (4 KB instead of 8).
+const fn make_tables_16() -> [[u16; 256]; 8] {
+    let wide = make_tables(0x8408);
+    let mut t = [[0u16; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            t[k][i] = wide[k][i] as u16;
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static TABLES_16: [[u16; 256]; 8] = make_tables_16();
+/// The CRC-32's tables: reflected polynomial `0xEDB88320` (`0x04C11DB7`).
+static TABLES_32: [[u32; 256]; 8] = make_tables(0xEDB8_8320);
 
 impl Crc16Ccitt {
-    /// Compute the FCS over `data`.
+    /// Compute the FCS over `data`, eight bytes per step (slicing-by-8)
+    /// and a byte loop for the last `len % 8`. The 16-bit register only
+    /// reaches the first two bytes of each step; the other six index
+    /// their tables directly.
     pub fn checksum(data: &[u8]) -> u16 {
+        let t = &TABLES_16;
         let mut crc: u16 = 0xFFFF;
-        for &byte in data {
-            let idx = ((crc ^ byte as u16) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLE_16[idx];
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            let x = crc ^ u16::from_le_bytes([c[0], c[1]]);
+            crc = t[7][(x & 0xFF) as usize]
+                ^ t[6][(x >> 8) as usize]
+                ^ t[5][c[2] as usize]
+                ^ t[4][c[3] as usize]
+                ^ t[3][c[4] as usize]
+                ^ t[2][c[5] as usize]
+                ^ t[1][c[6] as usize]
+                ^ t[0][c[7] as usize];
+        }
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u16) & 0xFF) as usize];
         }
         crc ^ 0xFFFF
     }
@@ -197,6 +218,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The byte-at-a-time CRC-16 loop, kept as the oracle for
+    /// [`Crc16Ccitt::checksum`].
+    fn crc16_bytewise(data: &[u8]) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for &byte in data {
+            crc = (crc >> 8) ^ TABLES_16[0][((crc ^ byte as u16) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF
+    }
+
     /// The byte-at-a-time CRC-32 loop, kept as the oracle for both
     /// paths of [`Crc32::checksum`].
     fn crc32_bytewise(data: &[u8]) -> u32 {
@@ -271,6 +302,34 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Every length 0..=2,100 at each of the 8 alignments of the 8-byte
+    /// step, over a fixed pseudo-random buffer.
+    #[test]
+    fn crc16_matches_the_byte_loop_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..2_108u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=2_100 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    Crc16Ccitt::checksum(data),
+                    crc16_bytewise(data),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc16_matches_the_byte_loop_on_arbitrary_input(
+            data in proptest::collection::vec(proptest::num::u8::ANY, 0..600),
+        ) {
+            prop_assert_eq!(Crc16Ccitt::checksum(&data), crc16_bytewise(&data));
         }
     }
 

@@ -25,13 +25,18 @@
 //! makes the padded input reach exactly the state the unpadded one
 //! starts from.
 //!
+//! The padded first block never touches memory: the input's first 16
+//! bytes, read as a little-endian `u128` and shifted up by `8·z` bits,
+//! are exactly `z` zero bytes and then the input's first `16 - z`.
+//!
 //! This is the one module of the crate that uses `unsafe`: calling the
 //! `#[target_feature]` kernel (sound only after the run-time PCLMULQDQ
-//! check) and the unaligned 16-byte loads (each within its slice).
+//! check) and the unaligned 16-byte loads of whole blocks (each within
+//! its slice).
 
 use std::arch::x86_64::{
-    __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
-    _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_loadu_si128,
+    _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
 };
 
 /// The reflected CRC-32 polynomial, `0x04C11DB7` bit-reversed.
@@ -99,13 +104,13 @@ pub(super) fn checksum(data: &[u8]) -> Option<u32> {
 #[target_feature(enable = "pclmulqdq")]
 fn fold(data: &[u8]) -> u32 {
     let z = (16 - data.len() % 16) % 16;
-    let (head, blocks) = data.split_at(16 - z);
+    let blocks = &data[16 - z..];
     debug_assert_eq!(blocks.len() % 16, 0, "the zero prefix makes blocks whole");
-    let mut first = [0u8; 16];
-    first[z..].copy_from_slice(head);
-    // SAFETY: `first` is 16 bytes, exactly the unaligned load's width.
-    let mut acc = unsafe { _mm_loadu_si128(first.as_ptr().cast()) };
-    acc = _mm_xor_si128(acc, _mm_cvtsi32_si128(ZERO_PREFIX_SEEDS[z] as i32));
+    // The zero-padded first block, built in registers (module doc), with
+    // the seed XORed into its low (earliest) 32 bits.
+    let head = u128::from_le_bytes(data[..16].try_into().expect("16 bytes"));
+    let first = (head << (8 * z)) ^ ZERO_PREFIX_SEEDS[z] as u128;
+    let mut acc = _mm_set_epi64x((first >> 64) as i64, first as i64);
 
     let k3k4 = _mm_set_epi64x(K4 as i64, K3 as i64);
     for block in blocks.chunks_exact(16) {

@@ -17,9 +17,10 @@
 //!
 //! * [`bits::BitBuf`] — a compact bit buffer, MSB-first;
 //! * [`crc`] — CRC-16/X.25 (HDLC FCS) and CRC-32 frame checks (detectable
-//!   errors, paper assumption 9). The CRC-32 runs a carry-less-multiply
-//!   folding kernel on x86_64 CPUs with PCLMULQDQ (detected at run time;
-//!   16-byte blocks, a zero-byte front pad whose effect the seed register
+//!   errors, paper assumption 9). The CRC-16 uses slicing-by-8 tables.
+//!   The CRC-32 runs a carry-less-multiply folding kernel on x86_64 CPUs
+//!   with PCLMULQDQ (detected at run time; 16-byte blocks, a zero-byte
+//!   front pad built in registers whose effect the seed register
 //!   cancels, a Barrett reduction) and portable slicing-by-8 tables on
 //!   every other target and for inputs under 16 bytes — the same value
 //!   either way;
@@ -38,7 +39,8 @@
 //!
 //! `unsafe` is denied crate-wide except in the CRC-32 folding kernel
 //! (`crc::clmul`): calling its `#[target_feature]` function after the
-//! CPU check, and its 16-byte loads. Each block states that argument.
+//! CPU check, and its 16-byte loads of whole input blocks. Each block
+//! states that argument.
 
 pub mod bits;
 pub mod codec;

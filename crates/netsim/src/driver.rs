@@ -1,4 +1,5 @@
-//! One generic driver binding any sans-IO [`Machine`] to the engine.
+//! One generic driver binding any sans-IO
+//! [`Machine`](proto_core::Machine) to the engine.
 //!
 //! Before `proto-core` existed, every protocol needed a bespoke adapter
 //! struct (six of them, ~465 lines in the harness) translating between
@@ -16,7 +17,8 @@ use proto_core::{ReceiverMachine, RxStatus, SenderMachine, WireFrame};
 use sim_core::Instant;
 use telemetry::Registry;
 
-/// Generic endpoint adapter: drives any [`Machine`] under the engine.
+/// Generic endpoint adapter: drives any
+/// [`Machine`](proto_core::Machine) under the engine.
 ///
 /// `Driver<lams_dlc::Sender>` replaces the old `LamsTx`,
 /// `Driver<hdlc::SrReceiver>` the old `SrRx`, and so on — one wrapper,

@@ -3,25 +3,49 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the tiny subset of the `bytes` API it actually uses: an
 //! immutable, cheaply-cloneable byte container. `Bytes` is a thin wrapper
-//! over `Arc<[u8]>` (clone = refcount bump, exactly the property the
-//! simulator relies on when fanning a payload out to retransmission
-//! queues), with a static-slice fast path so `from_static` allocates
-//! nothing.
+//! over `Rc<[u8]>` (clone = refcount bump, exactly the property the
+//! simulator and the host pump rely on when fanning a payload out to
+//! retransmission queues), with a static-slice fast path so
+//! `from_static` allocates nothing.
+//!
+//! ## Single-threaded on purpose
+//!
+//! Unlike the real crate's `Bytes`, this one is neither `Send` nor
+//! `Sync`. Every run in this workspace (one simulation on netsim's one
+//! engine, or one real-host transfer through the pump) lives on one
+//! thread from its first SDU to its last since the sharded coordinator
+//! was retired (commit 377eb0c, "one engine on one thread"); parallel
+//! work fans out whole runs, never payloads. So the refcount needs no
+//! atomic read-modify-write: a clone is a plain increment and a drop a
+//! plain decrement. A lossy 2,000-SDU host transfer makes about 2.2
+//! clones and 3.4 drops of a shared buffer per SDU, none of which takes
+//! a locked instruction any more.
+//!
+//! Sending a `Bytes` to another thread does not compile:
+//!
+//! ```compile_fail
+//! let b = bytes::Bytes::from(vec![1u8, 2, 3]);
+//! std::thread::spawn(move || b.len());
+//! ```
+//!
+//! Making it `Send` again (back to an atomic refcount) is a deliberate
+//! edit of this shim and of that doctest.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// A cheaply cloneable, immutable slice of bytes.
+/// A cheaply cloneable, immutable slice of bytes, confined to the
+/// thread that made it (see the crate doc).
 #[derive(Clone)]
 pub struct Bytes(Repr);
 
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    Shared(Rc<[u8]>),
 }
 
 impl Bytes {
@@ -40,7 +64,7 @@ impl Bytes {
     /// Copy an arbitrary slice into a new shared buffer.
     #[inline]
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes(Repr::Shared(Arc::from(s)))
+        Bytes(Repr::Shared(Rc::from(s)))
     }
 
     /// Length in bytes.
@@ -121,7 +145,7 @@ impl Borrow<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     #[inline]
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Repr::Shared(Arc::from(v.into_boxed_slice())))
+        Bytes(Repr::Shared(Rc::from(v.into_boxed_slice())))
     }
 }
 
@@ -149,7 +173,7 @@ impl From<String> for Bytes {
 impl From<Box<[u8]>> for Bytes {
     #[inline]
     fn from(b: Box<[u8]>) -> Self {
-        Bytes(Repr::Shared(Arc::from(b)))
+        Bytes(Repr::Shared(Rc::from(b)))
     }
 }
 
@@ -237,6 +261,37 @@ mod tests {
         let a = Bytes::from(vec![1u8; 4096]);
         let b = a.clone();
         assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        let c = Bytes::copy_from_slice(&[7u8; 16]);
+        let d = c.clone();
+        assert_eq!(c.as_ptr(), d.as_ptr());
+        drop(c);
+        // The last handle still reads the shared buffer.
+        assert_eq!(d, vec![7u8; 16]);
+    }
+
+    #[test]
+    fn slice_of_a_shared_buffer_copies() {
+        let a = Bytes::from(b"abcdef".to_vec());
+        let s = a.slice(1..4);
+        assert_eq!(s, Bytes::from_static(b"bcd"));
+        assert!(
+            !a.as_ptr_range().contains(&s.as_ptr()),
+            "the slice points into its parent's buffer"
+        );
+        // Even the whole range is a fresh buffer.
+        assert_ne!(a.slice(..).as_ptr(), a.as_ptr());
+    }
+
+    #[test]
+    fn from_static_allocates_nothing() {
+        static DATA: [u8; 5] = *b"hello";
+        let a = Bytes::from_static(&DATA);
+        assert_eq!(a.as_ptr(), DATA.as_ptr());
+        assert_eq!(a.clone().as_ptr(), DATA.as_ptr());
+        // A sub-slice of static data still points into it.
+        assert_eq!(a.slice(1..).as_ptr(), DATA[1..].as_ptr());
+        let s: &'static str = "hi";
+        assert_eq!(Bytes::from(s).as_ptr(), s.as_ptr());
     }
 
     #[test]
