@@ -167,18 +167,24 @@ pub fn perf_take() -> Option<(QueueProfile, f64, u64)> {
 /// per-id bookkeeping is id-indexed (a `Vec` of push instants and a
 /// delivered bitset) rather than hashed — no hashing or probing on the
 /// per-delivery path.
+///
+/// The destination resequencer is modelled by a cursor over the
+/// delivered bitset: every id below `next_in_order` has been released in
+/// order, and the SDUs held awaiting order are the unique deliveries at
+/// or above it, `delivered_count − next_in_order`.
 pub struct Collector {
     push_times: Vec<Option<Instant>>,
     /// One bit per id: set once delivered (duplicates detected here).
     delivered: Vec<u64>,
     delivered_count: u64,
-    resequencer: lams_dlc::Resequencer,
-    /// Scratch for the resequencer's in-order releases, reused across
-    /// deliveries.
-    reseq_out: Vec<(lams_dlc::PacketId, bytes::Bytes)>,
-    /// When each SDU entered the resequencer (id-indexed, cleared on
-    /// release); only maintained while tracing, to stamp `ReseqHold`
-    /// records for the latency-attribution layer.
+    /// Lowest id not yet delivered: the next in-order release.
+    next_in_order: u64,
+    /// Peak count of SDUs held awaiting order, taken after each unique
+    /// delivery's releases.
+    reseq_peak: usize,
+    /// When each SDU reached the destination (id-indexed, cleared on
+    /// in-order release); only maintained while tracing, to stamp
+    /// `ReseqHold` records for the latency-attribution layer.
     reseq_arrival: Vec<Option<Instant>>,
     /// Delay push → delivery.
     pub delay: Summary,
@@ -226,8 +232,8 @@ impl Collector {
             push_times: Vec::new(),
             delivered: Vec::new(),
             delivered_count: 0,
-            resequencer: lams_dlc::Resequencer::new(0),
-            reseq_out: Vec::new(),
+            next_in_order: 0,
+            reseq_peak: 0,
             reseq_arrival: Vec::new(),
             delay: Summary::new(),
             e2e_delay: Summary::new(),
@@ -252,6 +258,44 @@ impl Collector {
         self.push_times.get(id as usize).copied().flatten()
     }
 
+    #[inline]
+    fn is_delivered(&self, id: u64) -> bool {
+        self.delivered
+            .get((id >> 6) as usize)
+            .is_some_and(|w| w & (1 << (id & 63)) != 0)
+    }
+
+    /// SDUs delivered but held awaiting an earlier one.
+    fn held(&self) -> usize {
+        (self.delivered_count - self.next_in_order) as usize
+    }
+
+    /// Release `id` in order at `now`: its end-to-end delay sample and,
+    /// while tracing, how long it was held.
+    fn release(&mut self, now: Instant, id: u64) {
+        match self.push_time(id) {
+            Some(p) => {
+                let d = now.duration_since(p);
+                self.e2e_delay.record(d.as_secs_f64());
+                self.e2e_delays_ns.push(d.as_nanos());
+            }
+            None => self.counters.inc_handle(self.unmatched),
+        }
+        if self.trace.enabled() {
+            if let Some(arrived) = self
+                .reseq_arrival
+                .get_mut(id as usize)
+                .and_then(Option::take)
+            {
+                let held_ns = now.duration_since(arrived).as_nanos();
+                if held_ns > 0 {
+                    self.trace
+                        .emit(now, || TraceEvent::ReseqHold { id, held_ns });
+                }
+            }
+        }
+    }
+
     /// Duplicate deliveries so far.
     pub fn duplicates(&self) -> u64 {
         self.duplicates
@@ -259,7 +303,7 @@ impl Collector {
 
     /// In-order releases so far.
     pub fn released_in_order(&self) -> u64 {
-        self.resequencer.stats().released
+        self.next_in_order
     }
 
     /// Deliveries dropped from delay accounting (no matching push).
@@ -286,7 +330,7 @@ impl Collector {
         rx_extras: Registry,
     ) -> RunReport {
         let delivered_unique = self.delivered_count;
-        let reseq_peak = self.resequencer.stats().peak_buffered;
+        let reseq_peak = self.reseq_peak;
         RunReport {
             protocol: protocol.to_string(),
             offered,
@@ -335,8 +379,8 @@ impl netsim::Collect for Collector {
         self.push_times[idx] = Some(now);
     }
 
-    /// Record a receiver delivery; runs the destination resequencer for
-    /// dedup + in-order accounting.
+    /// Record a receiver delivery: dedup, then advance the in-order
+    /// cursor over every id now contiguous.
     fn on_deliver(&mut self, now: Instant, id: u64) {
         let _span = self.prof.span("collector.deliver");
         let word = (id >> 6) as usize;
@@ -365,33 +409,11 @@ impl netsim::Collect for Collector {
             self.reseq_arrival[idx] = Some(now);
         }
         let reseq_span = self.prof.span("collector.reseq");
-        let mut released = std::mem::take(&mut self.reseq_out);
-        released.clear();
-        self.resequencer
-            .offer_into(lams_dlc::PacketId(id), bytes::Bytes::new(), &mut released);
-        for (rid, _) in &released {
-            match self.push_time(rid.0) {
-                Some(p) => {
-                    let d = now.duration_since(p);
-                    self.e2e_delay.record(d.as_secs_f64());
-                    self.e2e_delays_ns.push(d.as_nanos());
-                }
-                None => self.counters.inc_handle(self.unmatched),
-            }
-            if self.trace.enabled() {
-                if let Some(slot) = self.reseq_arrival.get_mut(rid.0 as usize) {
-                    if let Some(arrived) = slot.take() {
-                        let held_ns = now.duration_since(arrived).as_nanos();
-                        if held_ns > 0 {
-                            let sdu = rid.0;
-                            self.trace
-                                .emit(now, || TraceEvent::ReseqHold { id: sdu, held_ns });
-                        }
-                    }
-                }
-            }
+        while self.is_delivered(self.next_in_order) {
+            self.release(now, self.next_in_order);
+            self.next_in_order += 1;
         }
-        self.reseq_out = released;
+        self.reseq_peak = self.reseq_peak.max(self.held());
         drop(reseq_span);
     }
 
@@ -407,8 +429,7 @@ impl netsim::Collect for Collector {
         self.tx_buffer.push(now, tx_buf as f64);
         self.tx_buffer_tw.set(now, tx_buf as f64);
         self.rx_buffer.push(now, rx_buf as f64);
-        self.reseq_buffer
-            .push(now, self.resequencer.buffered() as f64);
+        self.reseq_buffer.push(now, self.held() as f64);
         self.rate.push(now, rate);
         // Trace power-of-two watermark crossings of the sender buffer:
         // one rising record per level filled, one falling once it drains
@@ -445,6 +466,7 @@ impl netsim::Collect for Collector {
 mod tests {
     use super::*;
     use netsim::Collect;
+    use proptest::prelude::*;
 
     #[test]
     fn delivery_accounting() {
@@ -533,5 +555,75 @@ mod tests {
         assert_eq!(r.throughput_fps(), 0.0);
         assert_eq!(r.retransmission_ratio(), 0.0);
         assert_eq!(r.extra("anything"), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The in-order cursor against the destination resequencer it
+        /// replaces: a random permutation of `0..n` with duplicates
+        /// injected goes to both, and after every delivery they agree on
+        /// the ids released (in order, read back from the delay samples),
+        /// the delays, the release count and the held count; at the end
+        /// on the peak.
+        #[test]
+        fn cursor_matches_a_resequencer(
+            keys in proptest::collection::vec(0u32..1_000_000, 1..200),
+            dups in proptest::collection::vec((0usize..400, 0usize..200), 0..40),
+        ) {
+            let n = keys.len();
+            let mut order: Vec<u64> = (0..n as u64).collect();
+            order.sort_by_key(|&id| (keys[id as usize], id));
+            for (at, pick) in dups {
+                let id = order[pick % n];
+                order.insert(at % (order.len() + 1), id);
+            }
+            // Distinct push instants, so a delay sample names its id.
+            let push = |id: u64| Instant::from_nanos(id * 1_000);
+            let mut c = Collector::new();
+            for id in 0..n as u64 {
+                c.on_push(push(id), id);
+            }
+            let mut r = lams_dlc::Resequencer::new(0);
+            let mut out = Vec::new();
+            let mut want_delays = Vec::new();
+            for (k, &id) in order.iter().enumerate() {
+                let now = Instant::from_millis(1) + Duration::from_micros(k as u64);
+                let before = c.e2e_delays_ns.len();
+                c.on_deliver(now, id);
+                out.clear();
+                r.offer_into(lams_dlc::PacketId(id), bytes::Bytes::new(), &mut out);
+                let want_ids: Vec<u64> = out.iter().map(|(rid, _)| rid.0).collect();
+                let got_ids: Vec<u64> = c.e2e_delays_ns[before..]
+                    .iter()
+                    .map(|d| (now.as_nanos() - d) / 1_000)
+                    .collect();
+                prop_assert_eq!(got_ids, want_ids.clone());
+                let delays = want_ids.iter().map(|&rid| now.duration_since(push(rid)));
+                want_delays.extend(delays.map(|d| d.as_nanos()));
+                prop_assert_eq!(&c.e2e_delays_ns, &want_delays);
+                prop_assert_eq!(c.released_in_order(), r.stats().released);
+                c.sample(now, 0, 0, 0.0);
+                let held = c.reseq_buffer.last_value().unwrap();
+                prop_assert_eq!(held, r.buffered() as f64);
+            }
+            prop_assert_eq!(c.released_in_order(), n as u64);
+            prop_assert_eq!(c.duplicates(), r.stats().duplicates);
+            let peak = r.stats().peak_buffered;
+            let report = c.finish(
+                "x",
+                n as u64,
+                Instant::from_secs(1),
+                false,
+                false,
+                0,
+                0,
+                Duration::ZERO,
+                Registry::new(),
+                Registry::new(),
+            );
+            prop_assert_eq!(report.reseq_peak, peak);
+            prop_assert_eq!(report.e2e_delay.count(), n as u64);
+        }
     }
 }

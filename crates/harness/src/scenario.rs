@@ -8,7 +8,7 @@
 //! **identical** channel error realisations for a given seed (common
 //! random numbers).
 
-use crate::link::{Channel, DelayModel, ErrorModel, Outage};
+use crate::link::{serialization_time, Channel, DelayModel, ErrorModel, Outage};
 use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::traffic::{Pattern, TrafficGen};
@@ -169,25 +169,27 @@ impl ScenarioConfig {
     /// Serialization time of one I-frame (info wire bytes + FEC) — the
     /// simulated `t_f`.
     pub fn t_f(&self) -> Duration {
-        let (fwd, _) = self.build_channels();
         // LAMS info header/trailer is 19 bytes; HDLC's is 20 — close
         // enough that one t_f serves both for reporting.
-        fwd.tx_time(self.payload_bytes + 19, true)
+        self.frame_time(self.payload_bytes + 19, true)
+    }
+
+    /// Serialization time of a frame of `bytes` wire bytes in class
+    /// `is_info`, as the scenario's channels compute it.
+    fn frame_time(&self, bytes: usize, is_info: bool) -> Duration {
+        serialization_time(self.rate_bps, Channel::grade(is_info), bytes)
     }
 
     /// The LAMS protocol configuration this scenario induces.
     pub fn lams_config(&self) -> lams_dlc::LamsConfig {
-        let (fwd, rev) = self.build_channels();
-        let t_f = fwd.tx_time(self.payload_bytes + 19, true);
-        // A checkpoint with a typical NAK load is ~40 wire bytes.
-        let t_c = rev.tx_time(40, false);
         lams_dlc::LamsConfig {
             w_cp: self.w_cp,
             c_depth: self.c_depth,
             t_proc: self.t_proc,
             expected_rtt: self.rtt(),
-            t_c,
-            t_f,
+            // A checkpoint with a typical NAK load is ~40 wire bytes.
+            t_c: self.frame_time(40, false),
+            t_f: self.t_f(),
             flow: lams_dlc::FlowConfig::default(),
             deadline_slack: Duration::from_millis(1),
         }
@@ -195,13 +197,12 @@ impl ScenarioConfig {
 
     /// The HDLC configuration this scenario induces.
     pub fn hdlc_config(&self) -> hdlc::HdlcConfig {
-        let (fwd, rev) = self.build_channels();
         hdlc::HdlcConfig {
             window: self.window,
             seq_bits: self.seq_bits,
             t_out: self.rtt() + self.alpha,
-            t_f: fwd.tx_time(self.payload_bytes + 20, true),
-            t_c: rev.tx_time(8, false),
+            t_f: self.frame_time(self.payload_bytes + 20, true),
+            t_c: self.frame_time(8, false),
             t_proc: self.t_proc,
         }
     }

@@ -44,7 +44,7 @@ options:
 struct Args {
     command: String,
     trace: String,
-    window_ms: u64,
+    window: Duration,
     out: Option<String>,
     limit: Option<usize>,
 }
@@ -52,7 +52,7 @@ struct Args {
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut command = None;
     let mut trace = None;
-    let mut window_ms = 100u64;
+    let mut window = Duration::from_millis(100);
     let mut out = None;
     let mut limit = None;
     let mut it = argv.iter();
@@ -65,12 +65,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         };
         match arg.as_str() {
             "--window" => {
-                window_ms = value("--window")?
-                    .parse()
-                    .map_err(|_| "--window must be a positive integer (ms)".to_string())?;
-                if window_ms == 0 {
-                    return Err("--window must be a positive integer (ms)".into());
-                }
+                // Zero, and any width whose nanoseconds overflow u64, are
+                // rejected rather than wrapped.
+                window = value("--window")?
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|&ms| ms > 0)
+                    .and_then(|ms| ms.checked_mul(1_000_000))
+                    .map(Duration::from_nanos)
+                    .ok_or("--window must be a positive integer (ms)")?;
             }
             "--out" => out = Some(value("--out")?),
             "--limit" => {
@@ -103,7 +106,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(Args {
         command,
         trace: trace.ok_or("missing trace file")?,
-        window_ms,
+        window,
         out,
         limit,
     })
@@ -165,7 +168,7 @@ fn emit_lines(
 
 fn run(args: &Args) -> Result<ExitCode, String> {
     let cfg = MonitorConfig {
-        window: Duration::from_millis(args.window_ms),
+        window: args.window,
         keep_lifecycles: args.command == "lifecycle",
         ..MonitorConfig::default()
     };
@@ -283,5 +286,35 @@ fn main() -> ExitCode {
             eprintln!("trace-tools: {msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn window(ms: &str) -> Result<Duration, String> {
+        let argv: Vec<String> = ["metrics", "t.jsonl", "--window", ms]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        parse_args(&argv).map(|a| a.window)
+    }
+
+    #[test]
+    fn window_in_range_is_kept_exactly() {
+        assert_eq!(window("1"), Ok(Duration::from_millis(1)));
+        let max = u64::MAX / 1_000_000;
+        assert_eq!(window(&max.to_string()), Ok(Duration::from_millis(max)));
+    }
+
+    #[test]
+    fn window_overflowing_nanoseconds_is_rejected() {
+        let err = Err("--window must be a positive integer (ms)".to_string());
+        let max = u64::MAX / 1_000_000;
+        assert_eq!(window(&(max + 1).to_string()), err);
+        assert_eq!(window(&u64::MAX.to_string()), err);
+        assert_eq!(window("0"), err);
+        assert_eq!(window("18446744073709551616"), err);
     }
 }

@@ -44,6 +44,10 @@ pub trait ErrorProcess {
 #[derive(Clone, Debug)]
 pub struct UniformBer {
     ber: f64,
+    /// The last frame length seen, in bits, and its error probability:
+    /// `P_F` depends on the length alone, so `exp`/`ln_1p` run only
+    /// when the length changes.
+    last: (u64, f64),
     rng: SimRng,
 }
 
@@ -51,7 +55,11 @@ impl UniformBer {
     /// Create a uniform-error process with bit error rate `ber` in [0, 1].
     pub fn new(ber: f64, rng: SimRng) -> Self {
         assert!((0.0..=1.0).contains(&ber), "BER out of range: {ber}");
-        UniformBer { ber, rng }
+        UniformBer {
+            ber,
+            last: (0, Self::frame_error_prob(ber, 0)),
+            rng,
+        }
     }
 
     /// The configured BER.
@@ -74,7 +82,10 @@ impl UniformBer {
 
 impl ErrorProcess for UniformBer {
     fn frame_error(&mut self, _start: Instant, _duration: Duration, bits: u64) -> bool {
-        self.rng.chance(Self::frame_error_prob(self.ber, bits))
+        if self.last.0 != bits {
+            self.last = (bits, Self::frame_error_prob(self.ber, bits));
+        }
+        self.rng.chance(self.last.1)
     }
 
     fn corrupt(&mut self, _start: Instant, _bit_time: Duration, buf: &mut BitBuf) {
@@ -285,6 +296,26 @@ mod tests {
             .count();
         let freq = hits as f64 / n as f64;
         assert!((freq - expect).abs() < 0.01, "freq={freq} expect={expect}");
+    }
+
+    #[test]
+    fn uniform_verdicts_match_a_fresh_probability_per_frame() {
+        // A twin stream drawing against P_F computed anew for every frame
+        // must reach the same verdict frame by frame, over frame lengths
+        // that alternate and change.
+        let ber = 1e-4;
+        let mut ch = UniformBer::new(ber, rng(9));
+        let mut twin = rng(9);
+        let lengths = [
+            8344u64, 8344, 2928, 8344, 320, 4160, 320, 4160, 0, 8344, 2928, 2928,
+        ];
+        for round in 0..200 {
+            for &bits in &lengths {
+                let want = twin.chance(UniformBer::frame_error_prob(ber, bits));
+                let got = ch.frame_error(Instant::ZERO, Duration::from_micros(1), bits);
+                assert_eq!(got, want, "round {round}, {bits} bits");
+            }
+        }
     }
 
     #[test]
