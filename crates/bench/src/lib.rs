@@ -474,15 +474,12 @@ pub fn resequencer_offer(iters: u64) -> MicroResult {
     let ids = lossy_pair_transfer().arrived;
     let passes = iters.div_ceil(ids.len() as u64).max(1);
     time("resequencer_offer", iters, || {
-        let mut out = Vec::new();
         for _ in 0..passes {
-            let mut r = lams_dlc::Resequencer::new(0);
+            let mut r = lams_dlc::Resequencer::new();
             for &id in &ids {
-                out.clear();
-                r.offer_into(lams_dlc::PacketId(id), bytes::Bytes::new(), &mut out);
-                std::hint::black_box(&out);
+                std::hint::black_box(r.offer(id));
             }
-            assert_eq!(r.awaiting(), PAIR_SDUS, "every id released in order");
+            assert_eq!(r.next(), PAIR_SDUS, "every id released in order");
         }
         passes * ids.len() as u64
     })

@@ -1,5 +1,6 @@
 //! Run-level measurement collection.
 
+use lams_dlc::Resequencer;
 use sim_core::stats::{nearest_rank, Series, Summary, TimeWeighted};
 use sim_core::{Duration, Instant, QueueProfile};
 use telemetry::{Json, Registry, Trace, TraceEvent};
@@ -164,24 +165,14 @@ pub fn perf_take() -> Option<(QueueProfile, f64, u64)> {
 /// Accumulates measurements during a run.
 ///
 /// SDU ids are issued sequentially by the traffic generator, so the
-/// per-id bookkeeping is id-indexed (a `Vec` of push instants and a
-/// delivered bitset) rather than hashed — no hashing or probing on the
+/// per-id bookkeeping is id-indexed (a `Vec` of push instants) rather
+/// than hashed, and the destination is the same [`Resequencer`] the
+/// host pump releases through: no hashing or probing on the
 /// per-delivery path.
-///
-/// The destination resequencer is modelled by a cursor over the
-/// delivered bitset: every id below `next_in_order` has been released in
-/// order, and the SDUs held awaiting order are the unique deliveries at
-/// or above it, `delivered_count − next_in_order`.
 pub struct Collector {
     push_times: Vec<Option<Instant>>,
-    /// One bit per id: set once delivered (duplicates detected here).
-    delivered: Vec<u64>,
-    delivered_count: u64,
-    /// Lowest id not yet delivered: the next in-order release.
-    next_in_order: u64,
-    /// Peak count of SDUs held awaiting order, taken after each unique
-    /// delivery's releases.
-    reseq_peak: usize,
+    /// Deduplicates deliveries and releases them in order.
+    reseq: Resequencer,
     /// When each SDU reached the destination (id-indexed, cleared on
     /// in-order release); only maintained while tracing, to stamp
     /// `ReseqHold` records for the latency-attribution layer.
@@ -204,7 +195,6 @@ pub struct Collector {
     pub reseq_buffer: Series,
     /// Rate trace.
     pub rate: Series,
-    duplicates: u64,
     counters: Registry,
     /// Pre-resolved `harness.collector.unmatched` slot (per-delivery path).
     unmatched: telemetry::CounterHandle,
@@ -230,10 +220,7 @@ impl Collector {
         let unmatched = counters.handle("harness.collector.unmatched");
         Collector {
             push_times: Vec::new(),
-            delivered: Vec::new(),
-            delivered_count: 0,
-            next_in_order: 0,
-            reseq_peak: 0,
+            reseq: Resequencer::new(),
             reseq_arrival: Vec::new(),
             delay: Summary::new(),
             e2e_delay: Summary::new(),
@@ -244,7 +231,6 @@ impl Collector {
             rx_buffer: Series::new("rx_buffer_frames"),
             reseq_buffer: Series::new("resequencer_frames"),
             rate: Series::new("send_rate_fraction"),
-            duplicates: 0,
             counters,
             unmatched,
             trace: telemetry::global_handle("collector"),
@@ -256,18 +242,6 @@ impl Collector {
     #[inline]
     fn push_time(&self, id: u64) -> Option<Instant> {
         self.push_times.get(id as usize).copied().flatten()
-    }
-
-    #[inline]
-    fn is_delivered(&self, id: u64) -> bool {
-        self.delivered
-            .get((id >> 6) as usize)
-            .is_some_and(|w| w & (1 << (id & 63)) != 0)
-    }
-
-    /// SDUs delivered but held awaiting an earlier one.
-    fn held(&self) -> usize {
-        (self.delivered_count - self.next_in_order) as usize
     }
 
     /// Release `id` in order at `now`: its end-to-end delay sample and,
@@ -298,12 +272,12 @@ impl Collector {
 
     /// Duplicate deliveries so far.
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.reseq.stats().duplicates
     }
 
     /// In-order releases so far.
     pub fn released_in_order(&self) -> u64 {
-        self.next_in_order
+        self.reseq.next()
     }
 
     /// Deliveries dropped from delay accounting (no matching push).
@@ -329,13 +303,13 @@ impl Collector {
         tx_extras: Registry,
         rx_extras: Registry,
     ) -> RunReport {
-        let delivered_unique = self.delivered_count;
-        let reseq_peak = self.reseq_peak;
+        let delivered_unique = netsim::Collect::delivered_unique(&self);
+        let stats = self.reseq.stats();
         RunReport {
             protocol: protocol.to_string(),
             offered,
             delivered_unique,
-            duplicates: self.duplicates,
+            duplicates: stats.duplicates,
             lost: offered - delivered_unique,
             finished_at,
             deadline_hit,
@@ -352,7 +326,7 @@ impl Collector {
             transmissions,
             retransmissions,
             t_f_channel: t_f_channel.as_secs_f64(),
-            reseq_peak,
+            reseq_peak: stats.peak_held,
             tx_extras,
             rx_extras,
             counters: self.counters,
@@ -379,21 +353,13 @@ impl netsim::Collect for Collector {
         self.push_times[idx] = Some(now);
     }
 
-    /// Record a receiver delivery: dedup, then advance the in-order
-    /// cursor over every id now contiguous.
+    /// Record a receiver delivery: dedup, then release every id now
+    /// contiguous.
     fn on_deliver(&mut self, now: Instant, id: u64) {
         let _span = self.prof.span("collector.deliver");
-        let word = (id >> 6) as usize;
-        if word >= self.delivered.len() {
-            self.delivered.resize(word + 1, 0);
-        }
-        let bit = 1u64 << (id & 63);
-        if self.delivered[word] & bit != 0 {
-            self.duplicates += 1;
+        let Some(released) = self.reseq.offer(id) else {
             return;
-        }
-        self.delivered[word] |= bit;
-        self.delivered_count += 1;
+        };
         match self.push_time(id) {
             Some(p) => self.delay.record(now.duration_since(p).as_secs_f64()),
             // A delivery with no matching push: the delay sample is
@@ -409,11 +375,9 @@ impl netsim::Collect for Collector {
             self.reseq_arrival[idx] = Some(now);
         }
         let reseq_span = self.prof.span("collector.reseq");
-        while self.is_delivered(self.next_in_order) {
-            self.release(now, self.next_in_order);
-            self.next_in_order += 1;
+        for id in released {
+            self.release(now, id);
         }
-        self.reseq_peak = self.reseq_peak.max(self.held());
         drop(reseq_span);
     }
 
@@ -429,7 +393,7 @@ impl netsim::Collect for Collector {
         self.tx_buffer.push(now, tx_buf as f64);
         self.tx_buffer_tw.set(now, tx_buf as f64);
         self.rx_buffer.push(now, rx_buf as f64);
-        self.reseq_buffer.push(now, self.held() as f64);
+        self.reseq_buffer.push(now, self.reseq.held() as f64);
         self.rate.push(now, rate);
         // Trace power-of-two watermark crossings of the sender buffer:
         // one rising record per level filled, one falling once it drains
@@ -458,7 +422,7 @@ impl netsim::Collect for Collector {
 
     /// Unique deliveries so far.
     fn delivered_unique(&self) -> u64 {
-        self.delivered_count
+        self.reseq.next() + self.reseq.held() as u64
     }
 }
 
@@ -466,7 +430,6 @@ impl netsim::Collect for Collector {
 mod tests {
     use super::*;
     use netsim::Collect;
-    use proptest::prelude::*;
 
     #[test]
     fn delivery_accounting() {
@@ -485,6 +448,33 @@ mod tests {
         assert_eq!(c.e2e_delay.count(), 2);
         assert!(c.e2e_delay.min().unwrap() >= 0.012 - 1e-12);
         assert_eq!(c.e2e_delays_ns, [12_000_000, 12_000_000]);
+    }
+
+    #[test]
+    fn held_count_and_peak() {
+        let mut c = Collector::new();
+        let mut held = Vec::new();
+        for (k, id) in [2u64, 1, 2, 0, 3].into_iter().enumerate() {
+            let now = Instant::from_millis(k as u64);
+            c.on_push(Instant::ZERO, id);
+            c.on_deliver(now, id);
+            c.sample(now, 0, 0, 0.0);
+            held.push(c.reseq_buffer.last_value().unwrap());
+        }
+        assert_eq!(held, [1.0, 2.0, 2.0, 0.0, 0.0]);
+        let r = c.finish(
+            "x",
+            4,
+            Instant::from_millis(4),
+            false,
+            false,
+            5,
+            0,
+            Duration::ZERO,
+            Registry::new(),
+            Registry::new(),
+        );
+        assert_eq!((r.delivered_unique, r.duplicates, r.reseq_peak), (4, 1, 2));
     }
 
     #[test]
@@ -555,75 +545,5 @@ mod tests {
         assert_eq!(r.throughput_fps(), 0.0);
         assert_eq!(r.retransmission_ratio(), 0.0);
         assert_eq!(r.extra("anything"), None);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-        /// The in-order cursor against the destination resequencer it
-        /// replaces: a random permutation of `0..n` with duplicates
-        /// injected goes to both, and after every delivery they agree on
-        /// the ids released (in order, read back from the delay samples),
-        /// the delays, the release count and the held count; at the end
-        /// on the peak.
-        #[test]
-        fn cursor_matches_a_resequencer(
-            keys in proptest::collection::vec(0u32..1_000_000, 1..200),
-            dups in proptest::collection::vec((0usize..400, 0usize..200), 0..40),
-        ) {
-            let n = keys.len();
-            let mut order: Vec<u64> = (0..n as u64).collect();
-            order.sort_by_key(|&id| (keys[id as usize], id));
-            for (at, pick) in dups {
-                let id = order[pick % n];
-                order.insert(at % (order.len() + 1), id);
-            }
-            // Distinct push instants, so a delay sample names its id.
-            let push = |id: u64| Instant::from_nanos(id * 1_000);
-            let mut c = Collector::new();
-            for id in 0..n as u64 {
-                c.on_push(push(id), id);
-            }
-            let mut r = lams_dlc::Resequencer::new(0);
-            let mut out = Vec::new();
-            let mut want_delays = Vec::new();
-            for (k, &id) in order.iter().enumerate() {
-                let now = Instant::from_millis(1) + Duration::from_micros(k as u64);
-                let before = c.e2e_delays_ns.len();
-                c.on_deliver(now, id);
-                out.clear();
-                r.offer_into(lams_dlc::PacketId(id), bytes::Bytes::new(), &mut out);
-                let want_ids: Vec<u64> = out.iter().map(|(rid, _)| rid.0).collect();
-                let got_ids: Vec<u64> = c.e2e_delays_ns[before..]
-                    .iter()
-                    .map(|d| (now.as_nanos() - d) / 1_000)
-                    .collect();
-                prop_assert_eq!(got_ids, want_ids.clone());
-                let delays = want_ids.iter().map(|&rid| now.duration_since(push(rid)));
-                want_delays.extend(delays.map(|d| d.as_nanos()));
-                prop_assert_eq!(&c.e2e_delays_ns, &want_delays);
-                prop_assert_eq!(c.released_in_order(), r.stats().released);
-                c.sample(now, 0, 0, 0.0);
-                let held = c.reseq_buffer.last_value().unwrap();
-                prop_assert_eq!(held, r.buffered() as f64);
-            }
-            prop_assert_eq!(c.released_in_order(), n as u64);
-            prop_assert_eq!(c.duplicates(), r.stats().duplicates);
-            let peak = r.stats().peak_buffered;
-            let report = c.finish(
-                "x",
-                n as u64,
-                Instant::from_secs(1),
-                false,
-                false,
-                0,
-                0,
-                Duration::ZERO,
-                Registry::new(),
-                Registry::new(),
-            );
-            prop_assert_eq!(report.reseq_peak, peak);
-            prop_assert_eq!(report.e2e_delay.count(), n as u64);
-        }
     }
 }

@@ -157,7 +157,7 @@ mod tests {
     use sim_core::Instant;
     use std::cell::RefCell;
     use std::rc::Rc;
-    use telemetry::{RingSink, SharedSink, TraceEvent};
+    use telemetry::{SharedSink, TraceEvent};
 
     fn with_workers<T>(n: usize, body: impl FnOnce() -> T) -> T {
         let prev = workers();
@@ -200,8 +200,8 @@ mod tests {
 
     #[test]
     fn trace_records_replay_in_item_order() {
-        let ring = Rc::new(RefCell::new(RingSink::new(64)));
-        telemetry::install_global(ring.clone() as SharedSink);
+        let buf = Rc::new(RefCell::new(BufferSink::new()));
+        telemetry::install_global(buf.clone() as SharedSink);
         with_workers(4, || {
             map((0..10u64).collect(), |i| {
                 telemetry::global_handle("worker").emit(Instant::from_nanos(i), || {
@@ -213,9 +213,10 @@ mod tests {
             })
         });
         telemetry::uninstall_global();
-        let seqs: Vec<u64> = ring
-            .borrow()
-            .records()
+        let seqs: Vec<u64> = buf
+            .borrow_mut()
+            .take()
+            .into_iter()
             .map(|r| match r.event {
                 TraceEvent::Nak { seq, .. } => seq,
                 _ => unreachable!(),

@@ -17,6 +17,7 @@
 use crate::frame::HdlcFrame;
 use bytes::Bytes;
 use fec::{Crc16Ccitt, Crc32};
+use proto_core::seq;
 
 const TYPE_INFO: u8 = 0x11;
 const TYPE_RR: u8 = 0x12;
@@ -32,23 +33,8 @@ pub enum WireError {
     UnknownType(u8),
     /// CRC failure.
     BadCrc,
-}
-
-fn compress(v: u64, modulus: u64) -> u32 {
-    (v % modulus) as u32
-}
-
-fn expand(wire: u32, reference: u64, modulus: u64) -> u64 {
-    let base = reference / modulus * modulus;
-    [
-        base.checked_sub(modulus).map(|b| b + wire as u64),
-        Some(base + wire as u64),
-        Some(base + modulus + wire as u64),
-    ]
-    .into_iter()
-    .flatten()
-    .min_by_key(|&c| c.abs_diff(reference))
-    .expect("candidate")
+    /// A sequence field not below the modulus.
+    SeqOutOfRange,
 }
 
 /// Serialize a frame; `modulus = 2^seq_bits`.
@@ -63,7 +49,7 @@ pub fn encode(frame: &HdlcFrame, modulus: u64) -> Vec<u8> {
             let mut out = Vec::with_capacity(2 + 4 + 8 + 2 + payload.len() + 4);
             out.push(TYPE_INFO);
             out.push(*poll as u8);
-            out.extend_from_slice(&compress(*ns, modulus).to_le_bytes());
+            out.extend_from_slice(&seq::compress(*ns, modulus).to_le_bytes());
             out.extend_from_slice(&packet_id.to_le_bytes());
             let len: u16 = payload.len().try_into().expect("payload too large");
             out.extend_from_slice(&len.to_le_bytes());
@@ -81,13 +67,17 @@ fn supervisory(ty: u8, ctl: u8, nr: u64, modulus: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + 4 + 2);
     out.push(ty);
     out.push(ctl);
-    out.extend_from_slice(&compress(nr, modulus).to_le_bytes());
+    out.extend_from_slice(&seq::compress(nr, modulus).to_le_bytes());
     Crc16Ccitt::append(&mut out);
     out
 }
 
 /// Parse a frame; `reference` anchors wire-number expansion.
 pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<HdlcFrame, WireError> {
+    let expand = |field: &[u8]| match u32::from_le_bytes(field.try_into().unwrap()) {
+        wire if u64::from(wire) < modulus => Ok(seq::expand(wire, reference, modulus)),
+        _ => Err(WireError::SeqOutOfRange),
+    };
     let (&ty, _) = buf.split_first().ok_or(WireError::Truncated)?;
     match ty {
         TYPE_INFO => {
@@ -99,7 +89,6 @@ pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<HdlcFrame, Wir
                 return Err(WireError::Truncated);
             }
             let poll = body[0] & 1 != 0;
-            let ns = u32::from_le_bytes(body[1..5].try_into().unwrap());
             let packet_id = u64::from_le_bytes(body[5..13].try_into().unwrap());
             let len = u16::from_le_bytes(body[13..15].try_into().unwrap()) as usize;
             let payload = &body[15..];
@@ -107,7 +96,7 @@ pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<HdlcFrame, Wir
                 return Err(WireError::Truncated);
             }
             Ok(HdlcFrame::Info {
-                ns: expand(ns, reference, modulus),
+                ns: expand(&body[1..5])?,
                 packet_id,
                 poll,
                 payload: Bytes::copy_from_slice(payload),
@@ -122,11 +111,7 @@ pub fn decode(buf: &[u8], reference: u64, modulus: u64) -> Result<HdlcFrame, Wir
                 return Err(WireError::Truncated);
             }
             let ctl = body[0];
-            let nr = expand(
-                u32::from_le_bytes(body[1..5].try_into().unwrap()),
-                reference,
-                modulus,
-            );
+            let nr = expand(&body[1..5])?;
             Ok(match ty {
                 TYPE_RR => HdlcFrame::Rr {
                     nr,
@@ -199,6 +184,29 @@ mod tests {
             assert!(decode(&b, 0, M).is_err(), "byte {i}");
             b[i] ^= 0x08;
         }
+    }
+
+    #[test]
+    fn a_reference_near_the_top_does_not_overflow() {
+        let f = HdlcFrame::Rr { nr: 5, fin: false };
+        let back = decode(&encode(&f, M), u64::MAX - 3, M);
+        assert_eq!(
+            back,
+            Ok(HdlcFrame::Rr {
+                nr: u64::MAX - 2042,
+                fin: false
+            })
+        );
+    }
+
+    #[test]
+    fn a_field_past_the_modulus_is_rejected() {
+        let mut b = encode(&HdlcFrame::Srej { nr: 7 }, M);
+        b[2..6].copy_from_slice(&(M as u32).to_le_bytes());
+        let n = b.len();
+        b.truncate(n - 2);
+        Crc16Ccitt::append(&mut b);
+        assert_eq!(decode(&b, 0, M), Err(WireError::SeqOutOfRange));
     }
 
     #[test]

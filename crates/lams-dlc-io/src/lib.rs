@@ -78,9 +78,10 @@ pub struct IoConfig {
     /// Write the full telemetry trace (JSONL [`telemetry::TraceRecord`]
     /// lines) here for offline `trace-tools` replay.
     pub trace: Option<PathBuf>,
-    /// Receiver resequencing capacity override as
-    /// `(capacity, stop_watermark)` — `None` for unbounded. Small
-    /// capacities force Stop-Go flow control on a loopback link.
+    /// Receiver processing-queue capacity override as
+    /// `(capacity, stop_watermark)` in frames (Stop is signalled at the
+    /// watermark) — `None` for unbounded. Small capacities force Stop-Go
+    /// flow control on a loopback link.
     pub rx_capacity: Option<(usize, usize)>,
 }
 

@@ -31,7 +31,6 @@
 //! * [`config::LamsConfig`] — parameters and the derived bounds
 //!   (resolving period, numbering size, timers);
 //! * [`frame`] / [`wire`] — frame types and the byte-level format;
-//! * [`seq`] — bounded sequence-number compression/expansion;
 //! * [`sender::Sender`] / [`receiver::Receiver`] — the two sans-IO state
 //!   machines;
 //! * [`flow::RateController`] — Stop-Go rate control;
@@ -72,7 +71,6 @@ pub mod pump;
 pub mod receiver;
 pub mod resequencer;
 pub mod sender;
-pub mod seq;
 pub mod wire;
 
 pub use config::{FlowConfig, LamsConfig};

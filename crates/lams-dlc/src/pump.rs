@@ -9,8 +9,10 @@
 //! 1. offer fresh SDUs until the sender refuses one;
 //! 2. fire due timers on both machines;
 //! 3. sender frames → [`Link::send_data`] → arrivals to the receiver;
-//! 4. application delivery, resequenced and checked to be in order and
-//!    to carry the SDU's payload;
+//! 4. application delivery: each SDU the pump offered is checked to carry
+//!    its payload when it first arrives, and released in order by the
+//!    [`Resequencer`]; a duplicate, or an id the pump never offered, is
+//!    dropped;
 //! 5. receiver frames → [`Link::send_feedback`] → arrivals to the sender;
 //! 6. the sender's notifications drained (the receiver has none).
 //!
@@ -18,7 +20,7 @@
 //! pump then sleeps to the earliest of both machines' `poll_timeout()`,
 //! the link's next arrival and the host's wake; with none, it deadlocks.
 
-use crate::{Frame, PacketId, Resequencer, RxStatus};
+use crate::{Frame, Resequencer, RxStatus};
 use bytes::Bytes;
 use proto_core::{
     earliest, Clock, Duration, Instant, ReceiverMachine, SenderMachine, Trace, TraceEvent,
@@ -79,8 +81,7 @@ pub struct Pass<'a, S> {
 #[derive(Clone, Debug)]
 pub struct Run {
     /// The verdict, or the error that ended the run: from the link or
-    /// the host, an out-of-order delivery, a payload that is not the
-    /// SDU's, or a deadlock.
+    /// the host, a payload that is not the SDU's, or a deadlock.
     pub outcome: Result<Verdict, String>,
     /// SDUs delivered in order.
     pub delivered: u64,
@@ -172,8 +173,6 @@ struct RunState {
     rx_reference: u64, // highest info sequence handed to the receiver
     wakes: u64,
     wake_lateness: Duration,
-    /// The resequencer's output, reused across deliveries.
-    released: Vec<(PacketId, Bytes)>,
     /// SDU `id`'s payload is `payloads[id % 256]`, built once per run
     /// and shared by every SDU with that low byte.
     payloads: Vec<Bytes>,
@@ -229,25 +228,23 @@ impl RunState {
             }
 
             while let Some(d) = receiver.poll_deliver(t) {
-                self.reseq
-                    .offer_into(PacketId(d.id), d.payload, &mut self.released);
-                for (id, payload) in self.released.drain(..) {
-                    if id.0 != self.delivered {
-                        return Err(format!(
-                            "out-of-order delivery: got {} want {}",
-                            id.0, self.delivered
-                        ));
-                    }
-                    if payload[..] != self.payloads[(id.0 & 0xff) as usize][..] {
-                        return Err(format!(
-                            "payload mismatch: SDU {} is not {} copies of {:#04x}",
-                            id.0,
-                            pump.payload_len,
-                            id.0 & 0xff
-                        ));
-                    }
-                    self.delivered += 1;
+                // An id at or above `next_id` is no SDU of this run; it
+                // must not size the resequencer's ring either.
+                if d.id >= self.next_id {
+                    continue;
                 }
+                let Some(released) = self.reseq.offer(d.id) else {
+                    continue;
+                };
+                if d.payload[..] != self.payloads[(d.id & 0xff) as usize][..] {
+                    return Err(format!(
+                        "payload mismatch: SDU {} is not {} copies of {:#04x}",
+                        d.id,
+                        pump.payload_len,
+                        d.id & 0xff
+                    ));
+                }
+                self.delivered = released.end;
             }
 
             while let Some(frame) = receiver.poll_transmit(t) {
@@ -292,7 +289,7 @@ impl RunState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ControlFrame, LamsConfig, Receiver, Sender, SenderState};
+    use crate::{ControlFrame, InfoFrame, LamsConfig, PacketId, Receiver, Sender, SenderState};
     use proto_core::{Delivered, Machine, ManualClock};
     use std::collections::VecDeque;
 
@@ -438,6 +435,102 @@ mod tests {
             Err("payload mismatch: SDU 2 is not 8 copies of 0x02".to_string())
         );
         assert_eq!(run.delivered, 2);
+    }
+
+    /// A zero-delay link that hands the receiver the third information
+    /// frame clean but rewritten by `tamper`, then NAKs that frame in
+    /// the first checkpoint covering it: the sender sends the SDU again
+    /// under a fresh number, so the receiver delivers both.
+    struct Replayer {
+        data: VecDeque<Frame>,
+        feedback: VecDeque<Frame>,
+        info_sent: u64,
+        tamper: fn(&mut InfoFrame),
+        renak: Option<u64>,
+    }
+
+    impl Replayer {
+        fn new(tamper: fn(&mut InfoFrame)) -> Self {
+            Replayer {
+                data: VecDeque::new(),
+                feedback: VecDeque::new(),
+                info_sent: 0,
+                tamper,
+                renak: None,
+            }
+        }
+    }
+
+    impl Link for Replayer {
+        fn send_data(&mut self, _: Instant, mut frame: Frame, _: u64) -> Result<(), String> {
+            if let Frame::Info(info) = &mut frame {
+                self.info_sent += 1;
+                if self.info_sent == 3 {
+                    (self.tamper)(info);
+                    self.renak = Some(info.seq);
+                }
+            }
+            self.data.push_back(frame);
+            Ok(())
+        }
+
+        fn recv_data(&mut self, _: Instant, _: u64) -> Arrival {
+            Ok(self.data.pop_front().map(|f| (f, RxStatus::Ok)))
+        }
+
+        fn send_feedback(&mut self, _: Instant, frame: Frame, _: u64) -> Result<(), String> {
+            self.feedback.push_back(frame);
+            Ok(())
+        }
+
+        fn recv_feedback(&mut self, _: Instant, _: u64) -> Arrival {
+            let mut frame = self.feedback.pop_front();
+            if let Some(Frame::Control(ControlFrame::CheckPoint(cp))) = &mut frame {
+                if let Some(seq) = self.renak.filter(|&seq| cp.covered >= seq) {
+                    // Every frame arrives clean, so the list was empty.
+                    cp.naks.push(seq);
+                    self.renak = None;
+                }
+            }
+            Ok(frame.map(|f| (f, RxStatus::Ok)))
+        }
+    }
+
+    /// Run five SDUs over `link`; the receiver must have handed the pump
+    /// six deliveries, one of them not a fresh SDU.
+    fn run_with_an_extra_delivery(mut link: Replayer) -> Run {
+        let cfg = LamsConfig::paper_default();
+        let mut receiver = Receiver::new(cfg.clone());
+        let pump = Pump {
+            sdus: 5,
+            payload_len: 8,
+            trace: Trace::disabled(),
+        };
+        let run = pump.run(
+            &ManualClock::new(),
+            &mut Sender::new(cfg),
+            &mut receiver,
+            &mut link,
+            |_, _| Ok(None),
+        );
+        assert_eq!(receiver.stats().accepted, 6);
+        run
+    }
+
+    #[test]
+    fn a_replayed_sdu_is_dropped() {
+        let run = run_with_an_extra_delivery(Replayer::new(|_| {}));
+        assert_eq!(run.outcome, Ok(Verdict::Complete));
+        assert_eq!(run.delivered, 5);
+    }
+
+    #[test]
+    fn an_id_never_offered_is_ignored() {
+        let run = run_with_an_extra_delivery(Replayer::new(|info| {
+            info.packet_id = PacketId(u64::MAX);
+        }));
+        assert_eq!(run.outcome, Ok(Verdict::Complete));
+        assert_eq!(run.delivered, 5);
     }
 
     /// A machine with no timers that refuses every SDU and never speaks.

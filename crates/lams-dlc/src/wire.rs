@@ -13,17 +13,18 @@
 //! ```
 //!
 //! Sequence numbers travel compressed modulo the configured numbering
-//! size ([`crate::seq`]); `covered` and each NAK entry are wire-compressed
-//! too. I-frames carry a CRC-32 (large payloads), control frames the
-//! HDLC CRC-16 FCS — consistent with the two FEC grades of assumption 4.
+//! size ([`proto_core::seq`]); `covered` and each NAK entry are
+//! wire-compressed too. I-frames carry a CRC-32 (large payloads),
+//! control frames the HDLC CRC-16 FCS — consistent with the two FEC
+//! grades of assumption 4.
 //! The checkpoint length **varies with the number of NAKs**, exactly as
 //! §3.1 specifies ("their length varies according to the number of the
 //! erroneous I-frames communicated").
 
 use crate::frame::{CheckPoint, ControlFrame, Frame, InfoFrame, PacketId, StopGo};
-use crate::seq;
 use bytes::Bytes;
 use fec::{Crc16Ccitt, Crc32};
+use proto_core::seq;
 
 const TYPE_INFO: u8 = 0x01;
 const TYPE_CHECKPOINT: u8 = 0x02;

@@ -9,7 +9,7 @@
 //! dependency graph — it knows nothing about the simulator, telemetry
 //! sinks, or sockets, and only [`WallClock`] touches the calling thread
 //! (it parks it, and on Linux sets its timer slack so wake-ups are
-//! punctual) — and provides exactly five things:
+//! punctual) — and provides exactly six things:
 //!
 //! * [`Instant`] / [`Duration`] — plain-integer nanosecond time, with no
 //!   clock source attached (re-exported by `sim-core`, so simulator code
@@ -27,7 +27,9 @@
 //!   sockets, or inside the adversarial model checker;
 //! * [`SeqWindow`] / [`SeqSet`] — per-frame state keyed by a monotone
 //!   sequence number, shared by the LAMS sender's retransmission
-//!   buffer, the destination resequencer and the live monitor.
+//!   buffer and the live monitor;
+//! * [`seq::compress`] / [`seq::expand`] — sequence numbers to and from
+//!   their wire field modulo the numbering size, for both wire codecs.
 //!
 //! The layering is enforced in CI: `cargo tree -i sim-core` and
 //! `cargo tree -i telemetry` must never reach `proto-core`, `lams-dlc`
@@ -35,6 +37,7 @@
 
 pub mod clock;
 pub mod machine;
+pub mod seq;
 pub mod time;
 pub mod trace;
 pub mod window;

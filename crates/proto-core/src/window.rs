@@ -4,16 +4,15 @@
 //! increasing sequence number, and a frame stays unresolved for about
 //! one resolving period (`R + W_cp/2 + C_depth·W_cp`, §3). So the
 //! numbers anyone holds per-frame state for at any instant (the
-//! sender's retransmission buffer, a monitor's frame chains, a
-//! resequencer's held datagrams) form a narrow band just above the
-//! lowest live one. [`SeqWindow`] stores that band in a dense ring
-//! indexed by `seq − base`, where `base` is the lowest live number: a
-//! lookup is a subtraction and an index, with no hashing or tree walk,
-//! and appending the next number is a `push_back`. Numbers that fall
-//! outside the band (below `base`, or [`WINDOW_CAP`] or more above it,
-//! as a corrupt trace or a hostile peer can produce) go to an ordered
-//! spill map, so the ring never spans more than [`WINDOW_CAP`] numbers
-//! and every answer stays exact.
+//! sender's retransmission buffer, a monitor's frame chains) form a
+//! narrow band just above the lowest live one. [`SeqWindow`] stores
+//! that band in a dense ring indexed by `seq − base`, where `base` is
+//! the lowest live number: a lookup is a subtraction and an index, with
+//! no hashing or tree walk, and appending the next number is a
+//! `push_back`. Numbers that fall outside the band (below `base`, or
+//! [`WINDOW_CAP`] or more above it, as a corrupt trace or a hostile peer
+//! can produce) go to an ordered spill map, so the ring never spans more
+//! than [`WINDOW_CAP`] numbers and every answer stays exact.
 //!
 //! [`SeqSet`] remembers numbers that left the window (clean arrivals of
 //! released frames) as sorted ranges: appending in sequence order, the

@@ -28,6 +28,6 @@ pub use json::Json;
 pub use registry::{is_canonical_name, CounterHandle, Registry};
 pub use trace::{
     global_handle, global_sink, install_global, parse_line, sink_trace, uninstall_global,
-    BufferSink, FanoutSink, JsonlSink, ProtoTrace, RingSink, SharedSink, Trace, TraceEvent,
-    TraceRecord, TraceSink,
+    BufferSink, FanoutSink, JsonlSink, ProtoTrace, SharedSink, Trace, TraceEvent, TraceRecord,
+    TraceSink,
 };

@@ -7,14 +7,13 @@
 //! formatting.
 //!
 //! Record construction is decoupled from persistence through the
-//! [`TraceSink`] trait: [`RingSink`] keeps the last N records in memory
-//! (for tests and post-mortem inspection), [`JsonlSink`] streams one
-//! JSON object per line to a writer (the `repro --trace <path>` flag).
+//! [`TraceSink`] trait: [`BufferSink`] keeps every record in memory
+//! (for worker threads and tests), [`JsonlSink`] streams one JSON
+//! object per line to a writer (the `repro --trace <path>` flag).
 
 use crate::json::Json;
 use proto_core::time::Instant;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
 use std::rc::Rc;
 
@@ -419,63 +418,14 @@ pub trait TraceSink: ProtoTrace {
         self.len() == 0
     }
 
-    /// Records dropped (ring eviction, write failures). Sinks must not
-    /// panic on I/O trouble; they degrade to dropping records and count
-    /// them here.
+    /// Records dropped (write failures). Sinks must not panic on I/O
+    /// trouble; they degrade to dropping records and count them here.
     fn dropped(&self) -> u64 {
         0
     }
 
     /// Flush any buffered output.
     fn flush(&mut self) {}
-}
-
-/// Bounded in-memory sink keeping the most recent `capacity` records.
-pub struct RingSink {
-    buf: VecDeque<TraceRecord>,
-    capacity: usize,
-    seen: u64,
-}
-
-impl RingSink {
-    /// Sink retaining at most `capacity` records (oldest evicted first).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            capacity: capacity.max(1),
-            seen: 0,
-        }
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
-    }
-
-    /// Count of retained records matching a predicate.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.buf.iter().filter(|r| r.event.kind() == kind).count()
-    }
-}
-
-impl ProtoTrace for RingSink {
-    fn record(&mut self, t: Instant, node: &'static str, event: TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(TraceRecord { t, node, event });
-        self.seen += 1;
-    }
-}
-
-impl TraceSink for RingSink {
-    fn len(&self) -> u64 {
-        self.seen
-    }
-
-    fn dropped(&self) -> u64 {
-        self.seen - self.buf.len() as u64
-    }
 }
 
 /// Unbounded in-memory sink that surrenders its records on demand.
@@ -792,31 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_bounds_and_counts() {
-        let mut ring = RingSink::new(3);
-        for i in 0..5 {
-            ring.put(rec(
-                i,
-                TraceEvent::Nak {
-                    seq: i,
-                    cp_index: 0,
-                },
-            ));
-        }
-        assert_eq!(ring.len(), 5);
-        assert_eq!(ring.dropped(), 2);
-        let seqs: Vec<u64> = ring
-            .records()
-            .map(|r| match r.event {
-                TraceEvent::Nak { seq, .. } => seq,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-        assert_eq!(ring.count_kind("nak"), 3);
-    }
-
-    #[test]
     fn buffer_sink_drains_in_insertion_order() {
         let mut buf = BufferSink::new();
         for i in 0..100 {
@@ -846,15 +771,15 @@ mod tests {
 
     #[test]
     fn trace_feeds_shared_sink() {
-        let ring: SharedSink = Rc::new(RefCell::new(RingSink::new(16)));
-        let trace = sink_trace(ring.clone(), "rx");
+        let buf: SharedSink = Rc::new(RefCell::new(BufferSink::new()));
+        let trace = sink_trace(buf.clone(), "rx");
         trace.emit(Instant::from_millis(5), || TraceEvent::StopGo {
             stop: true,
         });
         trace
             .labelled("rx2")
             .emit(Instant::from_millis(6), || TraceEvent::LinkFailed);
-        assert_eq!(ring.borrow().len(), 2);
+        assert_eq!(buf.borrow().len(), 2);
     }
 
     #[test]
@@ -916,7 +841,7 @@ mod tests {
 
     #[test]
     fn fanout_forwards_to_all_children() {
-        let a: SharedSink = Rc::new(RefCell::new(RingSink::new(8)));
+        let a: SharedSink = Rc::new(RefCell::new(BufferSink::new()));
         let b: SharedSink = Rc::new(RefCell::new(BufferSink::new()));
         let mut fan = FanoutSink::new(vec![a.clone(), b.clone()]);
         fan.put(rec(
@@ -1224,7 +1149,7 @@ mod tests {
         assert_eq!(buffered.len(), 5);
         assert_eq!(buffered.take(), batch);
 
-        let a: SharedSink = Rc::new(RefCell::new(RingSink::new(8)));
+        let a: SharedSink = Rc::new(RefCell::new(BufferSink::new()));
         let mut fan = FanoutSink::new(vec![a.clone()]);
         fan.record_all(&batch);
         assert_eq!(fan.len(), 5);
@@ -1260,10 +1185,10 @@ mod tests {
     #[test]
     fn global_sink_clone_matches_installed() {
         assert!(global_sink().is_none());
-        let ring: SharedSink = Rc::new(RefCell::new(RingSink::new(4)));
-        install_global(ring.clone());
+        let buf: SharedSink = Rc::new(RefCell::new(BufferSink::new()));
+        install_global(buf.clone());
         let observed = global_sink().expect("sink installed");
-        assert!(Rc::ptr_eq(&observed, &ring));
+        assert!(Rc::ptr_eq(&observed, &buf));
         uninstall_global();
         assert!(global_sink().is_none());
     }
@@ -1271,8 +1196,8 @@ mod tests {
     #[test]
     fn global_sink_install_and_remove() {
         assert!(!global_handle("x").enabled());
-        let ring: SharedSink = Rc::new(RefCell::new(RingSink::new(4)));
-        assert!(install_global(ring).is_none());
+        let buf: SharedSink = Rc::new(RefCell::new(BufferSink::new()));
+        assert!(install_global(buf).is_none());
         let h = global_handle("x");
         assert!(h.enabled());
         h.emit(Instant::ZERO, || TraceEvent::LinkFailed);
